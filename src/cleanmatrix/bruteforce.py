@@ -1,11 +1,11 @@
 """Brute-force ground truth on small finite rings.
 
-Everything here runs on int-indexed multiplication tables built directly from
-the ring's element enumeration, so no logic is shared with the decision
-modules: invertibility is a kernel scan over all of R^2, idempotents come from
-an exhaustive matrix scan, and the pi-regular check recomputes kernel and
-image sets power by power.  The only decision-module code the oracle touches
-is verify_certificate, applied to its own output as a final cross-check.
+Everything here runs on int-indexed operation tables, the ring's own fully
+filled IndexTables, and shares no logic with the decision modules:
+invertibility is a kernel scan over all of R^2, idempotents come from an
+exhaustive matrix scan, and the pi-regular check recomputes kernel and image
+sets power by power.  The only decision-module code the oracle touches is
+verify_certificate, applied to its own output as a final cross-check.
 
 The idempotent scan prefilters by residue: an idempotent's residue matrix is
 idempotent over the residue field, so quadruples failing that cheap test are
@@ -21,44 +21,27 @@ _TABLE_CACHE = {}
 
 class _Tables:
     def __init__(self, R):
-        elems = R.enumerate_elements("All")
-        size = len(elems)
+        tables = R.filled_tables()
+        size = tables.size
         self.ring = R
-        self.elements = list(elems)
+        self.tables = tables
+        self.elements = tables.elements
         self.size = size
-        index = {e.payload: i for i, e in enumerate(elems)}
-        self.index = index
-        self.add = [
-            index[R.add(x, y).payload] for x in elems for y in elems
-        ]
-        self.mul = [
-            index[R.mul(x, y).payload] for x in elems for y in elems
-        ]
-        self.neg = [index[R.neg(x).payload] for x in elems]
-        self.zero = index[R.zero.payload]
-        self.one = index[R.one.payload]
+        self.add = tables.add
+        self.mul = tables.mul
+        self.neg = tables.neg
+        self.zero = tables.index_of(R.zero)
         view = R.residue_view()
-        field_elems = view.field.enumerate_elements("All")
-        field_index = {e.payload: i for i, e in enumerate(field_elems)}
-        self.residue = [field_index[view.reduce(x).payload] for x in elems]
-        self.field_size = len(field_elems)
-        self.field_mul = [
-            field_index[view.field.mul(x, y).payload]
-            for x in field_elems
-            for y in field_elems
-        ]
-        self.field_add = [
-            field_index[view.field.add(x, y).payload]
-            for x in field_elems
-            for y in field_elems
-        ]
-        self.field_zero = field_index[view.field.zero.payload]
-        self.field_one = field_index[view.field.one.payload]
+        field = view.field.filled_tables()
+        self.residue = [field.index_of(view.reduce(x)) for x in self.elements]
+        self.field_size = field.size
+        self.field_mul = field.mul
+        self.field_add = field.add
         self.vectors = [(x, y) for x in range(size) for y in range(size)]
         self.idempotents = None  # filled lazily
 
     def matrix_indices(self, A):
-        return tuple(self.index[e.payload] for e in A.entries())
+        return tuple(self.tables.index_of(e) for e in A.entries())
 
 
 def _tables(R, max_size=256):

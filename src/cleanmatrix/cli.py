@@ -421,78 +421,104 @@ def _cmd_selftest(args):
 # ------------------------------------------------------------------- verify
 
 
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array",
+               dict: "object"}
+
+
+def _field(obj, key, kind=str):
+    """obj[key] of a document under verification, checked to be of the given
+    JSON type; ParseError otherwise."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object holding {key!r}")
+    if key not in obj:
+        raise ParseError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _element(R, literal):
+    if not isinstance(literal, str):
+        raise ParseError(f"element literal must be a string, got {literal!r}")
+    return parse_element(R, literal)
+
+
 def _matrix_from_literals(R, nested):
-    a, b = nested[0]
-    c, d = nested[1]
-    return Mat2(
-        R,
-        parse_element(R, a),
-        parse_element(R, b),
-        parse_element(R, c),
-        parse_element(R, d),
-    )
+    if not (
+        isinstance(nested, list)
+        and len(nested) == 2
+        and all(isinstance(row, list) and len(row) == 2 for row in nested)
+    ):
+        raise ParseError("matrix must be a 2x2 array of element literals")
+    (a, b), (c, d) = nested
+    return Mat2(R, _element(R, a), _element(R, b), _element(R, c), _element(R, d))
 
 
 def _verify_doc(doc):
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
     command = doc.get("command")
     if command == "decide":
-        R = parse_ring(doc["ring"])
-        A = _matrix_from_literals(R, doc["matrix"])
-        raw = doc.get("certificate")
-        if raw is None:
+        R = parse_ring(_field(doc, "ring"))
+        A = _matrix_from_literals(R, _field(doc, "matrix", list))
+        if doc.get("certificate") is None:
             return None
+        raw = _field(doc, "certificate", dict)
         diag = None
         if "diag" in raw:
+            d = _field(raw, "diag", dict)
             diag = (
-                parse_element(R, raw["diag"]["t0"]),
-                parse_element(R, raw["diag"]["t1"]),
-                _matrix_from_literals(R, raw["diag"]["P"]),
+                _element(R, _field(d, "t0")),
+                _element(R, _field(d, "t1")),
+                _matrix_from_literals(R, _field(d, "P", list)),
             )
         cert = CleanCertificate(
-            E=_matrix_from_literals(R, raw["E"]),
-            U=_matrix_from_literals(R, raw["U"]),
+            E=_matrix_from_literals(R, _field(raw, "E", list)),
+            U=_matrix_from_literals(R, _field(raw, "U", list)),
             diag=diag,
         )
         return _reverify_clean(A, cert)
     if command == "pi":
-        R = parse_ring(doc["ring"])
-        A = _matrix_from_literals(R, doc["matrix"])
-        raw = doc.get("certificate")
-        if raw is None:
+        R = parse_ring(_field(doc, "ring"))
+        A = _matrix_from_literals(R, _field(doc, "matrix", list))
+        if doc.get("certificate") is None:
             return None
-        kind = raw["kind"]
+        raw = _field(doc, "certificate", dict)
+        kind = _field(raw, "kind")
         cert = PiCertificate(kind)
         if kind == "diag":
-            cert.t0 = parse_element(R, raw["t0"])
-            cert.t1 = parse_element(R, raw["t1"])
-            cert.P = _matrix_from_literals(R, raw["P"])
+            cert.t0 = _element(R, _field(raw, "t0"))
+            cert.t1 = _element(R, _field(raw, "t1"))
+            cert.P = _matrix_from_literals(R, _field(raw, "P", list))
         elif kind == "nilpotent":
-            cert.index = raw["index"]
+            cert.index = _field(raw, "index", int)
         return verify_pi_certificate(A, cert)
     if command == "factor":
-        R = parse_ring(doc["ring"])
+        R = parse_ring(_field(doc, "ring"))
+        poly_doc = _field(doc, "poly", dict)
         f = MonicQuadratic(
             R,
-            parse_element(R, doc["poly"]["a1"]),
-            parse_element(R, doc["poly"]["a0"]),
+            _element(R, _field(poly_doc, "a1")),
+            _element(R, _field(poly_doc, "a0")),
         )
         raw = doc.get("witness")
         if raw is None or not isinstance(raw, dict):
             return None
         def poly(key):
-            return Poly(R, [parse_element(R, c) for c in raw[key]])
+            return Poly(R, [_element(R, c) for c in _field(raw, key, list)])
         witness = FactorizationWitness(
             g0=poly("g0"), g1=poly("g1"), h0=poly("h0"), h1=poly("h1"),
-            starred=bool(raw["starred"]),
+            starred=_field(raw, "starred", bool),
         )
         return verify_factorization(f, witness)
     if command == "classify-int":
         R = parse_ring("Z")
-        A = _matrix_from_literals(R, doc["matrix"])
+        A = _matrix_from_literals(R, _field(doc, "matrix", list))
         if doc.get("tag") != "Diag":
             return None
-        P = _matrix_from_literals(R, doc["transform"])
-        diag = Mat2.diag(R, R.el(doc["d1"]), R.el(doc["d2"]))
+        P = _matrix_from_literals(R, _field(doc, "transform", list))
+        diag = Mat2.diag(R, R.el(_field(doc, "d1", int)), R.el(_field(doc, "d2", int)))
         from .integer_matrices import is_unimodular
 
         return is_unimodular(P) and conjugate(P, A) == diag
@@ -507,7 +533,7 @@ def _cmd_verify(args):
             text = handle.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}")
     verdict = _verify_doc(doc)
     print(json.dumps({"verified": verdict}, sort_keys=True))

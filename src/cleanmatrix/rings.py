@@ -18,11 +18,22 @@ monic of degree m found in base-p counting order of the coefficient vector
 (constant digit least significant).  GF(4): t^2+t+1; GF(8): t^3+t+1; GF(9): t^2+1.
 
 Enumeration order is lexicographic on canonical payloads; OnePlusRadical is the
-image of Radical's order under j -> 1 + j.
+image of Radical's order under j -> 1 + j.  An element of the "All" enumeration
+carries its position there as `idx`.
+
+Finite rings of at most TABLE_CAP elements (Z/p^k, GF(p^m) and the truncations)
+answer add, neg, mul and invert from flat index tables (IndexTables): one
+array('H') entry per operand pair, indexed by enumeration position.  An entry
+is computed by the ring's own arithmetic (the _add, _neg, _mul and _invert
+methods) the first time it is looked up, and stored; filled_tables() computes
+every entry at once.  Above the cap, and on Z and Z_(p), the arithmetic runs
+directly and no table is allocated.
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -31,7 +42,12 @@ from .errors import (
     NotAUnit,
     NotLocal,
     OwnerMismatch,
+    TooLarge,
 )
+
+# Largest ring with index tables: two n^2 tables of 2-byte entries, 4 MB at the cap.
+TABLE_CAP = 1024
+_EMPTY = 0xFFFF  # an entry not computed yet; indices stay below TABLE_CAP
 
 # ---------------------------------------------------------------- ring specs
 
@@ -132,13 +148,17 @@ def make_ring(spec: RingSpec):
 
 
 class Element:
-    """One ring element: an owner plus a canonical payload."""
+    """One ring element: an owner plus a canonical payload.
 
-    __slots__ = ("ring", "payload")
+    `idx` is the element's position in the owner's "All" enumeration, or None
+    until an index table has looked it up."""
+
+    __slots__ = ("ring", "payload", "idx")
 
     def __init__(self, ring, payload):
         self.ring = ring
         self.payload = payload
+        self.idx = None
 
     def _coerce(self, other):
         if isinstance(other, Element):
@@ -230,6 +250,67 @@ class ResidueView:
         return self._lift(a)
 
 
+class IndexTables:
+    """Operation tables of one finite ring, by "All" enumeration index.
+
+    With n elements, add[i*n + j] and mul[i*n + j] index e_i + e_j and e_i e_j,
+    neg[i] and inv[i] index -e_i and e_i^-1, and _EMPTY marks an entry not yet
+    computed (inv keeps it for non-units).  The owning ring passes its own
+    arithmetic to binary() and unary(), which compute a missing entry with it
+    and store the result.
+    """
+
+    __slots__ = ("elements", "size", "index", "add", "mul", "neg", "inv")
+
+    def __init__(self, elements):
+        n = len(elements)
+        self.elements = elements
+        self.size = n
+        self.index = {a.payload: i for i, a in enumerate(elements)}
+        self.add = array("H", [_EMPTY]) * (n * n)
+        self.mul = array("H", [_EMPTY]) * (n * n)
+        self.neg = array("H", [_EMPTY]) * n
+        self.inv = array("H", [_EMPTY]) * n
+
+    def index_of(self, a):
+        i = a.idx
+        if i is None:
+            i = a.idx = self.index[a.payload]
+        return i
+
+    # binary and unary test idx inline: operands nearly always carry it
+    def binary(self, table, op, a, b):
+        i = a.idx
+        if i is None:
+            i = self.index_of(a)
+        j = b.idx
+        if j is None:
+            j = self.index_of(b)
+        at = i * self.size + j
+        k = table[at]
+        if k == _EMPTY:
+            k = table[at] = self.index_of(op(a, b))
+        return self.elements[k]
+
+    def unary(self, table, op, a):
+        i = a.idx
+        if i is None:
+            i = self.index_of(a)
+        k = table[i]
+        if k == _EMPTY:
+            k = table[i] = self.index_of(op(a))
+        return self.elements[k]
+
+    def transposed(self):
+        """The opposite ring's tables: these, with mul transposed."""
+        n = self.size
+        out = IndexTables.__new__(IndexTables)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.mul = array("H", (self.mul[j * n + i] for i in range(n) for j in range(n)))
+        return out
+
+
 # ---------------------------------------------------------------- base class
 
 
@@ -244,18 +325,42 @@ class LocalRing:
         self.spec = spec
         self._enum_cache = {}
         self._opposite = None
-
-    # identity under opposite wrapping: elements always name their base owner
-    @property
-    def element_ring(self):
-        return self
+        self._residue = None
+        # the owner of this ring's elements; an opposite ring names its base
+        self.element_ring = self
 
     def _guard(self, *els):
+        owner = self.element_ring
         for a in els:
-            if not isinstance(a, Element) or a.ring is not self.element_ring:
+            if not isinstance(a, Element) or a.ring is not owner:
                 raise OwnerMismatch(
                     f"operand does not belong to {self.spec_string()}"
                 )
+
+    @cached_property
+    def _tables(self):
+        """IndexTables for a finite ring of at most TABLE_CAP elements, else None."""
+        n = self.size()
+        if n is None or n > TABLE_CAP:
+            return None
+        return IndexTables(self.enumerate_elements("All"))
+
+    def filled_tables(self) -> IndexTables:
+        """The index tables with every entry computed; TooLarge when the ring
+        is infinite or has more than TABLE_CAP elements."""
+        t = self._tables
+        if t is None:
+            raise TooLarge(
+                f"{self.spec_string()} has no index tables (cap {TABLE_CAP} elements)"
+            )
+        for a in t.elements:
+            self.neg(a)
+            if self.is_unit(a):
+                self.invert(a)
+            for b in t.elements:
+                self.add(a, b)
+                self.mul(a, b)
+        return t
 
     def el(self, payload) -> Element:
         raise NotImplementedError
@@ -285,6 +390,12 @@ class LocalRing:
         raise NotImplementedError
 
     def residue_view(self) -> ResidueView:
+        """Reduction onto the residue field and back, built once per ring."""
+        if self._residue is None:
+            self._residue = self._make_residue_view()
+        return self._residue
+
+    def _make_residue_view(self) -> ResidueView:
         raise NotImplementedError
 
     def radical_index(self):
@@ -303,6 +414,8 @@ class LocalRing:
             return got
         if subset == "All":
             out = tuple(self.el(p) for p in sorted(self._all_payloads()))
+            for i, a in enumerate(out):
+                a.idx = i
         elif subset == "Units":
             out = tuple(a for a in self.enumerate_elements("All") if self.is_unit(a))
         elif subset == "Radical":
@@ -436,7 +549,7 @@ class LocalizedIntegersRing(LocalRing):
             raise NotAUnit(f"{a.payload} is not a unit in {self.spec_string()}")
         return Element(self, 1 / a.payload)
 
-    def residue_view(self):
+    def _make_residue_view(self):
         field = make_ring(galois_field(self.p, 1))
         p = self.p
 
@@ -483,15 +596,37 @@ class ModPrimePowerRing(LocalRing):
 
     def add(self, a, b):
         self._guard(a, b)
-        return Element(self, (a.payload + b.payload) % self.modulus)
+        t = self._tables
+        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
 
     def neg(self, a):
         self._guard(a)
-        return Element(self, (-a.payload) % self.modulus)
+        t = self._tables
+        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
 
     def mul(self, a, b):
         self._guard(a, b)
+        t = self._tables
+        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
+
+    def invert(self, a):
+        self._guard(a)
+        t = self._tables
+        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
+
+    def _add(self, a, b):
+        return Element(self, (a.payload + b.payload) % self.modulus)
+
+    def _neg(self, a):
+        return Element(self, (-a.payload) % self.modulus)
+
+    def _mul(self, a, b):
         return Element(self, (a.payload * b.payload) % self.modulus)
+
+    def _invert(self, a):
+        if not self.is_unit(a):
+            raise NotAUnit(f"{a.payload} is not a unit mod {self.modulus}")
+        return Element(self, pow(a.payload, -1, self.modulus))
 
     def is_unit(self, a):
         self._guard(a)
@@ -501,13 +636,7 @@ class ModPrimePowerRing(LocalRing):
         self._guard(a)
         return a.payload % self.p == 0
 
-    def invert(self, a):
-        self._guard(a)
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a.payload} is not a unit mod {self.modulus}")
-        return Element(self, pow(a.payload, -1, self.modulus))
-
-    def residue_view(self):
+    def _make_residue_view(self):
         field = make_ring(galois_field(self.p, 1))
         p = self.p
 
@@ -668,21 +797,44 @@ class GaloisFieldRing(LocalRing):
 
     def add(self, a, b):
         self._guard(a, b)
-        p = self.p
-        return Element(self, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
+        t = self._tables
+        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
 
     def neg(self, a):
         self._guard(a)
-        p = self.p
-        return Element(self, tuple((-x) % p for x in a.payload))
+        t = self._tables
+        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
 
     def mul(self, a, b):
         self._guard(a, b)
+        t = self._tables
+        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
+
+    def invert(self, a):
+        self._guard(a)
+        t = self._tables
+        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
+
+    def _add(self, a, b):
+        p = self.p
+        return Element(self, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
+
+    def _neg(self, a):
+        p = self.p
+        return Element(self, tuple((-x) % p for x in a.payload))
+
+    def _mul(self, a, b):
         if self.m == 1:
             return Element(self, ((a.payload[0] * b.payload[0]) % self.p,))
         prod = _fp_mul(a.payload, b.payload, self.p)
         red = _fp_rem(prod, self.modulus, self.p)
         return Element(self, red + (0,) * (self.m - len(red)))
+
+    def _invert(self, a):
+        if not any(a.payload):
+            raise NotAUnit(f"0 is not a unit in {self.spec_string()}")
+        # a^(q-2) = a^-1 in GF(q)
+        return a ** (self.p**self.m - 2)
 
     def is_unit(self, a):
         self._guard(a)
@@ -692,19 +844,12 @@ class GaloisFieldRing(LocalRing):
         self._guard(a)
         return not any(a.payload)
 
-    def invert(self, a):
-        self._guard(a)
-        if not any(a.payload):
-            raise NotAUnit(f"0 is not a unit in {self.spec_string()}")
-        # a^(q-2) = a^-1 in GF(q)
-        return a ** (self.p**self.m - 2)
-
     def frobenius(self, a, power=1):
         """a -> a^(p^power), the field automorphism fixing F_p."""
         self._guard(a)
         return a ** (self.p ** (power % self.m))
 
-    def residue_view(self):
+    def _make_residue_view(self):
         return ResidueView(self, lambda a: a, lambda a: a)
 
     def radical_index(self):
@@ -770,14 +915,8 @@ class TruncatedRing(LocalRing):
         bz = base.zero.payload
         self.zero = Element(self, (bz,) * self.n)
         self.one = Element(self, (base.one.payload,) + (bz,) * (self.n - 1))
-        # sigma^i on base payloads for 0 <= i < n, sigma^i = Frobenius^(s*i)
-        self._sig = [
-            {
-                pl: base.frobenius(base.el(pl), (s * i) % base.m).payload
-                for pl in base._all_payloads()
-            }
-            for i in range(self.n)
-        ]
+        # sigma^i on the base payloads seen so far, for 0 <= i < n
+        self._sig = [{} for _ in range(self.n)]
 
     def el(self, payload):
         payload = tuple(tuple(c) for c in payload)
@@ -809,37 +948,83 @@ class TruncatedRing(LocalRing):
 
     def add(self, a, b):
         self._guard(a, b)
+        t = self._tables
+        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
+
+    def neg(self, a):
+        self._guard(a)
+        t = self._tables
+        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
+
+    def mul(self, a, b):
+        self._guard(a, b)
+        t = self._tables
+        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
+
+    def invert(self, a):
+        self._guard(a)
+        t = self._tables
+        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
+
+    # The arithmetic below wraps coefficients without base.el: the payload of
+    # an element of this ring holds canonical base payloads already.
+
+    def _add(self, a, b):
         base = self.base
         return Element(
             self,
             tuple(
-                base.add(base.el(x), base.el(y)).payload
+                base.add(Element(base, x), Element(base, y)).payload
                 for x, y in zip(a.payload, b.payload)
             ),
         )
 
-    def neg(self, a):
-        self._guard(a)
+    def _neg(self, a):
         base = self.base
-        return Element(self, tuple(base.neg(base.el(x)).payload for x in a.payload))
+        return Element(
+            self, tuple(base.neg(Element(base, x)).payload for x in a.payload)
+        )
 
-    def mul(self, a, b):
-        self._guard(a, b)
+    def _mul(self, a, b):
         base = self.base
         bz = base.zero.payload
-        out = [bz] * self.n
+        out = [base.zero] * self.n
         for i, ai in enumerate(a.payload):
             if ai == bz:
                 continue
-            av = base.el(ai)
-            sig_i = self._sig[i]
+            av = Element(base, ai)
             for j in range(self.n - i):
                 bj = b.payload[j]
                 if bj == bz:
                     continue
-                term = base.mul(av, base.el(sig_i[bj]))
-                out[i + j] = base.add(base.el(out[i + j]), term).payload
-        return Element(self, tuple(out))
+                term = base.mul(av, Element(base, self._twist(i, bj)))
+                out[i + j] = base.add(out[i + j], term)
+        return Element(self, tuple(c.payload for c in out))
+
+    def _invert(self, a):
+        if not self.is_unit(a):
+            raise NotAUnit(f"constant term 0: not a unit in {self.spec_string()}")
+        base = self.base
+        c0 = Element(base, a.payload[0])
+        c0i = self.embed(base.invert(c0))
+        # a = c0 (1 + z) with z = c0^-1 (a - c0) in the radical, so
+        # a^-1 = (1 - z + z^2 - ...) c0^-1; the series stops at z^(n-1).
+        z = self.mul(c0i, self.sub(a, self.embed(c0)))
+        acc = self.one
+        term = self.one
+        for _ in range(1, self.n):
+            term = self.neg(self.mul(term, z))
+            acc = self.add(acc, term)
+        return self.mul(acc, c0i)
+
+    def _twist(self, i, pl):
+        """sigma^i = Frobenius^(s*i) on a base payload, memoised per payload."""
+        memo = self._sig[i]
+        got = memo.get(pl)
+        if got is None:
+            base = self.base
+            got = memo[pl] = base.frobenius(Element(base, pl), (self.s * i) % base.m).payload
+        return got
 
     def sigma(self, c, power=1):
         """The twist automorphism on base-field elements."""
@@ -854,30 +1039,13 @@ class TruncatedRing(LocalRing):
         self._guard(a)
         return not any(a.payload[0])
 
-    def invert(self, a):
-        self._guard(a)
-        if not self.is_unit(a):
-            raise NotAUnit(f"constant term 0: not a unit in {self.spec_string()}")
-        base = self.base
-        c0 = base.el(a.payload[0])
-        c0i = self.embed(base.invert(c0))
-        # a = c0 (1 + z) with z = c0^-1 (a - c0) in the radical, so
-        # a^-1 = (1 - z + z^2 - ...) c0^-1; the series stops at z^(n-1).
-        z = self.mul(c0i, self.sub(a, self.embed(c0)))
-        acc = self.one
-        term = self.one
-        for _ in range(1, self.n):
-            term = self.neg(self.mul(term, z))
-            acc = self.add(acc, term)
-        return self.mul(acc, c0i)
-
-    def residue_view(self):
+    def _make_residue_view(self):
         base = self.base
         bz = base.zero.payload
 
         def reduce_fn(a):
             self._guard(a)
-            return base.el(a.payload[0])
+            return Element(base, a.payload[0])
 
         def lift_fn(c):
             base._guard(c)
@@ -941,15 +1109,13 @@ class OppositeRing(LocalRing):
     def __init__(self, base):
         super().__init__(base.spec)
         self.base_ring = base
+        self.element_ring = base
         self.family = base.family
         self.is_finite = base.is_finite
         self.is_commutative = base.is_commutative
         self.zero = base.zero
         self.one = base.one
-
-    @property
-    def element_ring(self):
-        return self.base_ring
+        self._op_tables = None
 
     def el(self, payload):
         return self.base_ring.el(payload)
@@ -981,6 +1147,11 @@ class OppositeRing(LocalRing):
 
     def residue_view(self):
         return self.base_ring.residue_view()
+
+    def filled_tables(self):
+        if self._op_tables is None:
+            self._op_tables = self.base_ring.filled_tables().transposed()
+        return self._op_tables
 
     def radical_index(self):
         return self.base_ring.radical_index()

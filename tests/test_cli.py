@@ -250,6 +250,32 @@ def test_verify_bad_json(capsys, tmp_path):
     assert invoke(capsys, "verify", "--file", str(path))[0] == USAGE
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "[" * 100000 + "]" * 100000,
+        {"command": "decide"},
+        [1, 2],
+        {"command": "decide", "ring": "Zmod(2,3)", "matrix": [[0, 2], [1, 1]]},
+        {"command": "decide", "ring": "Zmod(2,3)", "matrix": [["0", "2"]]},
+        {"command": "decide", "ring": "Zmod(2,3)",
+         "matrix": [["0", "2"], ["1", "1"]], "certificate": ["E", "U"]},
+        {"command": "pi", "ring": "Zmod(2,3)", "matrix": [["0", "2"], ["0", "0"]],
+         "certificate": {"kind": "nilpotent"}},
+        {"command": "factor", "ring": "Zmod(2,3)", "poly": {"a1": "7"}},
+        {"command": "classify-int", "matrix": [["3", "2"], ["-3", "-2"]],
+         "tag": "Diag", "transform": [["3", "2"], ["-1", "-1"]], "d1": "1", "d2": 0},
+    ],
+)
+def test_verify_malformed_document(capsys, tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = invoke(capsys, "verify", "--file", str(path))
+    assert code == USAGE
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
 def test_selftest_serial(capsys):
     code, out, _ = invoke(capsys, "selftest", "--ring", "Zmod(2,2)")
     assert code == OK

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.errors import (
     InfiniteRing,
     InvalidSpec,
     NotAUnit,
     NotLocal,
     OwnerMismatch,
+    TooLarge,
 )
+from cleanmatrix.literals import parse_ring
+from cleanmatrix.matrices import Mat2
 from cleanmatrix.rings import (
+    TABLE_CAP,
     galois_field,
     integers,
     localized_integers,
@@ -214,6 +219,61 @@ def test_opposite_ring():
     assert op.size() == 16
     for u in op.enumerate_elements("Units"):
         assert op.mul(u, op.invert(u)) == op.one
+
+
+@pytest.mark.parametrize("R", FINITE_RINGS + [SK16.opposite()])
+def test_index_tables_match_arithmetic(R):
+    # the opposite ring's tables are its base ring's, with mul transposed
+    base = R.element_ring
+    tab = R.filled_tables()
+    els, n = tab.elements, tab.size
+    assert els == base.enumerate_elements("All")
+    assert [a.idx for a in els] == list(range(n))
+    for i, a in enumerate(els):
+        assert els[tab.neg[i]] == base._neg(a)
+        if R.is_unit(a):
+            assert els[tab.inv[i]] == base._invert(a)
+        else:
+            with pytest.raises(NotAUnit):
+                R.invert(a)
+        for j, b in enumerate(els):
+            assert els[tab.add[i * n + j]] == base._add(a, b)
+            product = base._mul(a, b) if R is base else base._mul(b, a)
+            assert els[tab.mul[i * n + j]] == product
+            assert R.mul(a, b) == product
+    symmetric = all(
+        tab.mul[i * n + j] == tab.mul[j * n + i] for i in range(n) for j in range(n)
+    )
+    assert symmetric == R.is_commutative
+
+
+def test_ring_above_table_cap_allocates_nothing():
+    R = make_ring(mod_prime_power(2, 20))
+    assert R.size() > TABLE_CAP
+    a, b = R.el(12345), R.el(2**19 + 7)
+    assert R.add(a, b) == R.el(12345 + 2**19 + 7)
+    assert R.mul(a, b) == R.el(12345 * (2**19 + 7))
+    assert R.sub(a, b) == R.el(12345 - 2**19 - 7)
+    assert R.mul(R.invert(a), a) == R.one
+    A = Mat2(R, R.el(3), R.el(2), R.el(4), R.el(1))
+    assert decide_strongly_clean(A).status == "TrivialUnit"
+    assert R._tables is None
+    assert R._enum_cache == {}
+    with pytest.raises(TooLarge):
+        R.filled_tables()
+
+
+@pytest.mark.parametrize(
+    "spec", ["Trunc(GF(2,24),2)", "SkewTrunc(GF(2,24),1,2)"]
+)
+def test_truncation_over_huge_field(spec):
+    # the twist is computed per coefficient, never tabulated over the field
+    R = parse_ring(spec)
+    x, w = R.variable(), R.base.generator()
+    c = R.embed(w)
+    assert R.mul(x, c) == R.mul(R.embed(R.sigma(w)), x)
+    assert R.mul(R.add(R.one, x), c) == R.add(c, R.mul(x, c))
+    assert R._tables is None and R.base._tables is None
 
 
 def test_owner_mismatch():
