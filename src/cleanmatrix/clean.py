@@ -14,7 +14,8 @@ The same rows diagonalize: (Q P) A (Q P)^-1 = diag(lam1J, lamJ), the unit
 eigenvalue first.
 
 Root search is enumeration on finite rings, the discriminant over Z_(p), and
-coefficient lifting (cross-checked against enumeration) on truncated rings.
+J-adic lifting from the residue roots 0 and 1 (cross-checked against
+enumeration) on truncated rings.
 Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """

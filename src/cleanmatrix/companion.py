@@ -7,8 +7,10 @@ and setting x = v + w makes {x, Ax} a basis, and in that basis A becomes
     [[0, w0], [1, 1 + w1]]      with w0, w1 in the radical.
 
 The pi-regular variant starts from A neither invertible nor with all entries in
-the radical, picks a residue vector x outside ker(Abar) and outside im(Abar),
-and lands on [[0, w], [1, r]] with w in the radical and r unconstrained.
+the radical, picks the first residue vector x outside ker(Abar) and outside
+im(Abar) (Abar has rank 1, so im(Abar) is the line of a nonzero column and
+membership is a 2x2 determinant), and lands on [[0, w], [1, r]] with w in the
+radical and r unconstrained.
 
 Both record P = Q^-1 for Q = [x | Ax], so conjugate(P, A) is the companion
 matrix exactly.  Inputs already in companion shape short-circuit to P = I.
@@ -70,14 +72,23 @@ def _kernel_vector(Ab):
     return None
 
 
-def _image_set(Ab):
+def _outside_kernel_and_image(Ab):
+    """First residue vector outside both ker(Ab) and im(Ab), in lexicographic
+    enumeration order, for a residue matrix of rank exactly 1.  Its image is
+    then the line of any nonzero column c, so v lies in it iff det[c | v] = 0."""
     F = Ab.ring
+    z = F.zero
+    c = (Ab.a, Ab.c) if (Ab.a != z or Ab.c != z) else (Ab.b, Ab.d)
     elems = F.enumerate_elements("All")
-    return {
-        tuple(e.payload for e in matvec(Ab, (v0, v1)))
-        for v0 in elems
-        for v1 in elems
-    }
+    for v0 in elems:
+        for v1 in elems:
+            img = matvec(Ab, (v0, v1))
+            if img[0] == z and img[1] == z:
+                continue  # inside the kernel
+            if F.mul(c[0], v1) == F.mul(c[1], v0):
+                continue  # inside the image
+            return (v0, v1)
+    return None
 
 
 def _build_from_basis_vector(A, x):
@@ -133,23 +144,9 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
         raise NotApplicable("A is invertible; no pi companion form")
     if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
         return CompanionForm("pi", A.b, A.d, Mat2.identity(R))
-    Ab = residue_matrix(A)
-    F = Ab.ring
     rv = R.residue_view()
-    image = _image_set(Ab)
-    z = F.zero
-    pick = None
-    for v0 in F.enumerate_elements("All"):
-        for v1 in F.enumerate_elements("All"):
-            img = matvec(Ab, (v0, v1))
-            if img[0] == z and img[1] == z:
-                continue  # inside the kernel
-            if (v0.payload, v1.payload) in image:
-                continue  # inside the image
-            pick = (v0, v1)
-            break
-        if pick:
-            break
+    # A is singular and not over J, so its residue matrix has rank exactly 1
+    pick = _outside_kernel_and_image(residue_matrix(A))
     if pick is None:
         raise InternalContractViolation("no vector avoids kernel and image")
     x = (rv.lift(pick[0]), rv.lift(pick[1]))

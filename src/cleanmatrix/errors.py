@@ -41,16 +41,12 @@ class NoSolution(CleanMatrixError):
     """The two-sided linear equation has no solution in the ring."""
 
 
-class BaseRootMissing(CleanMatrixError):
-    """Coefficient lifting found no degree-zero root over the base ring."""
-
-
 class Undecidable(CleanMatrixError):
     """No decision procedure is available for this owner."""
 
 
 class TooLarge(CleanMatrixError):
-    """A brute-force sweep was requested beyond the configured size guard."""
+    """A sweep, enumeration or table was requested beyond its size cap."""
 
 
 class NoFactorization(CleanMatrixError):

@@ -7,7 +7,10 @@ A^2 = 0), and the rest, which reduce to a pi companion form [[0, w], [1, r]]
 with w in J.  There A is strongly pi-regular exactly when t^2 - t r - w has a
 unit left root and a nilpotent left root; the eigenrow pair then conjugates A
 to diag(t0 unit, t1 nilpotent).  When r itself falls in J, A^2 has all entries
-in J and A is nilpotent over the finite families.
+in J and A is nilpotent over the finite families.  Otherwise, on the finite
+(chain) rings, the residue t (t - rbar) has the simple roots rbar and 0, so
+both roots exist and are lifted digit by digit (quadratics.lift_root) without
+enumerating the ring; Z_(p) finds them, or their absence, by the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
@@ -37,6 +40,8 @@ from .quadratics import (
     MonicQuadratic,
     element_is_nilpotent,
     find_roots_auto,
+    find_roots_rational,
+    lift_root,
 )
 
 
@@ -108,10 +113,16 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
                 "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
             )
         return PiDecision("No", witness=f)
-    rep = find_roots_auto(f, ("unit", "nilpotent"))
-    lam_u, lam_n = rep.root_unit, rep.root_nilpotent
-    if lam_u is None or lam_n is None:
-        return PiDecision("No", witness=f)
+    if R.is_finite:
+        # t(t - rbar) has the simple residue roots rbar and 0: lift both
+        rv = R.residue_view()
+        lam_u = lift_root(f, rv.lift(rv.reduce(cf.r)))
+        lam_n = lift_root(f, R.zero)
+    else:
+        rep = find_roots_rational(f, ("unit", "nilpotent"))
+        lam_u, lam_n = rep.root_unit, rep.root_nilpotent
+        if lam_u is None or lam_n is None:
+            return PiDecision("No", witness=f)
     C = cf.companion_matrix()
     for lam, v in ((lam_u, (R.one, lam_u)), (lam_n, (R.one, lam_n))):
         if rowvec_mul(v, C) != (R.mul(lam, v[0]), R.mul(lam, v[1])):

@@ -20,18 +20,23 @@ is again in W and swaps roots in J with roots in 1 + J via lambda <-> 1 - lambda
 Root search routes:
   * finite rings: exhaustive scan of the requested subsets, enumeration order;
   * Z and Z_(p): discriminant + exact integer square root;
-  * truncated (skew) polynomial rings: coefficient lifting degree by degree.
+  * finite rings, from a simple residue root: J-adic lifting (lift_root).
 
-Lifting solves, at each degree k >= 1, the two-sided linear constraint obtained
-from the x^k coefficient of left_eval(f, t) = 0 with t = t_0 + t_1 x + ...:
+Every finite ring here is a chain ring: J = pi R = R pi with J^v = 0, and the
+elements lift(c) pi^i, c in the residue field, cover J^i / J^(i+1).  Take f
+with a0 in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.
+Its residue is t (t + a1bar), with the simple roots 0 and -a1bar.  If lam
+reduces to one of them and f(lam) is in J^i (i >= 1), then modulo J^(i+1)
 
-    t_0 t_k - t_k [1 - sigma^k(t_0) + sigma^k(b_0)]
-        = - ( sum_{0<i<k} t_i sigma^i(t_{k-i})
-              - sum_{0<=i<k} t_i sigma^i(b_{k-i}) - c_k )
+    f(lam + lift(c) pi^i) - f(lam) = lam lift(c) pi^i + lift(c) pi^i (lam + a1)
 
-where f = t^2 - t(1+w1) - w0, b_i are the coefficients of w1, c_i those of w0.
-With t_0 in J of the base and the bracket in 1 + J, the solve is the weakly
-bleached configuration handled by solve_two_sided_linear.
+is lambar c pi^i when lambar = -a1bar and c sigma^i(a1bar) pi^i when
+lambar = 0 (sigma is the identity off the skew rings): a unit times c pi^i.
+So exactly one digit c at each level moves f into J^(i+1), and the root above
+a simple residue root is unique: lifting returns the same element as a
+complete scan of its residue class.  The pi decider lifts its unit root from
+lift(rbar) and its nilpotent root from 0; the truncated clean route lifts the
+J roots of f and of f(1 - t) from 0.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +45,6 @@ from math import isqrt
 from typing import Optional
 
 from .errors import (
-    BaseRootMissing,
     InfiniteRing,
     InternalContractViolation,
     NoSolution,
@@ -189,7 +193,7 @@ def find_roots_enumerate(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
                 break
     if "nilpotent" in targets:
         for lam in R.enumerate_elements("Radical"):
-            if element_is_nilpotent(R, lam) and left_eval(f, lam) == zero:
+            if left_eval(f, lam) == zero and element_is_nilpotent(R, lam):
                 report.root_nilpotent = lam
                 break
     return report
@@ -321,60 +325,61 @@ def solve_two_sided_linear(ring, a, b, c) -> Element:
     return x
 
 
-# ------------------------------------------------------- coefficient lifting
+# ------------------------------------------------------- J-adic lifting
+
+
+def lift_root(f: MonicQuadratic, start: Element) -> Element:
+    """The left root of f congruent to `start` modulo J, on a finite ring.
+
+    f must have a0 in J and a1 a unit, and `start` must reduce to 0 or to
+    -a1bar, the simple roots of its residue; see the module docstring.  The
+    root is fixed one J-adic level at a time, trying at most q digits per
+    level (q = |residue field|, v - 1 levels for J^v = 0), so neither the ring
+    nor a residue class of it is enumerated.  Raises InternalContractViolation
+    when no digit works at some level or the result is not a root."""
+    R = f.ring
+    R._guard(start)
+    v = R.radical_index()
+    if v is None:
+        raise NotApplicable("J-adic lifting needs a finite chain ring")
+    digits = ()
+    if v > 1:
+        rv = R.residue_view()
+        digits = [rv.lift(c) for c in rv.field.enumerate_elements("All")]
+    pi = R.uniformizer()
+    powers = [R.one]  # pi^0 .. pi^(v-1)
+    for _ in range(1, v):
+        powers.append(R.mul(powers[-1], pi))
+    zero = R.zero
+    lam = start
+    for i in range(1, v):
+        # f(lam) is in J^i; pick the digit c with f(lam + lift(c) pi^i) in J^(i+1)
+        step, test = powers[i], powers[v - i - 1]
+        for d in digits:
+            cand = R.add(lam, R.mul(d, step))
+            if R.mul(left_eval(f, cand), test) == zero:
+                lam = cand
+                break
+        else:
+            raise InternalContractViolation(f"no digit lifts the root past J^{i}")
+    if left_eval(f, lam) != zero:
+        raise InternalContractViolation("lifted root fails left evaluation")
+    return lam
 
 
 def lift_root_truncated(ring, w0, w1) -> Element:
-    """Left root in J of t^2 - t(1+w1) - w0 over F[x; sigma]/(x^n), built
-    degree by degree from a base root; see the module docstring for the
-    degree-k constraint.  Raises BaseRootMissing if the base search fails
-    (impossible over a field base, where t_0 = 0 always works)."""
+    """Left root in J of t^2 - t(1+w1) - w0 over F[x; sigma]/(x^n), lifted
+    from the residue root 0 by lift_root."""
     if ring.family not in ("TruncatedPoly", "TruncatedSkew"):
         raise NotApplicable("lifting needs a truncated polynomial ring")
     ring._guard(w0, w1)
     if not (ring.in_radical(w0) and ring.in_radical(w1)):
         raise NotApplicable("lifting needs w0, w1 in the radical")
-    base = ring.base
-    n = ring.n
-    b = [ring.coeff(w1, i) for i in range(n)]
-    c = [ring.coeff(w0, i) for i in range(n)]
-    f0 = MonicQuadratic.from_radical_params(base, c[0], b[0])
-    base_report = find_roots_enumerate(f0, ("J",))
-    t0 = base_report.root_in_j
-    if t0 is None:
-        raise BaseRootMissing("no degree-zero root over the base ring")
-    ts = [t0]
-    sig = ring.sigma
-    for k in range(1, n):
-        alpha = base.add(
-            base.sub(base.one, sig(t0, k)), sig(b[0], k)
-        )  # 1 - sigma^k(t0) + sigma^k(b0), a unit
-        rhs = base.zero
-        for i in range(1, k):
-            rhs = base.add(rhs, base.mul(ts[i], sig(ts[k - i], i)))
-        for i in range(0, k):
-            rhs = base.sub(rhs, base.mul(ts[i], sig(b[k - i], i)))
-        rhs = base.sub(rhs, c[k])
-        # t0 t_k - t_k alpha = -rhs
-        tk = solve_two_sided_linear(base, t0, alpha, base.neg(rhs))
-        ts.append(tk)
-    root = _assemble(ring, ts)
     f = MonicQuadratic.from_radical_params(ring, w0, w1)
+    root = lift_root(f, ring.zero)
     if left_eval(f, root) != ring.zero:
         raise InternalContractViolation("lifted root fails left evaluation")
     return root
-
-
-def _assemble(ring, coeffs):
-    out = ring.zero
-    if ring.n >= 2:
-        var = ring.variable()
-    power = ring.one
-    for i, c in enumerate(coeffs):
-        out = ring.add(out, ring.mul(ring.embed(c), power))
-        if i + 1 < len(coeffs):
-            power = ring.mul(power, var)
-    return out
 
 
 def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:

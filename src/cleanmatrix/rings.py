@@ -19,7 +19,16 @@ monic of degree m found in base-p counting order of the coefficient vector
 
 Enumeration order is lexicographic on canonical payloads; OnePlusRadical is the
 image of Radical's order under j -> 1 + j.  An element of the "All" enumeration
-carries its position there as `idx`.
+carries its position there as `idx`.  Rings of more than ENUM_CAP elements
+refuse enumeration with TooLarge before building anything: at the cap the
+"All" tuple already takes about 2 s and 90 MB (Trunc(GF(2),16)), each doubling
+of the ring doubles both, and every sweep over it costs at least as much again.
+Routes that must work on larger rings (the pi decider's root lifting) never
+enumerate the ring itself, only its residue field.
+
+The finite families are chain rings: J = pi R = R pi for the uniformizer pi
+(p on Z/p^k, 0 on GF(p^m), the variable on the truncations), J^v = 0 for
+v = radical_index(), and a lies in J^i exactly when a pi^(v-i) = 0.
 
 Finite rings of at most TABLE_CAP elements (Z/p^k, GF(p^m) and the truncations)
 answer add, neg, mul and invert from flat index tables (IndexTables): one
@@ -48,6 +57,8 @@ from .errors import (
 # Largest ring with index tables: two n^2 tables of 2-byte entries, 4 MB at the cap.
 TABLE_CAP = 1024
 _EMPTY = 0xFFFF  # an entry not computed yet; indices stay below TABLE_CAP
+# Largest ring enumerate_elements builds; see the module docstring.
+ENUM_CAP = 1 << 16
 
 # ---------------------------------------------------------------- ring specs
 
@@ -402,6 +413,10 @@ class LocalRing:
         """Smallest v with J^v = 0, or None when J is not nilpotent."""
         return None
 
+    def uniformizer(self) -> Element:
+        """pi with J = pi R = R pi, on the finite (chain) rings."""
+        raise NotImplementedError
+
     def size(self):
         return None
 
@@ -413,6 +428,12 @@ class LocalRing:
         if got is not None:
             return got
         if subset == "All":
+            n = self.size()
+            if n > ENUM_CAP:
+                raise TooLarge(
+                    f"{self.spec_string()} has {n} elements; "
+                    f"enumeration stops at {ENUM_CAP}"
+                )
             out = tuple(self.el(p) for p in sorted(self._all_payloads()))
             for i, a in enumerate(out):
                 a.idx = i
@@ -653,6 +674,9 @@ class ModPrimePowerRing(LocalRing):
     def radical_index(self):
         return self.k
 
+    def uniformizer(self):
+        return self.from_int(self.p)
+
     def size(self):
         return self.modulus
 
@@ -855,6 +879,9 @@ class GaloisFieldRing(LocalRing):
     def radical_index(self):
         return 1
 
+    def uniformizer(self):
+        return self.zero
+
     def size(self):
         return self.p**self.m
 
@@ -941,10 +968,6 @@ class TruncatedRing(LocalRing):
         self.base._guard(c)
         bz = self.base.zero.payload
         return Element(self, (c.payload,) + (bz,) * (self.n - 1))
-
-    def coeff(self, a, i):
-        self._guard(a)
-        return self.base.el(a.payload[i])
 
     def add(self, a, b):
         self._guard(a, b)
@@ -1056,6 +1079,9 @@ class TruncatedRing(LocalRing):
     def radical_index(self):
         return self.n
 
+    def uniformizer(self):
+        return self.variable() if self.n > 1 else self.zero
+
     def size(self):
         return self.base.size() ** self.n
 
@@ -1155,6 +1181,9 @@ class OppositeRing(LocalRing):
 
     def radical_index(self):
         return self.base_ring.radical_index()
+
+    def uniformizer(self):
+        return self.base_ring.uniformizer()
 
     def size(self):
         return self.base_ring.size()

@@ -113,6 +113,23 @@ def test_pi_nilpotent_reports_index(capsys):
     assert doc["certificate"] == {"index": 2, "kind": "nilpotent"}
 
 
+@pytest.mark.parametrize("ring", ["Zmod(2,64)", "Trunc(GF(2,4),8)"])
+def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring):
+    code, doc, _ = invoke_json(
+        capsys, "pi", "--ring", ring, "--matrix", "[[0,2],[1,1]]", "--json"
+    )
+    assert code == OK
+    assert doc["status"] == "Nontrivial"
+    assert doc["verified"] is True
+    # the clean route still scans the ring, which is above the enumeration cap
+    code, out, err = invoke(
+        capsys, "decide", "--ring", ring, "--matrix", "[[0,2],[1,1]]"
+    )
+    assert code == USAGE
+    assert out == ""
+    assert err.startswith("error:") and "enumeration stops at" in err
+
+
 def test_factor_equals_form_for_negative_coefficients(capsys):
     # --poly -1,-4 would be eaten by argparse; the = form must work
     code, doc, _ = invoke_json(

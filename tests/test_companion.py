@@ -6,12 +6,13 @@ import pytest
 
 from cleanmatrix.companion import (
     CompanionForm,
+    _outside_kernel_and_image,
     check_companion_identity,
     reduce_to_companion,
     reduce_to_companion_pi,
 )
 from cleanmatrix.errors import NotApplicable
-from cleanmatrix.matrices import Mat2, conjugate, is_invertible
+from cleanmatrix.matrices import Mat2, conjugate, invert2, is_invertible, matvec
 from cleanmatrix.rings import (
     galois_field,
     make_ring,
@@ -26,6 +27,8 @@ T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 
 RINGS = [Z8, Z9, T2, SK16]
+FIELDS = [make_ring(galois_field(2, 1)), make_ring(galois_field(2, 2)),
+          make_ring(galois_field(5, 1))]
 
 
 def m(ring, a, b, c, d):
@@ -103,6 +106,48 @@ def test_reduce_pi_exhaustive_small(R):
                     assert conjugate(pf.P, A) == pf.companion_matrix()
                     hit += 1
     assert hit > 0
+
+
+def _image_set_pick(Ab):
+    # the selection by a full image set, kept as the reference
+    F = Ab.ring
+    elems = F.enumerate_elements("All")
+    image = {
+        tuple(e.payload for e in matvec(Ab, (v0, v1)))
+        for v0 in elems
+        for v1 in elems
+    }
+    for v0 in elems:
+        for v1 in elems:
+            if matvec(Ab, (v0, v1)) == (F.zero, F.zero):
+                continue
+            if (v0.payload, v1.payload) in image:
+                continue
+            return (v0, v1)
+    return None
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_pi_pick_matches_image_set_scan(F):
+    elems = F.enumerate_elements("All")
+    rank_one = 0
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                for d in elems:
+                    A = Mat2(F, a, b, c, d)
+                    if A == Mat2.zero(F) or is_invertible(A):
+                        continue
+                    rank_one += 1
+                    x = _image_set_pick(A)
+                    assert _outside_kernel_and_image(A) == x
+                    if a == F.zero and c == F.one:
+                        continue  # companion shape: P = I, no pick
+                    Ax = matvec(A, x)
+                    Q = Mat2(F, x[0], Ax[0], x[1], Ax[1])
+                    assert reduce_to_companion_pi(A).P == invert2(Q)
+    q = len(elems)
+    assert rank_one == (q * q - 1) * (q + 1)  # nonzero (column, row) pairs / units
 
 
 @pytest.mark.parametrize("R", RINGS)

@@ -3,6 +3,7 @@
 import pytest
 
 from cleanmatrix.errors import InfiniteRing
+from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2, conjugate
 from cleanmatrix.piregular import (
     PiCertificate,
@@ -199,3 +200,24 @@ def test_skew_exhaustive_companions():
             dec = decide_strongly_pi_regular(A)
             assert dec.status == "Nontrivial"
             assert verify_pi_certificate(A, dec.certificate)
+
+
+@pytest.mark.parametrize(
+    "spec,matrix",
+    [
+        ("Zmod(2,64)", "[[0,2],[1,1]]"),
+        ("Zmod(2,64)", "[[3,6],[5,14]]"),
+        ("Trunc(GF(2,4),8)", "[[0,y],[1,w]]"),
+        ("Trunc(GF(2,4),8)", "[[1+y,w],[w,w^2+y^2]]"),
+        ("SkewTrunc(GF(2,4),1,8)", "[[0,x],[1,w]]"),
+        ("SkewTrunc(GF(2,4),1,8)", "[[1+x,w],[w,w^2+x^2]]"),
+    ],
+)
+def test_pi_above_table_cap_lifts_without_enumerating(spec, matrix):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    dec = decide_strongly_pi_regular(A)
+    assert dec.status == "Nontrivial"
+    assert verify_pi_certificate(A, dec.certificate)
+    assert "All" not in R._enum_cache
+    assert R._tables is None

@@ -1,14 +1,17 @@
 """Quadratic root searches, the two-sided linear solver, and root lifting."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cleanmatrix.errors import (
     InfiniteRing,
+    InternalContractViolation,
     NoSolution,
     NotApplicable,
 )
+from cleanmatrix.literals import parse_ring
 from cleanmatrix.quadratics import (
     MonicQuadratic,
     element_is_nilpotent,
@@ -16,6 +19,7 @@ from cleanmatrix.quadratics import (
     find_roots_enumerate,
     find_roots_rational,
     left_eval,
+    lift_root,
     lift_root_truncated,
     right_eval,
     right_roots,
@@ -37,6 +41,29 @@ Z8 = make_ring(mod_prime_power(2, 3))
 GF4 = make_ring(galois_field(2, 2))
 T3 = make_ring(truncated_poly(galois_field(2, 1), 3))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
+
+# the finite rings of test_rings.py, plus the opposite of the skew ring
+LIFT_RINGS = [
+    make_ring(mod_prime_power(2, 2)),
+    Z8,
+    make_ring(mod_prime_power(3, 2)),
+    make_ring(galois_field(2, 1)),
+    GF4,
+    make_ring(galois_field(2, 3)),
+    make_ring(galois_field(3, 2)),
+    make_ring(truncated_poly(galois_field(2, 1), 2)),
+    T3,
+    SK16,
+    make_ring(truncated_skew(galois_field(2, 2), 0, 2)),
+    SK16.opposite(),
+]
+MID_RINGS = [
+    "Zmod(2,8)",
+    "Trunc(GF(2,2),4)",
+    "SkewTrunc(GF(2,2),1,3)",
+    "Zmod(5,2)",
+    "GF(2,4)",
+]
 
 
 def quad(ring, a1, a0):
@@ -257,3 +284,44 @@ def test_left_root_exists_throughout_w_skew():
             g = f.one_minus_t_transform()
             flipped = SK16.sub(SK16.one, rep.root_in_1_plus_j)
             assert left_eval(g, flipped) == SK16.zero
+
+
+def _assert_pi_roots_lift(R, u, w):
+    # t^2 - t u - w: lifting from the residue roots ubar and 0 gives the
+    # first unit and the first nilpotent root of the complete scan
+    f = MonicQuadratic(R, R.neg(u), R.neg(w))
+    rv = R.residue_view()
+    rep = find_roots_enumerate(f, ("unit", "nilpotent"))
+    assert rep.root_unit is not None and rep.root_nilpotent is not None
+    assert lift_root(f, rv.lift(rv.reduce(u))) == rep.root_unit
+    assert lift_root(f, R.zero) == rep.root_nilpotent
+
+
+@pytest.mark.parametrize("R", LIFT_RINGS, ids=lambda R: R.spec_string())
+def test_lift_root_matches_enumeration_exhaustive(R):
+    for u in R.enumerate_elements("Units"):
+        for w in R.enumerate_elements("Radical"):
+            _assert_pi_roots_lift(R, u, w)
+
+
+@pytest.mark.parametrize("spec", MID_RINGS)
+def test_lift_root_matches_enumeration_sampled(spec):
+    R = parse_ring(spec)
+    rng = random.Random(20260)
+    units = R.enumerate_elements("Units")
+    radical = R.enumerate_elements("Radical")
+    for _ in range(100):
+        _assert_pi_roots_lift(R, rng.choice(units), rng.choice(radical))
+
+
+def test_lift_root_rejects_non_root_start():
+    f = quad(Z8, -1, -2)  # t^2 - t - 2 = (t - 2)(t + 1)
+    assert lift_root(f, Z8.zero) == Z8.el(2)
+    assert lift_root(f, Z8.one) == Z8.el(7)
+    g = quad(Z8, -1, -1)  # residue t^2 + t + 1 has no root over F_2
+    with pytest.raises(InternalContractViolation):
+        lift_root(g, Z8.zero)
+    with pytest.raises(InternalContractViolation):
+        lift_root(quad(GF4, 1, 1), GF4.zero)  # v = 1: only the final check
+    with pytest.raises(NotApplicable):
+        lift_root(quad(ZL2, -1, -2), ZL2.zero)

@@ -16,6 +16,7 @@ from cleanmatrix.errors import (
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2
 from cleanmatrix.rings import (
+    ENUM_CAP,
     TABLE_CAP,
     galois_field,
     integers,
@@ -274,6 +275,30 @@ def test_truncation_over_huge_field(spec):
     assert R.mul(x, c) == R.mul(R.embed(R.sigma(w)), x)
     assert R.mul(R.add(R.one, x), c) == R.add(c, R.mul(x, c))
     assert R._tables is None and R.base._tables is None
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,17)", "Zmod(2,64)", "Trunc(GF(2,4),8)"])
+def test_enumeration_refused_above_cap(spec):
+    R = parse_ring(spec)
+    assert R.size() > ENUM_CAP
+    for subset in ("All", "Units", "Radical", "OnePlusRadical"):
+        with pytest.raises(TooLarge):
+            R.enumerate_elements(subset)
+    assert R._enum_cache == {}
+
+
+@pytest.mark.parametrize(
+    "R", FINITE_RINGS + [SK16.opposite()], ids=lambda R: R.spec_string()
+)
+def test_uniformizer_filters_radical_powers(R):
+    # J^i = pi^i R, and a lies in J^i exactly when a pi^(v-i) = 0
+    pi, v = R.uniformizer(), R.radical_index()
+    elems = R.enumerate_elements("All")
+    for i in range(v + 1):
+        layer = {a for a in elems if R.mul(a, pi ** (v - i)) == R.zero}
+        assert layer == {R.mul(pi ** i, r) for r in elems}
+    assert layer == {R.zero}
+    assert {R.mul(pi, r) for r in elems} == set(R.enumerate_elements("Radical"))
 
 
 def test_owner_mismatch():
