@@ -13,7 +13,8 @@ membership is a 2x2 determinant), and lands on [[0, w], [1, r]] with w in the
 radical and r unconstrained.
 
 Both record P = Q^-1 for Q = [x | Ax], so conjugate(P, A) is the companion
-matrix exactly.  Inputs already in companion shape short-circuit to P = I.
+matrix exactly, and keep Q as P_inv: invert2 has already checked that the two
+are inverse.  Inputs already in companion shape short-circuit to P = I.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ class CompanionForm:
     top: object  # entry (1,2) of the companion matrix
     corner: object  # entry (2,2)
     P: Mat2
+    P_inv: Mat2  # P^-1, checked by invert2 when it built P
 
     @property
     def w0(self):
@@ -99,7 +101,7 @@ def _build_from_basis_vector(A, x):
         raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
     P = invert2(Q)
     C = (P * A) * Q  # = P A P^-1
-    return P, C
+    return P, Q, C
 
 
 def reduce_to_companion(A: Mat2) -> CompanionForm:
@@ -113,7 +115,8 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         and R.in_radical(A.b)
         and R.in_radical(R.sub(A.d, R.one))
     ):
-        return CompanionForm("clean", A.b, A.d, Mat2.identity(R))
+        I = Mat2.identity(R)
+        return CompanionForm("clean", A.b, A.d, I, I)
     rv = R.residue_view()
     Ab = residue_matrix(A)
     v = _kernel_vector(Ab)
@@ -124,7 +127,7 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         R.add(rv.lift(v[0]), rv.lift(wv[0])),
         R.add(rv.lift(v[1]), rv.lift(wv[1])),
     )
-    P, C = _build_from_basis_vector(A, x)
+    P, Q, C = _build_from_basis_vector(A, x)
     if not (
         C.a == R.zero
         and C.c == R.one
@@ -132,7 +135,7 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         and R.in_radical(R.sub(C.d, R.one))
     ):
         raise InternalContractViolation("companion shape violated after reduction")
-    return CompanionForm("clean", C.b, C.d, P)
+    return CompanionForm("clean", C.b, C.d, P, Q)
 
 
 def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
@@ -143,17 +146,18 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
     if is_invertible(A):
         raise NotApplicable("A is invertible; no pi companion form")
     if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
-        return CompanionForm("pi", A.b, A.d, Mat2.identity(R))
+        I = Mat2.identity(R)
+        return CompanionForm("pi", A.b, A.d, I, I)
     rv = R.residue_view()
     # A is singular and not over J, so its residue matrix has rank exactly 1
     pick = _outside_kernel_and_image(residue_matrix(A))
     if pick is None:
         raise InternalContractViolation("no vector avoids kernel and image")
     x = (rv.lift(pick[0]), rv.lift(pick[1]))
-    P, C = _build_from_basis_vector(A, x)
+    P, Q, C = _build_from_basis_vector(A, x)
     if not (C.a == R.zero and C.c == R.one and R.in_radical(C.b)):
         raise InternalContractViolation("pi companion shape violated")
-    return CompanionForm("pi", C.b, C.d, P)
+    return CompanionForm("pi", C.b, C.d, P, Q)
 
 
 def check_companion_identity(ring, coeffs) -> bool:

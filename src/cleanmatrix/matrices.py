@@ -12,13 +12,18 @@ residue route needs a local ring and raises NotLocal for Z as specified).
 """
 
 from .errors import InternalContractViolation, NotInvertible, NotLocal, OwnerMismatch
+from .rings import Element
 
 
 class Mat2:
     __slots__ = ("ring", "a", "b", "c", "d")
 
     def __init__(self, ring, a, b, c, d):
-        ring._guard(a, b, c, d)
+        e = ring.element_ring
+        if not (type(a) is Element and a.ring is e and type(b) is Element
+                and b.ring is e and type(c) is Element and c.ring is e
+                and type(d) is Element and d.ring is e):
+            ring._guard(a, b, c, d)
         self.ring = ring
         self.a, self.b, self.c, self.d = a, b, c, d
 

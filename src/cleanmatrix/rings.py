@@ -30,16 +30,20 @@ The finite families are chain rings: J = pi R = R pi for the uniformizer pi
 (p on Z/p^k, 0 on GF(p^m), the variable on the truncations), J^v = 0 for
 v = radical_index(), and a lies in J^i exactly when a pi^(v-i) = 0.
 
-Finite rings of at most TABLE_CAP elements (Z/p^k, GF(p^m) and the truncations)
-answer add, neg, mul and invert from flat index tables (IndexTables): one
-array('H') entry per operand pair, indexed by enumeration position.  An entry
-is computed by the ring's own arithmetic (the _add, _neg, _mul and _invert
-methods) the first time it is looked up, and stored; filled_tables() computes
-every entry at once.  Above the cap, and on Z and Z_(p), the arithmetic runs
-directly and no table is allocated.
+Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul and invert.
+Each first tests inline that its operands are Elements of the ring and calls
+_guard, which raises OwnerMismatch, only when that test fails.  Up to
+TABLE_CAP elements they answer from flat index tables (IndexTables): one
+array('H') entry per operand pair, indexed by enumeration position, computed
+by the ring's own arithmetic (_add, _neg, _mul, _invert) on first lookup and
+stored; filled_tables() computes every entry at once.  Such a ring also keeps
+a residue table: reduce memoised by element index, returning the residue
+field's enumerated element, which carries its idx.  Above the cap, and on Z
+and Z_(p), the arithmetic runs directly and no table is allocated.
 """
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -246,19 +250,8 @@ class Element:
         return self.ring.format_element(self)
 
 
-class ResidueView:
-    """Reduction onto the residue field and a fixed set-theoretic lift back."""
-
-    def __init__(self, field, reduce_fn, lift_fn):
-        self.field = field
-        self._reduce = reduce_fn
-        self._lift = lift_fn
-
-    def reduce(self, a: Element) -> Element:
-        return self._reduce(a)
-
-    def lift(self, a: Element) -> Element:
-        return self._lift(a)
+# Reduction onto the residue field and a fixed set-theoretic lift back.
+ResidueView = namedtuple("ResidueView", "field reduce lift")
 
 
 class IndexTables:
@@ -288,29 +281,6 @@ class IndexTables:
         if i is None:
             i = a.idx = self.index[a.payload]
         return i
-
-    # binary and unary test idx inline: operands nearly always carry it
-    def binary(self, table, op, a, b):
-        i = a.idx
-        if i is None:
-            i = self.index_of(a)
-        j = b.idx
-        if j is None:
-            j = self.index_of(b)
-        at = i * self.size + j
-        k = table[at]
-        if k == _EMPTY:
-            k = table[at] = self.index_of(op(a, b))
-        return self.elements[k]
-
-    def unary(self, table, op, a):
-        i = a.idx
-        if i is None:
-            i = self.index_of(a)
-        k = table[i]
-        if k == _EMPTY:
-            k = table[i] = self.index_of(op(a))
-        return self.elements[k]
 
     def transposed(self):
         """The opposite ring's tables: these, with mul transposed."""
@@ -347,31 +317,6 @@ class LocalRing:
                 raise OwnerMismatch(
                     f"operand does not belong to {self.spec_string()}"
                 )
-
-    @cached_property
-    def _tables(self):
-        """IndexTables for a finite ring of at most TABLE_CAP elements, else None."""
-        n = self.size()
-        if n is None or n > TABLE_CAP:
-            return None
-        return IndexTables(self.enumerate_elements("All"))
-
-    def filled_tables(self) -> IndexTables:
-        """The index tables with every entry computed; TooLarge when the ring
-        is infinite or has more than TABLE_CAP elements."""
-        t = self._tables
-        if t is None:
-            raise TooLarge(
-                f"{self.spec_string()} has no index tables (cap {TABLE_CAP} elements)"
-            )
-        for a in t.elements:
-            self.neg(a)
-            if self.is_unit(a):
-                self.invert(a)
-            for b in t.elements:
-                self.add(a, b)
-                self.mul(a, b)
-        return t
 
     def el(self, payload) -> Element:
         raise NotImplementedError
@@ -593,12 +538,126 @@ class LocalizedIntegersRing(LocalRing):
         return str(a.payload)
 
 
+# ---------------------------------------------------------------- finite rings
+
+
+class FiniteRing(LocalRing):
+    """Z/p^k, GF(p^m) and the truncations: one set of public ops over each
+    subclass's arithmetic _add, _neg, _mul and _invert (module docstring)."""
+
+    is_finite = True
+
+    @cached_property
+    def _tables(self):
+        """IndexTables when the ring has at most TABLE_CAP elements, else None."""
+        if self.size() > TABLE_CAP:
+            return None
+        return IndexTables(self.enumerate_elements("All"))
+
+    def filled_tables(self) -> IndexTables:
+        """The index tables with every entry computed; TooLarge above TABLE_CAP."""
+        t = self._tables
+        if t is None:
+            raise TooLarge(
+                f"{self.spec_string()} has no index tables (cap {TABLE_CAP} elements)"
+            )
+        for a in t.elements:
+            self.neg(a)
+            if self.is_unit(a):
+                self.invert(a)
+            for b in t.elements:
+                self.add(a, b)
+                self.mul(a, b)
+        return t
+
+    def add(self, a, b):
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
+        t = self._tables
+        if t is None:
+            return self._add(a, b)
+        i, j = a.idx, b.idx
+        if i is None or j is None:
+            i, j = t.index_of(a), t.index_of(b)
+        at = i * t.size + j
+        k = t.add[at]
+        if k == _EMPTY:
+            k = t.add[at] = t.index_of(self._add(a, b))
+        return t.elements[k]
+
+    def mul(self, a, b):
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
+        t = self._tables
+        if t is None:
+            return self._mul(a, b)
+        i, j = a.idx, b.idx
+        if i is None or j is None:
+            i, j = t.index_of(a), t.index_of(b)
+        at = i * t.size + j
+        k = t.mul[at]
+        if k == _EMPTY:
+            k = t.mul[at] = t.index_of(self._mul(a, b))
+        return t.elements[k]
+
+    def neg(self, a):
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
+        t = self._tables
+        if t is None:
+            return self._neg(a)
+        i = a.idx
+        if i is None:
+            i = t.index_of(a)
+        k = t.neg[i]
+        if k == _EMPTY:
+            k = t.neg[i] = t.index_of(self._neg(a))
+        return t.elements[k]
+
+    def invert(self, a):
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
+        t = self._tables
+        if t is None:
+            return self._invert(a)
+        i = a.idx
+        if i is None:
+            i = t.index_of(a)
+        k = t.inv[i]
+        if k == _EMPTY:  # _invert raises NotAUnit for a non-unit
+            k = t.inv[i] = t.index_of(self._invert(a))
+        return t.elements[k]
+
+    def residue_view(self):
+        """Built once.  With index tables and a residue field apart from the
+        ring, reduce is memoised by element index and returns the field's
+        enumerated element; an operand without an index, or not of this ring,
+        takes the unmemoised reduction and its _guard."""
+        rv = self._residue
+        if rv is None:
+            rv = self._residue = self._make_residue_view()
+            if rv.field is not self and self._tables is not None:
+                memo, plain, ft = [None] * self._tables.size, rv.reduce, rv.field._tables
+
+                def reduce(a):
+                    if type(a) is Element and a.ring is self and a.idx is not None:
+                        r = memo[a.idx]
+                        if r is None:
+                            r = memo[a.idx] = ft.elements[ft.index_of(plain(a))]
+                        return r
+                    return plain(a)
+
+                rv = self._residue = rv._replace(reduce=reduce)
+        return rv
+
+
 # ---------------------------------------------------------------- Z/p^k
 
 
-class ModPrimePowerRing(LocalRing):
+class ModPrimePowerRing(FiniteRing):
     family = "ModPrimePower"
-    is_finite = True
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -614,26 +673,6 @@ class ModPrimePowerRing(LocalRing):
 
     def from_int(self, v):
         return Element(self, v % self.modulus)
-
-    def add(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
-
-    def neg(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
-
-    def mul(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
-
-    def invert(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
 
     def _add(self, a, b):
         return Element(self, (a.payload + b.payload) % self.modulus)
@@ -794,9 +833,8 @@ def _find_modulus(p, m):
     raise InvalidSpec(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
-class GaloisFieldRing(LocalRing):
+class GaloisFieldRing(FiniteRing):
     family = "GaloisField"
-    is_finite = True
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -818,26 +856,6 @@ class GaloisFieldRing(LocalRing):
         if self.m < 2:
             raise ValueError(f"{self.spec_string()} has no generator w")
         return Element(self, (0, 1) + (0,) * (self.m - 2))
-
-    def add(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
-
-    def neg(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
-
-    def mul(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
-
-    def invert(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
 
     def _add(self, a, b):
         p = self.p
@@ -920,7 +938,7 @@ def _format_poly(coeffs, var, fmt, is_zero, is_one):
 # ---------------------------------------------------------------- truncations
 
 
-class TruncatedRing(LocalRing):
+class TruncatedRing(FiniteRing):
     """F[y]/(y^n) or F[x; sigma]/(x^n) with x*a = sigma(a)*x, sigma = Frobenius^s.
 
     Payload: tuple of n base-field payloads, constant coefficient first.
@@ -928,8 +946,6 @@ class TruncatedRing(LocalRing):
     with powers at or beyond n discarded.  s = 0 gives the plain truncated
     polynomial ring (the two families then agree element-wise and operation-wise).
     """
-
-    is_finite = True
 
     def __init__(self, spec, base, s):
         super().__init__(spec)
@@ -968,26 +984,6 @@ class TruncatedRing(LocalRing):
         self.base._guard(c)
         bz = self.base.zero.payload
         return Element(self, (c.payload,) + (bz,) * (self.n - 1))
-
-    def add(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._add(a, b) if t is None else t.binary(t.add, self._add, a, b)
-
-    def neg(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._neg(a) if t is None else t.unary(t.neg, self._neg, a)
-
-    def mul(self, a, b):
-        self._guard(a, b)
-        t = self._tables
-        return self._mul(a, b) if t is None else t.binary(t.mul, self._mul, a, b)
-
-    def invert(self, a):
-        self._guard(a)
-        t = self._tables
-        return self._invert(a) if t is None else t.unary(t.inv, self._invert, a)
 
     # The arithmetic below wraps coefficients without base.el: the payload of
     # an element of this ring holds canonical base payloads already.
@@ -1154,9 +1150,6 @@ class OppositeRing(LocalRing):
 
     def neg(self, a):
         return self.base_ring.neg(a)
-
-    def sub(self, a, b):
-        return self.base_ring.sub(a, b)
 
     def mul(self, a, b):
         return self.base_ring.mul(b, a)

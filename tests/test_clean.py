@@ -12,6 +12,7 @@ from cleanmatrix.clean import (
 )
 from cleanmatrix.companion import reduce_to_companion
 from cleanmatrix.errors import NotLocal, TrivialCertificate
+from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2, conjugate, is_invertible, matpow
 from cleanmatrix.rings import (
     galois_field,
@@ -122,6 +123,27 @@ def test_decide_truncated_uses_lifting():
     assert dec.status == "NontrivialClean"
     assert dec.method == "Lifting"
     assert verify_certificate(A, dec.certificate)
+
+
+@pytest.mark.parametrize(
+    "spec, matrix",
+    [
+        ("Trunc(GF(2,4),8)", "[[0,y],[1,1+y^3]]"),
+        ("Trunc(GF(2,4),8)", "[[1+y,1],[y,y]]"),
+        ("SkewTrunc(GF(2,4),1,8)", "[[0,x],[1,1+x^3]]"),
+        ("SkewTrunc(GF(2,4),1,8)", "[[1+x,w],[w*x,x]]"),
+    ],
+)
+def test_decide_truncated_above_enum_cap_lifts(spec, matrix):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    dec = decide_strongly_clean(A)
+    assert dec.status == "NontrivialClean"
+    assert dec.method == "Lifting"
+    assert verify_certificate(A, dec.certificate)
+    t0, t1, P = dec.certificate.diag
+    assert conjugate(P, A) == Mat2.diag(R, t0, t1)
+    assert "All" not in R._enum_cache
 
 
 def test_decide_skew_exhaustive_companions():

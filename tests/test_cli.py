@@ -113,15 +113,28 @@ def test_pi_nilpotent_reports_index(capsys):
     assert doc["certificate"] == {"index": 2, "kind": "nilpotent"}
 
 
-@pytest.mark.parametrize("ring", ["Zmod(2,64)", "Trunc(GF(2,4),8)"])
-def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring):
+@pytest.mark.parametrize(
+    "ring, lifts_clean",
+    [pytest.param("Zmod(2,64)", False, id="Zmod(2,64)"),
+     pytest.param("Trunc(GF(2,4),8)", True, id="Trunc(GF(2,4),8)")],
+)
+def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring, lifts_clean):
     code, doc, _ = invoke_json(
         capsys, "pi", "--ring", ring, "--matrix", "[[0,2],[1,1]]", "--json"
     )
     assert code == OK
     assert doc["status"] == "Nontrivial"
     assert doc["verified"] is True
-    # the clean route still scans the ring, which is above the enumeration cap
+    if lifts_clean:
+        # the truncated clean route lifts both roots without enumerating
+        code, doc, _ = invoke_json(
+            capsys, "decide", "--ring", ring, "--matrix", "[[0,2],[1,1]]", "--json"
+        )
+        assert code == OK
+        assert doc["status"] == "NontrivialClean"
+        assert doc["verified"] is True
+        return
+    # the clean route on Zmod still scans the ring, above the enumeration cap
     code, out, err = invoke(
         capsys, "decide", "--ring", ring, "--matrix", "[[0,2],[1,1]]"
     )
@@ -182,6 +195,16 @@ def test_survey_clean_yes(capsys):
 def test_survey_pi_yes(capsys):
     code, doc, _ = invoke_json(
         capsys, "survey", "--ring", "Zmod(2,2)", "--mode", "pi", "--json"
+    )
+    assert code == OK
+    assert doc["answer"] == "Yes"
+
+
+def test_survey_pi_yes_on_zmod_32(capsys):
+    # 16 radical elements: the sweep over units and radical answers at once,
+    # with no pass over the 16^4 matrices over J
+    code, doc, _ = invoke_json(
+        capsys, "survey", "--ring", "Zmod(2,5)", "--mode", "pi", "--json"
     )
     assert code == OK
     assert doc["answer"] == "Yes"
@@ -337,3 +360,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "status: TrivialUnit" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader is gone before the child writes, as with `| head -c 20`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cleanmatrix", "decide", "--ring", "Zmod(2,3)",
+             "--matrix", "[[0,2],[1,1]]", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

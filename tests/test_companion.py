@@ -37,11 +37,11 @@ def m(ring, a, b, c, d):
 
 
 def test_companion_form_accessors():
-    cf = CompanionForm("clean", Z8.el(4), Z8.el(3), Mat2.identity(Z8))
+    cf = CompanionForm("clean", Z8.el(4), Z8.el(3), Mat2.identity(Z8), Mat2.identity(Z8))
     assert cf.w0 == Z8.el(4)
     assert cf.w1 == Z8.el(2)  # corner minus one
     assert cf.companion_matrix() == m(Z8, 0, 4, 1, 3)
-    pf = CompanionForm("pi", Z8.el(2), Z8.el(5), Mat2.identity(Z8))
+    pf = CompanionForm("pi", Z8.el(2), Z8.el(5), Mat2.identity(Z8), Mat2.identity(Z8))
     assert pf.w == Z8.el(2)
     assert pf.r == Z8.el(5)
 

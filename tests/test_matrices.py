@@ -3,6 +3,7 @@
 import pytest
 
 from cleanmatrix.errors import NotInvertible, NotLocal, OwnerMismatch
+from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import (
     Mat2,
     conjugate,
@@ -59,6 +60,32 @@ def test_arithmetic():
 def test_owner_mismatch():
     with pytest.raises(OwnerMismatch):
         m(Z8, 1, 0, 0, 1) * m(GF4, 1, 0, 0, 1)
+
+
+# the finite rings of test_rings.FINITE_RINGS, one above the table cap, op(SK16)
+OWNER_RINGS = [
+    parse_ring(spec)
+    for spec in (
+        "Zmod(2,2)", "Zmod(2,3)", "Zmod(3,2)", "GF(2,1)", "GF(2,2)", "GF(2,3)",
+        "GF(3,2)", "Trunc(GF(2,1),2)", "Trunc(GF(2,1),3)",
+        "SkewTrunc(GF(2,2),1,2)", "SkewTrunc(GF(2,2),0,2)", "Zmod(2,20)",
+    )
+] + [SK16.opposite()]
+
+
+@pytest.mark.parametrize("R", OWNER_RINGS, ids=lambda R: R.spec_string())
+def test_mat2_rejects_one_foreign_entry(R):
+    o = R.one
+    other = GF4 if R.element_ring is not GF4 else Z8
+    foreign = other.enumerate_elements("All")[1]  # carries an index
+    for bad in (foreign, 1, None):
+        for pos in range(4):
+            entries = [o] * 4
+            entries[pos] = bad
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                Mat2(R, *entries)
+    # over op(SK16) the entries are SK16's own elements
+    assert Mat2(R, o, o, o, o).entries() == (o,) * 4
 
 
 def test_noncommutative_product_order():

@@ -18,6 +18,7 @@ from cleanmatrix.matrices import Mat2
 from cleanmatrix.rings import (
     ENUM_CAP,
     TABLE_CAP,
+    Element,
     galois_field,
     integers,
     localized_integers,
@@ -42,6 +43,14 @@ SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 SK16_PLAIN = make_ring(truncated_skew(galois_field(2, 2), 0, 2))
 
 FINITE_RINGS = [Z4, Z8, Z9, GF2, GF4, GF8, GF9, T2, T3, SK16, SK16_PLAIN]
+# every table-backed ring, one above the table cap, and an opposite ring
+OP_RINGS = FINITE_RINGS + [make_ring(mod_prime_power(2, 20)), SK16.opposite()]
+
+
+def _some_elements(R):
+    if R.size() <= TABLE_CAP:
+        return R.enumerate_elements("All")
+    return [R.el(k) for k in (0, 1, 2, 7, 12345, 2**19 + 7)]
 
 
 def test_make_ring_caches_instances():
@@ -306,6 +315,46 @@ def test_owner_mismatch():
         Z4.add(Z4.one, Z8.one)
     with pytest.raises(OwnerMismatch):
         Z4.el(1).__add__(Z8.el(1))
+
+
+@pytest.mark.parametrize("R", OP_RINGS, ids=lambda R: R.spec_string())
+def test_ops_reject_foreign_operands(R):
+    # an enumerated element carries an index that is valid in most of these tables
+    other = Z9 if R.element_ring is not Z9 else Z8
+    foreign = other.enumerate_elements("All")[1]
+    a = R.one
+    for bad in (foreign, 1, None):
+        for op in (R.add, R.sub, R.mul):
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(a, bad)
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(bad, a)
+        for op in (R.neg, R.invert):
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(bad)
+
+
+@pytest.mark.parametrize("R", OP_RINGS, ids=lambda R: R.spec_string())
+def test_residue_reduce_matches_unmemoised(R):
+    rv = R.residue_view()
+    base = R.element_ring
+    plain = base._make_residue_view()  # a fresh view, never memoised
+    F = rv.field
+    memoised = F is not base and base._tables is not None
+    for a in _some_elements(R):
+        expect = plain.reduce(a)
+        got = rv.reduce(a)
+        assert got == expect and got.ring is F
+        bare = Element(base, a.payload)  # no idx: the unmemoised path
+        assert rv.reduce(bare) == expect and bare.idx is None
+        if memoised:
+            assert got is F.enumerate_elements("All")[got.idx]
+            assert rv.reduce(a) is got
+    if F is not base:
+        other = Z9 if base is not Z9 else Z8
+        for bad in (other.enumerate_elements("All")[1], 1, None):
+            with pytest.raises(OwnerMismatch):
+                rv.reduce(bad)
 
 
 def test_element_dunders_match_ring_ops():
