@@ -1,158 +1,72 @@
 """Strongly clean and strongly pi-regular decompositions of 2x2 matrices
-over concrete local rings, with exact, re-verifiable certificates."""
+over concrete local rings, with exact, re-verifiable certificates.
 
-from . import errors
-from .bruteforce import brute_clean, brute_pi, enumerate_idempotents
-from .clean import (
-    CleanCertificate,
-    CleanDecision,
-    RingCleanVerdict,
-    decide_strongly_clean,
-    diagonalize_clean,
-    ring_is_strongly_clean,
-    verify_certificate,
-)
-from .companion import (
-    CompanionForm,
-    check_companion_identity,
-    reduce_to_companion,
-    reduce_to_companion_pi,
-)
-from .factorization import (
-    FactorizationWitness,
-    Poly,
-    star_factorize,
-    verify_factorization,
-)
-from .integer_matrices import (
-    IntCleanClass,
-    classify_integer,
-    integer_clean_decision,
-    integer_oracle,
-    is_unimodular,
-)
-from .literals import (
-    matrix_to_literals,
-    parse_element,
-    parse_matrix,
-    parse_ring,
-    parse_ring_spec,
-)
-from .matrices import (
-    Mat2,
-    conjugate,
-    invert2,
-    is_invertible,
-    is_nilpotent,
-    matpow,
-    matvec,
-    residue_matrix,
-    rowvec_mul,
-)
-from .piregular import (
-    PiCertificate,
-    PiDecision,
-    RingPiVerdict,
-    decide_strongly_pi_regular,
-    fitting_decompose,
-    ring_is_m2_pi_regular,
-    verify_pi_certificate,
-)
-from .quadratics import (
-    MonicQuadratic,
-    RootReport,
-    element_is_nilpotent,
-    find_roots_auto,
-    find_roots_enumerate,
-    find_roots_rational,
-    left_eval,
-    lift_root,
-    lift_root_truncated,
-    right_eval,
-    right_roots,
-    solve_two_sided_linear,
-)
-from .rings import (
-    Element,
-    LocalRing,
-    ResidueView,
-    RingSpec,
-    galois_field,
-    integers,
-    localized_integers,
-    make_ring,
-    mod_prime_power,
-    truncated_poly,
-    truncated_skew,
-)
+The names below are loaded lazily (PEP 562): `import cleanmatrix` imports no
+submodule, and the first access to a name imports only its defining module,
+so a command line call compiles just the modules its command runs.
+`from cleanmatrix import X`, `import *` and `cleanmatrix.errors` work as
+with eager imports.
+"""
 
-__all__ = [
-    "errors",
-    "Element",
-    "LocalRing",
-    "ResidueView",
-    "RingSpec",
-    "galois_field",
-    "integers",
-    "localized_integers",
-    "make_ring",
-    "mod_prime_power",
-    "truncated_poly",
-    "truncated_skew",
-    "Mat2",
-    "conjugate",
-    "invert2",
-    "is_invertible",
-    "is_nilpotent",
-    "matpow",
-    "matvec",
-    "residue_matrix",
-    "rowvec_mul",
-    "CompanionForm",
-    "check_companion_identity",
-    "reduce_to_companion",
-    "reduce_to_companion_pi",
-    "MonicQuadratic",
-    "RootReport",
-    "element_is_nilpotent",
-    "find_roots_auto",
-    "find_roots_enumerate",
-    "find_roots_rational",
-    "left_eval",
-    "lift_root",
-    "lift_root_truncated",
-    "right_eval",
-    "right_roots",
-    "solve_two_sided_linear",
-    "CleanCertificate",
-    "CleanDecision",
-    "RingCleanVerdict",
-    "decide_strongly_clean",
-    "diagonalize_clean",
-    "ring_is_strongly_clean",
-    "verify_certificate",
-    "PiCertificate",
-    "PiDecision",
-    "RingPiVerdict",
-    "decide_strongly_pi_regular",
-    "fitting_decompose",
-    "ring_is_m2_pi_regular",
-    "verify_pi_certificate",
-    "FactorizationWitness",
-    "Poly",
-    "star_factorize",
-    "verify_factorization",
-    "IntCleanClass",
-    "classify_integer",
-    "integer_clean_decision",
-    "integer_oracle",
-    "is_unimodular",
-    "brute_clean",
-    "brute_pi",
-    "enumerate_idempotents",
-    "matrix_to_literals",
-    "parse_element",
-    "parse_matrix",
-    "parse_ring",
-    "parse_ring_spec",
-]
+from importlib import import_module
+
+_MODULES = {
+    "rings": (
+        "Element", "LocalRing", "ResidueView", "RingSpec", "galois_field",
+        "integers", "localized_integers", "make_ring", "mod_prime_power",
+        "truncated_poly", "truncated_skew",
+    ),
+    "matrices": (
+        "Mat2", "conjugate", "invert2", "is_invertible", "is_nilpotent",
+        "matpow", "matvec", "residue_matrix", "rowvec_mul",
+    ),
+    "companion": (
+        "CompanionForm", "check_companion_identity", "reduce_to_companion",
+        "reduce_to_companion_pi",
+    ),
+    "quadratics": (
+        "MonicQuadratic", "RootReport", "element_is_nilpotent",
+        "find_roots_auto", "find_roots_enumerate", "find_roots_rational",
+        "left_eval", "lift_root", "lift_root_truncated", "right_eval",
+        "right_roots", "solve_two_sided_linear",
+    ),
+    "clean": (
+        "CleanCertificate", "CleanDecision", "RingCleanVerdict",
+        "decide_strongly_clean", "diagonalize_clean", "ring_is_strongly_clean",
+        "verify_certificate",
+    ),
+    "piregular": (
+        "PiCertificate", "PiDecision", "RingPiVerdict",
+        "decide_strongly_pi_regular", "fitting_decompose",
+        "ring_is_m2_pi_regular", "verify_pi_certificate",
+    ),
+    "factorization": (
+        "FactorizationWitness", "Poly", "star_factorize", "verify_factorization",
+    ),
+    "integer_matrices": (
+        "IntCleanClass", "classify_integer", "integer_clean_decision",
+        "integer_oracle", "is_unimodular",
+    ),
+    "bruteforce": ("brute_clean", "brute_pi", "enumerate_idempotents"),
+    "literals": (
+        "matrix_to_literals", "parse_element", "parse_matrix", "parse_ring",
+        "parse_ring_spec",
+    ),
+}
+# exported name -> defining module; the errors module is exported as itself
+_EXPORTS = {name: mod for mod, names in _MODULES.items() for name in names}
+
+__all__ = ["errors", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name == "errors":
+        return import_module(".errors", __name__)
+    mod = _EXPORTS.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{mod}", __name__), name)
+
+
+def __dir__():
+    return list(__all__)

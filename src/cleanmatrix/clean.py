@@ -20,9 +20,6 @@ Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .companion import CompanionForm, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal, TrivialCertificate
 from .matrices import (
@@ -44,25 +41,28 @@ from .quadratics import (
 _TRUNCATED = ("TruncatedPoly", "TruncatedSkew")
 
 
-@dataclass
 class CleanCertificate:
-    E: Mat2
-    U: Mat2
-    diag: Optional[tuple] = None  # (t0, t1, P) with conjugate(P, A) = diag(t0, t1)
+    __slots__ = ("E", "U", "diag")
+
+    def __init__(self, E, U, diag=None):
+        self.E, self.U = E, U
+        self.diag = diag  # (t0, t1, P) with conjugate(P, A) = diag(t0, t1)
 
 
-@dataclass
 class CleanDecision:
-    status: str  # TrivialUnit | TrivialOneMinusUnit | NontrivialClean | NotClean
-    certificate: Optional[CleanCertificate] = None
-    witness: Optional[MonicQuadratic] = None
-    method: Optional[str] = None
+    __slots__ = ("status", "certificate", "witness", "method")
+
+    def __init__(self, status, certificate=None, witness=None, method=None):
+        # TrivialUnit | TrivialOneMinusUnit | NontrivialClean | NotClean
+        self.status = status
+        self.certificate, self.witness, self.method = certificate, witness, method
 
 
-@dataclass
 class RingCleanVerdict:
-    answer: str  # Yes | No | Unknown
-    witness: Optional[MonicQuadratic] = None
+    __slots__ = ("answer", "witness")
+
+    def __init__(self, answer, witness=None):
+        self.answer, self.witness = answer, witness  # Yes | No | Unknown
 
 
 def _matrix_is_invertible(A) -> bool:

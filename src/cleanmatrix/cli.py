@@ -10,6 +10,11 @@ input.  JSON output is stable: keys sorted, matrices as nested arrays of
 element literals in the input grammar, and a verified flag that is set only
 after the certificate has been re-checked from scratch.
 
+Start-up is most of a call's cost, so only the parser, the literals and the
+matrices are imported here; each command imports the deciders it runs in its
+handler.  A decide call loads neither the pi decider nor the factorizer nor
+the oracles, and the integer classifier only for a matrix over Z.
+
 CLEANMATRIX_THREADS caps selftest parallelism: unset or 1 runs serially, a
 larger value splits the sweep over a process pool; chunk merge order is fixed
 either way, so output does not depend on the worker count.
@@ -18,29 +23,14 @@ either way, so output does not depend on the worker count.
 import argparse
 import json
 import os
-import random
 import sys
 
-from .bruteforce import brute_clean, brute_pi
-from .clean import (
-    CleanCertificate,
-    decide_strongly_clean,
-    ring_is_strongly_clean,
-    verify_certificate,
-)
 from .errors import (
     CleanMatrixError,
     NoFactorization,
     ParseError,
     Undecidable,
 )
-from .factorization import (
-    FactorizationWitness,
-    Poly,
-    star_factorize,
-    verify_factorization,
-)
-from .integer_matrices import classify_integer
 from .literals import (
     matrix_to_literals,
     parse_element,
@@ -48,13 +38,6 @@ from .literals import (
     parse_ring,
 )
 from .matrices import Mat2, conjugate
-from .piregular import (
-    PiCertificate,
-    decide_strongly_pi_regular,
-    ring_is_m2_pi_regular,
-    verify_pi_certificate,
-)
-from .quadratics import MonicQuadratic
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -144,6 +127,8 @@ def _clean_cert_doc(R, cert):
 
 
 def _reverify_clean(A, cert):
+    from .clean import verify_certificate
+
     if not verify_certificate(A, cert):
         return False
     if cert.diag is not None:
@@ -154,6 +139,8 @@ def _reverify_clean(A, cert):
 
 
 def _cmd_decide(args):
+    from .clean import decide_strongly_clean
+
     R = parse_ring(args.ring)
     A = parse_matrix(R, args.matrix)
     try:
@@ -208,6 +195,8 @@ def _pi_cert_doc(R, cert):
 
 
 def _cmd_pi(args):
+    from .piregular import decide_strongly_pi_regular, verify_pi_certificate
+
     R = parse_ring(args.ring)
     A = parse_matrix(R, args.matrix)
     dec = decide_strongly_pi_regular(A)
@@ -245,6 +234,9 @@ def _poly_literals(R, poly):
 
 
 def _cmd_factor(args):
+    from .factorization import star_factorize, verify_factorization
+    from .quadratics import MonicQuadratic
+
     R = parse_ring(args.ring)
     a1_text, a0_text = _split_poly_arg(args.poly)
     a1 = parse_element(R, a1_text)
@@ -292,8 +284,12 @@ def _cmd_factor(args):
 def _cmd_survey(args):
     R = parse_ring(args.ring)
     if args.mode == "clean":
+        from .clean import ring_is_strongly_clean
+
         verdict = ring_is_strongly_clean(R, search_bound=args.bound)
     else:
+        from .piregular import ring_is_m2_pi_regular
+
         verdict = ring_is_m2_pi_regular(R)
     doc = {
         "command": "survey",
@@ -317,6 +313,8 @@ def _cmd_survey(args):
 
 
 def _cmd_classify_int(args):
+    from .integer_matrices import classify_integer
+
     R = parse_ring("Z")
     A = parse_matrix(R, args.matrix)
     cls = classify_integer(A)
@@ -344,6 +342,10 @@ def _cmd_classify_int(args):
 
 
 def _selftest_chunk(spec_text, flat_indices):
+    from .bruteforce import brute_clean, brute_pi
+    from .clean import decide_strongly_clean
+    from .piregular import decide_strongly_pi_regular
+
     R = parse_ring(spec_text)
     els = R.enumerate_elements("All")
     n = len(els)
@@ -387,6 +389,8 @@ def _cmd_selftest(args):
         flat = list(range(total_all))
         scope = "exhaustive"
     else:
+        import random
+
         rng = random.Random(0)
         flat = sorted(rng.sample(range(total_all), 1000))
         scope = "sampled"
@@ -460,6 +464,8 @@ def _verify_doc(doc):
         raise ParseError("document must be a JSON object")
     command = doc.get("command")
     if command == "decide":
+        from .clean import CleanCertificate
+
         R = parse_ring(_field(doc, "ring"))
         A = _matrix_from_literals(R, _field(doc, "matrix", list))
         if doc.get("certificate") is None:
@@ -480,6 +486,8 @@ def _verify_doc(doc):
         )
         return _reverify_clean(A, cert)
     if command == "pi":
+        from .piregular import PiCertificate, verify_pi_certificate
+
         R = parse_ring(_field(doc, "ring"))
         A = _matrix_from_literals(R, _field(doc, "matrix", list))
         if doc.get("certificate") is None:
@@ -495,6 +503,9 @@ def _verify_doc(doc):
             cert.index = _field(raw, "index", int)
         return verify_pi_certificate(A, cert)
     if command == "factor":
+        from .factorization import FactorizationWitness, Poly, verify_factorization
+        from .quadratics import MonicQuadratic
+
         R = parse_ring(_field(doc, "ring"))
         poly_doc = _field(doc, "poly", dict)
         f = MonicQuadratic(
@@ -513,14 +524,14 @@ def _verify_doc(doc):
         )
         return verify_factorization(f, witness)
     if command == "classify-int":
+        from .integer_matrices import is_unimodular
+
         R = parse_ring("Z")
         A = _matrix_from_literals(R, _field(doc, "matrix", list))
         if doc.get("tag") != "Diag":
             return None
         P = _matrix_from_literals(R, _field(doc, "transform", list))
         diag = Mat2.diag(R, R.el(_field(doc, "d1", int)), R.el(_field(doc, "d2", int)))
-        from .integer_matrices import is_unimodular
-
         return is_unimodular(P) and conjugate(P, A) == diag
     raise CleanMatrixError(f"nothing to verify in a {command!r} document")
 

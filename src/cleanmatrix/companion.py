@@ -17,20 +17,19 @@ matrix exactly, and keep Q as P_inv: invert2 has already checked that the two
 are inverse.  Inputs already in companion shape short-circuit to P = I.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import InternalContractViolation, NotApplicable
 from .matrices import Mat2, conjugate, invert2, is_invertible, matvec, residue_matrix
 
 
-@dataclass
 class CompanionForm:
-    kind: str  # "clean" or "pi"
-    top: object  # entry (1,2) of the companion matrix
-    corner: object  # entry (2,2)
-    P: Mat2
-    P_inv: Mat2  # P^-1, checked by invert2 when it built P
+    __slots__ = ("kind", "top", "corner", "P", "P_inv")
+
+    def __init__(self, kind, top, corner, P, P_inv):
+        self.kind = kind  # "clean" or "pi"
+        self.top = top  # entry (1,2) of the companion matrix
+        self.corner = corner  # entry (2,2)
+        self.P = P
+        self.P_inv = P_inv  # P^-1, checked by invert2 when it built P
 
     @property
     def w0(self):

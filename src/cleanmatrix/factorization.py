@@ -14,8 +14,6 @@ local ring forces a0 in J and 1 + a1 in J, and the witness comes from a pair
 of left roots t0 in J, t1 in 1+J via f = (t - lam)(t + a1 + lam).
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     InternalContractViolation,
     NoFactorization,
@@ -123,13 +121,12 @@ class Poly:
         return f"Poly({self.text()})"
 
 
-@dataclass
 class FactorizationWitness:
-    g0: Poly
-    g1: Poly
-    h0: Poly
-    h1: Poly
-    starred: bool
+    __slots__ = ("g0", "g1", "h0", "h1", "starred")
+
+    def __init__(self, g0, g1, h0, h1, starred):
+        self.g0, self.g1, self.h0, self.h1 = g0, g1, h0, h1
+        self.starred = starred
 
 
 def _quadratic_poly(f: MonicQuadratic) -> Poly:

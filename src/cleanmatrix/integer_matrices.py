@@ -14,10 +14,8 @@ beta signs over exact fractions and tests entry integrality plus
 unimodularity of A - E directly, never touching the classifier's tables.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional
 
 from .errors import InternalContractViolation, NotApplicable
 from .matrices import Mat2, conjugate, invert2
@@ -32,12 +30,12 @@ _DIAG_CLASSES = {
 }
 
 
-@dataclass
 class IntCleanClass:
-    tag: str  # TrivialUnit | TrivialOneMinusUnit | Diag | NotClean
-    d1: Optional[int] = None
-    d2: Optional[int] = None
-    transform: Optional[Mat2] = None
+    __slots__ = ("tag", "d1", "d2", "transform")
+
+    def __init__(self, tag, d1=None, d2=None, transform=None):
+        self.tag = tag  # TrivialUnit | TrivialOneMinusUnit | Diag | NotClean
+        self.d1, self.d2, self.transform = d1, d2, transform
 
 
 def _require_integers(A: Mat2):

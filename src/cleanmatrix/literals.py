@@ -6,12 +6,17 @@ Galois generator w and the truncation variable (x and y are interchangeable)
 with + - * / ^ and parentheses; whatever format_element prints parses back to
 the same element.  Matrices are [[a,b],[c,d]] with element expressions inside.
 
-Syntax problems raise ParseError with a character position.  Semantic
-problems (dividing by a non-unit, w over a prime field) surface as the ring's
-own errors.
+Syntax problems raise ParseError with a character position; so do digits
+other than ASCII 0-9 and integer literals longer than the interpreter converts
+(4,300 digits by default).  Nesting too deep for the recursive descent is a
+ParseError too.  Semantic problems (dividing by a non-unit, w over a prime
+field) surface as the ring's own errors.  Over Z and Z_(p) a power that
+surely has more than 4,300 digits raises TooLarge before it is computed.
 """
 
-from .errors import ParseError
+from functools import wraps
+
+from .errors import ParseError, TooLarge
 from .matrices import Mat2
 from .rings import (
     RingSpec,
@@ -25,6 +30,24 @@ from .rings import (
 )
 
 
+# |x|^e >= 2^((bits(x) - 1) e), and 2^14300 > 10^4304: past this many bits a
+# power of an integer or fraction cannot be printed (see the module docstring)
+_POWER_BITS = 14300
+
+
+def _depth_checked(parse):
+    """parse(*args), with nesting too deep to recurse through as a ParseError."""
+
+    @wraps(parse)
+    def checked(*args):
+        try:
+            return parse(*args)
+        except RecursionError:
+            raise ParseError("literal nested too deeply") from None
+
+    return checked
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -36,11 +59,18 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            # str.isdigit alone also takes '²' and the digits of other scripts
+            if ch.isdigit() and ch.isascii():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdigit() and text[j].isascii():
                     j += 1
-                self.items.append(("INT", int(text[i:j]), i))
+                try:
+                    value = int(text[i:j])
+                except ValueError:  # past the int-to-str digit limit
+                    raise ParseError(
+                        f"integer literal of {j - i} digits is too long", position=i
+                    ) from None
+                self.items.append(("INT", value, i))
                 i = j
                 continue
             if ch.isalpha():
@@ -81,6 +111,7 @@ class _Tokens:
 # ------------------------------------------------------------------ ring specs
 
 
+@_depth_checked
 def parse_ring_spec(text: str) -> RingSpec:
     toks = _Tokens(text)
     spec = _ring_spec(toks)
@@ -147,6 +178,7 @@ def parse_ring(text: str):
 # ------------------------------------------------------------ element literals
 
 
+@_depth_checked
 def parse_element(ring, text: str):
     toks = _Tokens(text)
     value = _expr(ring, toks)
@@ -183,12 +215,14 @@ def _power(ring, toks):
     base = _atom(ring, toks)
     while toks.peek()[0] == "^":
         toks.next()
-        tok = toks.expect("INT")
-        exp = tok[1]
-        value = ring.one
-        for _ in range(exp):
-            value = ring.mul(value, base)
-        base = value
+        exp = toks.expect("INT")[1]
+        if ring.family in ("Integers", "LocalizedIntegers"):
+            x = base.payload
+            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+            if (bits - 1) * exp > _POWER_BITS:
+                raise TooLarge(f"a power with exponent {exp} over "
+                               f"{ring.spec_string()} has more than 4300 digits")
+        base = base ** exp
     return base
 
 
@@ -226,6 +260,7 @@ def _named_element(ring, name, pos):
 # ------------------------------------------------------------ matrix literals
 
 
+@_depth_checked
 def parse_matrix(ring, text: str) -> Mat2:
     toks = _Tokens(text)
     toks.expect("[")

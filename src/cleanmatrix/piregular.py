@@ -17,9 +17,6 @@ polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
 as im (+) ker; hence the exact test is (tr, det) in {(1, 0), (-1, 0)}.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .companion import reduce_to_companion_pi
 from .errors import (
     InfiniteRing,
@@ -45,26 +42,28 @@ from .quadratics import (
 )
 
 
-@dataclass
 class PiCertificate:
-    kind: str  # "diag" | "unit" | "nilpotent"
-    t0: Optional[object] = None
-    t1: Optional[object] = None
-    P: Optional[Mat2] = None
-    index: Optional[int] = None  # nilpotency index for kind="nilpotent"
+    __slots__ = ("kind", "t0", "t1", "P", "index")
+
+    def __init__(self, kind, t0=None, t1=None, P=None, index=None):
+        self.kind = kind  # "diag" | "unit" | "nilpotent"
+        self.t0, self.t1, self.P = t0, t1, P
+        self.index = index  # nilpotency index for kind="nilpotent"
 
 
-@dataclass
 class PiDecision:
-    status: str  # TrivialUnit | TrivialNilpotent | Nontrivial | No
-    certificate: Optional[PiCertificate] = None
-    witness: Optional[MonicQuadratic] = None
+    __slots__ = ("status", "certificate", "witness")
+
+    def __init__(self, status, certificate=None, witness=None):
+        self.status = status  # TrivialUnit | TrivialNilpotent | Nontrivial | No
+        self.certificate, self.witness = certificate, witness
 
 
-@dataclass
 class RingPiVerdict:
-    answer: str  # Yes | No
-    witness: Optional[MonicQuadratic] = None
+    __slots__ = ("answer", "witness")
+
+    def __init__(self, answer, witness=None):
+        self.answer, self.witness = answer, witness  # Yes | No
 
 
 def _nilpotency_index(A) -> int:

@@ -39,10 +39,9 @@ lift(rbar) and its nilpotent root from 0; the truncated clean route lifts the
 J roots of f and of f(1 - t) from 0.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
 from .errors import (
     InfiniteRing,
@@ -55,16 +54,14 @@ from .rings import Element
 _SUBSETS = ("J", "1+J", "unit", "nilpotent")
 
 
-@dataclass(frozen=True)
-class MonicQuadratic:
+class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
     """t^2 + t*a1 + a0 over `ring`, coefficients kept on the right."""
 
-    ring: object
-    a1: Element
-    a0: Element
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.ring._guard(self.a1, self.a0)
+    def __new__(cls, ring, a1, a0):
+        ring._guard(a1, a0)
+        return super().__new__(cls, ring, a1, a0)
 
     @staticmethod
     def from_radical_params(ring, w0, w1):
@@ -124,17 +121,18 @@ def format_quadratic(f: MonicQuadratic) -> str:
     return out
 
 
-@dataclass
 class RootReport:
     """Found roots per requested subset; a None in a requested subset means the
     search proved no such root exists (searches here are complete)."""
 
-    root_in_j: Optional[Element] = None
-    root_in_1_plus_j: Optional[Element] = None
-    root_unit: Optional[Element] = None
-    root_nilpotent: Optional[Element] = None
-    method: str = ""
-    targets: tuple = field(default_factory=tuple)
+    __slots__ = ("root_in_j", "root_in_1_plus_j", "root_unit", "root_nilpotent",
+                 "method", "targets")
+
+    def __init__(self, root_in_j=None, root_in_1_plus_j=None, root_unit=None,
+                 root_nilpotent=None, method="", targets=()):
+        self.root_in_j, self.root_in_1_plus_j = root_in_j, root_in_1_plus_j
+        self.root_unit, self.root_nilpotent = root_unit, root_nilpotent
+        self.method, self.targets = method, targets
 
     def get(self, subset):
         return {
@@ -147,7 +145,8 @@ class RootReport:
 
 def left_eval(f: MonicQuadratic, lam: Element) -> Element:
     R = f.ring
-    R._guard(lam)
+    if not (type(lam) is Element and lam.ring is R.element_ring):
+        R._guard(lam)
     return R.add(R.add(R.mul(lam, lam), R.mul(lam, f.a1)), f.a0)
 
 

@@ -32,7 +32,8 @@ v = radical_index(), and a lies in J^i exactly when a pi^(v-i) = 0.
 
 Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul and invert.
 Each first tests inline that its operands are Elements of the ring and calls
-_guard, which raises OwnerMismatch, only when that test fails.  Up to
+_guard, which raises OwnerMismatch, only when that test fails; is_unit and
+in_radical of every local family do the same.  Up to
 TABLE_CAP elements they answer from flat index tables (IndexTables): one
 array('H') entry per operand pair, indexed by enumeration position, computed
 by the ring's own arithmetic (_add, _neg, _mul, _invert) on first lookup and
@@ -44,10 +45,8 @@ and Z_(p), the arithmetic runs directly and no table is allocated.
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import (
     InfiniteRing,
@@ -67,17 +66,9 @@ ENUM_CAP = 1 << 16
 # ---------------------------------------------------------------- ring specs
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Family tag plus parameters; `base` nests the coefficient field spec."""
-
-    family: str
-    p: Optional[int] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    s: Optional[int] = None
-    base: Optional["RingSpec"] = None
+# Family tag plus parameters; `base` nests the coefficient field spec.  A
+# tuple, so equal specs are equal and hash alike: make_ring caches by spec.
+RingSpec = namedtuple("RingSpec", "family p k m n s base", defaults=(None,) * 6)
 
 
 def integers() -> RingSpec:
@@ -223,15 +214,17 @@ class Element:
         return self.ring.neg(self)
 
     def __pow__(self, e):
+        """Square and multiply, with no product by one and no square unused."""
         assert isinstance(e, int) and e >= 0
-        out = self.ring.one
-        base = self
+        mul = self.ring.mul
+        out, base = None, self
         while e:
             if e & 1:
-                out = self.ring.mul(out, base)
-            base = self.ring.mul(base, base)
+                out = base if out is None else mul(out, base)
             e >>= 1
-        return out
+            if e:
+                base = mul(base, base)
+        return self.ring.one if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -465,7 +458,12 @@ class IntegerRing(LocalRing):
         return "Z"
 
     def format_element(self, a):
-        return str(a.payload)
+        try:
+            return str(a.payload)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise TooLarge(
+                f"an element of {self.spec_string()} has too many digits to print"
+            ) from None
 
 
 class LocalizedIntegersRing(LocalRing):
@@ -502,11 +500,13 @@ class LocalizedIntegersRing(LocalRing):
         return Element(self, a.payload * b.payload)
 
     def is_unit(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload.numerator % self.p != 0
 
     def in_radical(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload.numerator % self.p == 0
 
     def invert(self, a):
@@ -534,8 +534,7 @@ class LocalizedIntegersRing(LocalRing):
     def spec_string(self):
         return f"Zloc({self.p})"
 
-    def format_element(self, a):
-        return str(a.payload)
+    format_element = IntegerRing.format_element
 
 
 # ---------------------------------------------------------------- finite rings
@@ -689,11 +688,13 @@ class ModPrimePowerRing(FiniteRing):
         return Element(self, pow(a.payload, -1, self.modulus))
 
     def is_unit(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload % self.p != 0
 
     def in_radical(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload % self.p == 0
 
     def _make_residue_view(self):
@@ -725,8 +726,7 @@ class ModPrimePowerRing(FiniteRing):
     def spec_string(self):
         return f"Zmod({self.p},{self.k})"
 
-    def format_element(self, a):
-        return str(a.payload)
+    format_element = IntegerRing.format_element
 
 
 # ---------------------------------------------------------------- GF(p^m)
@@ -879,11 +879,13 @@ class GaloisFieldRing(FiniteRing):
         return a ** (self.p**self.m - 2)
 
     def is_unit(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return any(a.payload)
 
     def in_radical(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return not any(a.payload)
 
     def frobenius(self, a, power=1):
@@ -1051,11 +1053,13 @@ class TruncatedRing(FiniteRing):
         return self.base.frobenius(c, (self.s * power) % self.base.m)
 
     def is_unit(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return any(a.payload[0])
 
     def in_radical(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return not any(a.payload[0])
 
     def _make_residue_view(self):

@@ -376,3 +376,75 @@ def test_closed_stdout_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("decide", "--ring", "Zmod(2,3)", "--matrix", "[[2\u00b2,0],[0,1]]"), "parse error:"),
+        (("decide", "--ring", "Zmod(2,3)", "--matrix",
+          "[[" + "(" * 400 + "1" + ")" * 400 + ",0],[0,1]]"), "parse error:"),
+        (("pi", "--ring", "Zmod(2,3)", "--matrix", "[[" + "-" * 2000 + "1,0],[0,1]]"),
+         "parse error:"),
+        (("decide", "--ring", "Z", "--matrix", "[[" + "7" * 4301 + ",0],[0,1]]"),
+         "parse error:"),
+        (("decide", "--ring", "Z", "--matrix", "[[10^5000,0],[0,1]]"), "error:"),
+        (("pi", "--ring", "Zloc(3)", "--matrix", "[[10^5000,0],[0,1]]"), "error:"),
+        # small enough to compute, too large to print
+        (("decide", "--ring", "Z", "--matrix", "[[10^4400,0],[0,1]]"), "error:"),
+        (("pi", "--ring", "Zloc(3)", "--matrix", "[[10^4400,0],[0,1]]"), "error:"),
+        (("classify-int", "--matrix", "[[10^4400,0],[0,1]]"), "error:"),
+        (("decide", "--ring", "Zmod(2,20000)", "--matrix", "[[-1,0],[0,1]]"), "error:"),
+    ],
+    ids=["superscript", "parentheses", "minuses", "long-literal", "Z-power",
+         "Zloc-power", "Z-print", "Zloc-print", "classify-print", "Zmod-print"],
+)
+def test_unparsable_or_unprintable_input_exits_64(capsys, argv, err):
+    code, out, stderr = invoke(capsys, *argv)
+    assert code == USAGE
+    assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+def test_huge_exponent_over_a_finite_ring_answers(capsys):
+    code, doc, _ = invoke_json(
+        capsys, "decide", "--ring", "GF(2,2)", "--matrix", "[[w^100000000,0],[0,1]]",
+        "--json",
+    )
+    assert code == OK
+    assert doc["matrix"] == [["w", "0"], ["0", "1"]]
+    assert doc["status"] == "TrivialUnit"
+
+
+# run one command in a fresh interpreter; print the modules it added
+_LOADED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from cleanmatrix.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _modules_loaded_by(*argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, check=True)
+    code, added = json.loads(proc.stdout)
+    assert code == OK
+    return set(added)
+
+
+def test_decide_loads_only_its_modules():
+    added = _modules_loaded_by("decide", "--ring", "Zmod(2,8)", "--matrix", "[[0,2],[1,1]]")
+    assert "cleanmatrix.clean" in added
+    for name in ("bruteforce", "factorization", "piregular", "integer_matrices"):
+        assert f"cleanmatrix.{name}" not in added
+    assert "dataclasses" not in added
+
+
+def test_pi_loads_only_its_modules():
+    added = _modules_loaded_by("pi", "--ring", "Zmod(2,8)", "--matrix", "[[0,2],[1,1]]")
+    assert "cleanmatrix.piregular" in added
+    for name in ("clean", "bruteforce", "factorization", "integer_matrices"):
+        assert f"cleanmatrix.{name}" not in added
+    assert "dataclasses" not in added

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cleanmatrix.errors import ParseError
+from cleanmatrix.errors import CleanMatrixError, ParseError, TooLarge
 from cleanmatrix.literals import (
     matrix_to_literals,
     parse_element,
@@ -157,3 +157,73 @@ def test_format_reparses_localized_samples():
     for payload in (0, 1, -1, 7, Fraction(5, 2), Fraction(-4, 7), Fraction(9, 2)):
         e = ZL3.el(payload)
         assert parse_element(ZL3, ZL3.format_element(e)) == e
+
+
+@pytest.mark.parametrize("text", ["2\u00b2", "\u0661", "1+\u0663", "\uff11"])
+def test_only_ascii_digits_are_digits(text):
+    # str.isdigit accepts these; the grammar's digits are 0-9
+    with pytest.raises(ParseError):
+        parse_element(parse_ring("Zmod(2,3)"), text)
+    with pytest.raises(ParseError):
+        parse_ring_spec(f"Zmod(2,{text})")
+
+
+def test_deep_nesting_is_a_parse_error():
+    Z8 = parse_ring("Zmod(2,3)")
+    assert parse_element(Z8, "(" * 50 + "3" + ")" * 50) == Z8.el(3)
+    assert parse_element(Z8, "-" * 51 + "3") == Z8.el(-3)
+    deep = "(" * 400 + "1" + ")" * 400
+    for parse, text in (
+        (parse_element, deep),
+        (parse_element, "-" * 2000 + "1"),
+        (parse_matrix, f"[[{deep},0],[0,1]]"),
+        (parse_matrix, f"[[{'-' * 2000}1,0],[0,1]]"),
+    ):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(Z8, text)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_ring_spec("Trunc(" * 1000 + "GF(2)" + ",2)" * 1000)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zmod(2,3)", "GF(2,2)", "GF(3,2)", "SkewTrunc(GF(2,2),1,2)", "Zloc(3)", "Z"]
+)
+def test_power_matches_repeated_product(spec):
+    R = parse_ring(spec)
+    for text in ("2", "-3", "1+w", "w*x+1", "1/2"):
+        try:
+            base = parse_element(R, text)
+        except CleanMatrixError:
+            continue  # not an element of this ring
+        expect = R.one
+        for e in range(13):
+            assert parse_element(R, f"({text})^{e}") == expect
+            expect = R.mul(expect, base)
+
+
+def test_huge_exponent_on_a_finite_ring_is_fast():
+    GF4 = parse_ring("GF(2,2)")
+    # w has order 3 and 10^8 = 1 mod 3; the old loop multiplied 10^8 times
+    assert parse_element(GF4, "w^100000000") == GF4.generator()
+    SK16 = parse_ring("SkewTrunc(GF(2,2),1,2)")
+    assert parse_element(SK16, "x^100000000") == SK16.zero
+
+
+def test_entries_too_large_to_print():
+    Z, ZL3 = parse_ring("Z"), parse_ring("Zloc(3)")
+    assert parse_element(Z, "(-1)^100000000001") == Z.el(-1)
+    assert parse_element(Z, "0^100000000000") == Z.zero
+    assert parse_element(ZL3, "1^100000000000") == ZL3.one
+    digits = "9" * 4300  # the longest literal the interpreter converts
+    assert Z.format_element(parse_element(Z, digits)) == digits
+    with pytest.raises(ParseError, match="too long"):
+        parse_element(Z, digits + "9")
+    # refused before the power is computed: more than 4300 digits for sure
+    for R, text in ((Z, "2^14301"), (Z, "10^5000"), (ZL3, "(1/2)^14301"), (ZL3, "7^10000")):
+        with pytest.raises(TooLarge):
+            parse_element(R, text)
+    # computed, then refused when printed
+    for R, text in ((Z, "2^14300"), (Z, "10^4400"), (ZL3, "(1/2)^14300")):
+        a = parse_element(R, text)
+        with pytest.raises(TooLarge):
+            R.format_element(a)

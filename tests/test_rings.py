@@ -1,5 +1,7 @@
 """Ring construction, arithmetic axioms, and family-specific behavior."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from cleanmatrix.errors import (
 )
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2
+from cleanmatrix.quadratics import MonicQuadratic, left_eval
 from cleanmatrix.rings import (
     ENUM_CAP,
     TABLE_CAP,
@@ -323,13 +326,18 @@ def test_ops_reject_foreign_operands(R):
     other = Z9 if R.element_ring is not Z9 else Z8
     foreign = other.enumerate_elements("All")[1]
     a = R.one
+    f = MonicQuadratic(R, R.one, R.zero)
+
+    def f_eval(lam):
+        return left_eval(f, lam)
+
     for bad in (foreign, 1, None):
         for op in (R.add, R.sub, R.mul):
             with pytest.raises(OwnerMismatch, match="does not belong to"):
                 op(a, bad)
             with pytest.raises(OwnerMismatch, match="does not belong to"):
                 op(bad, a)
-        for op in (R.neg, R.invert):
+        for op in (R.neg, R.invert, R.is_unit, R.in_radical, f_eval):
             with pytest.raises(OwnerMismatch, match="does not belong to"):
                 op(bad)
 
@@ -383,3 +391,35 @@ def test_ring_axioms(data, ring):
     assert ring.add(a, ring.neg(a)) == ring.zero
     assert ring.mul(ring.one, a) == a
     assert ring.mul(a, ring.one) == a
+
+
+def test_package_exports_resolve_lazily():
+    import cleanmatrix
+
+    for name in cleanmatrix.__all__:
+        value = getattr(cleanmatrix, name)
+        if name == "errors":
+            assert value is importlib.import_module("cleanmatrix.errors")
+            continue
+        module = importlib.import_module(f"cleanmatrix.{cleanmatrix._EXPORTS[name]}")
+        assert value is getattr(module, name)
+    assert len(set(cleanmatrix.__all__)) == len(cleanmatrix.__all__)
+    assert set(dir(cleanmatrix)) == set(cleanmatrix.__all__)
+    namespace = {}
+    exec("from cleanmatrix import *", namespace)
+    assert set(cleanmatrix.__all__) <= set(namespace)
+    assert namespace["decide_strongly_clean"] is cleanmatrix.decide_strongly_clean
+    with pytest.raises(AttributeError):
+        cleanmatrix.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cleanmatrix import no_such_name", {})
+
+
+def test_monic_quadratic_rejects_foreign_coefficients():
+    for a1, a0 in ((Z9.one, Z8.zero), (Z8.one, 1), (None, Z8.zero)):
+        with pytest.raises(OwnerMismatch):
+            MonicQuadratic(Z8, a1, a0)
+    f = MonicQuadratic(Z8, Z8.one, Z8.zero)
+    assert f == MonicQuadratic(Z8, Z8.el(1), Z8.el(0))
+    assert hash(f) == hash(MonicQuadratic(Z8, Z8.el(1), Z8.el(0)))
+    assert (f.ring, f.a1, f.a0) == (Z8, Z8.one, Z8.zero)
