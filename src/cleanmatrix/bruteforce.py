@@ -52,7 +52,7 @@ def _tables(R, max_size=256):
     if cached is not None:
         return cached
     if R.size() > max_size:
-        raise TooLarge(f"ring has {R.size()} elements, oracle cap is {max_size}")
+        raise TooLarge(f"ring has {R.size_text()} elements, oracle cap is {max_size}")
     tab = _Tables(R)
     _TABLE_CACHE[key] = tab
     return tab

@@ -14,8 +14,9 @@ The same rows diagonalize: (Q P) A (Q P)^-1 = diag(lam1J, lamJ), the unit
 eigenvalue first.
 
 Root search is enumeration on finite rings, the discriminant over Z_(p), and
-J-adic lifting from the residue roots 0 and 1 on truncated rings, which never
-enumerates the ring, so it also serves truncations above ENUM_CAP.
+J-adic lifting from the residue roots 0 and 1 on truncated rings, which
+enumerates neither the ring nor its residue field, so it also serves
+truncations above ENUM_CAP.
 Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """

@@ -8,9 +8,9 @@ and setting x = v + w makes {x, Ax} a basis, and in that basis A becomes
 
 The pi-regular variant starts from A neither invertible nor with all entries in
 the radical, picks the first residue vector x outside ker(Abar) and outside
-im(Abar) (Abar has rank 1, so im(Abar) is the line of a nonzero column and
-membership is a 2x2 determinant), and lands on [[0, w], [1, r]] with w in the
-radical and r unconstrained.
+im(Abar), and lands on [[0, w], [1, r]] with w in the radical and r
+unconstrained.  Abar has rank 1 there, so both are lines, and each residue
+vector is found in closed form from those lines, not by a scan of the field.
 
 Both record P = Q^-1 for Q = [x | Ax], so conjugate(P, A) is the companion
 matrix exactly, and keep Q as P_inv: invert2 has already checked that the two
@@ -18,7 +18,7 @@ are inverse.  Inputs already in companion shape short-circuit to P = I.
 """
 
 from .errors import InternalContractViolation, NotApplicable
-from .matrices import Mat2, conjugate, invert2, is_invertible, matvec, residue_matrix
+from .matrices import Mat2, invert2, is_invertible, matvec, residue_matrix
 
 
 class CompanionForm:
@@ -57,39 +57,40 @@ class CompanionForm:
         return Mat2(ring, ring.zero, self.top, ring.one, self.corner)
 
 
+def _height(F, d, e1):
+    """t with (e1, t) on the line spanned by d, or None when that line is
+    vertical, {(0, t)}.  e1 is the first nonzero element of the field's "All"
+    order, so a line that is not vertical has (e1, t) as its first nonzero
+    vector in the lexicographic order of coordinate pairs."""
+    if d[0] == F.zero:
+        return None
+    return F.mul(e1, F.mul(F.invert(d[0]), d[1]))
+
+
 def _kernel_vector(Ab):
-    """First nonzero kernel vector of a singular residue matrix, in
-    lexicographic enumeration order of the coordinate pairs."""
-    F = Ab.ring
-    elems = F.enumerate_elements("All")
-    z = F.zero
-    for v0 in elems:
-        for v1 in elems:
-            if v0 == z and v1 == z:
-                continue
-            img = matvec(Ab, (v0, v1))
-            if img[0] == z and img[1] == z:
-                return (v0, v1)
-    return None
+    """First nonzero kernel vector of a singular residue matrix.  For a
+    nonzero row (r0, r1) the kernel is the line of (r1, -r0); for Ab = 0,
+    whose rows give (0, 0), it is all of F^2, led by (0, e1) all the same."""
+    F, z = Ab.ring, Ab.ring.zero
+    e1 = F.element_at(1)
+    r0, r1 = (Ab.a, Ab.b) if (Ab.a != z or Ab.b != z) else (Ab.c, Ab.d)
+    t = _height(F, (r1, F.neg(r0)), e1)
+    return (z, e1) if t is None else (e1, t)
 
 
 def _outside_kernel_and_image(Ab):
-    """First residue vector outside both ker(Ab) and im(Ab), in lexicographic
-    enumeration order, for a residue matrix of rank exactly 1.  Its image is
-    then the line of any nonzero column c, so v lies in it iff det[c | v] = 0."""
-    F = Ab.ring
-    z = F.zero
-    c = (Ab.a, Ab.c) if (Ab.a != z or Ab.c != z) else (Ab.b, Ab.d)
-    elems = F.enumerate_elements("All")
-    for v0 in elems:
-        for v1 in elems:
-            img = matvec(Ab, (v0, v1))
-            if img[0] == z and img[1] == z:
-                continue  # inside the kernel
-            if F.mul(c[0], v1) == F.mul(c[1], v0):
-                continue  # inside the image
-            return (v0, v1)
-    return None
+    """First residue vector outside both ker(Ab) and im(Ab), for a residue
+    matrix of rank exactly 1; its image is the line of a nonzero column.
+    (0, e1) avoids both lines unless one is vertical; then the other forbids
+    at most one t for (e1, t)."""
+    F, z = Ab.ring, Ab.ring.zero
+    (k0, k1), e1 = _kernel_vector(Ab), F.element_at(1)
+    col = (Ab.a, Ab.c) if (Ab.a != z or Ab.c != z) else (Ab.b, Ab.d)
+    tc = _height(F, col, e1)
+    if k0 != z and tc is not None:
+        return (z, e1)
+    bad = tc if k0 == z else k1  # t on the other line; None if vertical too
+    return (e1, e1 if bad == z else z)
 
 
 def _build_from_basis_vector(A, x):
@@ -120,8 +121,6 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
     Ab = residue_matrix(A)
     v = _kernel_vector(Ab)
     wv = _kernel_vector(Mat2.identity(rv.field) - Ab)
-    if v is None or wv is None:
-        raise InternalContractViolation("singular residue matrix with no kernel")
     x = (
         R.add(rv.lift(v[0]), rv.lift(wv[0])),
         R.add(rv.lift(v[1]), rv.lift(wv[1])),
@@ -150,8 +149,6 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
     rv = R.residue_view()
     # A is singular and not over J, so its residue matrix has rank exactly 1
     pick = _outside_kernel_and_image(residue_matrix(A))
-    if pick is None:
-        raise InternalContractViolation("no vector avoids kernel and image")
     x = (rv.lift(pick[0]), rv.lift(pick[1]))
     P, Q, C = _build_from_basis_vector(A, x)
     if not (C.a == R.zero and C.c == R.one and R.in_radical(C.b)):

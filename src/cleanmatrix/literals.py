@@ -11,7 +11,9 @@ other than ASCII 0-9 and integer literals longer than the interpreter converts
 (4,300 digits by default).  Nesting too deep for the recursive descent is a
 ParseError too.  Semantic problems (dividing by a non-unit, w over a prime
 field) surface as the ring's own errors.  Over Z and Z_(p) a power that
-surely has more than 4,300 digits raises TooLarge before it is computed.
+surely has more than 4,300 digits raises TooLarge before it is computed, and
+so does the next operation on a product or sum once its running value has
+more than that.
 """
 
 from functools import wraps
@@ -192,6 +194,7 @@ def _expr(ring, toks):
         op = toks.next()[0]
         rhs = _term(ring, toks)
         value = ring.add(value, rhs) if op == "+" else ring.sub(value, rhs)
+        _check_bits(ring, value)
     return value
 
 
@@ -201,7 +204,19 @@ def _term(ring, toks):
         op = toks.next()[0]
         rhs = _unary(ring, toks)
         value = ring.mul(value, rhs) if op == "*" else ring.mul(value, ring.invert(rhs))
+        _check_bits(ring, value)
     return value
+
+
+def _check_bits(ring, value):
+    # Over Z and Z_(p) each operand is within about twice _POWER_BITS, so one
+    # product or sum stays cheap; refusing a running value past the bound
+    # keeps a long chain of them from growing without limit.
+    if ring.family in ("Integers", "LocalizedIntegers"):
+        x = value.payload
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) - 1 > _POWER_BITS:
+            raise TooLarge(f"a product or sum over {ring.spec_string()} "
+                           "has more than 4300 digits")
 
 
 def _unary(ring, toks):

@@ -8,9 +8,9 @@ with w in J.  There A is strongly pi-regular exactly when t^2 - t r - w has a
 unit left root and a nilpotent left root; the eigenrow pair then conjugates A
 to diag(t0 unit, t1 nilpotent).  When r itself falls in J, A^2 has all entries
 in J and A is nilpotent over the finite families.  Otherwise, on the finite
-(chain) rings, the residue t (t - rbar) has the simple roots rbar and 0, so
-both roots exist and are lifted digit by digit (quadratics.lift_root) without
-enumerating the ring; Z_(p) finds them, or their absence, by the discriminant.
+rings, the residue t (t - rbar) has the simple roots rbar and 0, so both roots
+exist and are lifted by chord steps (quadratics.lift_root), scanning neither
+the ring nor its residue field; Z_(p) finds them, or not, by the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
@@ -127,9 +127,8 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
         if rowvec_mul(v, C) != (R.mul(lam, v[0]), R.mul(lam, v[1])):
             raise InternalContractViolation("pi eigenrow equation fails")
     Q = Mat2(R, R.one, lam_u, R.one, lam_n)  # rows: unit eigenrow first
-    P = Q * cf.P
-    D = conjugate(P, A)
-    if D != Mat2.diag(R, lam_u, lam_n):
+    P, D = Q * cf.P, Mat2.diag(R, lam_u, lam_n)
+    if not (is_invertible(P) and P * A == D * P):  # P A P^-1 = D, no inverse
         raise InternalContractViolation("pi eigenrow basis fails to diagonalize")
     if not (R.is_unit(lam_u) and element_is_nilpotent(R, lam_n)):
         raise InternalContractViolation("pi diagonal has wrong unit/nilpotent split")

@@ -22,21 +22,30 @@ Root search routes:
   * Z and Z_(p): discriminant + exact integer square root;
   * finite rings, from a simple residue root: J-adic lifting (lift_root).
 
-Every finite ring here is a chain ring: J = pi R = R pi with J^v = 0, and the
-elements lift(c) pi^i, c in the residue field, cover J^i / J^(i+1).  Take f
-with a0 in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.
-Its residue is t (t + a1bar), with the simple roots 0 and -a1bar.  If lam
-reduces to one of them and f(lam) is in J^i (i >= 1), then modulo J^(i+1)
+Lifting.  On every finite ring here J is nilpotent: J^v = 0.  Take f with a0
+in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.  Its
+residue is t (t + a1bar), with the simple roots 0 and -a1bar.  For any lam
+and x,
 
-    f(lam + lift(c) pi^i) - f(lam) = lam lift(c) pi^i + lift(c) pi^i (lam + a1)
+    f(lam + x) = f(lam) + lam x + x (lam + a1) + x^2.
 
-is lambar c pi^i when lambar = -a1bar and c sigma^i(a1bar) pi^i when
-lambar = 0 (sigma is the identity off the skew rings): a unit times c pi^i.
-So exactly one digit c at each level moves f into J^(i+1), and the root above
-a simple residue root is unique: lifting returns the same element as a
-complete scan of its residue class.  The pi decider lifts its unit root from
-lift(rbar) and its nilpotent root from 0; the truncated clean route lifts the
-J roots of f and of f(1 - t) from 0.
+Let f(lam) lie in J^i (i >= 1) and x in J^i, so that x^2 lies in J^(i+1).
+If lam lies in J, then lam x is in J^(i+1) and x (lam + a1) = x a1 modulo
+J^(i+1); the chord step x = -f(lam) a1^-1 puts f(lam + x) in J^(i+1).  If
+lam reduces to -a1bar, then x (lam + a1) is in J^(i+1), and lam s^-1 = 1
+modulo J for any fixed s with the same residue; the step x = -s^-1 f(lam)
+puts f(lam + x) in J^(i+1).  Both formulas hold in the skew rings as written,
+and each step stays in the residue class of the start.  So from a start that
+reduces to a simple root, at most v - 1 steps reach a root (lift_root).
+
+The root above a simple residue root is unique: if lam and lam + x are roots
+with x in J^i but not in J^(i+1), the expansion gives
+lam x + x (lam + a1) + x^2 = 0, whose left side is x a1 or lam x modulo
+J^(i+1) by the same case split: a unit times x, so not in J^(i+1).  So
+lifting returns the same element as a complete scan of its residue class.
+The pi decider lifts its unit root from lift(rbar) and its nilpotent root
+from 0; the truncated clean route lifts the J roots of f and of f(1 - t)
+from 0.
 """
 
 from collections import namedtuple
@@ -331,39 +340,30 @@ def lift_root(f: MonicQuadratic, start: Element) -> Element:
     """The left root of f congruent to `start` modulo J, on a finite ring.
 
     f must have a0 in J and a1 a unit, and `start` must reduce to 0 or to
-    -a1bar, the simple roots of its residue; see the module docstring.  The
-    root is fixed one J-adic level at a time, trying at most q digits per
-    level (q = |residue field|, v - 1 levels for J^v = 0), so neither the ring
-    nor a residue class of it is enumerated.  Raises InternalContractViolation
-    when no digit works at some level or the result is not a root."""
+    -a1bar, the simple roots of its residue; see the module docstring.  Each
+    chord step moves f(lam) one J-adic level deeper, so at most v - 1 steps fix
+    the root (J^v = 0), and neither the ring nor its residue field is
+    enumerated.  Raises InternalContractViolation when `start` is not a root
+    modulo J or v steps leave f(lam) nonzero."""
     R = f.ring
     R._guard(start)
     v = R.radical_index()
     if v is None:
         raise NotApplicable("J-adic lifting needs a finite chain ring")
-    digits = ()
-    if v > 1:
-        rv = R.residue_view()
-        digits = [rv.lift(c) for c in rv.field.enumerate_elements("All")]
-    pi = R.uniformizer()
-    powers = [R.one]  # pi^0 .. pi^(v-1)
-    for _ in range(1, v):
-        powers.append(R.mul(powers[-1], pi))
     zero = R.zero
-    lam = start
-    for i in range(1, v):
-        # f(lam) is in J^i; pick the digit c with f(lam + lift(c) pi^i) in J^(i+1)
-        step, test = powers[i], powers[v - i - 1]
-        for d in digits:
-            cand = R.add(lam, R.mul(d, step))
-            if R.mul(left_eval(f, cand), test) == zero:
-                lam = cand
-                break
-        else:
-            raise InternalContractViolation(f"no digit lifts the root past J^{i}")
-    if left_eval(f, lam) != zero:
-        raise InternalContractViolation("lifted root fails left evaluation")
-    return lam
+    lam, val = start, left_eval(f, start)
+    if not R.in_radical(val):
+        raise InternalContractViolation("start is not a root modulo J")
+    if R.in_radical(start):
+        unit, left = R.invert(f.a1), False  # f(lam + x) = f(lam) + x a1 mod J^(i+1)
+    else:
+        unit, left = R.invert(start), True  # f(lam + x) = f(lam) + s x mod J^(i+1)
+    for _ in range(v):
+        if val == zero:
+            return lam
+        lam = R.sub(lam, R.mul(unit, val) if left else R.mul(val, unit))
+        val = left_eval(f, lam)
+    raise InternalContractViolation(f"f(lam) is still nonzero after {v} chord steps")
 
 
 def lift_root_truncated(ring, w0, w1) -> Element:
@@ -374,11 +374,7 @@ def lift_root_truncated(ring, w0, w1) -> Element:
     ring._guard(w0, w1)
     if not (ring.in_radical(w0) and ring.in_radical(w1)):
         raise NotApplicable("lifting needs w0, w1 in the radical")
-    f = MonicQuadratic.from_radical_params(ring, w0, w1)
-    root = lift_root(f, ring.zero)
-    if left_eval(f, root) != ring.zero:
-        raise InternalContractViolation("lifted root fails left evaluation")
-    return root
+    return lift_root(MonicQuadratic.from_radical_params(ring, w0, w1), ring.zero)
 
 
 def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:

@@ -23,8 +23,8 @@ carries its position there as `idx`.  Rings of more than ENUM_CAP elements
 refuse enumeration with TooLarge before building anything: at the cap the
 "All" tuple already takes about 2 s and 90 MB (Trunc(GF(2),16)), each doubling
 of the ring doubles both, and every sweep over it costs at least as much again.
-Routes that must work on larger rings (the pi decider's root lifting) never
-enumerate the ring itself, only its residue field.
+Routes that must work on larger rings (the pi decider's root lifting and the
+companion reduction) enumerate neither the ring nor its residue field.
 
 The finite families are chain rings: J = pi R = R pi for the uniformizer pi
 (p on Z/p^k, 0 on GF(p^m), the variable on the truncations), J^v = 0 for
@@ -358,6 +358,15 @@ class LocalRing:
     def size(self):
         return None
 
+    def size_text(self) -> str:
+        """A finite ring's element count as p^e (each is a power of its
+        residue characteristic), short where the decimal count is not."""
+        p, n, e = self.residue_view().field.p, self.size(), 0
+        while n > 1:
+            n //= p
+            e += 1
+        return f"{p}^{e}"
+
     def enumerate_elements(self, subset="All"):
         """Deterministic tuple of elements: All, Units, Radical, OnePlusRadical."""
         if not self.is_finite:
@@ -369,7 +378,7 @@ class LocalRing:
             n = self.size()
             if n > ENUM_CAP:
                 raise TooLarge(
-                    f"{self.spec_string()} has {n} elements; "
+                    f"{self.spec_string()} has {self.size_text()} elements; "
                     f"enumeration stops at {ENUM_CAP}"
                 )
             out = tuple(self.el(p) for p in sorted(self._all_payloads()))
@@ -851,6 +860,25 @@ class GaloisFieldRing(FiniteRing):
 
     def from_int(self, v):
         return Element(self, (v % self.p,) + (0,) * (self.m - 1))
+
+    def enumerate_elements(self, subset="All"):
+        # J = {0}: the radical and 1 + J need no "All" tuple
+        if subset == "Radical":
+            return (self.zero,)
+        if subset == "OnePlusRadical":
+            return (self.one,)
+        return super().enumerate_elements(subset)
+
+    def element_at(self, k):
+        """The k-th element of the "All" order, which sorts payloads
+        lexicographically: its coefficients are the base-p digits of k, most
+        significant first.  Builds no enumeration."""
+        if not 0 <= k < self.size():
+            raise IndexError(f"{self.spec_string()} has no element number {k}")
+        digits = [0] * self.m
+        for i in range(self.m - 1, -1, -1):
+            k, digits[i] = divmod(k, self.p)
+        return Element(self, tuple(digits))
 
     def generator(self):
         if self.m < 2:

@@ -132,9 +132,11 @@ def test_decide_truncated_uses_lifting():
         ("Trunc(GF(2,4),8)", "[[1+y,1],[y,y]]"),
         ("SkewTrunc(GF(2,4),1,8)", "[[0,x],[1,1+x^3]]"),
         ("SkewTrunc(GF(2,4),1,8)", "[[1+x,w],[w*x,x]]"),
+        ("Trunc(GF(2,16),4)", "[[0,y],[1,1]]"),
+        ("Trunc(GF(2,16),4)", "[[1+y,w],[w*y,y]]"),
     ],
 )
-def test_decide_truncated_above_enum_cap_lifts(spec, matrix):
+def test_decide_truncated_above_enum_cap_lifts(spec, matrix, refuse_scans):
     R = parse_ring(spec)
     A = parse_matrix(R, matrix)
     dec = decide_strongly_clean(A)
@@ -144,6 +146,23 @@ def test_decide_truncated_above_enum_cap_lifts(spec, matrix):
     t0, t1, P = dec.certificate.diag
     assert conjugate(P, A) == Mat2.diag(R, t0, t1)
     assert "All" not in R._enum_cache
+
+
+@pytest.mark.parametrize(
+    "spec, matrix, status, method",
+    [
+        ("GF(2,20)", "[[1,1],[0,0]]", "NontrivialClean", "Enumeration"),  # of J = {0}
+        ("Zloc(65537)", "[[1,1],[0,0]]", "NontrivialClean", "Discriminant"),
+        ("Zloc(65537)", "[[1,2],[65537,0]]", "NotClean", "Discriminant"),
+    ],
+)
+def test_decide_scans_no_large_residue_field(spec, matrix, status, method, refuse_scans):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    dec = decide_strongly_clean(A)
+    assert (dec.status, dec.method) == (status, method)
+    if status == "NontrivialClean":
+        assert verify_certificate(A, dec.certificate)
 
 
 def test_decide_skew_exhaustive_companions():

@@ -6,6 +6,7 @@ import pytest
 
 from cleanmatrix.companion import (
     CompanionForm,
+    _kernel_vector,
     _outside_kernel_and_image,
     check_companion_identity,
     reduce_to_companion,
@@ -27,8 +28,8 @@ T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 
 RINGS = [Z8, Z9, T2, SK16]
-FIELDS = [make_ring(galois_field(2, 1)), make_ring(galois_field(2, 2)),
-          make_ring(galois_field(5, 1))]
+FIELDS = [make_ring(galois_field(2, 1)), make_ring(galois_field(3, 1)),
+          make_ring(galois_field(2, 2)), make_ring(galois_field(5, 1))]
 
 
 def m(ring, a, b, c, d):
@@ -148,6 +149,53 @@ def test_pi_pick_matches_image_set_scan(F):
                     assert reduce_to_companion_pi(A).P == invert2(Q)
     q = len(elems)
     assert rank_one == (q * q - 1) * (q + 1)  # nonzero (column, row) pairs / units
+
+
+def _kernel_vector_scan(Ab):
+    # the pair scans the closed forms replaced, kept as the reference
+    F = Ab.ring
+    elems = F.enumerate_elements("All")
+    z = F.zero
+    for v0 in elems:
+        for v1 in elems:
+            if (v0 != z or v1 != z) and matvec(Ab, (v0, v1)) == (z, z):
+                return (v0, v1)
+    return None
+
+
+def _outside_kernel_and_image_scan(Ab):
+    F = Ab.ring
+    z = F.zero
+    c = (Ab.a, Ab.c) if (Ab.a != z or Ab.c != z) else (Ab.b, Ab.d)
+    elems = F.enumerate_elements("All")
+    for v0 in elems:
+        for v1 in elems:
+            if matvec(Ab, (v0, v1)) == (z, z):
+                continue
+            if F.mul(c[0], v1) == F.mul(c[1], v0):
+                continue
+            return (v0, v1)
+    return None
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_residue_vectors_match_pair_scans(F):
+    elems = F.enumerate_elements("All")
+    singular = 0
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                for d in elems:
+                    A = Mat2(F, a, b, c, d)
+                    if is_invertible(A):
+                        continue
+                    singular += 1
+                    assert _kernel_vector(A) == _kernel_vector_scan(A)
+                    if A != Mat2.zero(F):  # rank 1
+                        assert _outside_kernel_and_image(A) == \
+                            _outside_kernel_and_image_scan(A)
+    q = len(elems)
+    assert singular == q ** 4 - (q * q - 1) * (q * q - q)
 
 
 @pytest.mark.parametrize("R", RINGS)

@@ -222,6 +222,14 @@ def test_entries_too_large_to_print():
     for R, text in ((Z, "2^14301"), (Z, "10^5000"), (ZL3, "(1/2)^14301"), (ZL3, "7^10000")):
         with pytest.raises(TooLarge):
             parse_element(R, text)
+    # a product or sum is refused at the first step past the bound, not after
+    # multiplying on: 800 such factors took half a minute when computed in full
+    for R, text in ((Z, "*".join(["10^4000"] * 800)), (ZL3, "10^4000/7*10^4000"),
+                    (ZL3, "+".join(f"1/{p}^4000" for p in (5, 7, 11, 13, 17)))):
+        with pytest.raises(TooLarge):
+            parse_element(R, text)
+    assert parse_element(Z, "10^2000*10^2000") == Z.el(10**4000)
+    assert parse_element(ZL3, "10^4000*(1/10)^4000") == ZL3.one
     # computed, then refused when printed
     for R, text in ((Z, "2^14300"), (Z, "10^4400"), (ZL3, "(1/2)^14300")):
         a = parse_element(R, text)

@@ -211,9 +211,14 @@ def test_skew_exhaustive_companions():
         ("Trunc(GF(2,4),8)", "[[1+y,w],[w,w^2+y^2]]"),
         ("SkewTrunc(GF(2,4),1,8)", "[[0,x],[1,w]]"),
         ("SkewTrunc(GF(2,4),1,8)", "[[1+x,w],[w,w^2+x^2]]"),
+        ("Zmod(2,4096)", "[[3,6],[5,14]]"),
+        ("Zmod(65537,2)", "[[3,6],[5,65537+10]]"),
+        ("Trunc(GF(2,16),4)", "[[0,y],[1,1]]"),
+        ("Trunc(GF(2,16),4)", "[[1+y,w],[w,w^2+y^2]]"),
+        ("SkewTrunc(GF(2,24),1,2)", "[[1+x,w],[w,w^2+x]]"),
     ],
 )
-def test_pi_above_table_cap_lifts_without_enumerating(spec, matrix):
+def test_pi_above_table_cap_lifts_without_enumerating(spec, matrix, refuse_scans):
     R = parse_ring(spec)
     A = parse_matrix(R, matrix)
     dec = decide_strongly_pi_regular(A)

@@ -42,7 +42,8 @@ GF4 = make_ring(galois_field(2, 2))
 T3 = make_ring(truncated_poly(galois_field(2, 1), 3))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 
-# the finite rings of test_rings.py, plus the opposite of the skew ring
+# the finite rings of test_rings.py, two more truncations and the opposite of
+# the skew ring
 LIFT_RINGS = [
     make_ring(mod_prime_power(2, 2)),
     Z8,
@@ -55,6 +56,8 @@ LIFT_RINGS = [
     T3,
     SK16,
     make_ring(truncated_skew(galois_field(2, 2), 0, 2)),
+    make_ring(truncated_poly(galois_field(2, 2), 2)),
+    make_ring(truncated_skew(galois_field(2, 2), 1, 3)),
     SK16.opposite(),
 ]
 MID_RINGS = [
@@ -286,22 +289,42 @@ def test_left_root_exists_throughout_w_skew():
             assert left_eval(g, flipped) == SK16.zero
 
 
-def _assert_pi_roots_lift(R, u, w):
+def _pi_lift_cases(R, u, w):
     # t^2 - t u - w: lifting from the residue roots ubar and 0 gives the
     # first unit and the first nilpotent root of the complete scan
     f = MonicQuadratic(R, R.neg(u), R.neg(w))
     rv = R.residue_view()
     rep = find_roots_enumerate(f, ("unit", "nilpotent"))
-    assert rep.root_unit is not None and rep.root_nilpotent is not None
-    assert lift_root(f, rv.lift(rv.reduce(u))) == rep.root_unit
-    assert lift_root(f, R.zero) == rep.root_nilpotent
+    return [(f, rv.lift(rv.reduce(u)), rep.root_unit), (f, R.zero, rep.root_nilpotent)]
+
+
+def _w_lift_cases(R, w0, w1):
+    # t^2 - t (1 + w1) - w0: lifting from 0 and 1 gives its roots in J and 1 + J
+    f = MonicQuadratic.from_radical_params(R, w0, w1)
+    rep = find_roots_enumerate(f, ("J", "1+J"))
+    return [(f, R.zero, rep.root_in_j), (f, R.one, rep.root_in_1_plus_j)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("lift_root enumerated a ring or asked for a uniformizer")
 
 
 @pytest.mark.parametrize("R", LIFT_RINGS, ids=lambda R: R.spec_string())
-def test_lift_root_matches_enumeration_exhaustive(R):
+def test_lift_root_matches_enumeration_exhaustive(R, monkeypatch):
+    radical = R.enumerate_elements("Radical")
+    cases = []
     for u in R.enumerate_elements("Units"):
-        for w in R.enumerate_elements("Radical"):
-            _assert_pi_roots_lift(R, u, w)
+        for w in radical:
+            cases += _pi_lift_cases(R, u, w)
+    for w0 in radical:
+        for w1 in radical:
+            cases += _w_lift_cases(R, w0, w1)
+    for ring in {R, R.element_ring, R.residue_view().field}:
+        monkeypatch.setattr(ring, "enumerate_elements", _refuse)
+        monkeypatch.setattr(ring, "uniformizer", _refuse)
+    for f, start, root in cases:
+        assert root is not None
+        assert lift_root(f, start) == root
 
 
 @pytest.mark.parametrize("spec", MID_RINGS)
@@ -311,7 +334,9 @@ def test_lift_root_matches_enumeration_sampled(spec):
     units = R.enumerate_elements("Units")
     radical = R.enumerate_elements("Radical")
     for _ in range(100):
-        _assert_pi_roots_lift(R, rng.choice(units), rng.choice(radical))
+        for f, start, root in _pi_lift_cases(R, rng.choice(units), rng.choice(radical)):
+            assert root is not None
+            assert lift_root(f, start) == root
 
 
 def test_lift_root_rejects_non_root_start():

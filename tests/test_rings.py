@@ -294,9 +294,22 @@ def test_enumeration_refused_above_cap(spec):
     R = parse_ring(spec)
     assert R.size() > ENUM_CAP
     for subset in ("All", "Units", "Radical", "OnePlusRadical"):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=r"has 2\^\d+ elements"):
             R.enumerate_elements(subset)
     assert R._enum_cache == {}
+
+
+def test_galois_field_radical_and_ranks_need_no_enumeration():
+    F = parse_ring("GF(2,20)")
+    assert F.enumerate_elements("Radical") == (F.zero,)
+    assert F.enumerate_elements("OnePlusRadical") == (F.one,)
+    assert F.element_at(1) == F.el((0,) * 19 + (1,))
+    with pytest.raises(IndexError):
+        F.element_at(F.size())
+    assert F._enum_cache == {}
+    for G in (GF9, parse_ring("GF(2,4)"), parse_ring("GF(5,1)")):
+        elems = G.enumerate_elements("All")
+        assert [G.element_at(k) for k in range(len(elems))] == list(elems)
 
 
 @pytest.mark.parametrize(
