@@ -17,8 +17,9 @@ _MODULES = {
         "truncated_poly", "truncated_skew",
     ),
     "matrices": (
-        "Mat2", "conjugate", "invert2", "is_invertible", "is_nilpotent",
-        "matpow", "matvec", "residue_matrix", "rowvec_mul",
+        "Mat2", "conjugate", "diag_mul", "diagonalizes", "has_inverse",
+        "invert2", "is_invertible", "is_nilpotent", "matpow", "matvec", "outer",
+        "residue_matrix", "rowvec_mul",
     ),
     "companion": (
         "CompanionForm", "check_companion_identity", "reduce_to_companion",
@@ -37,8 +38,8 @@ _MODULES = {
     ),
     "piregular": (
         "PiCertificate", "PiDecision", "RingPiVerdict",
-        "decide_strongly_pi_regular", "fitting_decompose",
-        "ring_is_m2_pi_regular", "verify_pi_certificate",
+        "decide_strongly_pi_regular", "ring_is_m2_pi_regular",
+        "verify_pi_certificate",
     ),
     "factorization": (
         "FactorizationWitness", "Poly", "star_factorize", "verify_factorization",

@@ -171,7 +171,7 @@ def brute_clean(A: Mat2, max_size=256):
 
 def brute_pi(A: Mat2, max_size=256):
     """Smallest n with R^2 = ker(A^n) (+) im(A^n), or None; set arithmetic
-    over int-indexed vectors, separate from the decision-side Fitting code."""
+    over int-indexed vectors, sharing nothing with the pi decider."""
     R = A.ring
     tab = _tables(R, max_size)
     n = tab.size

@@ -8,10 +8,13 @@ assembled from a pair of row eigenvectors of C,
 
     v1 = (1, lamJ),  v2 = (1, lam1J),  vi C = lami vi,
 
-with Q the matrix with rows (v2, v1): E_C = Q^-1 diag(0,1) Q projects onto the
-lamJ eigenrow, U_C = C - E_C, and both pull back through the companion transform.
-The same rows diagonalize: (Q P) A (Q P)^-1 = diag(lam1J, lamJ), the unit
-eigenvalue first.
+with Q the matrix with rows (v2, v1).  Its inverse has second column
+u = (-lam1J d^-1, d^-1) for the unit d = lamJ - lam1J, so the projection onto
+the lamJ eigenrow, Q^-1 diag(0,1) Q, is the rank-one u v1, and pulled back
+through the companion transform P it is E = (P^-1 u)(v1 P), with U = A - E.
+The rows v2 P and v1 P diagonalize: (Q P) A = diag(lam1J, lamJ) (Q P), the
+unit eigenvalue first.  Nothing is inverted on the way; verify_certificate,
+the one complete check, runs once on the result.
 
 Root search is enumeration on finite rings, the discriminant over Z_(p), and
 J-adic lifting from the residue roots 0 and 1 on truncated rings, which
@@ -25,11 +28,12 @@ from .companion import CompanionForm, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal, TrivialCertificate
 from .matrices import (
     Mat2,
-    conjugate,
+    diagonalizes,
+    has_inverse,
     invert2,
     is_invertible,
-    residue_matrix,
-    rowvec_mul,
+    matvec,
+    outer,
 )
 from .quadratics import (
     MonicQuadratic,
@@ -47,7 +51,7 @@ class CleanCertificate:
 
     def __init__(self, E, U, diag=None):
         self.E, self.U = E, U
-        self.diag = diag  # (t0, t1, P) with conjugate(P, A) = diag(t0, t1)
+        self.diag = diag  # (t0, t1, P), P invertible, P A = diag(t0, t1) P
 
 
 class CleanDecision:
@@ -66,25 +70,22 @@ class RingCleanVerdict:
         self.answer, self.witness = answer, witness  # Yes | No | Unknown
 
 
-def _matrix_is_invertible(A) -> bool:
-    if A.ring.family == "Integers":
-        det = A.a.payload * A.d.payload - A.b.payload * A.c.payload
-        return det in (1, -1)
-    return is_invertible(A)
-
-
 def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
-    """E^2 = E, A = E + U, EU = UE, U invertible.  Never raises on bad data."""
+    """E^2 = E, A = E + U, EU = UE, U invertible, and for a certificate with a
+    diagonalization (t0, t1, P) also P invertible and P A = diag(t0, t1) P.
+    Never raises on bad data."""
     try:
         E, U = cert.E, cert.U
         if E.ring is not A.ring or U.ring is not A.ring:
             return False
-        return (
-            E * E == E
-            and E + U == A
-            and E * U == U * E
-            and _matrix_is_invertible(U)
-        )
+        if not (
+            E * E == E and E + U == A and E * U == U * E and has_inverse(U)
+        ):
+            return False
+        if cert.diag is None:
+            return True
+        t0, t1, P = cert.diag
+        return diagonalizes(P, A, t0, t1)
     except Exception:
         return False
 
@@ -92,28 +93,16 @@ def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
 def build_certificate(
     companion: CompanionForm, lam_j, lam_1j, A: Mat2
 ) -> CleanCertificate:
-    """Assemble and fully re-verify the eigenrow certificate."""
+    """Assemble the eigenrow certificate in closed form and verify it once."""
     R = A.ring
-    C = companion.companion_matrix()
-    for lam, v in ((lam_j, (R.one, lam_j)), (lam_1j, (R.one, lam_1j))):
-        img = rowvec_mul(v, C)
-        if img != (R.mul(lam, v[0]), R.mul(lam, v[1])):
-            raise InternalContractViolation("eigenrow equation v C = lam v fails")
-    Q = Mat2(R, R.one, lam_1j, R.one, lam_j)  # rows (v2, v1)
-    Qi = invert2(Q)
-    E_C = (Qi * Mat2.diag(R, R.zero, R.one)) * Q
-    P, Pi = companion.P, companion.P_inv
-    E = (Pi * E_C) * P
-    U = A - E
-    diag_P = Q * P
     t0, t1 = lam_1j, lam_j
-    # (Q P)^-1 = P^-1 Q^-1, both already checked by invert2
-    D = (diag_P * A) * (Pi * Qi)
-    if D != Mat2.diag(R, t0, t1):
-        raise InternalContractViolation("eigenrow basis fails to diagonalize")
     if not (R.in_radical(R.sub(R.one, t0)) and R.in_radical(t1)):
         raise InternalContractViolation("diagonal entries on the wrong side of J")
-    cert = CleanCertificate(E, U, diag=(t0, t1, diag_P))
+    d_inv = R.invert(R.sub(t1, t0))  # a unit: t1 in J, t0 in 1 + J
+    u = matvec(companion.P_inv, (R.neg(R.mul(t0, d_inv)), d_inv))
+    diag_P = companion.eigenrow_transform(t0, t1)
+    E = outer(R, u, (diag_P.c, diag_P.d))
+    cert = CleanCertificate(E, A - E, diag=(t0, t1, diag_P))
     if not verify_certificate(A, cert):
         raise InternalContractViolation("built certificate fails verification")
     return cert
@@ -207,7 +196,7 @@ def _unit_residue_column(R, M):
 
 
 def diagonalize_clean(A: Mat2, cert: CleanCertificate):
-    """(t0, t1, P) with conjugate(P, A) = diag(t0, t1), 1 - t0 and t1 in J.
+    """(t0, t1, P) with P A P^-1 = diag(t0, t1), 1 - t0 and t1 in J.
 
     Certificates built here carry the eigenrow diagonalization already; for an
     external certificate the basis is rebuilt from the idempotent's image and
@@ -230,7 +219,7 @@ def diagonalize_clean(A: Mat2, cert: CleanCertificate):
         raise TrivialCertificate("idempotent has no unit column on one side")
     M = Mat2(R, u1[0], u2[0], u1[1], u2[1])  # columns u1, u2
     P = invert2(M)
-    D = conjugate(P, A)
+    D = (P * A) * M  # M = P^-1, checked by invert2
     if not (
         D.b == R.zero
         and D.c == R.zero

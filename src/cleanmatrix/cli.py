@@ -37,7 +37,7 @@ from .literals import (
     parse_matrix,
     parse_ring,
 )
-from .matrices import Mat2, conjugate
+from .matrices import Mat2, diagonalizes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -126,20 +126,8 @@ def _clean_cert_doc(R, cert):
     return doc
 
 
-def _reverify_clean(A, cert):
-    from .clean import verify_certificate
-
-    if not verify_certificate(A, cert):
-        return False
-    if cert.diag is not None:
-        t0, t1, P = cert.diag
-        if conjugate(P, A) != Mat2.diag(A.ring, t0, t1):
-            return False
-    return True
-
-
 def _cmd_decide(args):
-    from .clean import decide_strongly_clean
+    from .clean import decide_strongly_clean, verify_certificate
 
     R = parse_ring(args.ring)
     A = parse_matrix(R, args.matrix)
@@ -164,7 +152,7 @@ def _cmd_decide(args):
     if dec.certificate is not None:
         cert = dec.certificate
         doc["certificate"] = _clean_cert_doc(R, cert)
-        doc["verified"] = _reverify_clean(A, cert)
+        doc["verified"] = verify_certificate(A, cert)
         lines.append(f"E: {cert.E}")
         lines.append(f"U: {cert.U}")
         if cert.diag is not None:
@@ -328,9 +316,7 @@ def _cmd_classify_int(args):
         doc["d1"] = cls.d1
         doc["d2"] = cls.d2
         doc["transform"] = matrix_to_literals(cls.transform)
-        P = cls.transform
-        diag = Mat2.diag(R, R.el(cls.d1), R.el(cls.d2))
-        doc["verified"] = conjugate(P, A) == diag
+        doc["verified"] = diagonalizes(cls.transform, A, R.el(cls.d1), R.el(cls.d2))
         lines.append(f"diag: ({cls.d1}, {cls.d2})")
         lines.append(f"transform: {cls.transform}")
         lines.append(f"verified: {str(doc['verified']).lower()}")
@@ -464,7 +450,7 @@ def _verify_doc(doc):
         raise ParseError("document must be a JSON object")
     command = doc.get("command")
     if command == "decide":
-        from .clean import CleanCertificate
+        from .clean import CleanCertificate, verify_certificate
 
         R = parse_ring(_field(doc, "ring"))
         A = _matrix_from_literals(R, _field(doc, "matrix", list))
@@ -484,7 +470,7 @@ def _verify_doc(doc):
             U=_matrix_from_literals(R, _field(raw, "U", list)),
             diag=diag,
         )
-        return _reverify_clean(A, cert)
+        return verify_certificate(A, cert)
     if command == "pi":
         from .piregular import PiCertificate, verify_pi_certificate
 
@@ -524,15 +510,13 @@ def _verify_doc(doc):
         )
         return verify_factorization(f, witness)
     if command == "classify-int":
-        from .integer_matrices import is_unimodular
-
         R = parse_ring("Z")
         A = _matrix_from_literals(R, _field(doc, "matrix", list))
         if doc.get("tag") != "Diag":
             return None
         P = _matrix_from_literals(R, _field(doc, "transform", list))
-        diag = Mat2.diag(R, R.el(_field(doc, "d1", int)), R.el(_field(doc, "d2", int)))
-        return is_unimodular(P) and conjugate(P, A) == diag
+        t0, t1 = R.el(_field(doc, "d1", int)), R.el(_field(doc, "d2", int))
+        return diagonalizes(P, A, t0, t1)
     raise CleanMatrixError(f"nothing to verify in a {command!r} document")
 
 

@@ -12,13 +12,16 @@ im(Abar), and lands on [[0, w], [1, r]] with w in the radical and r
 unconstrained.  Abar has rank 1 there, so both are lines, and each residue
 vector is found in closed form from those lines, not by a scan of the field.
 
-Both record P = Q^-1 for Q = [x | Ax], so conjugate(P, A) is the companion
-matrix exactly, and keep Q as P_inv: invert2 has already checked that the two
-are inverse.  Inputs already in companion shape short-circuit to P = I.
+Both record P = Q^-1 for Q = [x | Ax], so P A P^-1 is the companion matrix
+exactly, and keep Q as P_inv.  invert2's check that P Q = Q P = I is the one
+proof of that inverse; a NotClean witness has no certificate to re-verify
+later, so it rests on it.  The companion matrix needs no product with Q: its
+columns are P A x and P A (Ax).  Inputs already in companion shape
+short-circuit to P = I.
 """
 
-from .errors import InternalContractViolation, NotApplicable
-from .matrices import Mat2, invert2, is_invertible, matvec, residue_matrix
+from .errors import InternalContractViolation, NotApplicable, NotInvertible
+from .matrices import Mat2, invert2, is_invertible, matvec, residue_matrix, rowvec_mul
 
 
 class CompanionForm:
@@ -55,6 +58,15 @@ class CompanionForm:
     def companion_matrix(self) -> Mat2:
         ring = self.P.ring
         return Mat2(ring, ring.zero, self.top, ring.one, self.corner)
+
+    def eigenrow_transform(self, lam0, lam1) -> Mat2:
+        """Q P for the Q with rows (1, lam0) and (1, lam1), row by row.  When
+        each lam is a left root of the companion quadratic, (1, lam) is a row
+        eigenvector of the companion matrix, so Q P A = diag(lam0, lam1) Q P."""
+        ring = self.P.ring
+        r0 = rowvec_mul((ring.one, lam0), self.P)
+        r1 = rowvec_mul((ring.one, lam1), self.P)
+        return Mat2(ring, r0[0], r0[1], r1[0], r1[1])
 
 
 def _height(F, d, e1):
@@ -97,11 +109,12 @@ def _build_from_basis_vector(A, x):
     R = A.ring
     Ax = matvec(A, x)
     Q = Mat2(R, x[0], Ax[0], x[1], Ax[1])  # columns x, Ax
-    if not is_invertible(Q):
+    try:
+        P = invert2(Q)
+    except NotInvertible:
         raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
-    P = invert2(Q)
-    C = (P * A) * Q  # = P A P^-1
-    return P, Q, C
+    c0, c1 = matvec(P, Ax), matvec(P, matvec(A, Ax))  # columns of P A Q
+    return P, Q, Mat2(R, c0[0], c1[0], c0[1], c1[1])
 
 
 def reduce_to_companion(A: Mat2) -> CompanionForm:

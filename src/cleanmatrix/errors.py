@@ -57,10 +57,6 @@ class NoFactorization(CleanMatrixError):
         self.witness = witness
 
 
-class NotPiRegular(CleanMatrixError):
-    """No power of the matrix splits the module; carries the matrix."""
-
-
 class TrivialCertificate(CleanMatrixError):
     """Diagonalization needs a nontrivial idempotent and got E in {0, I}."""
 

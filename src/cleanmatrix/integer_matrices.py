@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InternalContractViolation, NotApplicable
-from .matrices import Mat2, conjugate, invert2
+from .matrices import Mat2, diagonalizes, invert2, outer
 from .quadratics import MonicQuadratic
 
 # (trace, det) -> the diagonal (unit eigenvalue, non-unit eigenvalue)
@@ -87,7 +87,7 @@ def classify_integer(A: Mat2) -> IntCleanClass:
         return IntCleanClass("NotClean")
     M = Mat2(R, R.el(v1[0]), R.el(v2[0]), R.el(v1[1]), R.el(v2[1]))
     P = invert2(M)
-    if conjugate(P, A) != Mat2.diag(R, R.el(d1), R.el(d2)):
+    if not diagonalizes(P, A, R.el(d1), R.el(d2)):
         raise InternalContractViolation("eigenvector transform fails to diagonalize")
     return IntCleanClass("Diag", d1=d1, d2=d2, transform=P)
 
@@ -157,9 +157,11 @@ def integer_clean_decision(A: Mat2):
         witness = MonicQuadratic(R, R.el(-(a + d)), R.el(a * d - b * c))
         return CleanDecision("NotClean", witness=witness, method="IntegerClass")
     P = cls.transform
-    Pinv = invert2(P)
-    # E is the spectral projection onto the non-unit eigenvalue line
-    E = (Pinv * Mat2.diag(R, R.zero, R.one)) * P
+    # E = P^-1 diag(0, 1) P, the spectral projection onto the non-unit
+    # eigenvalue line: P^-1's second column, det(P) (-b, a), times P's second row
+    pa, pb, pc, pd = _ints(P)
+    s = pa * pd - pb * pc  # det P = +-1 = 1 / det P
+    E = outer(R, (R.el(-s * pb), R.el(s * pa)), (P.c, P.d))
     U = A - E
     cert = CleanCertificate(E=E, U=U, diag=(R.el(cls.d1), R.el(cls.d2), P))
     if not verify_certificate(A, cert):

@@ -139,6 +139,18 @@ def rowvec_mul(v, A):
     )
 
 
+def outer(R, u, v) -> Mat2:
+    """Column u times row v: the rank-one matrix with entries u_i v_j."""
+    return Mat2(R, R.mul(u[0], v[0]), R.mul(u[0], v[1]),
+                R.mul(u[1], v[0]), R.mul(u[1], v[1]))
+
+
+def diag_mul(t0, t1, P) -> Mat2:
+    """diag(t0, t1) P: row i of P scaled by t_i on the left."""
+    R = P.ring
+    return Mat2(R, R.mul(t0, P.a), R.mul(t0, P.b), R.mul(t1, P.c), R.mul(t1, P.d))
+
+
 def matpow(A, e):
     assert e >= 0
     out = Mat2.identity(A.ring)
@@ -166,6 +178,19 @@ def is_invertible(A) -> bool:
     F = Ab.ring
     det = F.sub(F.mul(Ab.a, Ab.d), F.mul(Ab.b, Ab.c))  # residue field, commutative
     return F.is_unit(det)
+
+
+def has_inverse(A) -> bool:
+    """Invertibility over A's own ring: det = +-1 over Z, else is_invertible."""
+    if A.ring.family == "Integers":
+        return A.a.payload * A.d.payload - A.b.payload * A.c.payload in (1, -1)
+    return is_invertible(A)
+
+
+def diagonalizes(P, A, t0, t1) -> bool:
+    """P A P^-1 = diag(t0, t1), checked as P invertible and P A = diag(t0, t1) P,
+    which needs no inverse."""
+    return has_inverse(P) and P * A == diag_mul(t0, t1, P)
 
 
 def invert2(A) -> Mat2:
@@ -203,7 +228,7 @@ def invert2(A) -> Mat2:
 
 
 def conjugate(P, A) -> Mat2:
-    """P A P^-1."""
+    """P A P^-1.  The deciders and verifiers use diagonalizes instead."""
     return (P * A) * invert2(P)
 
 

@@ -5,9 +5,12 @@ Over a local ring the trichotomy is: A invertible (n = 1), A with all entries
 in the radical (nilpotent when the radical is nil, otherwise pi-regular only if
 A^2 = 0), and the rest, which reduce to a pi companion form [[0, w], [1, r]]
 with w in J.  There A is strongly pi-regular exactly when t^2 - t r - w has a
-unit left root and a nilpotent left root; the eigenrow pair then conjugates A
-to diag(t0 unit, t1 nilpotent).  When r itself falls in J, A^2 has all entries
-in J and A is nilpotent over the finite families.  Otherwise, on the finite
+unit left root and a nilpotent left root; the eigenrow pair, pulled back
+through the companion transform, gives a P with P A = D P for
+D = diag(t0 unit, t1 nilpotent).  verify_pi_certificate checks P invertible
+and P A = D P, never forming P^-1, and the decider runs it once on the
+certificate it builds.  When r itself falls in J, A^2 has all entries in J
+and A is nilpotent over the finite families.  Otherwise, on the finite
 rings, the residue t (t - rbar) has the simple roots rbar and 0, so both roots
 exist and are lifted by chord steps (quadratics.lift_root), scanning neither
 the ring nor its residue field; Z_(p) finds them, or not, by the discriminant.
@@ -18,20 +21,15 @@ as im (+) ker; hence the exact test is (tr, det) in {(1, 0), (-1, 0)}.
 """
 
 from .companion import reduce_to_companion_pi
-from .errors import (
-    InfiniteRing,
-    InternalContractViolation,
-    NotPiRegular,
-)
+from .errors import InfiniteRing, InternalContractViolation
 from .matrices import (
     Mat2,
-    conjugate,
+    diagonalizes,
+    has_inverse,
     invert2,
     is_invertible,
     is_nilpotent,
     matpow,
-    matvec,
-    rowvec_mul,
 )
 from .quadratics import (
     MonicQuadratic,
@@ -122,17 +120,13 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
         lam_u, lam_n = rep.root_unit, rep.root_nilpotent
         if lam_u is None or lam_n is None:
             return PiDecision("No", witness=f)
-    C = cf.companion_matrix()
-    for lam, v in ((lam_u, (R.one, lam_u)), (lam_n, (R.one, lam_n))):
-        if rowvec_mul(v, C) != (R.mul(lam, v[0]), R.mul(lam, v[1])):
-            raise InternalContractViolation("pi eigenrow equation fails")
-    Q = Mat2(R, R.one, lam_u, R.one, lam_n)  # rows: unit eigenrow first
-    P, D = Q * cf.P, Mat2.diag(R, lam_u, lam_n)
-    if not (is_invertible(P) and P * A == D * P):  # P A P^-1 = D, no inverse
-        raise InternalContractViolation("pi eigenrow basis fails to diagonalize")
-    if not (R.is_unit(lam_u) and element_is_nilpotent(R, lam_n)):
-        raise InternalContractViolation("pi diagonal has wrong unit/nilpotent split")
-    cert = PiCertificate("diag", t0=lam_u, t1=lam_n, P=P)
+    return _checked_diag(A, lam_u, lam_n, cf.eigenrow_transform(lam_u, lam_n))
+
+
+def _checked_diag(A, t0, t1, P) -> PiDecision:
+    cert = PiCertificate("diag", t0=t0, t1=t1, P=P)
+    if not verify_pi_certificate(A, cert):
+        raise InternalContractViolation("pi certificate fails verification")
     return PiDecision("Nontrivial", certificate=cert)
 
 
@@ -141,10 +135,7 @@ def verify_pi_certificate(A: Mat2, cert: PiCertificate) -> bool:
     try:
         R = A.ring
         if cert.kind == "unit":
-            if R.family == "Integers":
-                det = A.a.payload * A.d.payload - A.b.payload * A.c.payload
-                return det in (1, -1)
-            return is_invertible(A)
+            return has_inverse(A)
         if cert.kind == "nilpotent":
             return (
                 cert.index is not None
@@ -152,8 +143,7 @@ def verify_pi_certificate(A: Mat2, cert: PiCertificate) -> bool:
                 and matpow(A, cert.index) == Mat2.zero(R)
             )
         if cert.kind == "diag":
-            D = conjugate(cert.P, A)
-            if D != Mat2.diag(R, cert.t0, cert.t1):
+            if not diagonalizes(cert.P, A, cert.t0, cert.t1):
                 return False
             if R.family == "Integers":
                 return cert.t0.payload in (1, -1) and cert.t1.payload == 0
@@ -186,12 +176,7 @@ def _decide_integer(A: Mat2) -> PiDecision:
     dM = M.a.payload * M.d.payload - M.b.payload * M.c.payload
     if dM not in (1, -1):
         raise InternalContractViolation("idempotent splitting is not unimodular")
-    P = invert2(M)
-    t0, t1 = R.el(sign), R.zero
-    if conjugate(P, A) != Mat2.diag(R, t0, t1):
-        raise InternalContractViolation("integer pi diagonalization fails")
-    cert = PiCertificate("diag", t0=t0, t1=t1, P=P)
-    return PiDecision("Nontrivial", certificate=cert)
+    return _checked_diag(A, R.el(sign), R.zero, invert2(M))
 
 
 def _primitive_image_vector(B: Mat2):
@@ -212,34 +197,6 @@ def _primitive_image_vector(B: Mat2):
     if best is None:
         raise InternalContractViolation("idempotent of rank 1 with zero columns")
     return (R.el(best[0]), R.el(best[1]))
-
-
-def fitting_decompose(A: Mat2) -> int:
-    """Smallest n with R^2 = ker(A^n) (+) im(A^n), by explicit set computation.
-
-    The kernel chain only grows and the image chain only shrinks; once both
-    stabilize with a nontrivial overlap no larger n can help, so the loop stops
-    there (well before the |R|^2 hard bound) and raises NotPiRegular."""
-    R = A.ring
-    if not R.is_finite:
-        raise InfiniteRing("Fitting decomposition sweep needs a finite ring")
-    elems = R.enumerate_elements("All")
-    vectors = [(x, y) for x in elems for y in elems]
-    zero_vec = (R.zero, R.zero)
-    M = A
-    prev = None
-    hard_bound = len(vectors)
-    for n in range(1, hard_bound + 1):
-        ker = frozenset(v for v in vectors if matvec(M, v) == zero_vec)
-        im = frozenset(matvec(M, v) for v in vectors)
-        if ker & im == {zero_vec}:
-            # |ker| |im| = |R^2| always, so trivial overlap gives the splitting
-            return n
-        if prev == (ker, im):
-            raise NotPiRegular(f"kernel/image chains stabilized at n={n - 1}")
-        prev = (ker, im)
-        M = M * A
-    raise NotPiRegular("no splitting power within the hard bound")
 
 
 def ring_is_m2_pi_regular(R) -> RingPiVerdict:

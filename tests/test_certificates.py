@@ -1,0 +1,240 @@
+"""Certificate assembly and verification.
+
+The deciders build their certificates in closed form (rank-one products of
+eigenrows, no inverse) and check each one once, with the complete verifier.
+These tests keep the inverse-based assembly as the reference, tamper with
+certificates the verifiers must reject, feed the deciders wrong roots, and
+count the inversions a decision makes.
+"""
+
+import random
+import sys
+
+import pytest
+
+from cleanmatrix import clean, matrices, piregular, quadratics
+from cleanmatrix.clean import (
+    CleanCertificate,
+    decide_strongly_clean,
+    verify_certificate,
+)
+from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
+from cleanmatrix.errors import InternalContractViolation
+from cleanmatrix.literals import parse_element, parse_matrix, parse_ring
+from cleanmatrix.matrices import Mat2, invert2, is_invertible
+from cleanmatrix.piregular import (
+    PiCertificate,
+    decide_strongly_pi_regular,
+    verify_pi_certificate,
+)
+from cleanmatrix.quadratics import MonicQuadratic, find_roots_enumerate
+
+SK16 = parse_ring("SkewTrunc(GF(2,2),1,2)")
+
+
+def _reference_clean(A):
+    """(E, U, (t0, t1, P)) by the inverse-based assembly: roots by
+    enumeration, Qe with rows (1, lam1J), (1, lamJ), E_C = Qe^-1 diag(0,1) Qe
+    through invert2, and E = P^-1 E_C P."""
+    R = A.ring
+    cf = reduce_to_companion(A)
+    f = MonicQuadratic.from_radical_params(R, cf.w0, cf.w1)
+    rep = find_roots_enumerate(f, ("J", "1+J"))
+    lam_j, lam_1j = rep.root_in_j, rep.root_in_1_plus_j
+    Qe = Mat2(R, R.one, lam_1j, R.one, lam_j)
+    E_C = (invert2(Qe) * Mat2.diag(R, R.zero, R.one)) * Qe
+    E = (cf.P_inv * E_C) * cf.P
+    return E, A - E, (lam_1j, lam_j, Qe * cf.P)
+
+
+def _check_against_reference(A):
+    """Compare both deciders' certificates for A with the reference; returns
+    (clean reduced, pi nontrivial) for the caller's counts."""
+    R = A.ring
+    I = Mat2.identity(R)
+    reduced = not (is_invertible(A) or is_invertible(I - A))
+    if reduced:
+        cert = decide_strongly_clean(A).certificate
+        E, U, diag = _reference_clean(A)
+        assert (cert.E, cert.U, cert.diag) == (E, U, diag), A
+    pdec = decide_strongly_pi_regular(A)
+    nontrivial = pdec.status == "Nontrivial"
+    if nontrivial:
+        cert = pdec.certificate
+        cf = reduce_to_companion_pi(A)
+        rep = find_roots_enumerate(
+            MonicQuadratic(R, R.neg(cf.r), R.neg(cf.w)), ("unit", "nilpotent")
+        )
+        assert (cert.t0, cert.t1) == (rep.root_unit, rep.root_nilpotent)
+        Qe = Mat2(R, R.one, cert.t0, R.one, cert.t1)
+        assert cert.P == Qe * cf.P, A
+    return reduced, nontrivial
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zmod(2,3)", "Zmod(3,2)", "GF(2,2)", "Trunc(GF(2),3)"]
+)
+def test_closed_form_matches_inverse_assembly_exhaustive(spec):
+    R = parse_ring(spec)
+    els = R.enumerate_elements("All")
+    counts = [0, 0]
+    for a in els:
+        for b in els:
+            for c in els:
+                for d in els:
+                    hits = _check_against_reference(Mat2(R, a, b, c, d))
+                    counts = [n + h for n, h in zip(counts, hits)]
+    assert all(counts)  # both reduced routes were reached
+
+
+def test_closed_form_matches_inverse_assembly_skew():
+    R = SK16
+    radical = R.enumerate_elements("Radical")
+    for w0 in radical:  # every companion matrix, where P = I
+        for w1 in radical:
+            A = Mat2(R, R.zero, w0, R.one, R.add(R.one, w1))
+            assert _check_against_reference(A)[0]
+    els = R.enumerate_elements("All")
+    rng = random.Random(7)
+    counts = [0, 0]
+    for _ in range(1500):
+        A = Mat2(R, *(rng.choice(els) for _ in range(4)))
+        hits = _check_against_reference(A)
+        counts = [n + h for n, h in zip(counts, hits)]
+    assert all(counts)
+
+
+# ------------------------------------------------------------- the verifiers
+
+
+_CLEAN_CASES = [
+    ("Zmod(2,3)", "[[0,2],[1,1]]"),
+    ("Zmod(2,3)", "[[1,1],[2,0]]"),
+    ("SkewTrunc(GF(2,2),1,2)", "[[1+x,w],[w*x,x]]"),
+    ("Zloc(2)", "[[0,2],[1,1]]"),
+    ("Z", "[[3,2],[-3,-2]]"),
+    ("Z", "[[1,1],[0,2]]"),
+]
+
+
+def _tampered_diags(R, t0, t1, P):
+    """Diagonalizations a verifier must reject: a singular P (one with a zero
+    row still has P A = D P), t0 and t1 swapped, and P's rows swapped or
+    P = I, which fail P A = D P."""
+    return [
+        (t0, t1, Mat2(R, R.one, R.one, R.one, R.one)),
+        (t0, t1, Mat2(R, P.a, P.b, R.zero, R.zero)),
+        (t1, t0, P),
+        (t0, t1, Mat2(R, P.c, P.d, P.a, P.b)),
+        (t0, t1, Mat2.identity(R)),
+    ]
+
+
+@pytest.mark.parametrize("spec,matrix", _CLEAN_CASES)
+def test_verify_certificate_rejects_bad_diagonalizations(spec, matrix):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    cert = decide_strongly_clean(A).certificate
+    assert cert.diag is not None and verify_certificate(A, cert)
+    for diag in _tampered_diags(R, *cert.diag):
+        assert verify_certificate(A, CleanCertificate(cert.E, cert.U, diag)) is False
+    other = parse_ring("Zmod(2,2)")
+    for diag in ((None, None, None), (cert.diag[0], cert.diag[1], Mat2.identity(other)),
+                 (cert.diag[0],), "diag"):
+        assert verify_certificate(A, CleanCertificate(cert.E, cert.U, diag)) is False
+
+
+@pytest.mark.parametrize(
+    "spec,matrix",
+    [("Zmod(2,3)", "[[0,2],[1,3]]"), ("Zmod(2,3)", "[[1,1],[2,0]]"),
+     ("SkewTrunc(GF(2,2),1,2)", "[[1+x,w],[w*x,x]]"), ("Zloc(3)", "[[1,1],[1,1]]"),
+     ("Z", "[[3,2],[-3,-2]]")],
+)
+def test_verify_pi_certificate_rejects_bad_diagonalizations(spec, matrix):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    cert = decide_strongly_pi_regular(A).certificate
+    assert cert.kind == "diag" and verify_pi_certificate(A, cert)
+    for t0, t1, P in _tampered_diags(R, cert.t0, cert.t1, cert.P):
+        bad = PiCertificate("diag", t0=t0, t1=t1, P=P)
+        assert verify_pi_certificate(A, bad) is False
+    other = parse_ring("Zmod(2,2)")
+    for P in (None, Mat2.identity(other)):
+        bad = PiCertificate("diag", t0=cert.t0, t1=cert.t1, P=P)
+        assert verify_pi_certificate(A, bad) is False
+    assert verify_pi_certificate(A, PiCertificate("diag", P=cert.P)) is False
+
+
+# ------------------------------------------------------------- wrong roots
+
+
+def test_wrong_enumerated_root_raises(monkeypatch):
+    R = parse_ring("Zmod(2,3)")
+    original = clean.find_roots_enumerate
+
+    def wrong(f, targets):
+        rep = original(f, targets)
+        rep.root_in_j = R.add(rep.root_in_j, R.el(2))
+        return rep
+
+    monkeypatch.setattr(clean, "find_roots_enumerate", wrong)
+    for matrix in ("[[0,2],[1,1]]", "[[1,1],[2,0]]"):
+        with pytest.raises(InternalContractViolation, match="fails verification"):
+            decide_strongly_clean(parse_matrix(R, matrix))
+
+
+def test_wrong_lifted_root_raises(monkeypatch):
+    R = parse_ring("Zmod(2,3)")
+    original = piregular.lift_root
+    monkeypatch.setattr(
+        piregular, "lift_root", lambda f, s: R.add(original(f, s), R.el(2))
+    )
+    for matrix in ("[[0,2],[1,3]]", "[[1,1],[2,0]]"):
+        with pytest.raises(InternalContractViolation, match="fails verification"):
+            decide_strongly_pi_regular(parse_matrix(R, matrix))
+
+    T = parse_ring("Trunc(GF(2),3)")
+    lifted, y2 = quadratics.lift_root, parse_element(T, "y^2")
+    monkeypatch.setattr(quadratics, "lift_root", lambda f, s: T.add(lifted(f, s), y2))
+    with pytest.raises(InternalContractViolation):
+        decide_strongly_clean(parse_matrix(T, "[[0,y],[1,1]]"))
+
+
+# -------------------------------------------------------- inversion count
+
+
+@pytest.fixture
+def invert2_calls(monkeypatch):
+    """Count matrices.invert2 calls, wherever a cleanmatrix module holds it."""
+    calls = []
+    original = matrices.invert2
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cleanmatrix") and getattr(mod, "invert2", None) is original:
+            monkeypatch.setattr(mod, "invert2", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec,matrix",
+    [("Zmod(2,3)", "[[1,1],[2,0]]"), ("SkewTrunc(GF(2,2),1,2)", "[[1+x,w],[w*x,x]]")],
+)
+def test_reduced_decisions_invert_once(spec, matrix, invert2_calls):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    assert not (A.a == R.zero and A.c == R.one)  # not in companion shape
+    assert decide_strongly_clean(A).status == "NontrivialClean"
+    assert len(invert2_calls) == 1
+    assert decide_strongly_pi_regular(A).status == "Nontrivial"
+    assert len(invert2_calls) == 2
+
+
+def test_integer_decision_inverts_once(invert2_calls):
+    R = parse_ring("Z")
+    A = parse_matrix(R, "[[3,2],[-3,-2]]")
+    assert decide_strongly_clean(A).status == "NontrivialClean"
+    assert len(invert2_calls) == 1  # the classifier's eigenvector transform

@@ -271,6 +271,45 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert json.loads(out2) == {"verified": False}
 
 
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["decide", "--ring", "Zmod(2,3)", "--matrix", "[[0,2],[1,1]]"],
+         ("certificate", "diag")),
+        (["decide", "--ring", "SkewTrunc(GF(2,2),1,2)",
+          "--matrix", "[[1+x,w],[w*x,x]]"], ("certificate", "diag")),
+        (["decide", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]"],
+         ("certificate", "diag")),
+        (["pi", "--ring", "Zmod(2,3)", "--matrix", "[[0,2],[1,3]]"],
+         ("certificate",)),
+        (["pi", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]"], ("certificate",)),
+        (["classify-int", "--matrix", "[[3,2],[-3,-2]]"], ()),
+    ],
+)
+def test_verify_rejects_tampered_diagonalization(capsys, tmp_path, argv, path):
+    """A singular P (with a zero row, P A = D P still holds), t0 and t1
+    swapped, and P with its rows swapped (which fails P A = D P) each verify
+    false with exit 2, never exit 64."""
+    code, doc, _ = invoke_json(capsys, *argv, "--json")
+    assert code == OK
+    t0, t1, P = ("d1", "d2", "transform") if path == () else ("t0", "t1", "P")
+    holder = doc
+    for key in path:
+        holder = holder[key]
+    diag = dict(holder)
+    for tampered in (
+        {**diag, P: [["1", "1"], ["1", "1"]]},
+        {**diag, P: [diag[P][0], ["0", "0"]]},
+        {**diag, t0: diag[t1], t1: diag[t0]},
+        {**diag, P: diag[P][::-1]},
+    ):
+        holder.update(tampered)
+        doc_path = tmp_path / "tampered.json"
+        doc_path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "verify", "--file", str(doc_path))
+        assert (code, json.loads(out), err) == (NEGATIVE, {"verified": False}, "")
+
+
 def test_verify_without_certificate_is_null(capsys, tmp_path):
     code, out, _ = invoke(
         capsys, "decide", "--ring", "Zloc(2)", "--matrix", "[[0,4],[1,1]]",

@@ -1,14 +1,14 @@
-"""Strongly pi-regular decisions, certificates, and the Fitting sweep."""
+"""Strongly pi-regular decisions, certificates, and the Fitting splitting power."""
 
 import pytest
 
-from cleanmatrix.errors import InfiniteRing
+from cleanmatrix.bruteforce import brute_pi
+from cleanmatrix.errors import InfiniteRing, TooLarge
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2, conjugate
 from cleanmatrix.piregular import (
     PiCertificate,
     decide_strongly_pi_regular,
-    fitting_decompose,
     ring_is_m2_pi_regular,
     verify_pi_certificate,
 )
@@ -158,12 +158,14 @@ def test_verify_pi_certificate_rejects_tampering():
 
 
 def test_fitting_pinned():
-    assert fitting_decompose(m(Z4, 1, 0, 0, 1)) == 1
-    assert fitting_decompose(m(Z4, 1, 0, 0, 0)) == 1  # already idempotent
-    assert fitting_decompose(m(Z4, 2, 0, 0, 2)) == 2  # nilpotent: splits at 0
-    assert fitting_decompose(m(Z4, 0, 1, 0, 0)) == 2
-    with pytest.raises(InfiniteRing):
-        fitting_decompose(m(ZL2, 1, 0, 0, 1))
+    # brute_pi is the one Fitting oracle: smallest n with
+    # R^2 = ker(A^n) (+) im(A^n)
+    assert brute_pi(m(Z4, 1, 0, 0, 1)) == 1
+    assert brute_pi(m(Z4, 1, 0, 0, 0)) == 1  # already idempotent
+    assert brute_pi(m(Z4, 2, 0, 0, 2)) == 2  # nilpotent: splits at 0
+    assert brute_pi(m(Z4, 0, 1, 0, 0)) == 2
+    with pytest.raises(TooLarge):
+        brute_pi(m(ZL2, 1, 0, 0, 1))
 
 
 def test_fitting_matches_decision_on_z4():
@@ -177,7 +179,7 @@ def test_fitting_matches_decision_on_z4():
                     A = Mat2(Z4, a, b, c, d)
                     dec = decide_strongly_pi_regular(A)
                     assert dec.status != "No"
-                    n = fitting_decompose(A)
+                    n = brute_pi(A)
                     if dec.status == "TrivialNilpotent":
                         assert n == dec.certificate.index
 
