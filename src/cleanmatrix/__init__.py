@@ -28,13 +28,12 @@ _MODULES = {
     "quadratics": (
         "MonicQuadratic", "RootReport", "element_is_nilpotent",
         "find_roots_auto", "find_roots_enumerate", "find_roots_rational",
-        "left_eval", "lift_root", "lift_root_truncated", "right_eval",
-        "right_roots", "solve_two_sided_linear",
+        "left_eval", "lift_root", "lift_root_truncated", "pi_roots",
+        "right_eval", "right_roots", "w_roots",
     ),
     "clean": (
         "CleanCertificate", "CleanDecision", "RingCleanVerdict",
-        "decide_strongly_clean", "diagonalize_clean", "ring_is_strongly_clean",
-        "verify_certificate",
+        "decide_strongly_clean", "ring_is_strongly_clean", "verify_certificate",
     ),
     "piregular": (
         "PiCertificate", "PiDecision", "RingPiVerdict",

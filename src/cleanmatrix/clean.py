@@ -16,34 +16,16 @@ The rows v2 P and v1 P diagonalize: (Q P) A = diag(lam1J, lamJ) (Q P), the
 unit eigenvalue first.  Nothing is inverted on the way; verify_certificate,
 the one complete check, runs once on the result.
 
-Root search is enumeration on finite rings, the discriminant over Z_(p), and
-J-adic lifting from the residue roots 0 and 1 on truncated rings, which
-enumerates neither the ring nor its residue field, so it also serves
-truncations above ENUM_CAP.
+The roots come from quadratics.w_roots, which picks the route for the ring;
+the ring-level survey lifts the J root of every f in W on finite rings.
 Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """
 
 from .companion import CompanionForm, reduce_to_companion
-from .errors import InternalContractViolation, NotLocal, TrivialCertificate
-from .matrices import (
-    Mat2,
-    diagonalizes,
-    has_inverse,
-    invert2,
-    is_invertible,
-    matvec,
-    outer,
-)
-from .quadratics import (
-    MonicQuadratic,
-    find_roots_enumerate,
-    find_roots_rational,
-    left_eval,
-    lift_root_truncated,
-)
-
-_TRUNCATED = ("TruncatedPoly", "TruncatedSkew")
+from .errors import InternalContractViolation, NotLocal
+from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matvec, outer
+from .quadratics import MonicQuadratic, lift_root, w_roots
 
 
 class CleanCertificate:
@@ -108,25 +90,6 @@ def build_certificate(
     return cert
 
 
-def _find_w_roots(R, f: MonicQuadratic):
-    """(lamJ, lam1J, method) for f in W, by the family's route."""
-    if R.family in _TRUNCATED and R.element_ring is R:
-        lam_j = lift_root_truncated(R, f.w0, f.w1)
-        g = f.one_minus_t_transform()
-        mu = lift_root_truncated(R, g.w0, g.w1)
-        lam_1j = R.sub(R.one, mu)
-        if not (R.in_radical(lam_j) and R.in_radical(mu)):
-            raise InternalContractViolation("a lifted root is not in J")
-        if left_eval(f, lam_1j) != R.zero:
-            raise InternalContractViolation("1 - (root of f(1-t)) is not a root")
-        return lam_j, lam_1j, "Lifting"
-    if R.is_finite:
-        rep = find_roots_enumerate(f, ("J", "1+J"))
-        return rep.root_in_j, rep.root_in_1_plus_j, "Enumeration"
-    rep = find_roots_rational(f, ("J", "1+J"))
-    return rep.root_in_j, rep.root_in_1_plus_j, "Discriminant"
-
-
 def decide_strongly_clean(A: Mat2) -> CleanDecision:
     R = A.ring
     if R.family == "Integers":
@@ -144,7 +107,7 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         )
     cf = reduce_to_companion(A)
     f = MonicQuadratic.from_radical_params(R, cf.w0, cf.w1)
-    lam_j, lam_1j, method = _find_w_roots(R, f)
+    lam_j, lam_1j, method = w_roots(f)
     if (lam_j is None) != (lam_1j is None):
         # roots in J and in 1+J exist together or not at all
         raise InternalContractViolation("one-sided root presence is asymmetric")
@@ -157,74 +120,23 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
 def ring_is_strongly_clean(R, search_bound: int = 10000) -> RingCleanVerdict:
     """Is every 2x2 matrix over R strongly clean?
 
-    Finite rings: sweep all (w0, w1) in J x J and demand a root in J (truncated
-    families run the lifting construction instead, same sweep).  Z_(p): scan
-    w0 = p, 2p, ... with w1 = 0 for a non-square discriminant; the first hit is
-    a witness quadratic with no root at all in Z_(p).  Unknown only when the
-    scan exhausts search_bound multiples without a witness."""
+    Finite rings: lift a root in J of every f in W, (w0, w1) in J x J; the
+    lift raises InternalContractViolation if one does not exist, so the answer
+    is Yes.  Z_(p): scan w0 = p, 2p, ... with w1 = 0 for a non-square
+    discriminant; the first hit is a witness quadratic with no root at all in
+    Z_(p).  Unknown only when the scan exhausts search_bound multiples without
+    a witness."""
     if R.family == "Integers":
         raise NotLocal("ring-level strong cleanness sweep needs a local ring")
     if R.family == "LocalizedIntegers":
         p = R.p
         for mult in range(1, search_bound + 1):
-            w0 = R.el(p * mult)
-            f = MonicQuadratic.from_radical_params(R, w0, R.zero)
-            rep = find_roots_rational(f, ("J", "1+J"))
-            if rep.root_in_j is None:
+            f = MonicQuadratic.from_radical_params(R, R.el(p * mult), R.zero)
+            if w_roots(f)[0] is None:
                 return RingCleanVerdict("No", witness=f)
         return RingCleanVerdict("Unknown")
-    if R.family in _TRUNCATED and R.element_ring is R:
-        for w0 in R.enumerate_elements("Radical"):
-            for w1 in R.enumerate_elements("Radical"):
-                lift_root_truncated(R, w0, w1)  # raises if the theory is wrong
-        return RingCleanVerdict("Yes")
-    for w0 in R.enumerate_elements("Radical"):
-        for w1 in R.enumerate_elements("Radical"):
-            f = MonicQuadratic.from_radical_params(R, w0, w1)
-            rep = find_roots_enumerate(f, ("J",))
-            if rep.root_in_j is None:
-                return RingCleanVerdict("No", witness=f)
+    radical = R.enumerate_elements("Radical")
+    for w0 in radical:
+        for w1 in radical:
+            lift_root(MonicQuadratic.from_radical_params(R, w0, w1), R.zero)
     return RingCleanVerdict("Yes")
-
-
-def _unit_residue_column(R, M):
-    """A column of M generating its image: one with a unit entry."""
-    for col in ((M.a, M.c), (M.b, M.d)):
-        if R.is_unit(col[0]) or R.is_unit(col[1]):
-            return col
-    return None
-
-
-def diagonalize_clean(A: Mat2, cert: CleanCertificate):
-    """(t0, t1, P) with P A P^-1 = diag(t0, t1), 1 - t0 and t1 in J.
-
-    Certificates built here carry the eigenrow diagonalization already; for an
-    external certificate the basis is rebuilt from the idempotent's image and
-    kernel lines (columns of E and I - E with a unit entry)."""
-    R = A.ring
-    if cert.diag is not None:
-        return cert.diag
-    E = cert.E
-    I = Mat2.identity(R)
-    if E == Mat2.zero(R) or E == I:
-        raise TrivialCertificate("diagonalization needs a nontrivial idempotent")
-    if R.family == "Integers":
-        raise NotLocal("rebuilding a diagonalization needs a local ring")
-    if is_invertible(A) or is_invertible(I - A):
-        # only a genuinely nontrivial matrix has the 1+J / J eigenvalue split
-        raise TrivialCertificate("matrix is trivially clean; no J-side split")
-    u1 = _unit_residue_column(R, I - E)  # the t0 line: E vanishes on it
-    u2 = _unit_residue_column(R, E)  # the t1 line: E is the identity on it
-    if u1 is None or u2 is None:
-        raise TrivialCertificate("idempotent has no unit column on one side")
-    M = Mat2(R, u1[0], u2[0], u1[1], u2[1])  # columns u1, u2
-    P = invert2(M)
-    D = (P * A) * M  # M = P^-1, checked by invert2
-    if not (
-        D.b == R.zero
-        and D.c == R.zero
-        and R.in_radical(R.sub(R.one, D.a))
-        and R.in_radical(D.d)
-    ):
-        raise InternalContractViolation("certificate basis fails to diagonalize")
-    return (D.a, D.d, P)

@@ -37,10 +37,6 @@ class InternalContractViolation(CleanMatrixError):
     """A constructed object failed its own re-verification; a bug, not bad input."""
 
 
-class NoSolution(CleanMatrixError):
-    """The two-sided linear equation has no solution in the ring."""
-
-
 class Undecidable(CleanMatrixError):
     """No decision procedure is available for this owner."""
 
@@ -55,10 +51,6 @@ class NoFactorization(CleanMatrixError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class TrivialCertificate(CleanMatrixError):
-    """Diagonalization needs a nontrivial idempotent and got E in {0, I}."""
 
 
 class ParseError(CleanMatrixError):

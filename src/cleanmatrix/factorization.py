@@ -11,7 +11,8 @@ and never move past each other, only past t.  When f(0) or f(1) is a unit the
 witness is the trivial split 1*f = f*1 arranged so the unit lands where the
 definition wants it.  Otherwise both evaluations are non-units, which over a
 local ring forces a0 in J and 1 + a1 in J, and the witness comes from a pair
-of left roots t0 in J, t1 in 1+J via f = (t - lam)(t + a1 + lam).
+of left roots t0 in J, t1 in 1+J (quadratics.w_roots) via
+f = (t - lam)(t + a1 + lam).
 """
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NotApplicable,
     OwnerMismatch,
 )
-from .quadratics import MonicQuadratic, find_roots_auto, left_eval
+from .quadratics import MonicQuadratic, left_eval, w_roots
 
 
 class Poly:
@@ -159,10 +160,9 @@ def star_factorize(f: MonicQuadratic) -> FactorizationWitness:
     elif R.is_unit(f1):
         witness = FactorizationWitness(g0=one, g1=fp, h0=one, h1=fp, starred=True)
     else:
-        # both evaluations in J, so a0 in J and 1 + a1 in J: look for the
-        # radical / one-plus-radical root pair
-        rep = find_roots_auto(f, ("J", "1+J"))
-        t0, t1 = rep.root_in_j, rep.root_in_1_plus_j
+        # both evaluations in J, so a0 in J and 1 + a1 in J: f is in W, and
+        # its J / 1+J root pair comes by the clean decider's route
+        t0, t1, _ = w_roots(f)
         if t0 is None and t1 is None:
             raise NoFactorization(
                 f"no unit-split factorization of {f.text()}", witness=f

@@ -10,10 +10,11 @@ through the companion transform, gives a P with P A = D P for
 D = diag(t0 unit, t1 nilpotent).  verify_pi_certificate checks P invertible
 and P A = D P, never forming P^-1, and the decider runs it once on the
 certificate it builds.  When r itself falls in J, A^2 has all entries in J
-and A is nilpotent over the finite families.  Otherwise, on the finite
-rings, the residue t (t - rbar) has the simple roots rbar and 0, so both roots
-exist and are lifted by chord steps (quadratics.lift_root), scanning neither
-the ring nor its residue field; Z_(p) finds them, or not, by the discriminant.
+and A is nilpotent over the finite families.  Otherwise the roots come from
+quadratics.pi_roots: on the finite rings the residue t (t - rbar) has the
+simple roots rbar and 0, so both roots exist and are lifted by chord steps,
+scanning neither the ring nor its residue field; Z_(p) finds them, or not, by
+the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
@@ -31,13 +32,7 @@ from .matrices import (
     is_nilpotent,
     matpow,
 )
-from .quadratics import (
-    MonicQuadratic,
-    element_is_nilpotent,
-    find_roots_auto,
-    find_roots_rational,
-    lift_root,
-)
+from .quadratics import MonicQuadratic, element_is_nilpotent, pi_roots
 
 
 class PiCertificate:
@@ -110,16 +105,9 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
                 "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
             )
         return PiDecision("No", witness=f)
-    if R.is_finite:
-        # t(t - rbar) has the simple residue roots rbar and 0: lift both
-        rv = R.residue_view()
-        lam_u = lift_root(f, rv.lift(rv.reduce(cf.r)))
-        lam_n = lift_root(f, R.zero)
-    else:
-        rep = find_roots_rational(f, ("unit", "nilpotent"))
-        lam_u, lam_n = rep.root_unit, rep.root_nilpotent
-        if lam_u is None or lam_n is None:
-            return PiDecision("No", witness=f)
+    lam_u, lam_n = pi_roots(f)
+    if lam_u is None or lam_n is None:
+        return PiDecision("No", witness=f)
     return _checked_diag(A, lam_u, lam_n, cf.eigenrow_transform(lam_u, lam_n))
 
 
@@ -204,14 +192,13 @@ def ring_is_m2_pi_regular(R) -> RingPiVerdict:
 
     Finite rings: every matrix over J must be nilpotent, which holds since
     J^v = 0 makes M^v = 0 for every M over J, and every t^2 - t u - w with u a
-    unit and w in J must have a unit left root and a nilpotent left root."""
+    unit and w in J must have a unit left root and a nilpotent left root.
+    pi_roots lifts both and raises InternalContractViolation if one does not
+    exist, so the answer is Yes."""
     if not R.is_finite:
         raise InfiniteRing("ring-level pi-regularity sweep needs a finite ring")
     radical = R.enumerate_elements("Radical")
     for u in R.enumerate_elements("Units"):
         for w in radical:
-            f = MonicQuadratic(R, R.neg(u), R.neg(w))
-            rep = find_roots_auto(f, ("unit", "nilpotent"))
-            if rep.root_unit is None or rep.root_nilpotent is None:
-                return RingPiVerdict("No", witness=f)
+            pi_roots(MonicQuadratic(R, R.neg(u), R.neg(w)))
     return RingPiVerdict("Yes")

@@ -17,10 +17,17 @@ substitution g(t) = f(1 - t), expanded with only central scalars moved past t,
 
 is again in W and swaps roots in J with roots in 1 + J via lambda <-> 1 - lambda.
 
-Root search routes:
-  * finite rings: exhaustive scan of the requested subsets, enumeration order;
-  * Z and Z_(p): discriminant + exact integer square root;
-  * finite rings, from a simple residue root: J-adic lifting (lift_root).
+Root search routes.  Each question the package asks has one function that
+picks its route, and every caller goes through it:
+  * w_roots, the roots in J and 1 + J of f in W (the clean decider and
+    factor): J-adic lifting from 0 on the truncated rings, a complete scan of
+    J and 1 + J on the other finite rings, the discriminant over Z_(p);
+  * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
+    pi decider and the pi survey): lifting on every finite ring, the
+    discriminant over Z_(p);
+  * find_roots_auto, any requested subsets (right_roots): a complete scan on
+    finite rings, the discriminant over Z and Z_(p).
+The clean survey lifts the J root of each f in W on every finite ring.
 
 Lifting.  On every finite ring here J is nilpotent: J^v = 0.  Take f with a0
 in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.  Its
@@ -43,24 +50,19 @@ with x in J^i but not in J^(i+1), the expansion gives
 lam x + x (lam + a1) + x^2 = 0, whose left side is x a1 or lam x modulo
 J^(i+1) by the same case split: a unit times x, so not in J^(i+1).  So
 lifting returns the same element as a complete scan of its residue class.
-The pi decider lifts its unit root from lift(rbar) and its nilpotent root
-from 0; the truncated clean route lifts the J roots of f and of f(1 - t)
-from 0.
+pi_roots lifts the unit root from lift(rbar) and the nilpotent root from 0;
+w_roots on the truncated rings lifts the J roots of f and of f(1 - t) from 0.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .errors import (
-    InfiniteRing,
-    InternalContractViolation,
-    NoSolution,
-    NotApplicable,
-)
+from .errors import InfiniteRing, InternalContractViolation, NotApplicable
 from .rings import Element
 
 _SUBSETS = ("J", "1+J", "unit", "nilpotent")
+_TRUNCATED = ("TruncatedPoly", "TruncatedSkew")
 
 
 class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
@@ -263,76 +265,6 @@ def find_roots_rational(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     return report
 
 
-# ------------------------------------------------------- two-sided linear
-
-
-def solve_two_sided_linear(ring, a, b, c) -> Element:
-    """Solve a x - x b = c.
-
-    Supported sidings are the weakly bleached configurations: one of a, b in J
-    and the other in 1 + J.  Commutative owners solve by division by a - b
-    (a unit in those configurations); the skew truncated rings expand the map
-    x -> a x - x b as a linear operator on the F_p coordinates of the additive
-    group and eliminate.  Raises NoSolution when the equation is inconsistent.
-    """
-    ring._guard(a, b, c)
-    if ring.family == "Integers":
-        raise NotApplicable("two-sided solve needs a local ring")
-    if getattr(ring, "is_commutative", True):
-        d = ring.sub(a, b)
-        if not ring.is_unit(d):
-            if c == ring.zero:
-                return ring.zero
-            raise NoSolution("a - b is not a unit; not a weakly bleached instance")
-        return ring.mul(ring.invert(d), c)
-    if ring.element_ring is not ring:
-        # opposite wrapper: a o x - x o b = c reads x a - b x = c in the base,
-        # i.e. b x - x a = -c, which swaps the roles of a and b
-        base = ring.opposite()
-        return solve_two_sided_linear(base, b, a, base.neg(c))
-    p = ring.fp_prime()
-    dim = ring.fp_dimension()
-    cols = []
-    for i in range(dim):
-        vec = [0] * dim
-        vec[i] = 1
-        e = ring.from_fp_vector(tuple(vec))
-        img = ring.sub(ring.mul(a, e), ring.mul(e, b))
-        cols.append(ring.to_fp_vector(img))
-    cvec = ring.to_fp_vector(c)
-    # rows of the augmented system M x = c over F_p
-    rows = [[cols[j][i] for j in range(dim)] + [cvec[i]] for i in range(dim)]
-    pivot_cols = []
-    r = 0
-    for col in range(dim):
-        sel = None
-        for rr in range(r, dim):
-            if rows[rr][col] % p:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for rr in range(dim):
-            if rr != r and rows[rr][col] % p:
-                fac = rows[rr][col]
-                rows[rr] = [(x - fac * y) % p for x, y in zip(rows[rr], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    for rr in range(r, dim):
-        if rows[rr][dim] % p:
-            raise NoSolution("two-sided linear system is inconsistent")
-    sol = [0] * dim
-    for idx, col in enumerate(pivot_cols):
-        sol[col] = rows[idx][dim] % p
-    x = ring.from_fp_vector(tuple(sol))
-    if ring.sub(ring.mul(a, x), ring.mul(x, b)) != c:
-        raise InternalContractViolation("eliminated solution fails to verify")
-    return x
-
-
 # ------------------------------------------------------- J-adic lifting
 
 
@@ -369,12 +301,45 @@ def lift_root(f: MonicQuadratic, start: Element) -> Element:
 def lift_root_truncated(ring, w0, w1) -> Element:
     """Left root in J of t^2 - t(1+w1) - w0 over F[x; sigma]/(x^n), lifted
     from the residue root 0 by lift_root."""
-    if ring.family not in ("TruncatedPoly", "TruncatedSkew"):
+    if ring.family not in _TRUNCATED:
         raise NotApplicable("lifting needs a truncated polynomial ring")
     ring._guard(w0, w1)
     if not (ring.in_radical(w0) and ring.in_radical(w1)):
         raise NotApplicable("lifting needs w0, w1 in the radical")
     return lift_root(MonicQuadratic.from_radical_params(ring, w0, w1), ring.zero)
+
+
+def w_roots(f: MonicQuadratic):
+    """(lamJ, lam1J, method): the left roots of f in W in J and in 1 + J, or
+    None where the ring has none, by the route of f's ring."""
+    R = f.ring
+    if R.family in _TRUNCATED and R.element_ring is R:
+        lam_j = lift_root_truncated(R, f.w0, f.w1)
+        g = f.one_minus_t_transform()
+        mu = lift_root_truncated(R, g.w0, g.w1)
+        lam_1j = R.sub(R.one, mu)
+        if not (R.in_radical(lam_j) and R.in_radical(mu)):
+            raise InternalContractViolation("a lifted root is not in J")
+        if left_eval(f, lam_1j) != R.zero:
+            raise InternalContractViolation("1 - (root of f(1-t)) is not a root")
+        return lam_j, lam_1j, "Lifting"
+    if R.is_finite:
+        rep = find_roots_enumerate(f, ("J", "1+J"))
+        return rep.root_in_j, rep.root_in_1_plus_j, "Enumeration"
+    rep = find_roots_rational(f, ("J", "1+J"))
+    return rep.root_in_j, rep.root_in_1_plus_j, "Discriminant"
+
+
+def pi_roots(f: MonicQuadratic):
+    """(unit root, nilpotent root) of f = t^2 - t r - w with r a unit and w in
+    J, or None where Z_(p) has no such root; lifted on finite rings."""
+    R = f.ring
+    if R.is_finite:
+        # t(t - rbar) has the simple residue roots rbar and 0: lift both
+        rv = R.residue_view()
+        return lift_root(f, rv.lift(rv.reduce(R.neg(f.a1)))), lift_root(f, R.zero)
+    rep = find_roots_rational(f, ("unit", "nilpotent"))
+    return rep.root_unit, rep.root_nilpotent
 
 
 def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:

@@ -26,9 +26,8 @@ of the ring doubles both, and every sweep over it costs at least as much again.
 Routes that must work on larger rings (the pi decider's root lifting and the
 companion reduction) enumerate neither the ring nor its residue field.
 
-The finite families are chain rings: J = pi R = R pi for the uniformizer pi
-(p on Z/p^k, 0 on GF(p^m), the variable on the truncations), J^v = 0 for
-v = radical_index(), and a lies in J^i exactly when a pi^(v-i) = 0.
+On the finite families the radical is nilpotent: J^v = 0 for
+v = radical_index().
 
 Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul and invert.
 Each first tests inline that its operands are Elements of the ring and calls
@@ -350,10 +349,6 @@ class LocalRing:
     def radical_index(self):
         """Smallest v with J^v = 0, or None when J is not nilpotent."""
         return None
-
-    def uniformizer(self) -> Element:
-        """pi with J = pi R = R pi, on the finite (chain) rings."""
-        raise NotImplementedError
 
     def size(self):
         return None
@@ -723,9 +718,6 @@ class ModPrimePowerRing(FiniteRing):
     def radical_index(self):
         return self.k
 
-    def uniformizer(self):
-        return self.from_int(self.p)
-
     def size(self):
         return self.modulus
 
@@ -927,9 +919,6 @@ class GaloisFieldRing(FiniteRing):
     def radical_index(self):
         return 1
 
-    def uniformizer(self):
-        return self.zero
-
     def size(self):
         return self.p**self.m
 
@@ -1107,9 +1096,6 @@ class TruncatedRing(FiniteRing):
     def radical_index(self):
         return self.n
 
-    def uniformizer(self):
-        return self.variable() if self.n > 1 else self.zero
-
     def size(self):
         return self.base.size() ** self.n
 
@@ -1119,23 +1105,6 @@ class TruncatedRing(FiniteRing):
         return [
             t for t in itertools.product(self.base._all_payloads(), repeat=self.n)
         ]
-
-    # F_p coordinates of the additive group, for the two-sided linear solver
-    def fp_prime(self):
-        return self.base.p
-
-    def fp_dimension(self):
-        return self.n * self.base.m
-
-    def to_fp_vector(self, a):
-        self._guard(a)
-        return tuple(d for c in a.payload for d in c)
-
-    def from_fp_vector(self, vec):
-        m = self.base.m
-        return Element(
-            self, tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(self.n))
-        )
 
     def spec_string(self):
         b = self.base.spec_string()
@@ -1206,9 +1175,6 @@ class OppositeRing(LocalRing):
 
     def radical_index(self):
         return self.base_ring.radical_index()
-
-    def uniformizer(self):
-        return self.base_ring.uniformizer()
 
     def size(self):
         return self.base_ring.size()

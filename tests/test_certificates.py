@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from cleanmatrix import clean, matrices, piregular, quadratics
+from cleanmatrix import matrices, quadratics
 from cleanmatrix.clean import (
     CleanCertificate,
     decide_strongly_clean,
@@ -170,14 +170,14 @@ def test_verify_pi_certificate_rejects_bad_diagonalizations(spec, matrix):
 
 def test_wrong_enumerated_root_raises(monkeypatch):
     R = parse_ring("Zmod(2,3)")
-    original = clean.find_roots_enumerate
+    original = quadratics.find_roots_enumerate
 
     def wrong(f, targets):
         rep = original(f, targets)
         rep.root_in_j = R.add(rep.root_in_j, R.el(2))
         return rep
 
-    monkeypatch.setattr(clean, "find_roots_enumerate", wrong)
+    monkeypatch.setattr(quadratics, "find_roots_enumerate", wrong)
     for matrix in ("[[0,2],[1,1]]", "[[1,1],[2,0]]"):
         with pytest.raises(InternalContractViolation, match="fails verification"):
             decide_strongly_clean(parse_matrix(R, matrix))
@@ -185,17 +185,17 @@ def test_wrong_enumerated_root_raises(monkeypatch):
 
 def test_wrong_lifted_root_raises(monkeypatch):
     R = parse_ring("Zmod(2,3)")
-    original = piregular.lift_root
+    original = quadratics.lift_root
     monkeypatch.setattr(
-        piregular, "lift_root", lambda f, s: R.add(original(f, s), R.el(2))
+        quadratics, "lift_root", lambda f, s: R.add(original(f, s), R.el(2))
     )
     for matrix in ("[[0,2],[1,3]]", "[[1,1],[2,0]]"):
         with pytest.raises(InternalContractViolation, match="fails verification"):
             decide_strongly_pi_regular(parse_matrix(R, matrix))
 
     T = parse_ring("Trunc(GF(2),3)")
-    lifted, y2 = quadratics.lift_root, parse_element(T, "y^2")
-    monkeypatch.setattr(quadratics, "lift_root", lambda f, s: T.add(lifted(f, s), y2))
+    y2 = parse_element(T, "y^2")
+    monkeypatch.setattr(quadratics, "lift_root", lambda f, s: T.add(original(f, s), y2))
     with pytest.raises(InternalContractViolation):
         decide_strongly_clean(parse_matrix(T, "[[0,y],[1,1]]"))
 

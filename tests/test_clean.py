@@ -6,12 +6,11 @@ from cleanmatrix.clean import (
     CleanCertificate,
     build_certificate,
     decide_strongly_clean,
-    diagonalize_clean,
     ring_is_strongly_clean,
     verify_certificate,
 )
 from cleanmatrix.companion import reduce_to_companion
-from cleanmatrix.errors import NotLocal, TrivialCertificate
+from cleanmatrix.errors import NotLocal
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2, conjugate, is_invertible, matpow
 from cleanmatrix.rings import (
@@ -206,27 +205,6 @@ def test_ring_verdict_witness_has_no_root():
 
     rep = find_roots_rational(f, ("J", "1+J"))
     assert rep.root_in_j is None
-
-
-def test_diagonalize_from_external_certificate():
-    A = m(Z8, 0, 2, 1, 1)
-    built = decide_strongly_clean(A).certificate
-    stripped = CleanCertificate(built.E, built.U)  # no diag payload
-    t0, t1, P = diagonalize_clean(A, stripped)
-    assert conjugate(P, A) == Mat2.diag(Z8, t0, t1)
-    assert Z8.in_radical(Z8.sub(Z8.one, t0))
-    assert Z8.in_radical(t1)
-
-
-def test_diagonalize_rejects_trivial():
-    A = m(Z8, 1, 0, 0, 1)
-    cert = decide_strongly_clean(A).certificate
-    with pytest.raises(TrivialCertificate):
-        diagonalize_clean(A, cert)
-    B = m(Z8, 3, 0, 0, 3)  # invertible, but give it a fake nontrivial idempotent
-    fake = CleanCertificate(m(Z8, 1, 0, 0, 0), m(Z8, 2, 0, 0, 3))
-    with pytest.raises(TrivialCertificate):
-        diagonalize_clean(B, fake)
 
 
 def test_opposite_ring_decisions_match():

@@ -114,33 +114,32 @@ def test_pi_nilpotent_reports_index(capsys):
 
 
 @pytest.mark.parametrize(
-    "ring, lifts_clean",
-    [pytest.param("Zmod(2,64)", False, id="Zmod(2,64)"),
-     pytest.param("Trunc(GF(2,4),8)", True, id="Trunc(GF(2,4),8)")],
+    "ring, poly, lifts_clean",
+    [pytest.param("Zmod(2,64)", "1,2", False, id="Zmod(2,64)"),
+     pytest.param("Trunc(GF(2,4),8)", "1,x", True, id="Trunc(GF(2,4),8)")],
 )
-def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring, lifts_clean):
+def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring, poly, lifts_clean):
     code, doc, _ = invoke_json(
         capsys, "pi", "--ring", ring, "--matrix", "[[0,2],[1,1]]", "--json"
     )
     assert code == OK
     assert doc["status"] == "Nontrivial"
     assert doc["verified"] is True
-    if lifts_clean:
-        # the truncated clean route lifts both roots without enumerating
-        code, doc, _ = invoke_json(
-            capsys, "decide", "--ring", ring, "--matrix", "[[0,2],[1,1]]", "--json"
-        )
-        assert code == OK
-        assert doc["status"] == "NontrivialClean"
-        assert doc["verified"] is True
-        return
-    # the clean route on Zmod still scans the ring, above the enumeration cap
-    code, out, err = invoke(
-        capsys, "decide", "--ring", ring, "--matrix", "[[0,2],[1,1]]"
-    )
-    assert code == USAGE
-    assert out == ""
-    assert err.startswith("error:") and "enumeration stops at" in err
+    # decide and factor take the same clean route
+    for command, arg, status in (("decide", "--matrix=[[0,2],[1,1]]", "NontrivialClean"),
+                                 ("factor", f"--poly={poly}", "Factored")):
+        if lifts_clean:
+            # the truncated clean route lifts both roots without enumerating
+            code, doc, _ = invoke_json(capsys, command, "--ring", ring, arg, "--json")
+            assert code == OK
+            assert doc["status"] == status
+            assert doc["verified"] is True
+            continue
+        # the clean route on Zmod still scans J, above the enumeration cap
+        code, out, err = invoke(capsys, command, "--ring", ring, arg)
+        assert code == USAGE
+        assert out == ""
+        assert err.startswith("error:") and "enumeration stops at" in err
 
 
 def test_factor_equals_form_for_negative_coefficients(capsys):
@@ -206,6 +205,27 @@ def test_survey_pi_yes_on_zmod_32(capsys):
     code, doc, _ = invoke_json(
         capsys, "survey", "--ring", "Zmod(2,5)", "--mode", "pi", "--json"
     )
+    assert code == OK
+    assert doc["answer"] == "Yes"
+
+
+@pytest.mark.parametrize(
+    "ring", ["Zmod(2,4)", "GF(2,2)", "Trunc(GF(2),3)", "SkewTrunc(GF(2,2),1,2)"]
+)
+@pytest.mark.parametrize("mode", ["clean", "pi"])
+def test_survey_lifts_without_root_scans(capsys, monkeypatch, ring, mode):
+    # both surveys lift every root on finite rings: no module may scan for one
+    from cleanmatrix import quadratics
+
+    original = quadratics.find_roots_enumerate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("survey scanned for a root")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cleanmatrix") and getattr(mod, "find_roots_enumerate", None) is original:
+            monkeypatch.setattr(mod, "find_roots_enumerate", refuse)
+    code, doc, _ = invoke_json(capsys, "survey", "--ring", ring, "--mode", mode, "--json")
     assert code == OK
     assert doc["answer"] == "Yes"
 
@@ -487,3 +507,10 @@ def test_pi_loads_only_its_modules():
     for name in ("clean", "bruteforce", "factorization", "integer_matrices"):
         assert f"cleanmatrix.{name}" not in added
     assert "dataclasses" not in added
+
+
+def test_factor_loads_only_its_modules():
+    added = _modules_loaded_by("factor", "--ring", "Zmod(2,8)", "--poly=1,2")
+    assert {"cleanmatrix.factorization", "cleanmatrix.quadratics"} <= added
+    for name in ("clean", "companion", "piregular", "bruteforce"):
+        assert f"cleanmatrix.{name}" not in added

@@ -9,13 +9,15 @@ from cleanmatrix.factorization import (
     star_factorize,
     verify_factorization,
 )
-from cleanmatrix.quadratics import MonicQuadratic, find_roots_auto
+from cleanmatrix.literals import parse_element, parse_ring
+from cleanmatrix.quadratics import MonicQuadratic, find_roots_auto, find_roots_enumerate
 from cleanmatrix.rings import (
     galois_field,
     integers,
     localized_integers,
     make_ring,
     mod_prime_power,
+    truncated_poly,
     truncated_skew,
 )
 
@@ -25,6 +27,8 @@ Z4 = make_ring(mod_prime_power(2, 2))
 Z8 = make_ring(mod_prime_power(2, 3))
 GF4 = make_ring(galois_field(2, 2))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
+T3 = make_ring(truncated_poly(galois_field(2, 1), 3))
+T32 = make_ring(truncated_poly(galois_field(3, 1), 2))
 
 
 def quad(ring, a1, a0):
@@ -168,13 +172,33 @@ def test_factorize_iff_roots_z8_exhaustive():
 
 
 def test_factorize_skew_root_pairs():
-    # distinguished quadratics over the skew ring factor through their roots
-    for w0 in SK16.enumerate_elements("Radical"):
-        for w1 in SK16.enumerate_elements("Radical"):
-            f = MonicQuadratic.from_radical_params(SK16, w0, w1)
-            w = star_factorize(f)
-            assert w.starred
-            assert verify_factorization(f, w)
-            # nontrivial split: linear times linear
-            assert w.g0.degree() == 1
-            assert w.g1.degree() == 1
+    # distinguished quadratics over the skew ring, and over two truncations
+    # whose roots are lifted, factor through the enumerated root pair
+    for R in (SK16, T3, T32):
+        for w0 in R.enumerate_elements("Radical"):
+            for w1 in R.enumerate_elements("Radical"):
+                f = MonicQuadratic.from_radical_params(R, w0, w1)
+                w = star_factorize(f)
+                assert w.starred
+                assert verify_factorization(f, w)
+                # nontrivial split: linear times linear
+                assert w.g0.degree() == 1
+                assert w.g1.degree() == 1
+                rep = find_roots_enumerate(f, ("J", "1+J"))
+                t0, t1 = rep.root_in_j, rep.root_in_1_plus_j
+                expected = [
+                    Poly(R, [R.neg(t1), R.one]), Poly(R, [R.add(f.a1, t1), R.one]),
+                    Poly(R, [R.add(f.a1, t0), R.one]), Poly(R, [R.neg(t0), R.one]),
+                ]
+                assert [w.g0, w.g1, w.h0, w.h1] == expected
+
+
+@pytest.mark.parametrize("spec", ["Trunc(GF(2,4),8)", "SkewTrunc(GF(2,4),1,8)"])
+def test_factor_truncated_above_enum_cap_lifts(spec, refuse_scans):
+    R = parse_ring(spec)
+    f = MonicQuadratic(R, parse_element(R, "1+x"), parse_element(R, "w*x"))
+    assert f.in_w()
+    w = star_factorize(f)
+    assert verify_factorization(f, w)
+    assert w.g0.degree() == 1 and w.h0.degree() == 1
+    assert "All" not in R._enum_cache

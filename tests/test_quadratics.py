@@ -1,16 +1,11 @@
-"""Quadratic root searches, the two-sided linear solver, and root lifting."""
+"""Quadratic root searches and root lifting."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cleanmatrix.errors import (
-    InfiniteRing,
-    InternalContractViolation,
-    NoSolution,
-    NotApplicable,
-)
+from cleanmatrix.errors import InfiniteRing, InternalContractViolation, NotApplicable
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.quadratics import (
     MonicQuadratic,
@@ -23,7 +18,6 @@ from cleanmatrix.quadratics import (
     lift_root_truncated,
     right_eval,
     right_roots,
-    solve_two_sided_linear,
 )
 from cleanmatrix.rings import (
     galois_field,
@@ -185,49 +179,6 @@ def test_find_roots_auto_dispatch():
     assert find_roots_auto(quad(Z, -1, 0), ("unit",)).method == "Discriminant"
 
 
-def test_solve_two_sided_commutative():
-    x = solve_two_sided_linear(Z8, Z8.el(2), Z8.el(1), Z8.el(5))
-    assert Z8.sub(Z8.mul(Z8.el(2), x), Z8.mul(x, Z8.el(1))) == Z8.el(5)
-    assert solve_two_sided_linear(Z8, Z8.el(1), Z8.el(1), Z8.zero) == Z8.zero
-    with pytest.raises(NoSolution):
-        solve_two_sided_linear(Z8, Z8.el(1), Z8.el(1), Z8.el(2))
-    with pytest.raises(NotApplicable):
-        solve_two_sided_linear(Z, Z.el(1), Z.el(0), Z.el(1))
-
-
-def test_solve_two_sided_skew_pinned():
-    base = SK16.base
-    w = base.generator()
-    a = SK16.embed(w)  # unit
-    b = SK16.zero  # in J
-    x_var = SK16.variable()
-    c = SK16.add(SK16.one, x_var)
-    x = solve_two_sided_linear(SK16, a, b, c)
-    assert SK16.sub(SK16.mul(a, x), SK16.mul(x, b)) == c
-    # w^-1 = w^2 = 1 + w; x coefficient picks up the twist on the constant side
-    w2 = base.mul(w, w)
-    expected = SK16.add(SK16.embed(w2), SK16.mul(SK16.embed(w2), x_var))
-    assert x == expected
-
-
-def test_solve_two_sided_skew_exhaustive():
-    # every weakly bleached instance over the 16-element skew ring is solvable
-    for a in SK16.enumerate_elements("Radical"):
-        for b in SK16.enumerate_elements("OnePlusRadical"):
-            for c in SK16.enumerate_elements("All"):
-                x = solve_two_sided_linear(SK16, a, b, c)
-                assert SK16.sub(SK16.mul(a, x), SK16.mul(x, b)) == c
-
-
-def test_solve_two_sided_opposite_owner():
-    op = SK16.opposite()
-    a = op.enumerate_elements("Radical")[1]
-    b = op.enumerate_elements("OnePlusRadical")[1]
-    c = op.enumerate_elements("All")[5]
-    x = solve_two_sided_linear(op, a, b, c)
-    assert op.sub(op.mul(a, x), op.mul(x, b)) == c
-
-
 def test_lift_root_truncated_pinned():
     y = T3.variable()
     w0 = T3.mul(y, y)  # y^2
@@ -306,7 +257,7 @@ def _w_lift_cases(R, w0, w1):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("lift_root enumerated a ring or asked for a uniformizer")
+    raise AssertionError("lift_root enumerated a ring")
 
 
 @pytest.mark.parametrize("R", LIFT_RINGS, ids=lambda R: R.spec_string())
@@ -321,7 +272,6 @@ def test_lift_root_matches_enumeration_exhaustive(R, monkeypatch):
             cases += _w_lift_cases(R, w0, w1)
     for ring in {R, R.element_ring, R.residue_view().field}:
         monkeypatch.setattr(ring, "enumerate_elements", _refuse)
-        monkeypatch.setattr(ring, "uniformizer", _refuse)
     for f, start, root in cases:
         assert root is not None
         assert lift_root(f, start) == root

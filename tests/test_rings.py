@@ -312,20 +312,6 @@ def test_galois_field_radical_and_ranks_need_no_enumeration():
         assert [G.element_at(k) for k in range(len(elems))] == list(elems)
 
 
-@pytest.mark.parametrize(
-    "R", FINITE_RINGS + [SK16.opposite()], ids=lambda R: R.spec_string()
-)
-def test_uniformizer_filters_radical_powers(R):
-    # J^i = pi^i R, and a lies in J^i exactly when a pi^(v-i) = 0
-    pi, v = R.uniformizer(), R.radical_index()
-    elems = R.enumerate_elements("All")
-    for i in range(v + 1):
-        layer = {a for a in elems if R.mul(a, pi ** (v - i)) == R.zero}
-        assert layer == {R.mul(pi ** i, r) for r in elems}
-    assert layer == {R.zero}
-    assert {R.mul(pi, r) for r in elems} == set(R.enumerate_elements("Radical"))
-
-
 def test_owner_mismatch():
     with pytest.raises(OwnerMismatch):
         Z4.add(Z4.one, Z8.one)
