@@ -11,6 +11,8 @@ the radical, picks the first residue vector x outside ker(Abar) and outside
 im(Abar), and lands on [[0, w], [1, r]] with w in the radical and r
 unconstrained.  Abar has rank 1 there, so both are lines, and each residue
 vector is found in closed form from those lines, not by a scan of the field.
+Both reductions form the residue matrix once and test their preconditions on
+it, over the residue field.
 
 Both record P = Q^-1 for Q = [x | Ax], so P A P^-1 is the companion matrix
 exactly, and keep Q as P_inv.  invert2's check that P Q = Q P = I is the one
@@ -120,7 +122,9 @@ def _build_from_basis_vector(A, x):
 def reduce_to_companion(A: Mat2) -> CompanionForm:
     """Clean-case reduction; NotApplicable when A or I - A is invertible."""
     R = A.ring
-    if is_invertible(A) or is_invertible(Mat2.identity(R) - A):
+    Ab = residue_matrix(A)
+    I_Ab = Mat2.identity(Ab.ring) - Ab
+    if is_invertible(Ab) or is_invertible(I_Ab):
         raise NotApplicable("A or I - A is invertible; no companion reduction")
     if (
         A.a == R.zero
@@ -131,9 +135,8 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         I = Mat2.identity(R)
         return CompanionForm("clean", A.b, A.d, I, I)
     rv = R.residue_view()
-    Ab = residue_matrix(A)
     v = _kernel_vector(Ab)
-    wv = _kernel_vector(Mat2.identity(rv.field) - Ab)
+    wv = _kernel_vector(I_Ab)
     x = (
         R.add(rv.lift(v[0]), rv.lift(wv[0])),
         R.add(rv.lift(v[1]), rv.lift(wv[1])),
@@ -152,16 +155,17 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
 def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
     """Pi-case reduction; NotApplicable when A is invertible or A is over J."""
     R = A.ring
-    if all(R.in_radical(e) for e in A.entries()):
+    Ab = residue_matrix(A)
+    if Ab == Mat2.zero(Ab.ring):
         raise NotApplicable("all entries in the radical; no pi companion form")
-    if is_invertible(A):
+    if is_invertible(Ab):
         raise NotApplicable("A is invertible; no pi companion form")
     if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
         I = Mat2.identity(R)
         return CompanionForm("pi", A.b, A.d, I, I)
     rv = R.residue_view()
     # A is singular and not over J, so its residue matrix has rank exactly 1
-    pick = _outside_kernel_and_image(residue_matrix(A))
+    pick = _outside_kernel_and_image(Ab)
     x = (rv.lift(pick[0]), rv.lift(pick[1]))
     P, Q, C = _build_from_basis_vector(A, x)
     if not (C.a == R.zero and C.c == R.one and R.in_radical(C.b)):

@@ -37,10 +37,6 @@ class InternalContractViolation(CleanMatrixError):
     """A constructed object failed its own re-verification; a bug, not bad input."""
 
 
-class Undecidable(CleanMatrixError):
-    """No decision procedure is available for this owner."""
-
-
 class TooLarge(CleanMatrixError):
     """A sweep, enumeration or table was requested beyond its size cap."""
 

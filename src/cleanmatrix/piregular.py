@@ -18,20 +18,15 @@ the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
-as im (+) ker; hence the exact test is (tr, det) in {(1, 0), (-1, 0)}.
+as im (+) ker; hence the exact test is (tr, det) in {(1, 0), (-1, 0)}.  These
+are classify_integer's classes diag(1, 0) and diag(-1, 0), and its eigenvector
+transform is the certificate's P.  Every other singular integer matrix is
+TrivialNilpotent or No.
 """
 
 from .companion import reduce_to_companion_pi
 from .errors import InfiniteRing, InternalContractViolation
-from .matrices import (
-    Mat2,
-    diagonalizes,
-    has_inverse,
-    invert2,
-    is_invertible,
-    is_nilpotent,
-    matpow,
-)
+from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matpow
 from .quadratics import MonicQuadratic, element_is_nilpotent, pi_roots
 
 
@@ -59,18 +54,31 @@ class RingPiVerdict:
         self.answer, self.witness = answer, witness  # Yes | No
 
 
-def _nilpotency_index(A) -> int:
+def _nilpotency_index(A):
+    """Smallest n with A^n = 0, or None when none is at most the bound: 2v on a
+    finite ring with J^v = 0, else 2, since a nilpotent 2x2 over Z or Z_(p) has
+    characteristic polynomial t^2.  A^(bound+1) is never formed."""
     R = A.ring
-    bound = 2 * (R.radical_index() or 1) if R.is_finite else 2
-    M = A
-    n = 1
+    bound = 2 * R.radical_index() if R.is_finite else 2
     Z = Mat2.zero(R)
-    while M != Z and n <= bound:
+    M, n = A, 1
+    while M != Z:
+        if n == bound:
+            return None
         M = M * A
         n += 1
-    if M != Z:
-        raise InternalContractViolation("claimed nilpotent matrix never vanishes")
     return n
+
+
+def _nilpotent_or_no(A, f=None):
+    """TrivialNilpotent with the index, or No with the witness f, by default
+    the characteristic quadratic of A, built only then."""
+    idx = _nilpotency_index(A)
+    if idx is None:
+        return PiDecision("No", witness=_char_quadratic(A) if f is None else f)
+    return PiDecision(
+        "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
+    )
 
 
 def _char_quadratic(A) -> MonicQuadratic:
@@ -88,23 +96,13 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
     if is_invertible(A):
         return PiDecision("TrivialUnit", certificate=PiCertificate("unit"))
     if all(R.in_radical(e) for e in A.entries()):
-        if is_nilpotent(A):
-            idx = _nilpotency_index(A)
-            return PiDecision(
-                "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
-            )
-        # radical entries but no vanishing power: Z_(p) only, never pi-regular
-        return PiDecision("No", witness=_char_quadratic(A))
+        # nilpotent, unless (Z_(p) only) no power vanishes: never pi-regular
+        return _nilpotent_or_no(A)
     cf = reduce_to_companion_pi(A)
     f = MonicQuadratic(R, R.neg(cf.r), R.neg(cf.w))  # t^2 - t r - w
     if R.in_radical(cf.r):
         # A^2 lands in M_2(J); nilpotent iff some power dies
-        if is_nilpotent(A):
-            idx = _nilpotency_index(A)
-            return PiDecision(
-                "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
-            )
-        return PiDecision("No", witness=f)
+        return _nilpotent_or_no(A, f)
     lam_u, lam_n = pi_roots(f)
     if lam_u is None or lam_n is None:
         return PiDecision("No", witness=f)
@@ -145,46 +143,14 @@ def _decide_integer(A: Mat2) -> PiDecision:
     R = A.ring
     a, b, c, d = (e.payload for e in A.entries())
     det = a * d - b * c
-    tr = a + d
     if det in (1, -1):
         return PiDecision("TrivialUnit", certificate=PiCertificate("unit"))
-    if is_nilpotent(A):
-        idx = _nilpotency_index(A)
-        return PiDecision(
-            "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
-        )
-    if (tr, det) not in ((1, 0), (-1, 0)):
-        return PiDecision("No", witness=_char_quadratic(A))
-    # A or -A is idempotent; split Z^2 as im (+) ker of that projection
-    sign = 1 if tr == 1 else -1
-    B = A if sign == 1 else -A  # idempotent
-    u1 = _primitive_image_vector(B)
-    u2 = _primitive_image_vector(Mat2.identity(R) - B)  # spans ker B
-    M = Mat2(R, u1[0], u2[0], u1[1], u2[1])
-    dM = M.a.payload * M.d.payload - M.b.payload * M.c.payload
-    if dM not in (1, -1):
-        raise InternalContractViolation("idempotent splitting is not unimodular")
-    return _checked_diag(A, R.el(sign), R.zero, invert2(M))
+    if (a + d, det) not in ((1, 0), (-1, 0)):
+        return _nilpotent_or_no(A)
+    from .integer_matrices import classify_integer
 
-
-def _primitive_image_vector(B: Mat2):
-    """A primitive column spanning the image of an integer idempotent."""
-    from math import gcd
-
-    R = B.ring
-    best = None
-    for col in ((B.a.payload, B.c.payload), (B.b.payload, B.d.payload)):
-        if col == (0, 0):
-            continue
-        g = gcd(col[0], col[1])
-        v = (col[0] // g, col[1] // g)
-        if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-            v = (-v[0], -v[1])
-        best = v
-        break
-    if best is None:
-        raise InternalContractViolation("idempotent of rank 1 with zero columns")
-    return (R.el(best[0]), R.el(best[1]))
+    cls = classify_integer(A)  # diag(+-1, 0): A or -A is idempotent
+    return _checked_diag(A, R.el(cls.d1), R.el(cls.d2), cls.transform)
 
 
 def ring_is_m2_pi_regular(R) -> RingPiVerdict:

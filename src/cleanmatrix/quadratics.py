@@ -145,14 +145,6 @@ class RootReport:
         self.root_unit, self.root_nilpotent = root_unit, root_nilpotent
         self.method, self.targets = method, targets
 
-    def get(self, subset):
-        return {
-            "J": self.root_in_j,
-            "1+J": self.root_in_1_plus_j,
-            "unit": self.root_unit,
-            "nilpotent": self.root_nilpotent,
-        }[subset]
-
 
 def left_eval(f: MonicQuadratic, lam: Element) -> Element:
     R = f.ring

@@ -394,6 +394,16 @@ def test_selftest_sampled_scope(capsys):
     assert "pi agreements: 1000/1000" in out
 
 
+@pytest.mark.parametrize("ring", ["Zmod(2,16)", "GF(2,20)", "Trunc(GF(2,16),4)"])
+def test_selftest_refuses_rings_above_the_oracle_cap(capsys, ring, refuse_scans):
+    # refused before the sample is drawn or a single element is enumerated
+    code, out, err = invoke(capsys, "selftest", "--ring", ring)
+    assert code == USAGE
+    assert out == ""
+    assert err.startswith("error:") and "oracle cap is 256" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_selftest_thread_determinism():
     env = dict(os.environ)
     env.pop("CLEANMATRIX_THREADS", None)
@@ -507,6 +517,14 @@ def test_pi_loads_only_its_modules():
     for name in ("clean", "bruteforce", "factorization", "integer_matrices"):
         assert f"cleanmatrix.{name}" not in added
     assert "dataclasses" not in added
+
+
+def test_pi_over_z_loads_the_integer_classes_only():
+    # diag(1, 0) is one of classify_integer's classes
+    added = _modules_loaded_by("pi", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]")
+    assert {"cleanmatrix.piregular", "cleanmatrix.integer_matrices"} <= added
+    for name in ("clean", "bruteforce", "factorization"):
+        assert f"cleanmatrix.{name}" not in added
 
 
 def test_factor_loads_only_its_modules():

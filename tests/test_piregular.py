@@ -1,17 +1,21 @@
 """Strongly pi-regular decisions, certificates, and the Fitting splitting power."""
 
+from itertools import product
+from math import gcd
+
 import pytest
 
 from cleanmatrix.bruteforce import brute_pi
 from cleanmatrix.errors import InfiniteRing, TooLarge
 from cleanmatrix.literals import parse_matrix, parse_ring
-from cleanmatrix.matrices import Mat2, conjugate
+from cleanmatrix.matrices import Mat2, conjugate, invert2
 from cleanmatrix.piregular import (
     PiCertificate,
     decide_strongly_pi_regular,
     ring_is_m2_pi_regular,
     verify_pi_certificate,
 )
+from cleanmatrix.quadratics import MonicQuadratic
 from cleanmatrix.rings import (
     galois_field,
     integers,
@@ -56,6 +60,41 @@ def test_trivial_nilpotent():
     dec = decide_strongly_pi_regular(B)
     assert dec.certificate.index == 2  # (2,2;2,2)^2 = 0 mod 8
     assert verify_pi_certificate(B, dec.certificate)
+
+
+@pytest.mark.parametrize(
+    "spec, matrix, index",
+    [
+        # [[0,s],[1,0]]^2 = s I with s^v = 0 but s^(v-1) != 0, so the index
+        # is exactly 2v, the bound of the search
+        ("Zmod(2,3)", "[[0,2],[1,0]]", 6),
+        ("Zmod(2,64)", "[[0,2],[1,0]]", 128),
+        ("Trunc(GF(2),3)", "[[0,y],[1,0]]", 6),
+    ],
+)
+def test_trivial_nilpotent_index_at_the_bound(spec, matrix, index):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    dec = decide_strongly_pi_regular(A)
+    assert dec.status == "TrivialNilpotent"
+    assert dec.certificate.index == index == 2 * R.radical_index()
+    assert verify_pi_certificate(A, dec.certificate)
+    assert not verify_pi_certificate(A, PiCertificate("nilpotent", index=index - 1))
+
+
+@pytest.mark.parametrize("spec, matrix", [("Zloc(2)", "[[2,0],[0,2]]"),
+                                          ("Z", "[[2,4],[1,2]]")])
+def test_not_nilpotent_gives_characteristic_witness(spec, matrix):
+    # radical entries over Z_(2), and tr 4, det 0 over Z: A^2 != 0, so no
+    # power vanishes and the witness is t^2 - tr(A) t + det(A)
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    tr = R.add(A.a, A.d)
+    det = R.sub(R.mul(A.a, A.d), R.mul(A.b, A.c))
+    dec = decide_strongly_pi_regular(A)
+    assert dec.status == "No"
+    assert dec.certificate is None
+    assert dec.witness.text() == MonicQuadratic(R, R.neg(tr), det).text()
 
 
 def test_nontrivial_pinned_z8_offdiagonal():
@@ -131,6 +170,39 @@ def test_integer_decisions():
     assert dec.status == "Nontrivial"
     assert dec.certificate.t0 == Z.el(-1)
     assert verify_pi_certificate(B, dec.certificate)
+
+
+def _primitive_column(B):
+    """Sign-normalised primitive first nonzero column of an integer matrix."""
+    for col in ((B.a.payload, B.c.payload), (B.b.payload, B.d.payload)):
+        if col != (0, 0):
+            g = gcd(*col)
+            v = (col[0] // g, col[1] // g)
+            return (-v[0], -v[1]) if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v
+    raise AssertionError("zero idempotent")
+
+
+def test_integer_certificates_match_idempotent_splitting():
+    # reference: B = A or -A is idempotent, Z^2 = im B (+) ker B, and P is the
+    # inverse of the matrix with the primitive columns spanning im B and
+    # im (I - B) = ker B
+    seen = 0
+    for a, b, c, d in product(range(-6, 7), repeat=4):
+        tr, det = a + d, a * d - b * c
+        if det != 0 or tr not in (1, -1):
+            continue
+        seen += 1
+        A = m(Z, a, b, c, d)
+        B = A if tr == 1 else -A
+        u1, u2 = _primitive_column(B), _primitive_column(Mat2.identity(Z) - B)
+        M = m(Z, u1[0], u2[0], u1[1], u2[1])
+        dec = decide_strongly_pi_regular(A)
+        assert dec.status == "Nontrivial"
+        cert = dec.certificate
+        assert (cert.t0, cert.t1) == (Z.el(tr), Z.zero)
+        assert cert.P == invert2(M)
+        assert verify_pi_certificate(A, cert)
+    assert seen == 212
 
 
 def test_integer_no_statuses():
