@@ -16,6 +16,7 @@ from .clean import CleanCertificate, verify_certificate
 from .errors import InternalContractViolation, TooLarge
 from .matrices import Mat2
 
+ORACLE_CAP = 256  # largest ring the oracles take
 _TABLE_CACHE = {}
 
 
@@ -44,15 +45,15 @@ class _Tables:
         return tuple(self.tables.index_of(e) for e in A.entries())
 
 
-def _tables(R, max_size=256):
+def _tables(R):
     if not R.is_finite:
         raise TooLarge("brute-force oracle needs a finite ring")
+    if R.size() > ORACLE_CAP:
+        raise TooLarge(f"ring has {R.size_text()} elements, oracle cap is {ORACLE_CAP}")
     key = R.spec_string()
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    if R.size() > max_size:
-        raise TooLarge(f"ring has {R.size_text()} elements, oracle cap is {max_size}")
     tab = _Tables(R)
     _TABLE_CACHE[key] = tab
     return tab
@@ -102,8 +103,8 @@ def _idempotent_indices(tab):
     return found
 
 
-def enumerate_idempotents(R, max_size=256):
-    tab = _tables(R, max_size)
+def enumerate_idempotents(R):
+    tab = _tables(R)
     els = tab.elements
     return [
         Mat2(R, els[a], els[b], els[c], els[d])
@@ -129,10 +130,10 @@ def _is_invertible_kernel_scan(tab, m):
     return True
 
 
-def brute_clean(A: Mat2, max_size=256):
+def brute_clean(A: Mat2):
     """First idempotent (scan order) giving a verified clean decomposition."""
     R = A.ring
-    tab = _tables(R, max_size)
+    tab = _tables(R)
     n = tab.size
     mul = tab.mul
     add = tab.add
@@ -169,11 +170,11 @@ def brute_clean(A: Mat2, max_size=256):
     return None
 
 
-def brute_pi(A: Mat2, max_size=256):
+def brute_pi(A: Mat2):
     """Smallest n with R^2 = ker(A^n) (+) im(A^n), or None; set arithmetic
     over int-indexed vectors, sharing nothing with the pi decider."""
     R = A.ring
-    tab = _tables(R, max_size)
+    tab = _tables(R)
     n = tab.size
     mul = tab.mul
     add = tab.add

@@ -16,8 +16,7 @@ The rows v2 P and v1 P diagonalize: (Q P) A = diag(lam1J, lamJ) (Q P), the
 unit eigenvalue first.  Nothing is inverted on the way; verify_certificate,
 the one complete check, runs once on the result.
 
-The roots come from quadratics.w_roots, which picks the route for the ring;
-the ring-level survey lifts the J root of every f in W on finite rings.
+The roots come from quadratics.w_roots, which picks the route for the ring.
 Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """
@@ -25,7 +24,7 @@ same shape of certificate from a unimodular eigenvector transform.
 from .companion import CompanionForm, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal
 from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matvec, outer
-from .quadratics import MonicQuadratic, lift_root, w_roots
+from .quadratics import MonicQuadratic, w_roots
 
 
 class CleanCertificate:
@@ -49,7 +48,7 @@ class RingCleanVerdict:
     __slots__ = ("answer", "witness")
 
     def __init__(self, answer, witness=None):
-        self.answer, self.witness = answer, witness  # Yes | No | Unknown
+        self.answer, self.witness = answer, witness  # Yes | No
 
 
 def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
@@ -117,26 +116,30 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
     return CleanDecision("NontrivialClean", certificate=cert, method=method)
 
 
-def ring_is_strongly_clean(R, search_bound: int = 10000) -> RingCleanVerdict:
+def ring_is_strongly_clean(R) -> RingCleanVerdict:
     """Is every 2x2 matrix over R strongly clean?
 
-    Finite rings: lift a root in J of every f in W, (w0, w1) in J x J; the
-    lift raises InternalContractViolation if one does not exist, so the answer
-    is Yes.  Z_(p): scan w0 = p, 2p, ... with w1 = 0 for a non-square
-    discriminant; the first hit is a witness quadratic with no root at all in
-    Z_(p).  Unknown only when the scan exhausts search_bound multiples without
-    a witness."""
+    Finite rings: Yes, with nothing enumerated and no root computed.  A matrix
+    that neither A nor I - A makes trivial is strongly clean exactly when its
+    companion quadratic f in W has a left root in J and one in 1 + J.  f has
+    a0 = -w0 in J and a1 = -(1 + w1) a unit, so its residue t (t - 1) has the
+    simple roots 0 and 1, and the lifting lemma of the quadratics module
+    (J^v = 0 on every finite ring here) lifts 0 to a root in J; applied to
+    f(1 - t), again in W, it gives the root in 1 + J.  (Independently, a
+    finite ring is strongly pi-regular, hence strongly clean: Nicholson 1999.)
+
+    Z_(p): No, with the witness f = t^2 - t - w0, w0 = p for odd p and w0 = 4
+    for p = 2.  A root of f lies in Z_(p), a subring of Q, only if the
+    discriminant 1 + 4 w0 is a square of Q, hence of Z, say (2r + 1)^2; that
+    gives w0 = r (r + 1), which is even, so no odd p, and 17 is no square.
+    Without a root in J, [[0, w0], [1, 1]] is not strongly clean; the witness
+    is still checked by the decider's own root route."""
     if R.family == "Integers":
         raise NotLocal("ring-level strong cleanness sweep needs a local ring")
-    if R.family == "LocalizedIntegers":
-        p = R.p
-        for mult in range(1, search_bound + 1):
-            f = MonicQuadratic.from_radical_params(R, R.el(p * mult), R.zero)
-            if w_roots(f)[0] is None:
-                return RingCleanVerdict("No", witness=f)
-        return RingCleanVerdict("Unknown")
-    radical = R.enumerate_elements("Radical")
-    for w0 in radical:
-        for w1 in radical:
-            lift_root(MonicQuadratic.from_radical_params(R, w0, w1), R.zero)
-    return RingCleanVerdict("Yes")
+    if R.is_finite:
+        return RingCleanVerdict("Yes")
+    w0 = 4 if R.p == 2 else R.p
+    f = MonicQuadratic.from_radical_params(R, R.el(w0), R.zero)
+    if w_roots(f)[0] is not None:
+        raise InternalContractViolation("survey witness has a root in J")
+    return RingCleanVerdict("No", witness=f)

@@ -5,10 +5,10 @@ factor (unit-split factorization), survey (ring-level verdict), classify-int
 (integer similarity class), selftest (oracle agreement sweep), and verify,
 which re-checks a JSON document produced by the other subcommands.
 
-Exit codes: 0 decided or verified, 2 negative verdict, 3 unknown, 64 bad
-input.  JSON output is stable: keys sorted, matrices as nested arrays of
-element literals in the input grammar, and a verified flag that is set only
-after the certificate has been re-checked from scratch.
+Exit codes: 0 decided or verified, 2 negative verdict, 64 bad input.  JSON
+output is stable: keys sorted, matrices as nested arrays of element literals
+in the input grammar, and a verified flag that is set only after the
+certificate has been re-checked from scratch.
 
 Start-up is most of a call's cost, so only the parser, the literals and the
 matrices are imported here; each command imports the deciders it runs in its
@@ -36,7 +36,6 @@ from .matrices import Mat2, diagonalizes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
-EXIT_UNKNOWN = 3
 EXIT_USAGE = 64
 
 
@@ -71,7 +70,6 @@ def _build_parser():
     p = sub.add_parser("survey", help="ring-level verdict")
     p.add_argument("--ring", required=True)
     p.add_argument("--mode", choices=("clean", "pi"), default="clean")
-    p.add_argument("--bound", type=int, default=10000)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify-int", help="integer similarity class")
@@ -262,7 +260,7 @@ def _cmd_survey(args):
     if args.mode == "clean":
         from .clean import ring_is_strongly_clean
 
-        verdict = ring_is_strongly_clean(R, search_bound=args.bound)
+        verdict = ring_is_strongly_clean(R)
     else:
         from .piregular import ring_is_m2_pi_regular
 
@@ -278,11 +276,7 @@ def _cmd_survey(args):
         doc["witness"] = verdict.witness.text()
         lines.append(f"witness: {verdict.witness.text()}")
     _emit(args, doc, lines)
-    if verdict.answer == "Yes":
-        return EXIT_OK
-    if verdict.answer == "No":
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+    return EXIT_OK if verdict.answer == "Yes" else EXIT_NEGATIVE
 
 
 # ------------------------------------------------------------- classify-int
@@ -359,7 +353,7 @@ def _cmd_selftest(args):
         raise CleanMatrixError("selftest needs a finite ring")
     from .bruteforce import _tables
 
-    _tables(R)  # TooLarge above the oracles' cap, before sampling or enumerating
+    _tables(R)  # TooLarge above ORACLE_CAP, before sampling or enumerating
     size = R.size()
     total_all = size ** 4
     if total_all <= 6561:

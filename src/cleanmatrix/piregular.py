@@ -156,15 +156,14 @@ def _decide_integer(A: Mat2) -> PiDecision:
 def ring_is_m2_pi_regular(R) -> RingPiVerdict:
     """Is every 2x2 matrix over R strongly pi-regular?
 
-    Finite rings: every matrix over J must be nilpotent, which holds since
-    J^v = 0 makes M^v = 0 for every M over J, and every t^2 - t u - w with u a
-    unit and w in J must have a unit left root and a nilpotent left root.
-    pi_roots lifts both and raises InternalContractViolation if one does not
-    exist, so the answer is Yes."""
+    Finite rings: Yes, with nothing enumerated and no root computed.  M_2(R)
+    is finite, so the powers of any A repeat: A^n = A^(n+m) for some n, m >= 1,
+    and then A^n = A^(n+1) A^(m-1) = A^(m-1) A^(n+1) lies in
+    A^(n+1) M_2(R) and in M_2(R) A^(n+1).  The decider's trichotomy says the
+    same: a matrix over J is nilpotent since J^v = 0, and every t^2 - t u - w
+    with u a unit and w in J has the simple residue roots ubar and 0, which
+    the lifting lemma of the quadratics module lifts to a unit and a
+    nilpotent left root."""
     if not R.is_finite:
         raise InfiniteRing("ring-level pi-regularity sweep needs a finite ring")
-    radical = R.enumerate_elements("Radical")
-    for u in R.enumerate_elements("Units"):
-        for w in radical:
-            pi_roots(MonicQuadratic(R, R.neg(u), R.neg(w)))
     return RingPiVerdict("Yes")

@@ -20,14 +20,13 @@ is again in W and swaps roots in J with roots in 1 + J via lambda <-> 1 - lambda
 Root search routes.  Each question the package asks has one function that
 picks its route, and every caller goes through it:
   * w_roots, the roots in J and 1 + J of f in W (the clean decider and
-    factor): J-adic lifting from 0 on the truncated rings, a complete scan of
-    J and 1 + J on the other finite rings, the discriminant over Z_(p);
+    factor, and the witness check of the Z_(p) survey): J-adic lifting from 0
+    on the truncated rings, a complete scan of J and 1 + J on the other
+    finite rings, the discriminant over Z_(p);
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
-    pi decider and the pi survey): lifting on every finite ring, the
-    discriminant over Z_(p);
+    pi decider): lifting on every finite ring, the discriminant over Z_(p);
   * find_roots_auto, any requested subsets (right_roots): a complete scan on
     finite rings, the discriminant over Z and Z_(p).
-The clean survey lifts the J root of each f in W on every finite ring.
 
 Lifting.  On every finite ring here J is nilpotent: J^v = 0.  Take f with a0
 in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.  Its

@@ -2,7 +2,12 @@
 
 import pytest
 
-from cleanmatrix.bruteforce import brute_clean, brute_pi, enumerate_idempotents
+from cleanmatrix.bruteforce import (
+    ORACLE_CAP,
+    brute_clean,
+    brute_pi,
+    enumerate_idempotents,
+)
 from cleanmatrix.clean import verify_certificate
 from cleanmatrix.errors import TooLarge
 from cleanmatrix.matrices import Mat2, matpow
@@ -19,7 +24,6 @@ Z4 = make_ring(mod_prime_power(2, 2))
 GF2 = make_ring(galois_field(2, 1))
 GF4 = make_ring(galois_field(2, 2))
 T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
-Z27 = make_ring(mod_prime_power(3, 3))
 
 
 def m(ring, a, b, c, d):
@@ -66,7 +70,12 @@ def test_too_large_and_infinite():
     with pytest.raises(TooLarge):
         enumerate_idempotents(ZL2)
     with pytest.raises(TooLarge):
-        enumerate_idempotents(Z27, max_size=16)
+        enumerate_idempotents(make_ring(mod_prime_power(2, 9)))  # 512 > ORACLE_CAP
+
+
+def test_oracle_cap_is_256_elements():
+    assert ORACLE_CAP == 256
+    assert brute_pi(Mat2.identity(make_ring(mod_prime_power(2, 8)))) == 1
 
 
 def test_brute_clean_pinned_gf2():

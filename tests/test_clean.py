@@ -193,7 +193,7 @@ def test_ring_verdicts():
     assert ring_is_strongly_clean(SK16).answer == "Yes"
     verdict = ring_is_strongly_clean(ZL2)
     assert verdict.answer == "No"
-    # w0 = 2 gives square discriminant 9; the scan's first witness is w0 = 4
+    # w0 = 2 gives square discriminant 9; w0 = 4 gives 17, not a square
     assert verdict.witness.text() == "t^2-t-4"
     with pytest.raises(NotLocal):
         ring_is_strongly_clean(Z)
@@ -205,6 +205,23 @@ def test_ring_verdict_witness_has_no_root():
 
     rep = find_roots_rational(f, ("J", "1+J"))
     assert rep.root_in_j is None
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", _primes_below(100) + [65521, 65537])
+def test_localized_survey_witness_in_closed_form(p):
+    from cleanmatrix.quadratics import find_roots_rational
+
+    R = make_ring(localized_integers(p))
+    w0 = 4 if p == 2 else p
+    verdict = ring_is_strongly_clean(R)
+    assert verdict.answer == "No"
+    assert verdict.witness.text() == f"t^2-t-{w0}"
+    assert find_roots_rational(verdict.witness, ("J", "1+J")).root_in_j is None
+    assert decide_strongly_clean(m(R, 0, w0, 1, 1)).status == "NotClean"
 
 
 def test_opposite_ring_decisions_match():

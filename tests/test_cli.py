@@ -9,7 +9,7 @@ import pytest
 
 from cleanmatrix.cli import run
 
-OK, NEGATIVE, UNKNOWN, USAGE = 0, 2, 3, 64
+OK, NEGATIVE, USAGE = 0, 2, 64
 
 
 def invoke(capsys, *argv):
@@ -200,8 +200,8 @@ def test_survey_pi_yes(capsys):
 
 
 def test_survey_pi_yes_on_zmod_32(capsys):
-    # 16 radical elements: the sweep over units and radical answers at once,
-    # with no pass over the 16^4 matrices over J
+    # the answer is stated, not swept: no pass over the 16^4 matrices over J,
+    # nor over the 16 x 16 units and radical elements
     code, doc, _ = invoke_json(
         capsys, "survey", "--ring", "Zmod(2,5)", "--mode", "pi", "--json"
     )
@@ -209,25 +209,45 @@ def test_survey_pi_yes_on_zmod_32(capsys):
     assert doc["answer"] == "Yes"
 
 
+_ROOT_FINDERS = (
+    "lift_root", "lift_root_truncated", "w_roots", "pi_roots", "right_roots",
+    "find_roots_auto", "find_roots_enumerate", "find_roots_rational",
+)
+
+
 @pytest.mark.parametrize(
-    "ring", ["Zmod(2,4)", "GF(2,2)", "Trunc(GF(2),3)", "SkewTrunc(GF(2,2),1,2)"]
+    "ring",
+    ["Zmod(2,4)", "GF(2,2)", "Trunc(GF(2),3)", "SkewTrunc(GF(2,2),1,2)",
+     # above the enumeration cap
+     "Zmod(2,64)", "Zmod(2,20)", "GF(2,20)", "Trunc(GF(2,16),4)",
+     "SkewTrunc(GF(2,24),1,2)"],
 )
 @pytest.mark.parametrize("mode", ["clean", "pi"])
-def test_survey_lifts_without_root_scans(capsys, monkeypatch, ring, mode):
-    # both surveys lift every root on finite rings: no module may scan for one
+def test_survey_lifts_without_root_scans(capsys, monkeypatch, refuse_scans, ring, mode):
+    # both surveys answer from the lifting lemma on finite rings: no module
+    # may enumerate the ring or search for a root
+    import cleanmatrix.clean  # noqa: F401  bind the real finders first
+    import cleanmatrix.piregular  # noqa: F401
     from cleanmatrix import quadratics
 
-    original = quadratics.find_roots_enumerate
-
     def refuse(*args, **kwargs):
-        raise AssertionError("survey scanned for a root")
+        raise AssertionError("survey searched for a root")
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cleanmatrix") and getattr(mod, "find_roots_enumerate", None) is original:
-            monkeypatch.setattr(mod, "find_roots_enumerate", refuse)
+    for name in _ROOT_FINDERS:
+        original = getattr(quadratics, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cleanmatrix") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
     code, doc, _ = invoke_json(capsys, "survey", "--ring", ring, "--mode", mode, "--json")
     assert code == OK
     assert doc["answer"] == "Yes"
+    assert "witness" not in doc
+
+
+def test_survey_has_no_bound_option(capsys):
+    code, _, err = invoke(capsys, "survey", "--ring", "Zloc(3)", "--bound", "1")
+    assert code == USAGE
+    assert "usage error" in err
 
 
 def test_classify_int(capsys):

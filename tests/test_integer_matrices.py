@@ -127,3 +127,31 @@ def test_classifier_agrees_with_oracle_small_window():
                     got = classify_integer(A).tag != "NotClean"
                     want = integer_oracle(A)
                     assert got == want, (a, b, c, d)
+
+
+@pytest.mark.parametrize("decider", ["clean", "pi", "classify-int"])
+def test_integer_certificate_checked_once(monkeypatch, capsys, decider):
+    # classify_integer builds the transform; only its caller checks it
+    import sys
+
+    from cleanmatrix import cli, matrices, piregular
+
+    calls = []
+    original = matrices.diagonalizes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cleanmatrix") and getattr(mod, "diagonalizes", None) is original:
+            monkeypatch.setattr(mod, "diagonalizes", counted)
+    A = m(3, 2, -3, -2)
+    if decider == "clean":
+        assert decide_strongly_clean(A).status == "NontrivialClean"
+    elif decider == "pi":
+        assert piregular.decide_strongly_pi_regular(A).status == "Nontrivial"
+    else:
+        assert cli.run(["classify-int", "--matrix", "[[3,2],[-3,-2]]"]) == 0
+        assert "verified: true" in capsys.readouterr().out
+    assert len(calls) == 1
