@@ -16,7 +16,8 @@ handler.  A decide call loads neither the pi decider nor the factorizer nor
 the oracles, and the integer classifier only for a matrix over Z.
 
 CLEANMATRIX_THREADS caps selftest parallelism: unset or 1 runs serially, a
-larger value splits the sweep over a process pool; chunk merge order is fixed
+larger value splits the sweep over a process pool of at most that many
+workers, one per CPU and one per chunk at most; chunk merge order is fixed
 either way, so output does not depend on the worker count.
 """
 
@@ -342,7 +343,7 @@ def _selftest_chunk(spec_text, flat_indices):
 def _thread_count():
     raw = os.environ.get("CLEANMATRIX_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 
@@ -375,7 +376,7 @@ def _cmd_selftest(args):
         ]
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(
                 pool.map(_selftest_chunk, [R.spec_string()] * len(chunks), chunks)
             )

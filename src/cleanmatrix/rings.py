@@ -32,14 +32,16 @@ v = radical_index().
 Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul and invert.
 Each first tests inline that its operands are Elements of the ring and calls
 _guard, which raises OwnerMismatch, only when that test fails; is_unit and
-in_radical of every local family do the same.  Up to
-TABLE_CAP elements they answer from flat index tables (IndexTables): one
-array('H') entry per operand pair, indexed by enumeration position, computed
-by the ring's own arithmetic (_add, _neg, _mul, _invert) on first lookup and
-stored; filled_tables() computes every entry at once.  Such a ring also keeps
-a residue table: reduce memoised by element index, returning the residue
-field's enumerated element, which carries its idx.  Above the cap, and on Z
-and Z_(p), the arithmetic runs directly and no table is allocated.
+in_radical of every local family do the same.  They compute on element
+indices, which read a payload as digits, constant term most significant: the
+residue on Z/p^k, base-p coefficients on GF(p^m), base-field indices on a
+truncation.  GF(p^m) multiplies through exp and log tables of a primitive
+element up to TABLE_CAP elements (Lidl and Niederreiter, Finite Fields, ch. 9)
+and by polynomials above; a truncation convolves digits by its base field's
+index ops.  Up to TABLE_CAP elements the ops answer from flat index tables
+(IndexTables), one array('H') entry per operand pair, filled on first lookup
+(filled_tables() fills all), and reduce and lift are memoised by index.
+A ring above the cap allocates no index table.
 """
 
 from array import array
@@ -49,6 +51,7 @@ from functools import cached_property
 
 from .errors import (
     InfiniteRing,
+    InternalContractViolation,
     InvalidSpec,
     NotAUnit,
     NotLocal,
@@ -251,9 +254,8 @@ class IndexTables:
 
     With n elements, add[i*n + j] and mul[i*n + j] index e_i + e_j and e_i e_j,
     neg[i] and inv[i] index -e_i and e_i^-1, and _EMPTY marks an entry not yet
-    computed (inv keeps it for non-units).  The owning ring passes its own
-    arithmetic to binary() and unary(), which compute a missing entry with it
-    and store the result.
+    computed (inv keeps it for non-units).  The owning ring fills a missing
+    entry with its index op.
     """
 
     __slots__ = ("elements", "size", "index", "add", "mul", "neg", "inv")
@@ -288,7 +290,9 @@ class IndexTables:
 
 
 class LocalRing:
-    """Common element interface; generic algorithms only call these methods."""
+    """Common element interface; generic algorithms only call its methods.
+    Each family adds el, from_int, add, neg, mul, invert, is_unit, in_radical,
+    spec_string, format_element and _make_residue_view (or residue_view)."""
 
     family = None
     is_finite = False
@@ -310,41 +314,14 @@ class LocalRing:
                     f"operand does not belong to {self.spec_string()}"
                 )
 
-    def el(self, payload) -> Element:
-        raise NotImplementedError
-
-    def from_int(self, v: int) -> Element:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def in_radical(self, a) -> bool:
-        raise NotImplementedError
-
-    def invert(self, a) -> Element:
-        raise NotImplementedError
 
     def residue_view(self) -> ResidueView:
         """Reduction onto the residue field and back, built once per ring."""
         if self._residue is None:
             self._residue = self._make_residue_view()
         return self._residue
-
-    def _make_residue_view(self) -> ResidueView:
-        raise NotImplementedError
 
     def radical_index(self):
         """Smallest v with J^v = 0, or None when J is not nilpotent."""
@@ -376,7 +353,7 @@ class LocalRing:
                     f"{self.spec_string()} has {self.size_text()} elements; "
                     f"enumeration stops at {ENUM_CAP}"
                 )
-            out = tuple(self.el(p) for p in sorted(self._all_payloads()))
+            out = tuple(Element(self, self._pl(k)) for k in range(n))
             for i, a in enumerate(out):
                 a.idx = i
         elif subset == "Units":
@@ -393,20 +370,11 @@ class LocalRing:
         self._enum_cache[subset] = out
         return out
 
-    def _all_payloads(self):
-        raise InfiniteRing(f"{self.spec_string()} is infinite")
-
     def opposite(self):
         """The opposite ring: same elements, multiplication reversed."""
         if self._opposite is None:
             self._opposite = OppositeRing(self)
         return self._opposite
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-    def format_element(self, a) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<ring {self.spec_string()}>"
@@ -546,9 +514,17 @@ class LocalizedIntegersRing(LocalRing):
 
 class FiniteRing(LocalRing):
     """Z/p^k, GF(p^m) and the truncations: one set of public ops over each
-    subclass's arithmetic _add, _neg, _mul and _invert (module docstring)."""
+    subclass's index arithmetic _add_ix, _neg_ix, _mul_ix and _inv_ix, and
+    its numbering _ix (payload to index) and _pl (index to payload); see the
+    module docstring.  The default numbering is Z/p^k's, the residue itself."""
 
     is_finite = True
+
+    def _ix(self, payload):
+        return payload
+
+    def _pl(self, k):
+        return k
 
     @cached_property
     def _tables(self):
@@ -556,6 +532,18 @@ class FiniteRing(LocalRing):
         if self.size() > TABLE_CAP:
             return None
         return IndexTables(self.enumerate_elements("All"))
+
+    def element_at(self, k):
+        """The k-th element of the "All" order: the enumerated one when the
+        ring has index tables, else built from k alone."""
+        if not 0 <= k < self.size():
+            raise IndexError(f"{self.spec_string()} has no element number {k}")
+        t = self._tables
+        return Element(self, self._pl(k)) if t is None else t.elements[k]
+
+    def _direct(self, op, *els):
+        """op on the operands' indices, above TABLE_CAP."""
+        return Element(self, self._pl(op(*(self._ix(a.payload) for a in els))))
 
     def filled_tables(self) -> IndexTables:
         """The index tables with every entry computed; TooLarge above TABLE_CAP."""
@@ -579,14 +567,14 @@ class FiniteRing(LocalRing):
             self._guard(a, b)
         t = self._tables
         if t is None:
-            return self._add(a, b)
+            return self._direct(self._add_ix, a, b)
         i, j = a.idx, b.idx
         if i is None or j is None:
             i, j = t.index_of(a), t.index_of(b)
         at = i * t.size + j
         k = t.add[at]
         if k == _EMPTY:
-            k = t.add[at] = t.index_of(self._add(a, b))
+            k = t.add[at] = self._add_ix(i, j)
         return t.elements[k]
 
     def mul(self, a, b):
@@ -595,14 +583,14 @@ class FiniteRing(LocalRing):
             self._guard(a, b)
         t = self._tables
         if t is None:
-            return self._mul(a, b)
+            return self._direct(self._mul_ix, a, b)
         i, j = a.idx, b.idx
         if i is None or j is None:
             i, j = t.index_of(a), t.index_of(b)
         at = i * t.size + j
         k = t.mul[at]
         if k == _EMPTY:
-            k = t.mul[at] = t.index_of(self._mul(a, b))
+            k = t.mul[at] = self._mul_ix(i, j)
         return t.elements[k]
 
     def neg(self, a):
@@ -610,13 +598,13 @@ class FiniteRing(LocalRing):
             self._guard(a)
         t = self._tables
         if t is None:
-            return self._neg(a)
+            return self._direct(self._neg_ix, a)
         i = a.idx
         if i is None:
             i = t.index_of(a)
         k = t.neg[i]
         if k == _EMPTY:
-            k = t.neg[i] = t.index_of(self._neg(a))
+            k = t.neg[i] = self._neg_ix(i)
         return t.elements[k]
 
     def invert(self, a):
@@ -624,36 +612,74 @@ class FiniteRing(LocalRing):
             self._guard(a)
         t = self._tables
         if t is None:
-            return self._invert(a)
+            return self._direct(self._inv_ix, a)
         i = a.idx
         if i is None:
             i = t.index_of(a)
         k = t.inv[i]
-        if k == _EMPTY:  # _invert raises NotAUnit for a non-unit
-            k = t.inv[i] = t.index_of(self._invert(a))
+        if k == _EMPTY:  # _inv_ix raises NotAUnit for a non-unit
+            k = t.inv[i] = self._inv_ix(i)
         return t.elements[k]
 
     def residue_view(self):
         """Built once.  With index tables and a residue field apart from the
-        ring, reduce is memoised by element index and returns the field's
-        enumerated element; an operand without an index, or not of this ring,
-        takes the unmemoised reduction and its _guard."""
+        ring, reduce and lift are memoised by element index and return
+        enumerated elements; an operand without an index, or of another
+        owner, takes the unmemoised map and its _guard."""
         rv = self._residue
         if rv is None:
             rv = self._residue = self._make_residue_view()
-            if rv.field is not self and self._tables is not None:
-                memo, plain, ft = [None] * self._tables.size, rv.reduce, rv.field._tables
-
-                def reduce(a):
-                    if type(a) is Element and a.ring is self and a.idx is not None:
-                        r = memo[a.idx]
-                        if r is None:
-                            r = memo[a.idx] = ft.elements[ft.index_of(plain(a))]
-                        return r
-                    return plain(a)
-
-                rv = self._residue = rv._replace(reduce=reduce)
+            t = self._tables
+            if rv.field is not self and t is not None:
+                ft = rv.field._tables
+                rv = self._residue = rv._replace(
+                    reduce=_memoised(rv.reduce, self, ft),
+                    lift=_memoised(rv.lift, rv.field, t),
+                )
         return rv
+
+
+def _memoised(plain, owner, out):
+    """plain on the owner's elements, memoised by index; returns the element
+    of the tables `out` that plain's result names."""
+    memo = [None] * owner.size()
+
+    def f(a):
+        if type(a) is Element and a.ring is owner and a.idx is not None:
+            r = memo[a.idx]
+            if r is None:
+                r = memo[a.idx] = out.elements[out.index_of(plain(a))]
+            return r
+        return plain(a)
+
+    return f
+
+
+def _digits(k, radix, places):
+    """The base-radix digits of k at these place values, most significant first."""
+    return [k // w % radix for w in places]
+
+
+def _fold(digits, radix):
+    """The number with these base-radix digits, most significant first."""
+    k = 0
+    for d in digits:
+        k = k * radix + d
+    return k
+
+
+def _digit_sum(i, j, p, c=1):
+    """e_i + c e_j where indices list base-p coefficients: digit by digit
+    (x + c y) mod p, with no carry; an exclusive or in characteristic 2."""
+    if p == 2:
+        return i ^ j
+    k, w = 0, 1
+    while i or j:
+        i, x = divmod(i, p)
+        j, y = divmod(j, p)
+        k += (x + c * y) % p * w
+        w *= p
+    return k
 
 
 # ---------------------------------------------------------------- Z/p^k
@@ -677,19 +703,19 @@ class ModPrimePowerRing(FiniteRing):
     def from_int(self, v):
         return Element(self, v % self.modulus)
 
-    def _add(self, a, b):
-        return Element(self, (a.payload + b.payload) % self.modulus)
+    def _add_ix(self, i, j):
+        return (i + j) % self.modulus
 
-    def _neg(self, a):
-        return Element(self, (-a.payload) % self.modulus)
+    def _neg_ix(self, i):
+        return -i % self.modulus
 
-    def _mul(self, a, b):
-        return Element(self, (a.payload * b.payload) % self.modulus)
+    def _mul_ix(self, i, j):
+        return i * j % self.modulus
 
-    def _invert(self, a):
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a.payload} is not a unit mod {self.modulus}")
-        return Element(self, pow(a.payload, -1, self.modulus))
+    def _inv_ix(self, i):
+        if i % self.p == 0:
+            raise NotAUnit(f"{i} is not a unit mod {self.modulus}")
+        return pow(i, -1, self.modulus)
 
     def is_unit(self, a):
         if not (type(a) is Element and a.ring is self):
@@ -720,9 +746,6 @@ class ModPrimePowerRing(FiniteRing):
 
     def size(self):
         return self.modulus
-
-    def _all_payloads(self):
-        return range(self.modulus)
 
     def spec_string(self):
         return f"Zmod({self.p},{self.k})"
@@ -776,51 +799,26 @@ def _fp_gcd(a, b, p):
     return a
 
 
-def _fp_powmod_x(e, f, p):
-    # t^e mod f, by square and multiply
-    out = (1,)
-    base = _fp_rem((0, 1), f, p)
+def _fp_powmod(a, e, f, p, out=(1,)):
+    # out a^e mod f, by square and multiply
     while e:
         if e & 1:
-            out = _fp_rem(_fp_mul(out, base, p), f, p)
-        base = _fp_rem(_fp_mul(base, base, p), f, p)
+            out = _fp_rem(_fp_mul(out, a, p), f, p)
         e >>= 1
+        if e:
+            a = _fp_rem(_fp_mul(a, a, p), f, p)
     return out
-
-
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _fp_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 def _fp_is_irreducible(f, p):
-    m = len(f) - 1
-    if m == 1:
-        return True
-    # f irreducible iff t^(p^m) = t mod f and gcd(t^(p^(m/r)) - t, f) = 1
-    # for every prime r dividing m
-    xq = _fp_powmod_x(p**m, f, p)
-    if _fp_sub(xq, (0, 1), p) != ():
-        return False
-    for r in _prime_divisors(m):
-        xe = _fp_powmod_x(p ** (m // r), f, p)
-        g = _fp_gcd(_fp_sub(xe, (0, 1), p), f, p)
-        if len(g) > 1:
+    # Ben-Or: f of degree m has no factor of degree i <= m/2 iff
+    # gcd(t^(p^i) - t, f) = 1 for each such i
+    x = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        x = _fp_powmod(x, p, f, p)
+        d = list(x) + [0] * (2 - len(x))
+        d[1] = (d[1] - 1) % p
+        if len(_fp_gcd(d, f, p)) > 1:
             return False
     return True
 
@@ -840,7 +838,11 @@ class GaloisFieldRing(FiniteRing):
     def __init__(self, spec):
         super().__init__(spec)
         self.p, self.m = spec.p, spec.m
-        self.modulus = _find_modulus(spec.p, spec.m) if spec.m > 1 else None
+        # for m = 1 the modulus is t, and reducing a product by it keeps its constant
+        self.modulus = _find_modulus(spec.p, spec.m)
+        self._places = [spec.p**e for e in range(spec.m - 1, -1, -1)]
+        self._one_ix = self._places[0]
+        self._powers = {}
         self.zero = Element(self, (0,) * self.m)
         self.one = Element(self, (1 % self.p,) + (0,) * (self.m - 1))
 
@@ -861,42 +863,74 @@ class GaloisFieldRing(FiniteRing):
             return (self.one,)
         return super().enumerate_elements(subset)
 
-    def element_at(self, k):
-        """The k-th element of the "All" order, which sorts payloads
-        lexicographically: its coefficients are the base-p digits of k, most
-        significant first.  Builds no enumeration."""
-        if not 0 <= k < self.size():
-            raise IndexError(f"{self.spec_string()} has no element number {k}")
-        digits = [0] * self.m
-        for i in range(self.m - 1, -1, -1):
-            k, digits[i] = divmod(k, self.p)
-        return Element(self, tuple(digits))
-
     def generator(self):
         if self.m < 2:
             raise ValueError(f"{self.spec_string()} has no generator w")
         return Element(self, (0, 1) + (0,) * (self.m - 2))
 
-    def _add(self, a, b):
-        p = self.p
-        return Element(self, tuple((x + y) % p for x, y in zip(a.payload, b.payload)))
+    def _ix(self, payload):
+        return _fold(payload, self.p)
 
-    def _neg(self, a):
-        p = self.p
-        return Element(self, tuple((-x) % p for x in a.payload))
+    def _pl(self, k):
+        return tuple(_digits(k, self.p, self._places))
 
-    def _mul(self, a, b):
-        if self.m == 1:
-            return Element(self, ((a.payload[0] * b.payload[0]) % self.p,))
-        prod = _fp_mul(a.payload, b.payload, self.p)
-        red = _fp_rem(prod, self.modulus, self.p)
-        return Element(self, red + (0,) * (self.m - len(red)))
+    def _add_ix(self, i, j):
+        return _digit_sum(i, j, self.p)
 
-    def _invert(self, a):
-        if not any(a.payload):
+    def _neg_ix(self, i):
+        return _digit_sum(0, i, self.p, -1)
+
+    def _mul_ix(self, i, j, e=1):
+        """Index of e_i e_j^e, e >= 1: one lookup in the log tables.  Above
+        TABLE_CAP, polynomial products, with e_j^e memoised for e > 1: those
+        are Frobenius powers, which a skew truncation's twists repeat."""
+        logs = self._logs
+        if logs is None:
+            if e > 1:
+                key = (j, e)
+                if key not in self._powers:
+                    self._powers[key] = self._poly_mul_ix(self._one_ix, j, e)
+                j = self._powers[key]
+            return self._poly_mul_ix(i, j)
+        if not (i and j):
+            return 0
+        exp, log = logs
+        return exp[(log[i] + log[j] * e) % len(exp)]
+
+    def _inv_ix(self, i):
+        if not i:
             raise NotAUnit(f"0 is not a unit in {self.spec_string()}")
-        # a^(q-2) = a^-1 in GF(q)
-        return a ** (self.p**self.m - 2)
+        logs = self._logs
+        if logs is None:  # a^(q-2) = a^-1
+            return self._poly_mul_ix(self._one_ix, i, self.size() - 2)
+        exp, log = logs
+        return exp[-log[i] % len(exp)]
+
+    def _poly_mul_ix(self, i, j, e=1):
+        p = self.p
+        red = _fp_powmod(self._pl(j), e, self.modulus, p, self._pl(i))
+        return _fold(red + (0,) * (self.m - len(red)), p)
+
+    @cached_property
+    def _logs(self):
+        """(exp, log), None above TABLE_CAP: exp[k] indexes g^k for the first
+        primitive g in index order, and log inverts exp on the units.  Each
+        candidate g costs at most q - 1 polynomial products."""
+        q = self.size()
+        if q > TABLE_CAP:
+            return None
+        one = self._one_ix
+        for g in range(1, q):
+            exp, x = [one], self._poly_mul_ix(one, g)
+            while x != one and len(exp) < q:  # the bound stops a zero divisor
+                exp.append(x)
+                x = self._poly_mul_ix(x, g)
+            if len(exp) == q - 1 and x == one:
+                log = [0] * q
+                for k, x in enumerate(exp):
+                    log[x] = k
+                return exp, log
+        raise InternalContractViolation(f"{self.modulus} is reducible over F_{self.p}")
 
     def is_unit(self, a):
         if not (type(a) is Element and a.ring is self):
@@ -911,7 +945,8 @@ class GaloisFieldRing(FiniteRing):
     def frobenius(self, a, power=1):
         """a -> a^(p^power), the field automorphism fixing F_p."""
         self._guard(a)
-        return a ** (self.p ** (power % self.m))
+        e = self.p ** (power % self.m)
+        return self.element_at(self._mul_ix(self._one_ix, self._ix(a.payload), e))
 
     def _make_residue_view(self):
         return ResidueView(self, lambda a: a, lambda a: a)
@@ -921,11 +956,6 @@ class GaloisFieldRing(FiniteRing):
 
     def size(self):
         return self.p**self.m
-
-    def _all_payloads(self):
-        import itertools
-
-        return [t for t in itertools.product(range(self.p), repeat=self.m)]
 
     def spec_string(self):
         return f"GF({self.p},{self.m})"
@@ -977,8 +1007,10 @@ class TruncatedRing(FiniteRing):
         bz = base.zero.payload
         self.zero = Element(self, (bz,) * self.n)
         self.one = Element(self, (base.one.payload,) + (bz,) * (self.n - 1))
-        # sigma^i on the base payloads seen so far, for 0 <= i < n
-        self._sig = [{} for _ in range(self.n)]
+        # digits are base-field indices; sigma^i raises one to the power _pw[i]
+        self._q = base.size()
+        self._places = [self._q**e for e in range(self.n - 1, -1, -1)]
+        self._pw = [base.p ** (s * i % base.m) for i in range(self.n)]
 
     def el(self, payload):
         payload = tuple(tuple(c) for c in payload)
@@ -987,10 +1019,7 @@ class TruncatedRing(FiniteRing):
         return Element(self, tuple(self.base.el(c).payload for c in payload))
 
     def from_int(self, v):
-        bz = self.base.zero.payload
-        return Element(
-            self, (self.base.from_int(v).payload,) + (bz,) * (self.n - 1)
-        )
+        return self.embed(self.base.from_int(v))
 
     def variable(self):
         if self.n < 2:
@@ -1004,65 +1033,46 @@ class TruncatedRing(FiniteRing):
         bz = self.base.zero.payload
         return Element(self, (c.payload,) + (bz,) * (self.n - 1))
 
-    # The arithmetic below wraps coefficients without base.el: the payload of
-    # an element of this ring holds canonical base payloads already.
+    def _ix(self, payload):
+        return _fold(map(self.base._ix, payload), self._q)
 
-    def _add(self, a, b):
-        base = self.base
-        return Element(
-            self,
-            tuple(
-                base.add(Element(base, x), Element(base, y)).payload
-                for x, y in zip(a.payload, b.payload)
-            ),
-        )
+    def _pl(self, k):
+        return tuple(map(self.base._pl, _digits(k, self._q, self._places)))
 
-    def _neg(self, a):
-        base = self.base
-        return Element(
-            self, tuple(base.neg(Element(base, x)).payload for x in a.payload)
-        )
+    # an index's base-q digits list base-p coefficients too, so sums are digit-wise
 
-    def _mul(self, a, b):
-        base = self.base
-        bz = base.zero.payload
-        out = [base.zero] * self.n
-        for i, ai in enumerate(a.payload):
-            if ai == bz:
-                continue
-            av = Element(base, ai)
-            for j in range(self.n - i):
-                bj = b.payload[j]
-                if bj == bz:
-                    continue
-                term = base.mul(av, Element(base, self._twist(i, bj)))
-                out[i + j] = base.add(out[i + j], term)
-        return Element(self, tuple(c.payload for c in out))
+    def _add_ix(self, i, j):
+        return _digit_sum(i, j, self.base.p)
 
-    def _invert(self, a):
-        if not self.is_unit(a):
+    def _neg_ix(self, i):
+        return _digit_sum(0, i, self.base.p, -1)
+
+    def _mul_ix(self, i, j):
+        """The sum of a_u sigma^u(b_v) x^(u+v) over u + v < n, where sigma^u
+        raises b_v to the power _pw[u], over the base field's index ops."""
+        F, q, n, p = self.base, self._q, self.n, self.base.p
+        a, b = _digits(i, q, self._places), _digits(j, q, self._places)
+        out = [0] * n
+        for u in range(n):
+            x, e = a[u], self._pw[u]
+            for v in range(n - u if x else 0):
+                if b[v]:
+                    out[u + v] = _digit_sum(out[u + v], F._mul_ix(x, b[v], e), p)
+        return _fold(out, q)
+
+    def _inv_ix(self, i):
+        F, top = self.base, self._places[0]
+        c = i // top  # the constant coefficient's index
+        if not c:
             raise NotAUnit(f"constant term 0: not a unit in {self.spec_string()}")
-        base = self.base
-        c0 = Element(base, a.payload[0])
-        c0i = self.embed(base.invert(c0))
-        # a = c0 (1 + z) with z = c0^-1 (a - c0) in the radical, so
-        # a^-1 = (1 - z + z^2 - ...) c0^-1; the series stops at z^(n-1).
-        z = self.mul(c0i, self.sub(a, self.embed(c0)))
-        acc = self.one
-        term = self.one
+        # i = c (1 + z) with z in the radical, so i^-1 = (1 - z + z^2 - ...) c^-1
+        ci = F._inv_ix(c) * top
+        z = self._mul_ix(ci, _digit_sum(i, c * top, F.p, -1))
+        acc = term = F._one_ix * top
         for _ in range(1, self.n):
-            term = self.neg(self.mul(term, z))
-            acc = self.add(acc, term)
-        return self.mul(acc, c0i)
-
-    def _twist(self, i, pl):
-        """sigma^i = Frobenius^(s*i) on a base payload, memoised per payload."""
-        memo = self._sig[i]
-        got = memo.get(pl)
-        if got is None:
-            base = self.base
-            got = memo[pl] = base.frobenius(Element(base, pl), (self.s * i) % base.m).payload
-        return got
+            term = self._neg_ix(self._mul_ix(term, z))
+            acc = self._add_ix(acc, term)
+        return self._mul_ix(acc, ci)
 
     def sigma(self, c, power=1):
         """The twist automorphism on base-field elements."""
@@ -1080,31 +1090,17 @@ class TruncatedRing(FiniteRing):
         return not any(a.payload[0])
 
     def _make_residue_view(self):
-        base = self.base
-        bz = base.zero.payload
-
         def reduce_fn(a):
             self._guard(a)
-            return Element(base, a.payload[0])
+            return Element(self.base, a.payload[0])
 
-        def lift_fn(c):
-            base._guard(c)
-            return Element(self, (c.payload,) + (bz,) * (self.n - 1))
-
-        return ResidueView(base, reduce_fn, lift_fn)
+        return ResidueView(self.base, reduce_fn, self.embed)  # lift: constants
 
     def radical_index(self):
         return self.n
 
     def size(self):
         return self.base.size() ** self.n
-
-    def _all_payloads(self):
-        import itertools
-
-        return [
-            t for t in itertools.product(self.base._all_payloads(), repeat=self.n)
-        ]
 
     def spec_string(self):
         b = self.base.spec_string()
@@ -1179,8 +1175,8 @@ class OppositeRing(LocalRing):
     def size(self):
         return self.base_ring.size()
 
-    def _all_payloads(self):
-        return self.base_ring._all_payloads()
+    def enumerate_elements(self, subset="All"):
+        return self.base_ring.enumerate_elements(subset)
 
     def opposite(self):
         return self.base_ring

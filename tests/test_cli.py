@@ -441,6 +441,39 @@ def test_selftest_thread_determinism():
     assert serial.stdout == threaded.stdout
 
 
+@pytest.mark.parametrize(
+    "threads, cpus, workers",
+    [("1000000000", 64, 16), ("1000000000", 2, 2), ("5", 64, 4), ("2", 1, None)],
+)
+def test_selftest_workers_capped(capsys, monkeypatch, threads, cpus, workers):
+    # GF(2) has 16 matrices: 16 chunks at most, and 5 workers' chunks of 4
+    # make 4 chunks.  The pool is a recorder, so no real worker is started.
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("CLEANMATRIX_THREADS", threads)
+    code, out, _ = invoke(capsys, "selftest", "--ring", "GF(2)")
+    assert code == OK
+    assert "clean agreements: 16/16" in out and "pi agreements: 16/16" in out
+    assert started == ([] if workers is None else [workers])
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cleanmatrix", "decide", "--ring", "Zmod(2,2)",

@@ -1,14 +1,18 @@
 """Ring construction, arithmetic axioms, and family-specific behavior."""
 
 import importlib
+import random
 
 import pytest
+import ring_references as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleanmatrix import rings
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.errors import (
     InfiniteRing,
+    InternalContractViolation,
     InvalidSpec,
     NotAUnit,
     NotLocal,
@@ -17,6 +21,7 @@ from cleanmatrix.errors import (
 )
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2
+from cleanmatrix.piregular import decide_strongly_pi_regular
 from cleanmatrix.quadratics import MonicQuadratic, left_eval
 from cleanmatrix.rings import (
     ENUM_CAP,
@@ -46,6 +51,12 @@ SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 SK16_PLAIN = make_ring(truncated_skew(galois_field(2, 2), 0, 2))
 
 FINITE_RINGS = [Z4, Z8, Z9, GF2, GF4, GF8, GF9, T2, T3, SK16, SK16_PLAIN]
+# larger fields, odd-characteristic truncations and a 256-element truncation
+INDEX_RINGS = [
+    parse_ring(spec)
+    for spec in ("GF(2,8)", "GF(3,3)", "GF(5,2)", "GF(7,2)", "Trunc(GF(3),3)",
+                 "SkewTrunc(GF(3,2),1,2)", "Trunc(GF(2,2),4)")
+]
 # every table-backed ring, one above the table cap, and an opposite ring
 OP_RINGS = FINITE_RINGS + [make_ring(mod_prime_power(2, 20)), SK16.opposite()]
 
@@ -107,6 +118,19 @@ def test_galois_field_moduli():
     assert w8_3 == GF8.add(GF8.one, w8)  # w^3 = 1 + w
     w9 = GF9.generator()
     assert GF9.mul(w9, w9) == GF9.from_int(2)  # w^2 = -1
+
+
+def test_galois_field_modulus_is_the_first_irreducible():
+    # the modulus fixes every GF payload numbering and log table
+    small = [(p, m) for p in range(2, 65) if rings._is_prime(p)
+             for m in range(1, 13) if p**m <= 4096]
+    for p, m in small + [(2, 20), (2, 24)]:
+        assert rings._find_modulus(p, m) == ref.first_irreducible(p, m), (p, m)
+    # and a reducible one, (t + 1)^2, leaves no primitive element for the logs
+    F = rings.GaloisFieldRing(rings.galois_field(2, 2))
+    F.modulus = (1, 0, 1)
+    with pytest.raises(InternalContractViolation):
+        F._logs
 
 
 def test_frobenius_is_pth_power():
@@ -234,8 +258,9 @@ def test_opposite_ring():
         assert op.mul(u, op.invert(u)) == op.one
 
 
-@pytest.mark.parametrize("R", FINITE_RINGS + [SK16.opposite()])
+@pytest.mark.parametrize("R", FINITE_RINGS + [SK16.opposite()] + INDEX_RINGS)
 def test_index_tables_match_arithmetic(R):
+    # the index route against the element-level reference, on every entry;
     # the opposite ring's tables are its base ring's, with mul transposed
     base = R.element_ring
     tab = R.filled_tables()
@@ -243,21 +268,77 @@ def test_index_tables_match_arithmetic(R):
     assert els == base.enumerate_elements("All")
     assert [a.idx for a in els] == list(range(n))
     for i, a in enumerate(els):
-        assert els[tab.neg[i]] == base._neg(a)
+        assert els[tab.neg[i]] == ref.neg(base, a)
         if R.is_unit(a):
-            assert els[tab.inv[i]] == base._invert(a)
+            assert els[tab.inv[i]] == ref.invert(base, a)
         else:
             with pytest.raises(NotAUnit):
                 R.invert(a)
         for j, b in enumerate(els):
-            assert els[tab.add[i * n + j]] == base._add(a, b)
-            product = base._mul(a, b) if R is base else base._mul(b, a)
+            assert els[tab.add[i * n + j]] == ref.add(base, a, b)
+            product = ref.mul(base, a, b) if R is base else ref.mul(base, b, a)
             assert els[tab.mul[i * n + j]] == product
             assert R.mul(a, b) == product
     symmetric = all(
         tab.mul[i * n + j] == tab.mul[j * n + i] for i in range(n) for j in range(n)
     )
     assert symmetric == R.is_commutative
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Trunc(GF(2,4),8)", "Trunc(GF(2,24),2)", "SkewTrunc(GF(2,16),1,4)", "GF(2,20)"],
+)
+def test_direct_ops_above_table_cap_match_reference(spec):
+    R = parse_ring(spec)
+    F = R.residue_view().field
+    rng = random.Random(spec)
+
+    def field_sample():
+        return F.el([rng.randrange(F.p) for _ in range(F.m)])
+
+    def sample():
+        if R is F:
+            return field_sample()
+        return R.el([field_sample().payload for _ in range(R.n)])
+
+    elements = [sample() for _ in range(12)]
+    for a, b in zip(elements, elements[1:]):
+        assert R.add(a, b) == ref.add(R, a, b)
+        assert R.mul(a, b) == ref.mul(R, a, b)
+        assert R.neg(a) == ref.neg(R, a)
+    units = [u for u in elements if R.is_unit(u)][:3]
+    assert units
+    for u in units:
+        assert R.invert(u) == ref.invert(R, u)
+    for c in (field_sample() for _ in range(4)):
+        assert F.frobenius(c, 1) == ref.mul(F, c, c)  # every field here has p = 2
+    assert R._tables is None and R._enum_cache == {}
+    # no log table above TABLE_CAP
+    assert (F._logs is None) == (F.size() > TABLE_CAP)
+
+
+@pytest.mark.parametrize("spec", ["Trunc(GF(2,2),4)", "SkewTrunc(GF(2,2),1,3)", "GF(2,8)"])
+def test_cold_decisions_fill_by_index(monkeypatch, refuse_element_fills, spec):
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # fresh rings, every table cold
+    R = parse_ring(spec)
+    F = R.residue_view().field
+    els = R.enumerate_elements("All")
+    rng = random.Random(spec)
+    radical = [a for a in els if R.in_radical(a)]
+    statuses = set()
+    for _ in range(60):
+        a0, a1 = rng.choice(els), rng.choice(els)
+        j0, j1 = rng.choice(radical), rng.choice(radical)
+        # a companion matrix, one with residue eigenvalues 0 and 1, and any
+        for A in (Mat2(R, R.zero, a0, R.one, a1),
+                  Mat2(R, j0, R.zero, a0, R.add(R.one, j1)),
+                  Mat2(R, *(rng.choice(els) for _ in range(4)))):
+            statuses.add(decide_strongly_clean(A).status)
+            statuses.add(decide_strongly_pi_regular(A).status)
+    assert {"NontrivialClean", "Nontrivial"} <= statuses
+    assert F._logs is not None
+    assert any(k != rings._EMPTY for k in R._tables.mul)
 
 
 def test_ring_above_table_cap_allocates_nothing():
@@ -357,11 +438,22 @@ def test_residue_reduce_matches_unmemoised(R):
         if memoised:
             assert got is F.enumerate_elements("All")[got.idx]
             assert rv.reduce(a) is got
+    for c in F.enumerate_elements("All"):
+        expect = plain.lift(c)
+        got = rv.lift(c)
+        assert got == expect and got.ring is base
+        bare = Element(F, c.payload)
+        assert rv.lift(bare) == expect and bare.idx is None
+        if memoised:
+            assert got is base.enumerate_elements("All")[got.idx]
+            assert rv.lift(c) is got
     if F is not base:
         other = Z9 if base is not Z9 else Z8
         for bad in (other.enumerate_elements("All")[1], 1, None):
             with pytest.raises(OwnerMismatch):
                 rv.reduce(bad)
+            with pytest.raises(OwnerMismatch):
+                rv.lift(bad)
 
 
 def test_element_dunders_match_ring_ops():
