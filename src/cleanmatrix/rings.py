@@ -29,19 +29,24 @@ companion reduction) enumerate neither the ring nor its residue field.
 On the finite families the radical is nilpotent: J^v = 0 for
 v = radical_index().
 
-Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul and invert.
-Each first tests inline that its operands are Elements of the ring and calls
-_guard, which raises OwnerMismatch, only when that test fails; is_unit and
-in_radical of every local family do the same.  They compute on element
-indices, which read a payload as digits, constant term most significant: the
-residue on Z/p^k, base-p coefficients on GF(p^m), base-field indices on a
-truncation.  GF(p^m) multiplies through exp and log tables of a primitive
-element up to TABLE_CAP elements (Lidl and Niederreiter, Finite Fields, ch. 9)
-and by polynomials above; a truncation convolves digits by its base field's
-index ops.  Up to TABLE_CAP elements the ops answer from flat index tables
-(IndexTables), one array('H') entry per operand pair, filled on first lookup
-(filled_tables() fills all), and reduce and lift are memoised by index.
-A ring above the cap allocates no index table.
+Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul, invert,
+is_unit, in_radical and residue view.  Each first tests inline that its
+operands are Elements of the ring and calls _guard, which raises
+OwnerMismatch, only when that test fails; is_unit and in_radical of every
+local family do the same.  They compute on element indices, which read a
+payload as digits, constant term most significant: the residue on Z/p^k,
+base-p coefficients on GF(p^m), base-field indices on a truncation.  An
+element's residue is one digit of its index, which is also the residue's
+index in the residue field: i mod p on Z/p^k, the leading base-q digit
+i // q^(n-1) on a truncation over GF(q), i itself on GF(p^m).  reduce, the
+constant lift back, is_unit and in_radical all read that digit.  GF(p^m)
+multiplies through exp and log tables of a primitive element up to TABLE_CAP
+elements (Lidl and Niederreiter, Finite Fields, ch. 9) and by polynomials
+above; a truncation convolves digits by its base field's index ops.  Up to
+TABLE_CAP elements the ops answer from flat index tables (IndexTables), one
+array('H') entry per operand pair, filled on first lookup (filled_tables()
+fills all), and they, reduce and lift return the enumerated elements.  A ring
+above the cap allocates no index table.
 """
 
 from array import array
@@ -97,14 +102,31 @@ def truncated_skew(base: RingSpec, s: int, n: int) -> RingSpec:
     return RingSpec("TruncatedSkew", n=n, s=s, base=base)
 
 
+# Miller-Rabin to the prime bases 2-41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; InvalidSpec at or above _PRIME_BOUND."""
+    if n >= _PRIME_BOUND:
+        raise InvalidSpec(f"primes are recognised only below {_PRIME_BOUND}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n <= bases[-1]:
+        return n in bases
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -514,9 +536,12 @@ class LocalizedIntegersRing(LocalRing):
 
 class FiniteRing(LocalRing):
     """Z/p^k, GF(p^m) and the truncations: one set of public ops over each
-    subclass's index arithmetic _add_ix, _neg_ix, _mul_ix and _inv_ix, and
-    its numbering _ix (payload to index) and _pl (index to payload); see the
-    module docstring.  The default numbering is Z/p^k's, the residue itself."""
+    subclass's index arithmetic _add_ix, _neg_ix, _mul_ix and _inv_ix, its
+    numbering _ix (payload to index) and _pl (index to payload), and its
+    residue rule: an element's residue is the digit of its index at place
+    value _res_place in radix _res_radix, and that digit is the residue's
+    index in _field, the residue field.  See the module docstring.  The
+    default numbering is Z/p^k's, the residue itself."""
 
     is_finite = True
 
@@ -621,38 +646,48 @@ class FiniteRing(LocalRing):
             k = t.inv[i] = self._inv_ix(i)
         return t.elements[k]
 
-    def residue_view(self):
-        """Built once.  With index tables and a residue field apart from the
-        ring, reduce and lift are memoised by element index and return
-        enumerated elements; an operand without an index, or of another
-        owner, takes the unmemoised map and its _guard."""
-        rv = self._residue
-        if rv is None:
-            rv = self._residue = self._make_residue_view()
-            t = self._tables
-            if rv.field is not self and t is not None:
-                ft = rv.field._tables
-                rv = self._residue = rv._replace(
-                    reduce=_memoised(rv.reduce, self, ft),
-                    lift=_memoised(rv.lift, rv.field, t),
-                )
-        return rv
+    def _index(self, a):
+        """The index of an element with no idx: from the tables, which record
+        it, or read off the payload."""
+        t = self._tables
+        return self._ix(a.payload) if t is None else t.index_of(a)
 
+    def is_unit(self, a):
+        """Whether a's residue digit (see _make_residue_view) is not 0."""
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
+        i = a.idx
+        if i is None:
+            i = self._index(a)
+        return i // self._res_place % self._res_radix != 0
 
-def _memoised(plain, owner, out):
-    """plain on the owner's elements, memoised by index; returns the element
-    of the tables `out` that plain's result names."""
-    memo = [None] * owner.size()
+    def in_radical(self, a):
+        return not self.is_unit(a)
 
-    def f(a):
-        if type(a) is Element and a.ring is owner and a.idx is not None:
-            r = memo[a.idx]
-            if r is None:
-                r = memo[a.idx] = out.elements[out.index_of(plain(a))]
-            return r
-        return plain(a)
+    def _make_residue_view(self):
+        """reduce reads the residue digit of an element's index, the residue's
+        index in _field; lift makes the constant with a given digit.  Both
+        answer with element_at, the enumerated elements where there are tables.
+        reduce inlines the digit like is_unit: it is the hottest call here."""
+        F, place, radix = self._field, self._res_place, self._res_radix
+        els = None if F._tables is None else F._tables.elements
 
-    return f
+        def reduce(a):
+            if not (type(a) is Element and a.ring is self):
+                self._guard(a)
+            i = a.idx
+            if i is None:
+                i = self._index(a)
+            k = i // place % radix
+            return F.element_at(k) if els is None else els[k]
+
+        def lift(c):
+            if not (type(c) is Element and c.ring is F):
+                F._guard(c)
+            k = c.idx
+            return self.element_at((F._index(c) if k is None else k) * place)
+
+        return ResidueView(F, reduce, lift)
 
 
 def _digits(k, radix, places):
@@ -692,6 +727,9 @@ class ModPrimePowerRing(FiniteRing):
         super().__init__(spec)
         self.p, self.k = spec.p, spec.k
         self.modulus = spec.p**spec.k
+        # the residue is the last base-p digit
+        self._field = make_ring(galois_field(spec.p, 1))
+        self._res_place, self._res_radix = 1, spec.p
         self.zero = Element(self, 0)
         self.one = Element(self, 1 % self.modulus)
 
@@ -716,30 +754,6 @@ class ModPrimePowerRing(FiniteRing):
         if i % self.p == 0:
             raise NotAUnit(f"{i} is not a unit mod {self.modulus}")
         return pow(i, -1, self.modulus)
-
-    def is_unit(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return a.payload % self.p != 0
-
-    def in_radical(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return a.payload % self.p == 0
-
-    def _make_residue_view(self):
-        field = make_ring(galois_field(self.p, 1))
-        p = self.p
-
-        def reduce_fn(a):
-            self._guard(a)
-            return field.el((a.payload % p,))
-
-        def lift_fn(c):
-            field._guard(c)
-            return Element(self, c.payload[0] % self.modulus)
-
-        return ResidueView(field, reduce_fn, lift_fn)
 
     def radical_index(self):
         return self.k
@@ -843,6 +857,8 @@ class GaloisFieldRing(FiniteRing):
         self._places = [spec.p**e for e in range(spec.m - 1, -1, -1)]
         self._one_ix = self._places[0]
         self._powers = {}
+        # its own residue field: the whole index is the digit
+        self._field, self._res_place, self._res_radix = self, 1, spec.p**spec.m
         self.zero = Element(self, (0,) * self.m)
         self.one = Element(self, (1 % self.p,) + (0,) * (self.m - 1))
 
@@ -932,24 +948,11 @@ class GaloisFieldRing(FiniteRing):
                 return exp, log
         raise InternalContractViolation(f"{self.modulus} is reducible over F_{self.p}")
 
-    def is_unit(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return any(a.payload)
-
-    def in_radical(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return not any(a.payload)
-
     def frobenius(self, a, power=1):
         """a -> a^(p^power), the field automorphism fixing F_p."""
         self._guard(a)
         e = self.p ** (power % self.m)
         return self.element_at(self._mul_ix(self._one_ix, self._ix(a.payload), e))
-
-    def _make_residue_view(self):
-        return ResidueView(self, lambda a: a, lambda a: a)
 
     def radical_index(self):
         return 1
@@ -1011,6 +1014,8 @@ class TruncatedRing(FiniteRing):
         self._q = base.size()
         self._places = [self._q**e for e in range(self.n - 1, -1, -1)]
         self._pw = [base.p ** (s * i % base.m) for i in range(self.n)]
+        # the residue is the constant coefficient, the leading digit
+        self._field, self._res_place, self._res_radix = base, self._places[0], self._q
 
     def el(self, payload):
         payload = tuple(tuple(c) for c in payload)
@@ -1078,23 +1083,6 @@ class TruncatedRing(FiniteRing):
         """The twist automorphism on base-field elements."""
         self.base._guard(c)
         return self.base.frobenius(c, (self.s * power) % self.base.m)
-
-    def is_unit(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return any(a.payload[0])
-
-    def in_radical(self, a):
-        if not (type(a) is Element and a.ring is self):
-            self._guard(a)
-        return not any(a.payload[0])
-
-    def _make_residue_view(self):
-        def reduce_fn(a):
-            self._guard(a)
-            return Element(self.base, a.payload[0])
-
-        return ResidueView(self.base, reduce_fn, self.embed)  # lift: constants
 
     def radical_index(self):
         return self.n

@@ -1,14 +1,14 @@
 """Element-level arithmetic of the finite rings, the reference for the index route.
 
-These are the products the rings computed before they worked on element
-indices: each builds a fresh Element from payloads, coefficient by
+These are the products and residue maps the rings computed before they worked
+on element indices: each builds a fresh Element from payloads, coefficient by
 coefficient, and touches no index table, no log table and no public ring op.
-The tests compare the index tables and the direct products above TABLE_CAP
-with them.
+The tests compare the index tables, the direct products above TABLE_CAP and
+the residue views with them.
 """
 
 from cleanmatrix.errors import NotAUnit
-from cleanmatrix.rings import Element, _fp_mul, _fp_rem
+from cleanmatrix.rings import Element, _fp_mul, _fp_rem, galois_field, make_ring
 
 
 def _add(R, x, y):
@@ -73,12 +73,41 @@ def mul(R, a, b):
 
 def invert(R, a):
     """a^(u - 1), u the number of units; NotAUnit on the radical."""
-    if R.in_radical(a):
+    if not is_unit(R, a):
         raise NotAUnit(f"{a} is not a unit")
     if R.family == "ModPrimePower":
         return Element(R, pow(a.payload, -1, R.modulus))
-    units = R.size() - R.size() // R.residue_view().field.size()
+    units = R.size() - R.size() // residue_field(R).size()
     return Element(R, _pow(R, a.payload, units - 1))
+
+
+def residue_field(R):
+    if R.family == "ModPrimePower":
+        return make_ring(galois_field(R.p, 1))
+    return R if R.family == "GaloisField" else R.base
+
+
+def reduce(R, a):
+    """The residue: payload mod p on Z/p^k, the constant coefficient on a
+    truncation, a itself on GF(p^m)."""
+    F = residue_field(R)
+    if R.family == "ModPrimePower":
+        return Element(F, (a.payload % R.p,))
+    return Element(F, a.payload if F is R else a.payload[0])
+
+
+def lift(R, c):
+    """The constant of R whose residue is c."""
+    if R.family == "ModPrimePower":
+        return Element(R, c.payload[0])
+    if R.family == "GaloisField":
+        return Element(R, c.payload)
+    return Element(R, (c.payload,) + (R.base.zero.payload,) * (R.n - 1))
+
+
+def is_unit(R, a):
+    """a is a unit iff its residue is not zero."""
+    return any(reduce(R, a).payload)
 
 
 def first_irreducible(p, m):

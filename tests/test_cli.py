@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -517,14 +518,32 @@ def test_closed_stdout_pipe_exits_quietly():
         (("pi", "--ring", "Zloc(3)", "--matrix", "[[10^4400,0],[0,1]]"), "error:"),
         (("classify-int", "--matrix", "[[10^4400,0],[0,1]]"), "error:"),
         (("decide", "--ring", "Zmod(2,20000)", "--matrix", "[[-1,0],[0,1]]"), "error:"),
+        # a prime at or above the exact range of the prime test
+        (("decide", "--ring", "Zloc(3317044064679887385961981)", "--matrix", "[[0,1],[1,1]]"),
+         "error: primes are recognised only below 3317044064679887385961981"),
+        (("pi", "--ring", "GF(3317044064679887385961983,2)", "--matrix", "[[0,1],[1,1]]"),
+         "error: primes are recognised only below 3317044064679887385961981"),
     ],
     ids=["superscript", "parentheses", "minuses", "long-literal", "Z-power",
-         "Zloc-power", "Z-print", "Zloc-print", "classify-print", "Zmod-print"],
+         "Zloc-power", "Z-print", "Zloc-print", "classify-print", "Zmod-print",
+         "Zloc-prime-bound", "GF-prime-bound"],
 )
 def test_unparsable_or_unprintable_input_exits_64(capsys, argv, err):
     code, out, stderr = invoke(capsys, *argv)
     assert code == USAGE
     assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+def test_large_prime_ring_answers_fast(capsys):
+    # 10^18 + 3 is prime; trial division to its square root did not finish in 15 s
+    start = time.perf_counter()
+    code, doc, _ = invoke_json(
+        capsys, "decide", "--ring", "Zloc(1000000000000000003)", "--matrix",
+        "[[0,1],[1,1]]", "--json",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == OK
+    assert doc["status"] == "TrivialUnit"
 
 
 def test_huge_exponent_over_a_finite_ring_answers(capsys):

@@ -1,6 +1,7 @@
 """Ring construction, arithmetic axioms, and family-specific behavior."""
 
 import importlib
+import math
 import random
 
 import pytest
@@ -59,12 +60,6 @@ INDEX_RINGS = [
 ]
 # every table-backed ring, one above the table cap, and an opposite ring
 OP_RINGS = FINITE_RINGS + [make_ring(mod_prime_power(2, 20)), SK16.opposite()]
-
-
-def _some_elements(R):
-    if R.size() <= TABLE_CAP:
-        return R.enumerate_elements("All")
-    return [R.el(k) for k in (0, 1, 2, 7, 12345, 2**19 + 7)]
 
 
 def test_make_ring_caches_instances():
@@ -131,6 +126,21 @@ def test_galois_field_modulus_is_the_first_irreducible():
     F.modulus = (1, 0, 1)
     with pytest.raises(InternalContractViolation):
         F._logs
+
+
+def test_prime_test_is_exact_below_its_bound():
+    # deterministic Miller-Rabin against trial division
+    for n in range(10**5):
+        trial = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert rings._is_prime(n) == trial, n
+    # a strong pseudoprime to bases 2, 3, 5 and 7, and a Carmichael number
+    assert not rings._is_prime(3215031751)
+    assert not rings._is_prime(561)
+    assert rings._is_prime(10**18 + 3) and rings._is_prime(2**64 - 59)
+    # the bound is the least strong pseudoprime to bases 2-41; it is refused
+    assert rings._PRIME_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(InvalidSpec, match=str(rings._PRIME_BOUND)):
+        rings._is_prime(rings._PRIME_BOUND)
 
 
 def test_frobenius_is_pth_power():
@@ -422,38 +432,71 @@ def test_ops_reject_foreign_operands(R):
                 op(bad)
 
 
-@pytest.mark.parametrize("R", OP_RINGS, ids=lambda R: R.spec_string())
+def _random_payload(R, rng, radical=False):
+    """A payload of a finite ring drawn digit by digit; with radical, one whose
+    residue is zero."""
+    if R.family == "ModPrimePower":
+        x = rng.randrange(R.modulus)
+        return x - x % R.p if radical else x
+    if R.family == "GaloisField":
+        return (0,) * R.m if radical else tuple(rng.randrange(R.p) for _ in range(R.m))
+    coeffs = [_random_payload(R.base, rng) for _ in range(R.n)]
+    if radical:
+        coeffs[0] = R.base.zero.payload
+    return tuple(coeffs)
+
+
+def _with_and_without_idx(R, rng):
+    """(payload, idx) pairs: every element of a table-backed ring with its
+    index and with none; above the table cap, sampled payloads likewise."""
+    if R._tables is not None:
+        payloads = [a.payload for a in R.enumerate_elements("All")]
+    else:
+        payloads = [_random_payload(R, rng, radical=k % 3 == 0) for k in range(24)]
+    return [(x, idx) for x in payloads for idx in (R._ix(x), None)]
+
+
+@pytest.mark.parametrize(
+    "R",
+    OP_RINGS + [parse_ring(s) for s in ("Zmod(65537,2)", "GF(2,20)", "Trunc(GF(2,4),8)")],
+    ids=lambda R: R.spec_string(),
+)
 def test_residue_reduce_matches_unmemoised(R):
+    # reduce, lift, is_unit and in_radical read one index digit; the reference
+    # reads the payload.  A lookup records an index, so each call gets a fresh
+    # element.
     rv = R.residue_view()
     base = R.element_ring
-    plain = base._make_residue_view()  # a fresh view, never memoised
     F = rv.field
-    memoised = F is not base and base._tables is not None
-    for a in _some_elements(R):
-        expect = plain.reduce(a)
-        got = rv.reduce(a)
+    assert F is ref.residue_field(base)
+    rng = random.Random(base.spec_string())
+
+    def fresh(ring, payload, idx):
+        e = Element(ring, payload)
+        e.idx = idx
+        return e
+
+    for x, idx in _with_and_without_idx(base, rng):
+        expect = ref.reduce(base, fresh(base, x, None))
+        got = rv.reduce(fresh(base, x, idx))
         assert got == expect and got.ring is F
-        bare = Element(base, a.payload)  # no idx: the unmemoised path
-        assert rv.reduce(bare) == expect and bare.idx is None
-        if memoised:
+        if F._tables is not None:  # the enumerated element, so ops hit the tables
             assert got is F.enumerate_elements("All")[got.idx]
-            assert rv.reduce(a) is got
-    for c in F.enumerate_elements("All"):
-        expect = plain.lift(c)
-        got = rv.lift(c)
+        unit = ref.is_unit(base, fresh(base, x, None))
+        assert R.is_unit(fresh(base, x, idx)) is unit
+        assert R.in_radical(fresh(base, x, idx)) is not unit
+    for x, idx in _with_and_without_idx(F, rng):
+        expect = ref.lift(base, fresh(F, x, None))
+        got = rv.lift(fresh(F, x, idx))
         assert got == expect and got.ring is base
-        bare = Element(F, c.payload)
-        assert rv.lift(bare) == expect and bare.idx is None
-        if memoised:
+        if base._tables is not None:
             assert got is base.enumerate_elements("All")[got.idx]
-            assert rv.lift(c) is got
-    if F is not base:
-        other = Z9 if base is not Z9 else Z8
-        for bad in (other.enumerate_elements("All")[1], 1, None):
-            with pytest.raises(OwnerMismatch):
-                rv.reduce(bad)
-            with pytest.raises(OwnerMismatch):
-                rv.lift(bad)
+    other = Z9 if base is not Z9 else Z8
+    for bad in (other.enumerate_elements("All")[1], 1, None):
+        with pytest.raises(OwnerMismatch):
+            rv.reduce(bad)
+        with pytest.raises(OwnerMismatch):
+            rv.lift(bad)
 
 
 def test_element_dunders_match_ring_ops():
