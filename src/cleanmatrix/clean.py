@@ -23,7 +23,7 @@ same shape of certificate from a unimodular eigenvector transform.
 
 from .companion import CompanionForm, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal
-from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matvec, outer
+from .matrices import Mat2, diagonalizes, has_inverse, matvec, outer
 from .quadratics import MonicQuadratic, w_roots
 
 
@@ -95,11 +95,17 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         from .integer_matrices import integer_clean_decision
 
         return integer_clean_decision(A)
-    I = Mat2.identity(R)
-    if is_invertible(A):
+    # both trivial tests from one residue read: A is invertible iff det Abar
+    # is not 0, and I - A iff det(I - Abar) = 1 - tr Abar + det Abar is not,
+    # the residue field being commutative
+    F, r, _ = R.residue_view()
+    a, b, c, d = r(A.a), r(A.b), r(A.c), r(A.d)
+    det = F.dot(a, d, F.neg(b), c)
+    if F.is_unit(det):
         cert = CleanCertificate(Mat2.zero(R), A)
         return CleanDecision("TrivialUnit", certificate=cert, method="Trivial")
-    if is_invertible(I - A):
+    if F.is_unit(F.sub(F.add(F.one, det), F.add(a, d))):
+        I = Mat2.identity(R)
         cert = CleanCertificate(I, A - I)
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="Trivial"

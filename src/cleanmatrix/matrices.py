@@ -5,10 +5,30 @@ order, with the row entry on the left: (AB)_11 = a*e + b*g.  Column vectors are
 plain (v0, v1) tuples and A acts on the left of them, matrix entry times
 coordinate: (Av)_i = A_i1 v_1 + A_i2 v_2.
 
-Invertibility over a local ring is decided by the rank of the residue matrix;
-determinants over the ring itself are never used for that purpose.  The one
-integer exception: Z matrices invert via the adjugate when det = +-1 (the
-residue route needs a local ring and raises NotLocal for Z as specified).
+Every entry of a product is one ring call, R.dot(x, y, z, w) = x y + z w.
+
+Invertibility over a local ring is decided by the residue matrix: A is
+invertible iff det Abar is not 0, Abar = A mod J over the commutative residue
+field.  Determinants over the ring itself are never used for that purpose.
+The one integer exception: Z matrices invert via the adjugate when det = +-1
+(the residue route needs a local ring and raises NotLocal for Z as specified).
+
+invert2 on a local ring factors A = [[a, b], [c, d]] with a a unit as L D U:
+
+    A = [[1, 0], [c a^-1, 1]] [[a, 0], [0, s]] [[1, a^-1 b], [0, 1]],
+    s = d - c a^-1 b,
+
+which multiplies out entry by entry in any ring.  L and U are invertible, so A
+is invertible iff s is a unit, and then
+
+    A^-1 = U^-1 D^-1 L^-1
+         = [[a^-1 + a^-1 b s^-1 c a^-1, -a^-1 b s^-1], [-s^-1 c a^-1, s^-1]]:
+
+two inversions and six products.  When a is not a unit but c is, the same
+formula inverts SA = [[c, d], [a, b]] for the row swap S, and
+A^-1 = (SA)^-1 S since S^-1 = S: right multiplication by S swaps the columns
+of (SA)^-1 back.  When neither is a unit, the first column of Abar is 0 and A
+is not invertible.
 """
 
 from .errors import InternalContractViolation, NotInvertible, NotLocal, OwnerMismatch
@@ -91,15 +111,11 @@ class Mat2:
     def __mul__(self, other):
         self._same_owner(other)
         R = self.ring
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return Mat2(
-            R,
-            R.add(R.mul(a, e), R.mul(b, g)),
-            R.add(R.mul(a, f), R.mul(b, h)),
-            R.add(R.mul(c, e), R.mul(d, g)),
-            R.add(R.mul(c, f), R.mul(d, h)),
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        dot = R.dot
+        return Mat2(R, dot(a, e, b, g), dot(a, f, b, h),
+                    dot(c, e, d, g), dot(c, f, d, h))
 
     def scale_right(self, s):
         """A * (s I): every entry picks up s on the right."""
@@ -124,19 +140,13 @@ class Mat2:
 
 def matvec(A, v):
     R = A.ring
-    return (
-        R.add(R.mul(A.a, v[0]), R.mul(A.b, v[1])),
-        R.add(R.mul(A.c, v[0]), R.mul(A.d, v[1])),
-    )
+    return R.dot(A.a, v[0], A.b, v[1]), R.dot(A.c, v[0], A.d, v[1])
 
 
 def rowvec_mul(v, A):
     """Row vector times matrix, row coordinates kept on the left."""
     R = A.ring
-    return (
-        R.add(R.mul(v[0], A.a), R.mul(v[1], A.c)),
-        R.add(R.mul(v[0], A.b), R.mul(v[1], A.d)),
-    )
+    return R.dot(v[0], A.a, v[1], A.c), R.dot(v[0], A.b, v[1], A.d)
 
 
 def outer(R, u, v) -> Mat2:
@@ -170,14 +180,13 @@ def residue_matrix(A):
 
 
 def is_invertible(A) -> bool:
-    """Rank-2 test on the residue matrix; NotLocal for integer matrices."""
+    """Whether det Abar is not 0, read from the residue view without building
+    Abar; NotLocal for integer matrices."""
     R = A.ring
     if R.family == "Integers":
         raise NotLocal("invertibility over Z is det = +-1; use the integer tools")
-    Ab = residue_matrix(A)
-    F = Ab.ring
-    det = F.sub(F.mul(Ab.a, Ab.d), F.mul(Ab.b, Ab.c))  # residue field, commutative
-    return F.is_unit(det)
+    F, r, _ = R.residue_view()
+    return F.is_unit(F.dot(r(A.a), r(A.d), F.neg(r(A.b)), r(A.c)))
 
 
 def has_inverse(A) -> bool:
@@ -194,7 +203,11 @@ def diagonalizes(P, A, t0, t1) -> bool:
 
 
 def invert2(A) -> Mat2:
-    """Two-sided inverse, by noncommutative row reduction with unit pivots."""
+    """Two-sided inverse: the adjugate over Z, else the L D U factorisation
+    pivoted on a, or on c after a row swap that a column swap of the result
+    undoes (see the module docstring).  NotInvertible when neither a nor c
+    is a unit, or when the Schur complement s is not.  The result is checked
+    as A B = B A = I."""
     R = A.ring
     if R.family == "Integers":
         det = A.a.payload * A.d.payload - A.b.payload * A.c.payload
@@ -204,23 +217,22 @@ def invert2(A) -> Mat2:
         B = Mat2(R, R.mul(s, A.d), R.mul(s, R.neg(A.b)),
                  R.mul(s, R.neg(A.c)), R.mul(s, A.a))
     else:
-        if not is_invertible(A):
+        a, b, c, d = A.a, A.b, A.c, A.d
+        swap = not R.is_unit(a)
+        if swap:
+            a, b, c, d = c, d, a, b
+            if not R.is_unit(a):
+                raise NotInvertible("residue matrix is singular")
+        ai, one = R.invert(a), R.one
+        x = R.neg(R.mul(ai, b))  # -a^-1 b
+        y = R.neg(R.mul(c, ai))  # -c a^-1
+        s = R.dot(y, b, d, one)  # d - c a^-1 b
+        if not R.is_unit(s):
             raise NotInvertible("residue matrix is singular")
-        r1 = [A.a, A.b, R.one, R.zero]
-        r2 = [A.c, A.d, R.zero, R.one]
-        if not R.is_unit(r1[0]):
-            r1, r2 = r2, r1  # some first-column entry is a unit
-        piv = R.invert(r1[0])
-        r1 = [R.mul(piv, x) for x in r1]
-        factor = r2[0]
-        r2 = [R.sub(y, R.mul(factor, x)) for x, y in zip(r1, r2)]
-        if not R.is_unit(r2[1]):
-            raise InternalContractViolation("second pivot is not a unit")
-        piv = R.invert(r2[1])
-        r2 = [R.mul(piv, x) for x in r2]
-        factor = r1[1]
-        r1 = [R.sub(y, R.mul(factor, x)) for x, y in zip(r2, r1)]
-        B = Mat2(R, r1[2], r1[3], r2[2], r2[3])
+        si = R.invert(s)
+        b12 = R.mul(x, si)
+        b11, b21 = R.dot(b12, y, ai, one), R.mul(si, y)
+        B = Mat2(R, b12, b11, si, b21) if swap else Mat2(R, b11, b12, b21, si)
     I = Mat2.identity(R)
     if A * B != I or B * A != I:
         raise InternalContractViolation("computed inverse fails A B = B A = I")

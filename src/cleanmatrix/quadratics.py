@@ -146,16 +146,18 @@ class RootReport:
 
 
 def left_eval(f: MonicQuadratic, lam: Element) -> Element:
+    """lam^2 + lam a1 + a0, as lam (lam + a1) + a0."""
     R = f.ring
     if not (type(lam) is Element and lam.ring is R.element_ring):
         R._guard(lam)
-    return R.add(R.add(R.mul(lam, lam), R.mul(lam, f.a1)), f.a0)
+    return R.add(R.mul(lam, R.add(lam, f.a1)), f.a0)
 
 
 def right_eval(f: MonicQuadratic, lam: Element) -> Element:
+    """lam^2 + a1 lam + a0, as (lam + a1) lam + a0."""
     R = f.ring
     R._guard(lam)
-    return R.add(R.add(R.mul(lam, lam), R.mul(f.a1, lam)), f.a0)
+    return R.add(R.mul(R.add(lam, f.a1), lam), f.a0)
 
 
 def element_is_nilpotent(ring, a) -> bool:

@@ -4,10 +4,13 @@ These are the products and residue maps the rings computed before they worked
 on element indices: each builds a fresh Element from payloads, coefficient by
 coefficient, and touches no index table, no log table and no public ring op.
 The tests compare the index tables, the direct products above TABLE_CAP and
-the residue views with them.
+the residue views with them.  invert2_rows, the 2x2 inverse by row reduction
+that the matrices module used before its L D U form, is the one reference
+here built on public ring ops; it works over any local ring.
 """
 
 from cleanmatrix.errors import NotAUnit
+from cleanmatrix.matrices import Mat2
 from cleanmatrix.rings import Element, _fp_mul, _fp_rem, galois_field, make_ring
 
 
@@ -121,3 +124,27 @@ def first_irreducible(p, m):
 
     divisors = [g for d in range(1, m // 2 + 1) for g in monics(d)]
     return next(f for f in monics(m) if all(_fp_rem(f, g, p) for g in divisors))
+
+
+def invert2_rows(A):
+    """The two-sided inverse of a 2x2 matrix over a local ring by
+    noncommutative row reduction of [A | I] with unit pivots, or None when a
+    column has no unit pivot, so that A is not invertible."""
+    R = A.ring
+    r1 = [A.a, A.b, R.one, R.zero]
+    r2 = [A.c, A.d, R.zero, R.one]
+    if not R.is_unit(r1[0]):
+        r1, r2 = r2, r1
+    if not R.is_unit(r1[0]):
+        return None
+    piv = R.invert(r1[0])
+    r1 = [R.mul(piv, x) for x in r1]
+    factor = r2[0]
+    r2 = [R.sub(y, R.mul(factor, x)) for x, y in zip(r1, r2)]
+    if not R.is_unit(r2[1]):
+        return None
+    piv = R.invert(r2[1])
+    r2 = [R.mul(piv, x) for x in r2]
+    factor = r1[1]
+    r1 = [R.sub(y, R.mul(factor, x)) for x, y in zip(r2, r1)]
+    return Mat2(R, r1[2], r1[3], r2[2], r2[3])

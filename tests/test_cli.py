@@ -534,6 +534,22 @@ def test_unparsable_or_unprintable_input_exits_64(capsys, argv, err):
     assert stderr.startswith(err) and "Traceback" not in stderr
 
 
+def test_galois_degree_above_cap_exits_64_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "decide", "--ring", "GF(2,4096)",
+                            "--matrix", "[[0,1],[1,1]]")
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("error: GF degree 4096 is above the cap 24")
+    # a truncation over such a field is refused too; the largest admitted answers
+    code, _, err = invoke(capsys, "pi", "--ring", "Trunc(GF(2,25),2)",
+                          "--matrix", "[[0,1],[1,1]]")
+    assert code == USAGE and "above the cap" in err
+    code, doc, _ = invoke_json(capsys, "decide", "--ring", "GF(2,24)",
+                               "--matrix", "[[1,1],[0,0]]", "--json")
+    assert (code, doc["status"]) == (OK, "NontrivialClean")
+
+
 def test_large_prime_ring_answers_fast(capsys):
     # 10^18 + 3 is prime; trial division to its square root did not finish in 15 s
     start = time.perf_counter()

@@ -1,6 +1,11 @@
 """Matrix arithmetic, inversion, conjugation, and nilpotency tests."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
+import ring_references as ref
 
 from cleanmatrix.errors import NotInvertible, NotLocal, OwnerMismatch
 from cleanmatrix.literals import parse_ring
@@ -18,6 +23,7 @@ from cleanmatrix.matrices import (
 from cleanmatrix.rings import (
     galois_field,
     integers,
+    localized_integers,
     make_ring,
     mod_prime_power,
     truncated_skew,
@@ -147,6 +153,59 @@ def test_invert2_skew_exhaustive_sample():
                 assert B * A == I
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize(
+    "spec, units",
+    # |GL_2(R)| = |J|^4 (q^2 - 1)(q^2 - q) over the residue field F_q
+    [("Zmod(2,2)", 2**4 * 6), ("Trunc(GF(2),2)", 2**4 * 6),
+     ("SkewTrunc(GF(2,2),1,2)", 4**4 * 15 * 12)],
+)
+def test_invert2_matches_row_reduction_exhaustive(spec, units):
+    R = parse_ring(spec)
+    found = 0
+    for entries in itertools.product(R.enumerate_elements("All"), repeat=4):
+        A = Mat2(R, *entries)
+        expected = ref.invert2_rows(A)
+        assert is_invertible(A) == (expected is not None)
+        if expected is None:
+            with pytest.raises(NotInvertible, match="residue matrix is singular"):
+                invert2(A)
+        else:
+            assert invert2(A) == expected
+            found += 1
+    assert found == units
+
+
+def test_invert2_matches_row_reduction_sampled():
+    rng = random.Random(2)
+    ZL2 = make_ring(localized_integers(2))
+    found = 0
+    for _ in range(400):
+        A = Mat2(ZL2, *(ZL2.el(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5))))
+                        for _ in range(4)))
+        expected = ref.invert2_rows(A)
+        if expected is None:
+            with pytest.raises(NotInvertible):
+                invert2(A)
+        else:
+            assert invert2(A) == expected
+            found += 1
+    assert 100 < found < 300
+    # over Z: the inverse over Q, where it is integral, else NotInvertible
+    found = 0
+    for _ in range(400):
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        det = a * d - b * c
+        A = m(Z, a, b, c, d)
+        if det not in (1, -1):
+            with pytest.raises(NotInvertible):
+                invert2(A)
+            continue
+        q = [Fraction(x, det) for x in (d, -b, -c, a)]
+        assert invert2(A) == m(Z, *(int(x) for x in q))
+        found += 1
+    assert found > 20
 
 
 def test_invert2_integers():

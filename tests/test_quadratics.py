@@ -105,6 +105,20 @@ def test_left_right_eval_differ_on_skew():
     assert left_eval(f, lam) != right_eval(f, lam)
 
 
+@pytest.mark.parametrize("R", [SK16, SK16.opposite(), ZL2], ids=lambda R: R.spec_string())
+def test_evals_match_the_expanded_quadratic(R):
+    # lam (lam + a1) + a0 and (lam + a1) lam + a0 expand by distributivity alone
+    els = (R.enumerate_elements("All") if R.is_finite
+           else [R.el(Fraction(n, 3)) for n in range(-4, 5)])
+    for a1 in els:
+        for a0 in els[::3]:
+            f = MonicQuadratic(R, a1, a0)
+            for lam in els:
+                sq = R.mul(lam, lam)
+                assert left_eval(f, lam) == R.add(R.add(sq, R.mul(lam, a1)), a0)
+                assert right_eval(f, lam) == R.add(R.add(sq, R.mul(a1, lam)), a0)
+
+
 def test_element_is_nilpotent():
     assert element_is_nilpotent(Z8, Z8.el(2))
     assert not element_is_nilpotent(Z8, Z8.el(3))

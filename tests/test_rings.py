@@ -3,6 +3,8 @@
 import importlib
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 import ring_references as ref
@@ -26,8 +28,10 @@ from cleanmatrix.piregular import decide_strongly_pi_regular
 from cleanmatrix.quadratics import MonicQuadratic, left_eval
 from cleanmatrix.rings import (
     ENUM_CAP,
+    GF_DEGREE_CAP,
     TABLE_CAP,
     Element,
+    FiniteRing,
     galois_field,
     integers,
     localized_integers,
@@ -126,6 +130,27 @@ def test_galois_field_modulus_is_the_first_irreducible():
     F.modulus = (1, 0, 1)
     with pytest.raises(InternalContractViolation):
         F._logs
+
+
+def test_galois_field_degree_is_capped():
+    # the largest admitted degree builds fast, for p = 2 and for large primes
+    # whose binomials t^m + c are all reducible (4 | 24 and p = 3 mod 4, or
+    # 3 | 24 and 3 not dividing p - 1), which the modulus search skips whole
+    for p in (2, 65537, 2**31 - 1):
+        start = time.perf_counter()
+        R = rings.GaloisFieldRing(galois_field(p, GF_DEGREE_CAP))
+        assert time.perf_counter() - start < 5
+        assert rings._fp_is_irreducible(R.modulus, p)
+        assert R.modulus[1] != 0  # not a binomial
+    for spec in (galois_field(2, GF_DEGREE_CAP + 1),
+                 truncated_poly(galois_field(3, 4096), 2)):
+        with pytest.raises(TooLarge, match="above the cap"):
+            make_ring(spec)
+    # binomial moduli: t^2 + 1 over GF(3); mod 65537, -1 and -2 are squares, -3 is not
+    assert rings._find_modulus(3, 2) == (1, 0, 1)
+    assert rings._find_modulus(65537, 16) == (3,) + (0,) * 15 + (1,)
+    big = 2**61 - 1  # 3 mod 4: no t^4 + c is irreducible
+    assert rings._fp_is_irreducible(rings._find_modulus(big, 4), big)
 
 
 def test_prime_test_is_exact_below_its_bound():
@@ -430,6 +455,70 @@ def test_ops_reject_foreign_operands(R):
         for op in (R.neg, R.invert, R.is_unit, R.in_radical, f_eval):
             with pytest.raises(OwnerMismatch, match="does not belong to"):
                 op(bad)
+
+
+# every family: table-backed, above the cap (Z/2^20, GF(2,20)), opposite, Z, Z_(p)
+DOT_RINGS = OP_RINGS + [make_ring(galois_field(2, 20)), Z, ZL2]
+
+
+def _sample(R, rng):
+    """A random element of R; on a table-backed ring sometimes a copy with
+    no index."""
+    E = R.element_ring
+    if E is Z:
+        return Z.el(rng.randint(-50, 50))
+    if E is ZL2:
+        return ZL2.el(Fraction(rng.randint(-50, 50), rng.choice((1, 3, 5, 7))))
+    if E._tables is None:
+        return Element(E, _random_payload(E, rng))
+    a = rng.choice(E.enumerate_elements("All"))
+    return Element(E, a.payload) if rng.random() < 0.3 else a
+
+
+@pytest.mark.parametrize("R", DOT_RINGS, ids=lambda R: R.spec_string())
+def test_dot_is_a_sum_of_products(R):
+    rng = random.Random(R.spec_string())
+    for _ in range(200):
+        a, b, c, d = (_sample(R, rng) for _ in range(4))
+        assert R.dot(a, b, c, d) == R.add(R.mul(a, b), R.mul(c, d))
+    if not R.is_commutative:
+        x, w = SK16.variable(), SK16.embed(SK16.base.generator())
+        assert R.dot(x, w, R.zero, R.zero) == R.mul(x, w) != R.mul(w, x)
+
+
+@pytest.mark.parametrize("spec", ["Zmod(3,3)", "GF(2,4)", "SkewTrunc(GF(2,2),1,2)"])
+def test_dot_fills_cold_tables_by_index(monkeypatch, refuse_element_fills, spec):
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # a fresh ring, every table cold
+    R = parse_ring(spec)
+
+    def refuse(*args):
+        raise AssertionError("dot fell back to add or mul")
+
+    monkeypatch.setattr(FiniteRing, "add", refuse)
+    monkeypatch.setattr(FiniteRing, "mul", refuse)
+    t, rng = R._tables, random.Random(spec)
+    assert set(t.mul) == set(t.add) == {rings._EMPTY}
+    for _ in range(100):
+        a, b, c, d = (_sample(R, rng) for _ in range(4))
+        got = R.dot(a, b, c, d)
+        x, y = ref._mul(R, a.payload, b.payload), ref._mul(R, c.payload, d.payload)
+        assert got.payload == ref._add(R, x, y)
+        i, j, u, v = (t.index_of(e) for e in (a, b, c, d))
+        k, m = t.mul[i * t.size + j], t.mul[u * t.size + v]
+        assert (t.elements[k].payload, t.elements[m].payload) == (x, y)
+        assert t.elements[t.add[k * t.size + m]] is got
+
+
+@pytest.mark.parametrize("R", DOT_RINGS, ids=lambda R: R.spec_string())
+def test_dot_rejects_foreign_operands(R):
+    other = Z9 if R.element_ring is not Z9 else Z8
+    foreign = other.enumerate_elements("All")[1]  # carries an index
+    for bad in (foreign, 1, None):
+        for slot in range(4):
+            args = [R.one] * 4
+            args[slot] = bad
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                R.dot(*args)
 
 
 def _random_payload(R, rng, radical=False):
