@@ -2,14 +2,19 @@
 
 Everything here runs on int-indexed operation tables, the ring's own fully
 filled IndexTables, and shares no logic with the decision modules:
-invertibility is a kernel scan over all of R^2, idempotents come from an
-exhaustive matrix scan, and the pi-regular check recomputes kernel and image
-sets power by power.  The only decision-module code the oracle touches is
-verify_certificate, applied to its own output as a final cross-check.
+invertibility is a kernel scan over all of R^2, idempotents are listed in
+rank-one form and each checked by E E = E, and the pi-regular check
+recomputes kernel and image sets power by power.  The only decision-module
+code the oracle touches is verify_certificate, applied to its own output as
+a final cross-check.
 
-The idempotent scan prefilters by residue: an idempotent's residue matrix is
-idempotent over the residue field, so quadruples failing that cheap test are
-skipped before any ring multiplication happens.
+Over a local ring R each idempotent E of M_2(R) other than 0 and I is a
+column u times a row phi with phi u = 1: its image is a free direct summand
+of rank one (an idempotent with entries in J is 0), with a generator u unique
+up to a unit on the right.  So exactly one u is (1, a), a in R, or (b, 1),
+b in J, and then phi = (1 - f a, f) or (f, 1 - f b), f in R: every idempotent
+once, 2 + |R|^2 (1 + 1/q) in all (q = |R/J|), and u (phi u) phi = u phi
+needs no commutativity.
 """
 
 from .clean import CleanCertificate, verify_certificate
@@ -32,12 +37,8 @@ class _Tables:
         self.mul = tables.mul
         self.neg = tables.neg
         self.zero = tables.index_of(R.zero)
-        view = R.residue_view()
-        field = view.field.filled_tables()
-        self.residue = [field.index_of(view.reduce(x)) for x in self.elements]
-        self.field_size = field.size
-        self.field_mul = field.mul
-        self.field_add = field.add
+        self.one = tables.index_of(R.one)
+        self.radical = [i for i, x in enumerate(self.elements) if R.in_radical(x)]
         self.vectors = [(x, y) for x in range(size) for y in range(size)]
         self.idempotents = None  # filled lazily
 
@@ -59,46 +60,35 @@ def _tables(R):
     return tab
 
 
-def _residue_idempotent_quadruples(tab):
-    q = tab.field_size
-    fmul = tab.field_mul
-    fadd = tab.field_add
-    out = set()
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (
-                        fadd[fmul[a * q + a] * q + fmul[b * q + c]] == a
-                        and fadd[fmul[a * q + b] * q + fmul[b * q + d]] == b
-                        and fadd[fmul[c * q + a] * q + fmul[d * q + c]] == c
-                        and fadd[fmul[c * q + b] * q + fmul[d * q + d]] == d
-                    ):
-                        out.add((a, b, c, d))
-    return out
-
 def _idempotent_indices(tab):
+    """Every idempotent as an index quadruple, in sorted order: 0, I and each
+    u phi of the module docstring, each checked by E E = E."""
     if tab.idempotents is not None:
         return tab.idempotents
     n = tab.size
     mul = tab.mul
     add = tab.add
-    res = tab.residue
-    good_residues = _residue_idempotent_quadruples(tab)
-    found = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if (res[a], res[b], res[c], res[d]) not in good_residues:
-                        continue
-                    if (
-                        add[mul[a * n + a] * n + mul[b * n + c]] == a
-                        and add[mul[a * n + b] * n + mul[b * n + d]] == b
-                        and add[mul[c * n + a] * n + mul[d * n + c]] == c
-                        and add[mul[c * n + b] * n + mul[d * n + d]] == d
-                    ):
-                        found.append((a, b, c, d))
+    neg = tab.neg
+    zero, one = tab.zero, tab.one
+    candidates = [(zero, zero, zero, zero), (one, zero, zero, one)]
+    for f in range(n):
+        for a in range(n):  # u = (1, a), phi = (1 - f a, f)
+            p = add[one * n + neg[mul[f * n + a]]]
+            candidates.append((p, f, mul[a * n + p], mul[a * n + f]))
+        for b in tab.radical:  # u = (b, 1), phi = (f, 1 - f b)
+            p = add[one * n + neg[mul[f * n + b]]]
+            candidates.append((mul[b * n + f], mul[b * n + p], f, p))
+    found = sorted(set(candidates))
+    if len(found) != len(candidates):
+        raise InternalContractViolation("rank-one idempotents repeat")
+    for a, b, c, d in found:
+        if not (
+            add[mul[a * n + a] * n + mul[b * n + c]] == a
+            and add[mul[a * n + b] * n + mul[b * n + d]] == b
+            and add[mul[c * n + a] * n + mul[d * n + c]] == c
+            and add[mul[c * n + b] * n + mul[d * n + d]] == d
+        ):
+            raise InternalContractViolation("rank-one candidate is not idempotent")
     tab.idempotents = found
     return found
 

@@ -264,10 +264,11 @@ class Element:
         return self.ring.one if out is None else out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, Element):
-            return NotImplemented
+        if type(other) is not Element:
+            if isinstance(other, int):
+                other = self.ring.from_int(other)
+            elif not isinstance(other, Element):
+                return NotImplemented
         return other.ring is self.ring and other.payload == self.payload
 
     def __hash__(self):

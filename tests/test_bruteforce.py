@@ -1,4 +1,7 @@
-"""Table-driven oracle behavior: idempotent scans, brute clean, brute pi."""
+"""Table-driven oracle behavior: idempotent lists, brute clean, brute pi."""
+
+import itertools
+import random
 
 import pytest
 
@@ -11,12 +14,14 @@ from cleanmatrix.bruteforce import (
 from cleanmatrix.clean import verify_certificate
 from cleanmatrix.errors import TooLarge
 from cleanmatrix.matrices import Mat2, matpow
+from cleanmatrix.piregular import decide_strongly_pi_regular
 from cleanmatrix.rings import (
     galois_field,
     localized_integers,
     make_ring,
     mod_prime_power,
     truncated_poly,
+    truncated_skew,
 )
 
 ZL2 = make_ring(localized_integers(2))
@@ -24,6 +29,9 @@ Z4 = make_ring(mod_prime_power(2, 2))
 GF2 = make_ring(galois_field(2, 1))
 GF4 = make_ring(galois_field(2, 2))
 T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
+Z8 = make_ring(mod_prime_power(2, 3))
+Z9 = make_ring(mod_prime_power(3, 2))
+SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 
 
 def m(ring, a, b, c, d):
@@ -42,19 +50,29 @@ def test_gf2_idempotent_count():
 
 
 def test_idempotent_scan_is_complete():
-    # recount by scanning every matrix the slow way and compare as sets
-    for R in (Z4, GF4, T2):
-        ids = set(enumerate_idempotents(R))
+    # recount by scanning every matrix the slow way, in index order, and
+    # compare as lists: the same idempotents in the same order
+    for R in (Z4, GF4, T2, Z8, Z9, SK16, SK16.opposite()):
         elems = R.enumerate_elements("All")
-        slow = set()
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    for d in elems:
-                        A = Mat2(R, a, b, c, d)
-                        if A * A == A:
-                            slow.add(A)
-        assert ids == slow
+        slow = []
+        for a, b, c, d in itertools.product(elems, repeat=4):
+            A = Mat2(R, a, b, c, d)
+            if A * A == A:
+                slow.append(A)
+        assert enumerate_idempotents(R) == slow, R.spec_string()
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_idempotent_count_formula(k):
+    # 0, I and one rank-one projection per (1, a) or (b, 1) column and free
+    # row entry: 2 + |R|^2 (1 + 1/q) distinct idempotents, here with q = 2
+    R = make_ring(mod_prime_power(2, k))
+    ids = enumerate_idempotents(R)
+    n = R.size()
+    assert len(ids) == 2 + n * n + n * n // 2
+    assert len(set(ids)) == len(ids)
+    for E in ids:
+        assert E * E == E
 
 
 def test_idempotent_counts_pinned():
@@ -135,3 +153,33 @@ def test_brute_pi_splitting_power_is_minimal():
     assert splits(matpow(A, p))
     if p > 1:
         assert not splits(matpow(A, p - 1))
+
+
+def _decider_power(A):
+    """The splitting power read off the pi decider's certificate."""
+    cert = decide_strongly_pi_regular(A).certificate
+    if cert.kind == "unit":
+        return 1
+    if cert.kind == "nilpotent":
+        return cert.index
+    assert cert.kind == "diag"
+    power = 1
+    while cert.t1 ** power != A.ring.zero:
+        power += 1
+    return power
+
+
+def test_brute_pi_power_matches_decider_certificate():
+    # on a finite ring both always answer (Fitting's lemma), so compare the
+    # power itself: for A similar to diag(t0 unit, t1 nilpotent), A^n splits
+    # exactly when t1^n = 0
+    cases = [(R, itertools.product(R.enumerate_elements("All"), repeat=4))
+             for R in (Z4, GF4, T2)]
+    for R in (Z8, SK16):
+        rng = random.Random(20261019)
+        elems = R.enumerate_elements("All")
+        cases.append((R, [[rng.choice(elems) for _ in range(4)] for _ in range(1000)]))
+    for R, quadruples in cases:
+        for entries in quadruples:
+            A = Mat2(R, *entries)
+            assert brute_pi(A) == _decider_power(A), repr(A)
