@@ -1,12 +1,16 @@
 """Brute-force ground truth on small finite rings.
 
 Everything here runs on int-indexed operation tables, the ring's own fully
-filled IndexTables, and shares no logic with the decision modules:
-invertibility is a kernel scan over all of R^2, idempotents are listed in
-rank-one form and each checked by E E = E, and the pi-regular check
-recomputes kernel and image sets power by power.  The only decision-module
-code the oracle touches is verify_certificate, applied to its own output as
-a final cross-check.
+filled IndexTables, and shares no logic with the decision modules: kernels
+are counted by meeting the two columns, idempotents are listed in rank-one
+form and each checked by E E = E, and the pi-regular check walks the kernel
+chain of the powers.  The only decision-module code the oracle touches is
+verify_certificate, applied to its own output as a final cross-check.
+
+(x, y) lies in the kernel of [[a, b], [c, d]] exactly when
+(a x, c x) = (-(b y), -(d y)), so one pass over x counts the left sides and
+one pass over y adds up the counts of the right sides: |ker| in 2|R| steps,
+and the matrix is invertible exactly when |ker| = 1.
 
 Over a local ring R each idempotent E of M_2(R) other than 0 and I is a
 column u times a row phi with phi u = 1: its image is a free direct summand
@@ -15,6 +19,17 @@ up to a unit on the right.  So exactly one u is (1, a), a in R, or (b, 1),
 b in J, and then phi = (1 - f a, f) or (f, 1 - f b), f in R: every idempotent
 once, 2 + |R|^2 (1 + 1/q) in all (q = |R/J|), and u (phi u) phi = u phi
 needs no commutativity.
+
+R^2 = ker(A^n) (+) im(A^n) for the least n >= 1 with |ker A^n| = |ker A^(n+1)|:
+- the kernels are nested, and constant from the first n with
+  ker A^n = ker A^(n+1); so the sizes agree at n exactly when
+  ker A^n = ker A^(2n);
+- that holds exactly when ker A^n meets im A^n in 0, since A^n v lies in
+  ker A^n exactly when v lies in ker A^(2n);
+- |ker A^n| |im A^n| = |R|^2 for a map of additive groups, so a zero meet
+  makes ker A^n + im A^n all of R^2.
+Each strict step of the chain at least doubles the kernel, so it stops
+within log2 |R|^2 steps.
 """
 
 from .clean import CleanCertificate, verify_certificate
@@ -28,18 +43,16 @@ _TABLE_CACHE = {}
 class _Tables:
     def __init__(self, R):
         tables = R.filled_tables()
-        size = tables.size
         self.ring = R
         self.tables = tables
         self.elements = tables.elements
-        self.size = size
+        self.size = tables.size
         self.add = tables.add
         self.mul = tables.mul
         self.neg = tables.neg
         self.zero = tables.index_of(R.zero)
         self.one = tables.index_of(R.one)
         self.radical = [i for i, x in enumerate(self.elements) if R.in_radical(x)]
-        self.vectors = [(x, y) for x in range(size) for y in range(size)]
         self.idempotents = None  # filled lazily
 
     def matrix_indices(self, A):
@@ -102,22 +115,21 @@ def enumerate_idempotents(R):
     ]
 
 
-def _is_invertible_kernel_scan(tab, m):
-    """No nonzero kernel vector over the whole finite module R^2."""
+def _kernel_size(tab, m):
+    """|ker m| on R^2, by the counted meet of the module docstring."""
     n = tab.size
     mul = tab.mul
-    add = tab.add
-    zero = tab.zero
+    neg = tab.neg
     a, b, c, d = m
-    for x, y in tab.vectors:
-        if x == zero and y == zero:
-            continue
-        if (
-            add[mul[a * n + x] * n + mul[b * n + y]] == zero
-            and add[mul[c * n + x] * n + mul[d * n + y]] == zero
-        ):
-            return False
-    return True
+    an, bn, cn, dn = a * n, b * n, c * n, d * n
+    counts = {}
+    for x in range(n):
+        key = mul[an + x] * n + mul[cn + x]
+        counts[key] = counts.get(key, 0) + 1
+    size = 0
+    for y in range(n):
+        size += counts.get(neg[mul[bn + y]] * n + neg[mul[dn + y]], 0)
+    return size
 
 
 def brute_clean(A: Mat2):
@@ -148,7 +160,7 @@ def brute_clean(A: Mat2):
             add[c * n + neg[ec]],
             add[d * n + neg[ed]],
         )
-        if not _is_invertible_kernel_scan(tab, u):
+        if _kernel_size(tab, u) != 1:
             continue
         els = tab.elements
         E = Mat2(R, els[ea], els[eb], els[ec], els[ed])
@@ -161,36 +173,23 @@ def brute_clean(A: Mat2):
 
 
 def brute_pi(A: Mat2):
-    """Smallest n with R^2 = ker(A^n) (+) im(A^n), or None; set arithmetic
-    over int-indexed vectors, sharing nothing with the pi decider."""
-    R = A.ring
-    tab = _tables(R)
+    """Smallest n with R^2 = ker(A^n) (+) im(A^n): the first n at which the
+    kernel chain of the module docstring stops growing."""
+    tab = _tables(A.ring)
     n = tab.size
     mul = tab.mul
     add = tab.add
-    zero = tab.zero
-    a, b, c, d = tab.matrix_indices(A)
-    m = (a, b, c, d)
-    prev = None
-    for power in range(1, n * n + 1):
+    a, b, c, d = m = tab.matrix_indices(A)
+    kernel = _kernel_size(tab, m)
+    for power in range(1, (n * n).bit_length() + 1):
         ma, mb, mc, md = m
-        ker = set()
-        im = set()
-        for x, y in tab.vectors:
-            fx = add[mul[ma * n + x] * n + mul[mb * n + y]]
-            fy = add[mul[mc * n + x] * n + mul[md * n + y]]
-            if fx == zero and fy == zero:
-                ker.add((x, y))
-            im.add((fx, fy))
-        if ker & im == {(zero, zero)}:
-            return power
-        if prev == (ker, im):
-            return None
-        prev = (ker, im)
         m = (
             add[mul[ma * n + a] * n + mul[mb * n + c]],
             add[mul[ma * n + b] * n + mul[mb * n + d]],
             add[mul[mc * n + a] * n + mul[md * n + c]],
             add[mul[mc * n + b] * n + mul[md * n + d]],
         )
-    return None
+        previous, kernel = kernel, _kernel_size(tab, m)
+        if kernel == previous:
+            return power
+    raise InternalContractViolation("kernel chain grew past log2 |R|^2 steps")

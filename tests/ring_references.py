@@ -7,6 +7,9 @@ The tests compare the index tables, the direct products above TABLE_CAP and
 the residue views with them.  invert2_rows, the 2x2 inverse by row reduction
 that the matrices module used before its L D U form, is the one reference
 here built on public ring ops; it works over any local ring.
+kernel_scan_is_invertible and brute_pi_sets are the oracle's invertibility
+and pi checks before it counted kernels: scans of all of R^2 on the ring's
+filled index tables.
 """
 
 from cleanmatrix.errors import NotAUnit
@@ -148,3 +151,60 @@ def invert2_rows(A):
     factor = r1[1]
     r1 = [R.sub(y, R.mul(factor, x)) for x, y in zip(r2, r1)]
     return Mat2(R, r1[2], r1[3], r2[2], r2[3])
+
+
+def _oracle_view(A):
+    """A's entries and the ring's filled tables, by index, with every vector
+    of R^2."""
+    tab = A.ring.filled_tables()
+    n = tab.size
+    vectors = [(x, y) for x in range(n) for y in range(n)]
+    return tuple(tab.index_of(e) for e in A.entries()), tab, vectors
+
+
+def kernel_scan_is_invertible(A):
+    """No nonzero kernel vector over the whole finite module R^2."""
+    (a, b, c, d), tab, vectors = _oracle_view(A)
+    n, mul, add = tab.size, tab.mul, tab.add
+    zero = tab.index_of(A.ring.zero)
+    for x, y in vectors:
+        if x == zero and y == zero:
+            continue
+        if (
+            add[mul[a * n + x] * n + mul[b * n + y]] == zero
+            and add[mul[c * n + x] * n + mul[d * n + y]] == zero
+        ):
+            return False
+    return True
+
+
+def brute_pi_sets(A):
+    """Smallest n with R^2 = ker(A^n) (+) im(A^n), or None; set arithmetic
+    over int-indexed vectors, power by power."""
+    m, tab, vectors = _oracle_view(A)
+    a, b, c, d = m
+    n, mul, add = tab.size, tab.mul, tab.add
+    zero = tab.index_of(A.ring.zero)
+    prev = None
+    for power in range(1, n * n + 1):
+        ma, mb, mc, md = m
+        ker = set()
+        im = set()
+        for x, y in vectors:
+            fx = add[mul[ma * n + x] * n + mul[mb * n + y]]
+            fy = add[mul[mc * n + x] * n + mul[md * n + y]]
+            if fx == zero and fy == zero:
+                ker.add((x, y))
+            im.add((fx, fy))
+        if ker & im == {(zero, zero)}:
+            return power
+        if prev == (ker, im):
+            return None
+        prev = (ker, im)
+        m = (
+            add[mul[ma * n + a] * n + mul[mb * n + c]],
+            add[mul[ma * n + b] * n + mul[mb * n + d]],
+            add[mul[mc * n + a] * n + mul[md * n + c]],
+            add[mul[mc * n + b] * n + mul[md * n + d]],
+        )
+    return None

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+import ring_references as ref
 
 from cleanmatrix.bruteforce import (
     ORACLE_CAP,
+    _kernel_size,
+    _tables,
     brute_clean,
     brute_pi,
     enumerate_idempotents,
@@ -32,6 +35,9 @@ T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
 Z8 = make_ring(mod_prime_power(2, 3))
 Z9 = make_ring(mod_prime_power(3, 2))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
+Z64 = make_ring(mod_prime_power(2, 6))
+Z256 = make_ring(mod_prime_power(2, 8))
+T256 = make_ring(truncated_poly(galois_field(2, 2), 4))
 
 
 def m(ring, a, b, c, d):
@@ -93,7 +99,7 @@ def test_too_large_and_infinite():
 
 def test_oracle_cap_is_256_elements():
     assert ORACLE_CAP == 256
-    assert brute_pi(Mat2.identity(make_ring(mod_prime_power(2, 8)))) == 1
+    assert brute_pi(Mat2.identity(Z256)) == 1
 
 
 def test_brute_clean_pinned_gf2():
@@ -155,6 +161,30 @@ def test_brute_pi_splitting_power_is_minimal():
         assert not splits(matpow(A, p - 1))
 
 
+def _sample(R, count):
+    rng = random.Random(20261019)
+    elems = R.enumerate_elements("All")
+    return [[rng.choice(elems) for _ in range(4)] for _ in range(count)]
+
+
+def test_kernel_chain_matches_set_arithmetic():
+    # the counted meet and the kernel chain against the |R|^2 scans they
+    # replaced: the same invertibility verdict and the same power, on every
+    # matrix over four rings and on samples over the skew ring, its opposite
+    # (where a x and x a differ) and a 64-element ring
+    cases = [(R, itertools.product(R.enumerate_elements("All"), repeat=4))
+             for R in (Z4, GF4, T2, Z8)]
+    cases += [(SK16, _sample(SK16, 300)), (SK16.opposite(), _sample(SK16.opposite(), 300)),
+              (Z64, _sample(Z64, 40))]
+    for R, quadruples in cases:
+        tab = _tables(R)
+        for entries in quadruples:
+            A = Mat2(R, *entries)
+            invertible = _kernel_size(tab, tab.matrix_indices(A)) == 1
+            assert invertible == ref.kernel_scan_is_invertible(A), repr(A)
+            assert brute_pi(A) == ref.brute_pi_sets(A), repr(A)
+
+
 def _decider_power(A):
     """The splitting power read off the pi decider's certificate."""
     cert = decide_strongly_pi_regular(A).certificate
@@ -172,13 +202,11 @@ def _decider_power(A):
 def test_brute_pi_power_matches_decider_certificate():
     # on a finite ring both always answer (Fitting's lemma), so compare the
     # power itself: for A similar to diag(t0 unit, t1 nilpotent), A^n splits
-    # exactly when t1^n = 0
+    # exactly when t1^n = 0; the 256-element rings reach ORACLE_CAP
     cases = [(R, itertools.product(R.enumerate_elements("All"), repeat=4))
              for R in (Z4, GF4, T2)]
-    for R in (Z8, SK16):
-        rng = random.Random(20261019)
-        elems = R.enumerate_elements("All")
-        cases.append((R, [[rng.choice(elems) for _ in range(4)] for _ in range(1000)]))
+    cases += [(R, _sample(R, 1000)) for R in (Z8, SK16)]
+    cases += [(R, _sample(R, 500)) for R in (Z256, T256)]
     for R, quadruples in cases:
         for entries in quadruples:
             A = Mat2(R, *entries)
