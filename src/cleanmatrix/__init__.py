@@ -18,7 +18,7 @@ _MODULES = {
     ),
     "matrices": (
         "Mat2", "conjugate", "diag_mul", "diagonalizes", "has_inverse",
-        "invert2", "is_invertible", "is_nilpotent", "matpow", "matvec", "outer",
+        "invert2", "is_invertible", "matpow", "matvec", "outer",
         "residue_matrix", "rowvec_mul",
     ),
     "companion": (
@@ -29,7 +29,7 @@ _MODULES = {
         "MonicQuadratic", "RootReport", "element_is_nilpotent",
         "find_roots_auto", "find_roots_enumerate", "find_roots_rational",
         "left_eval", "lift_root", "lift_root_truncated", "pi_roots",
-        "right_eval", "right_roots", "w_roots",
+        "right_roots", "w_roots",
     ),
     "clean": (
         "CleanCertificate", "CleanDecision", "RingCleanVerdict",
@@ -45,7 +45,7 @@ _MODULES = {
     ),
     "integer_matrices": (
         "IntCleanClass", "classify_integer", "integer_clean_decision",
-        "integer_oracle", "is_unimodular",
+        "integer_oracle",
     ),
     "bruteforce": ("brute_clean", "brute_pi", "enumerate_idempotents"),
     "literals": (

@@ -3,8 +3,12 @@ U invertible, and EU = UE.
 
 Trivial cases: A invertible (E = 0) and I - A invertible (E = I).  Every other
 candidate reduces to a companion matrix C = [[0, w0], [1, 1+w1]] and is strongly
-clean exactly when t^2 - t(1+w1) - w0 has a left root in J; the certificate is
-assembled from a pair of row eigenvectors of C,
+clean exactly when t^2 - t(1+w1) - w0 has a left root in J.  Over a
+commutative ring that quadratic is t^2 - tr(A) t + det(A), read off A with
+one add and one dot, so the roots are settled first: a NotClean verdict forms
+no companion form, and only a NontrivialClean one reduces, for its P.  Over
+the skew rings the reduction comes first and the quadratic is read off C.
+The certificate is assembled from a pair of row eigenvectors of C,
 
     v1 = (1, lamJ),  v2 = (1, lam1J),  vi C = lami vi,
 
@@ -21,7 +25,7 @@ Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """
 
-from .companion import CompanionForm, reduce_to_companion
+from .companion import CompanionForm, char_quadratic, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal
 from .matrices import Mat2, diagonalizes, has_inverse, matvec, outer
 from .quadratics import MonicQuadratic, w_roots
@@ -110,14 +114,21 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="Trivial"
         )
-    cf = reduce_to_companion(A)
-    f = MonicQuadratic.from_radical_params(R, cf.w0, cf.w1)
+    if R.is_commutative:
+        # the companion quadratic is A's own t^2 - tr(A) t + det(A): settle
+        # the roots first and reduce only for a certificate
+        cf, f = None, char_quadratic(A)
+    else:
+        cf = reduce_to_companion(A)
+        f = cf.f
     lam_j, lam_1j, method = w_roots(f)
     if (lam_j is None) != (lam_1j is None):
         # roots in J and in 1+J exist together or not at all
         raise InternalContractViolation("one-sided root presence is asymmetric")
     if lam_j is None or lam_1j is None:
         return CleanDecision("NotClean", witness=f, method=method)
+    if cf is None:
+        cf = reduce_to_companion(A, f)
     cert = build_certificate(cf, lam_j, lam_1j, A)
     return CleanDecision("NontrivialClean", certificate=cert, method=method)
 

@@ -2,8 +2,9 @@
 
 Subcommands: decide (clean decomposition), pi (pi-regular decomposition),
 factor (unit-split factorization), survey (ring-level verdict), classify-int
-(integer similarity class), selftest (oracle agreement sweep), and verify,
-which re-checks a JSON document produced by the other subcommands.
+(integer similarity class), selftest (oracle agreement sweep, certificates
+compared), and verify, which re-checks a JSON document produced by the other
+subcommands.
 
 Exit codes: 0 decided or verified, 2 negative verdict, 64 bad input.  JSON
 output is stable: keys sorted, matrices as nested arrays of element literals
@@ -26,7 +27,12 @@ import json
 import os
 import sys
 
-from .errors import CleanMatrixError, NoFactorization, ParseError
+from .errors import (
+    CleanMatrixError,
+    InternalContractViolation,
+    NoFactorization,
+    ParseError,
+)
 from .literals import (
     matrix_to_literals,
     parse_element,
@@ -310,7 +316,28 @@ def _cmd_classify_int(args):
 # ----------------------------------------------------------------- selftest
 
 
+def _pi_power(R, cert):
+    """The least n for which A^n splits, read off A's pi certificate: 1 for
+    a unit, the index for a nilpotent, and for A similar to diag(t0, t1),
+    t0 a unit and t1 nilpotent, the least n with t1^n = 0."""
+    if cert.kind == "unit":
+        return 1
+    if cert.kind == "nilpotent":
+        return cert.index
+    power, t = 1, cert.t1
+    while t != R.zero:
+        power, t = power + 1, R.mul(t, cert.t1)
+    return power
+
+
 def _selftest_chunk(spec_text, flat_indices):
+    """Both deciders against both oracles, certificates compared: the clean
+    status, and on a NontrivialClean matrix the idempotent E itself, which
+    is unique there (E commutes with A, so A acts on the lines im E and
+    ker E, as a non-unit and as a unit; over a finite ring the non-unit
+    action is nilpotent, so im E = ker A^N and ker E = im A^N for large N),
+    and the splitting power against brute_pi's.  A decision that fails its
+    own certificate check counts as a mismatch."""
     from .bruteforce import brute_clean, brute_pi
     from .clean import decide_strongly_clean
     from .piregular import decide_strongly_pi_regular
@@ -325,15 +352,23 @@ def _selftest_chunk(spec_text, flat_indices):
         j, rest = divmod(rest, n * n)
         k, l = divmod(rest, n)
         A = Mat2(R, els[i], els[j], els[k], els[l])
-        clean_dec = decide_strongly_clean(A)
-        clean_brute = brute_clean(A)
-        if (clean_dec.status != "NotClean") == (clean_brute is not None):
+        try:
+            dec, brute = decide_strongly_clean(A), brute_clean(A)
+            agree = (dec.status == "NotClean") == (brute is None) and (
+                dec.status != "NontrivialClean" or dec.certificate.E == brute.E
+            )
+        except InternalContractViolation:
+            agree = False
+        if agree:
             clean_ok += 1
         else:
             mismatches.append(("clean", flat))
-        pi_dec = decide_strongly_pi_regular(A)
-        pi_brute = brute_pi(A)
-        if (pi_dec.status != "No") == (pi_brute is not None):
+        try:
+            dec = decide_strongly_pi_regular(A)
+            agree = dec.status != "No" and _pi_power(R, dec.certificate) == brute_pi(A)
+        except InternalContractViolation:
+            agree = False
+        if agree:
             pi_ok += 1
         else:
             mismatches.append(("pi", flat))

@@ -16,50 +16,53 @@ it, over the residue field.
 
 Both record P = Q^-1 for Q = [x | Ax], so P A P^-1 is the companion matrix
 exactly, and keep Q as P_inv.  invert2's check that P Q = Q P = I is the one
-proof of that inverse; a NotClean witness has no certificate to re-verify
-later, so it rests on it.  The companion matrix needs no product with Q: its
-columns are P A x and P A (Ax).  Inputs already in companion shape
-short-circuit to P = I.
+proof of that inverse, and it also gives the companion matrix's first column:
+P (Ax) is the second column of P Q, e2.  Over a commutative ring the second
+column is read off the similarity invariants, top = -det A and corner = tr A,
+which char_quadratic reads too; the deciders there settle the roots of
+t^2 - tr(A) t + det(A) first and reduce only to build a certificate.  Over
+the skew rings the second column is P A (Ax), and a NotClean or No witness,
+which has no certificate to re-verify later, rests on invert2's check.
+Inputs already in companion shape short-circuit to P = I.
 """
 
 from .errors import InternalContractViolation, NotApplicable, NotInvertible
 from .matrices import Mat2, invert2, is_invertible, matvec, residue_matrix, rowvec_mul
+from .quadratics import MonicQuadratic
 
 
 class CompanionForm:
-    __slots__ = ("kind", "top", "corner", "P", "P_inv")
+    """P A P^-1 = [[0, top], [1, corner]], kept as its quadratic
+    f = t^2 - t corner - top: t^2 - t (1 + w1) - w0 for kind "clean",
+    t^2 - t r - w for kind "pi"."""
 
-    def __init__(self, kind, top, corner, P, P_inv):
+    __slots__ = ("kind", "f", "P", "P_inv")
+
+    def __init__(self, kind, f, P, P_inv):
         self.kind = kind  # "clean" or "pi"
-        self.top = top  # entry (1,2) of the companion matrix
-        self.corner = corner  # entry (2,2)
+        self.f = f
         self.P = P
         self.P_inv = P_inv  # P^-1, checked by invert2 when it built P
 
     @property
     def w0(self):
         assert self.kind == "clean"
-        return self.top
+        return self.f.w0
 
     @property
     def w1(self):
         assert self.kind == "clean"
-        ring = self.P.ring
-        return ring.sub(self.corner, ring.one)
+        return self.f.w1
 
     @property
     def w(self):
         assert self.kind == "pi"
-        return self.top
+        return self.f.w0
 
     @property
     def r(self):
         assert self.kind == "pi"
-        return self.corner
-
-    def companion_matrix(self) -> Mat2:
-        ring = self.P.ring
-        return Mat2(ring, ring.zero, self.top, ring.one, self.corner)
+        return self.P.ring.neg(self.f.a1)
 
     def eigenrow_transform(self, lam0, lam1) -> Mat2:
         """Q P for the Q with rows (1, lam0) and (1, lam1), row by row.  When
@@ -107,20 +110,42 @@ def _outside_kernel_and_image(Ab):
     return (e1, e1 if bad == z else z)
 
 
-def _build_from_basis_vector(A, x):
+def char_quadratic(A) -> MonicQuadratic:
+    """t^2 - tr(A) t + det(A) for A over a commutative ring, with one add for
+    the trace and one dot for the determinant: the quadratic of either
+    companion form, since both coefficients are similarity invariants."""
+    R = A.ring
+    tr = R.add(A.a, A.d)
+    return MonicQuadratic(R, R.neg(tr), R.dot(A.a, A.d, R.neg(A.b), A.c))
+
+
+def _basis_change(A, x):
+    """(P, Q) for Q = [x | Ax] and P = Q^-1."""
     R = A.ring
     Ax = matvec(A, x)
-    Q = Mat2(R, x[0], Ax[0], x[1], Ax[1])  # columns x, Ax
+    Q = Mat2(R, x[0], Ax[0], x[1], Ax[1])
     try:
-        P = invert2(Q)
+        return invert2(Q), Q
     except NotInvertible:
         raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
-    c0, c1 = matvec(P, Ax), matvec(P, matvec(A, Ax))  # columns of P A Q
-    return P, Q, Mat2(R, c0[0], c1[0], c0[1], c1[1])
 
 
-def reduce_to_companion(A: Mat2) -> CompanionForm:
-    """Clean-case reduction; NotApplicable when A or I - A is invertible."""
+def _form(kind, A, P, Q, f) -> CompanionForm:
+    """The companion form of A for P = Q^-1, Q = [x | Ax]; f is
+    char_quadratic(A) or None.  P A Q has first column P (Ax) = e2, Ax being
+    Q's second column; over a skew ring its second column, P A (Ax), gives
+    the quadratic, over a commutative ring A's own quadratic is it."""
+    R = A.ring
+    if R.is_commutative:
+        return CompanionForm(kind, char_quadratic(A) if f is None else f, P, Q)
+    top, corner = matvec(P, matvec(A, (Q.b, Q.d)))
+    return CompanionForm(kind, MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
+
+
+def reduce_to_companion(A: Mat2, f=None) -> CompanionForm:
+    """Clean-case reduction; NotApplicable when A or I - A is invertible.  A
+    caller over a commutative ring that has read f = char_quadratic(A)
+    passes it, so that it is not read twice."""
     R = A.ring
     Ab = residue_matrix(A)
     I_Ab = Mat2.identity(Ab.ring) - Ab
@@ -133,7 +158,7 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         and R.in_radical(R.sub(A.d, R.one))
     ):
         I = Mat2.identity(R)
-        return CompanionForm("clean", A.b, A.d, I, I)
+        return _form("clean", A, I, I, f)
     rv = R.residue_view()
     v = _kernel_vector(Ab)
     wv = _kernel_vector(I_Ab)
@@ -141,19 +166,15 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
         R.add(rv.lift(v[0]), rv.lift(wv[0])),
         R.add(rv.lift(v[1]), rv.lift(wv[1])),
     )
-    P, Q, C = _build_from_basis_vector(A, x)
-    if not (
-        C.a == R.zero
-        and C.c == R.one
-        and R.in_radical(C.b)
-        and R.in_radical(R.sub(C.d, R.one))
-    ):
+    cf = _form("clean", A, *_basis_change(A, x), f)
+    if not (R.in_radical(cf.f.a0) and R.in_radical(R.add(R.one, cf.f.a1))):
         raise InternalContractViolation("companion shape violated after reduction")
-    return CompanionForm("clean", C.b, C.d, P, Q)
+    return cf
 
 
-def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
-    """Pi-case reduction; NotApplicable when A is invertible or A is over J."""
+def reduce_to_companion_pi(A: Mat2, f=None) -> CompanionForm:
+    """Pi-case reduction; NotApplicable when A is invertible or A is over J.
+    f as for reduce_to_companion."""
     R = A.ring
     Ab = residue_matrix(A)
     if Ab == Mat2.zero(Ab.ring):
@@ -162,15 +183,15 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
         raise NotApplicable("A is invertible; no pi companion form")
     if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
         I = Mat2.identity(R)
-        return CompanionForm("pi", A.b, A.d, I, I)
+        return _form("pi", A, I, I, f)
     rv = R.residue_view()
     # A is singular and not over J, so its residue matrix has rank exactly 1
     pick = _outside_kernel_and_image(Ab)
     x = (rv.lift(pick[0]), rv.lift(pick[1]))
-    P, Q, C = _build_from_basis_vector(A, x)
-    if not (C.a == R.zero and C.c == R.one and R.in_radical(C.b)):
+    cf = _form("pi", A, *_basis_change(A, x), f)
+    if not R.in_radical(cf.f.a0):
         raise InternalContractViolation("pi companion shape violated")
-    return CompanionForm("pi", C.b, C.d, P, Q)
+    return cf
 
 
 def check_companion_identity(ring, coeffs) -> bool:

@@ -10,11 +10,10 @@ eigenlattice is a proper sublattice, which kills the decomposition.
 integer_oracle is the independent check: for non-scalar A any commuting
 rational idempotent is alpha*I + beta*A; idempotency forces
 beta^2 * (tr^2 - 4 det) = 1 and alpha = (1 - beta*tr)/2, so it tries both
-beta signs over exact fractions and tests entry integrality plus
+beta signs, tests entry integrality in integer arithmetic plus
 unimodularity of A - E directly, never touching the classifier's tables.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InternalContractViolation, NotApplicable
@@ -45,12 +44,6 @@ def _require_integers(A: Mat2):
 
 def _ints(A: Mat2):
     return tuple(e.payload for e in A.entries())
-
-
-def is_unimodular(A: Mat2) -> bool:
-    _require_integers(A)
-    a, b, c, d = _ints(A)
-    return a * d - b * c in (1, -1)
 
 
 def _primitive_eigenvector(a, b, c, d, lam):
@@ -108,12 +101,14 @@ def integer_oracle(A: Mat2) -> bool:
     s = isqrt(disc)
     if s * s != disc:
         return False
-    for beta in (Fraction(1, s), Fraction(-1, s)):
-        alpha = (1 - beta * tr) / 2
-        e = (alpha + beta * a, beta * b, beta * c, alpha + beta * d)
-        if any(x.denominator != 1 for x in e):
+    for sign in (1, -1):
+        # beta = sign/s and alpha = (1 - beta tr)/2, so 2 s E has the integer
+        # entries below; E is integral iff 2 s divides each of them
+        diag = s - sign * tr
+        e = (diag + 2 * sign * a, 2 * sign * b, 2 * sign * c, diag + 2 * sign * d)
+        if any(x % (2 * s) for x in e):
             continue
-        ea, eb, ec, ed = (int(x) for x in e)
+        ea, eb, ec, ed = (x // (2 * s) for x in e)
         # re-check idempotency and commutation instead of trusting algebra
         if (
             ea * ea + eb * ec != ea

@@ -213,10 +213,15 @@ def _check_bits(ring, value):
     # product or sum stays cheap; refusing a running value past the bound
     # keeps a long chain of them from growing without limit.
     if ring.family in ("Integers", "LocalizedIntegers"):
-        x = value.payload
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) - 1 > _POWER_BITS:
+        if _bits(ring, value) - 1 > _POWER_BITS:
             raise TooLarge(f"a product or sum over {ring.spec_string()} "
                            "has more than 4300 digits")
+
+
+def _bits(ring, value):
+    # the longer of numerator and denominator, in bits
+    n, d = ring.ratio(value)
+    return max(n.bit_length(), d.bit_length())
 
 
 def _unary(ring, toks):
@@ -232,9 +237,7 @@ def _power(ring, toks):
         toks.next()
         exp = toks.expect("INT")[1]
         if ring.family in ("Integers", "LocalizedIntegers"):
-            x = base.payload
-            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-            if (bits - 1) * exp > _POWER_BITS:
+            if (_bits(ring, base) - 1) * exp > _POWER_BITS:
                 raise TooLarge(f"a power with exponent {exp} over "
                                f"{ring.spec_string()} has more than 4300 digits")
         base = base ** exp

@@ -48,11 +48,6 @@ class Mat2:
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @staticmethod
-    def from_rows(ring, rows):
-        (a, b), (c, d) = rows
-        return Mat2(ring, a, b, c, d)
-
-    @staticmethod
     def zero(ring):
         z = ring.zero
         return Mat2(ring, z, z, z, z)
@@ -242,12 +237,3 @@ def invert2(A) -> Mat2:
 def conjugate(P, A) -> Mat2:
     """P A P^-1.  The deciders and verifiers use diagonalizes instead."""
     return (P * A) * invert2(P)
-
-
-def is_nilpotent(A) -> bool:
-    R = A.ring
-    if R.is_finite:
-        # J^v = 0 makes every nilpotent matrix vanish by the 2v-th power
-        return matpow(A, 2 * R.radical_index()) == Mat2.zero(R)
-    # over Z and Z_(p) the characteristic polynomial of a nilpotent 2x2 is t^2
-    return A == Mat2.zero(R) or A * A == Mat2.zero(R)

@@ -9,8 +9,12 @@ unit left root and a nilpotent left root; the eigenrow pair, pulled back
 through the companion transform, gives a P with P A = D P for
 D = diag(t0 unit, t1 nilpotent).  verify_pi_certificate checks P invertible
 and P A = D P, never forming P^-1, and the decider runs it once on the
-certificate it builds.  When r itself falls in J, A^2 has all entries in J
-and A is nilpotent over the finite families.  Otherwise the roots come from
+certificate it builds.  Over a commutative ring r = tr A and w = -det A, so
+the decider reads the quadratic off A and settles the case and the roots
+first; only a Nontrivial verdict reduces, for its P.  The skew rings reduce
+first and read r and w off the companion form.  When r itself falls in J,
+A^2 has all entries in J and A is nilpotent over the finite families; the
+nilpotent certificate needs only the index.  Otherwise the roots come from
 quadratics.pi_roots: on the finite rings the residue t (t - rbar) has the
 simple roots rbar and 0, so both roots exist and are lifted by chord steps,
 scanning neither the ring nor its residue field; Z_(p) finds them, or not, by
@@ -24,10 +28,10 @@ transform is the certificate's P.  Every other singular integer matrix is
 TrivialNilpotent or No.
 """
 
-from .companion import reduce_to_companion_pi
+from .companion import char_quadratic, reduce_to_companion_pi
 from .errors import InfiniteRing, InternalContractViolation
 from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matpow
-from .quadratics import MonicQuadratic, element_is_nilpotent, pi_roots
+from .quadratics import element_is_nilpotent, pi_roots
 
 
 class PiCertificate:
@@ -72,21 +76,14 @@ def _nilpotency_index(A):
 
 def _nilpotent_or_no(A, f=None):
     """TrivialNilpotent with the index, or No with the witness f, by default
-    the characteristic quadratic of A, built only then."""
+    the characteristic quadratic of A, built only then (only Z and Z_(p),
+    both commutative, answer No)."""
     idx = _nilpotency_index(A)
     if idx is None:
-        return PiDecision("No", witness=_char_quadratic(A) if f is None else f)
+        return PiDecision("No", witness=char_quadratic(A) if f is None else f)
     return PiDecision(
         "TrivialNilpotent", certificate=PiCertificate("nilpotent", index=idx)
     )
-
-
-def _char_quadratic(A) -> MonicQuadratic:
-    # commutative owners only: t^2 - tr(A) t + det(A)
-    R = A.ring
-    tr = R.add(A.a, A.d)
-    det = R.sub(R.mul(A.a, A.d), R.mul(A.b, A.c))
-    return MonicQuadratic(R, R.neg(tr), det)
 
 
 def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
@@ -98,14 +95,21 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
     if all(R.in_radical(e) for e in A.entries()):
         # nilpotent, unless (Z_(p) only) no power vanishes: never pi-regular
         return _nilpotent_or_no(A)
-    cf = reduce_to_companion_pi(A)
-    f = MonicQuadratic(R, R.neg(cf.r), R.neg(cf.w))  # t^2 - t r - w
-    if R.in_radical(cf.r):
-        # A^2 lands in M_2(J); nilpotent iff some power dies
+    if R.is_commutative:
+        # t^2 - t r - w is A's own t^2 - tr(A) t + det(A): decide from it
+        # first and reduce only for a Nontrivial certificate
+        cf, f = None, char_quadratic(A)
+    else:
+        cf = reduce_to_companion_pi(A)
+        f = cf.f  # t^2 - t r - w
+    if R.in_radical(f.a1):
+        # r in J: A^2 lands in M_2(J); nilpotent iff some power dies
         return _nilpotent_or_no(A, f)
     lam_u, lam_n = pi_roots(f)
     if lam_u is None or lam_n is None:
         return PiDecision("No", witness=f)
+    if cf is None:
+        cf = reduce_to_companion_pi(A, f)
     return _checked_diag(A, lam_u, lam_n, cf.eigenrow_transform(lam_u, lam_n))
 
 

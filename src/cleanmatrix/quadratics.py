@@ -25,6 +25,8 @@ picks its route, and every caller goes through it:
     finite rings, the discriminant over Z_(p);
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
     pi decider): lifting on every finite ring, the discriminant over Z_(p);
+    over a commutative ring only the nilpotent root is lifted, the unit one
+    being -a1 minus it;
   * find_roots_auto, any requested subsets (right_roots): a complete scan on
     finite rings, the discriminant over Z and Z_(p).
 
@@ -49,13 +51,19 @@ with x in J^i but not in J^(i+1), the expansion gives
 lam x + x (lam + a1) + x^2 = 0, whose left side is x a1 or lam x modulo
 J^(i+1) by the same case split: a unit times x, so not in J^(i+1).  So
 lifting returns the same element as a complete scan of its residue class.
-pi_roots lifts the unit root from lift(rbar) and the nilpotent root from 0;
-w_roots on the truncated rings lifts the J roots of f and of f(1 - t) from 0.
+pi_roots lifts the nilpotent root lam from 0.  Over a commutative ring
+f(t) = (t - lam)(t - mu) with mu = -a1 - lam, which reduces to rbar, so mu
+is the unit root, the one lifting from lift(rbar) returns; the skew rings
+lift it.  w_roots on the truncated rings lifts the J roots of f and of
+f(1 - t) from 0.
+
+Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
+find_roots_rational tests the discriminant and forms the roots in integer
+arithmetic.
 """
 
 from collections import namedtuple
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InfiniteRing, InternalContractViolation, NotApplicable
 from .rings import Element
@@ -78,10 +86,6 @@ class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
         """t^2 - t(1 + w1) - w0 for w0, w1 in J."""
         ring._guard(w0, w1)
         return MonicQuadratic(ring, ring.neg(ring.add(ring.one, w1)), ring.neg(w0))
-
-    def in_w(self) -> bool:
-        R = self.ring
-        return R.in_radical(self.a0) and R.in_radical(R.add(R.one, self.a1))
 
     @property
     def w0(self):
@@ -153,13 +157,6 @@ def left_eval(f: MonicQuadratic, lam: Element) -> Element:
     return R.add(R.mul(lam, R.add(lam, f.a1)), f.a0)
 
 
-def right_eval(f: MonicQuadratic, lam: Element) -> Element:
-    """lam^2 + a1 lam + a0, as (lam + a1) lam + a0."""
-    R = f.ring
-    R._guard(lam)
-    return R.add(R.mul(R.add(lam, f.a1), lam), f.a0)
-
-
 def element_is_nilpotent(ring, a) -> bool:
     if not ring.in_radical(a):
         return False
@@ -202,58 +199,63 @@ def find_roots_enumerate(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     return report
 
 
-def _fraction_sqrt(q: Fraction):
-    if q < 0:
+def _rational_sqrt(n, d):
+    """(rn, rd) with (rn/rd)^2 = n/d for a reduced n/d with d > 0, or None
+    when n/d is not the square of a rational."""
+    if n < 0:
         return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn != n or rd * rd != d:
         return None
-    return Fraction(rn, rd)
+    return rn, rd
 
 
 def find_roots_rational(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     """Discriminant route over Z and Z_(p); commutative, so sides agree.
 
-    Over Z only the unit and nilpotent subsets are meaningful (no radical);
-    J / 1+J stay None there by definition."""
+    With a1 = n1/d1 and a0 = n0/d0, the discriminant a1^2 - 4 a0 is
+    (n1^2 d0 - 4 n0 d1^2) / (d1^2 d0), a square of Q exactly when its reduced
+    numerator and denominator are squares of Z; the roots (-a1 +- s)/2 are
+    then formed over one denominator and reduced.  Over Z only the unit and
+    nilpotent subsets are meaningful (no radical); J / 1+J stay None there by
+    definition."""
     R = f.ring
     if R.family not in ("Integers", "LocalizedIntegers"):
         raise NotApplicable("rational root search needs Z or Z_(p)")
     report = RootReport(method="Discriminant", targets=tuple(targets))
-    a1 = Fraction(f.a1.payload)
-    a0 = Fraction(f.a0.payload)
-    disc = a1 * a1 - 4 * a0
-    s = _fraction_sqrt(disc)
+    (n1, d1), (n0, d0) = R.ratio(f.a1), R.ratio(f.a0)
+    num, den = n1 * n1 * d0 - 4 * n0 * d1 * d1, d1 * d1 * d0
+    g = gcd(num, den)
+    s = _rational_sqrt(num // g, den // g)
     if s is None:
         return report
-    roots = [(-a1 + s) / 2, (-a1 - s) / 2]
-    for lam in roots:
+    sn, sd = s
+    den = 2 * d1 * sd
+    for num in (sn * d1 - n1 * sd, -sn * d1 - n1 * sd):  # -a1 + s, then -a1 - s
+        g = gcd(num, den)
+        n, d = num // g, den // g
         if R.family == "Integers":
-            if lam.denominator != 1:
+            if d != 1:
                 continue
-            el = R.el(int(lam))
-            if "nilpotent" in targets and lam == 0 and report.root_nilpotent is None:
+            el = R.el(n)
+            if "nilpotent" in targets and n == 0 and report.root_nilpotent is None:
                 report.root_nilpotent = el
-            if "unit" in targets and lam in (1, -1) and report.root_unit is None:
+            if "unit" in targets and n in (1, -1) and report.root_unit is None:
                 report.root_unit = el
             continue
         p = R.p
-        if lam.denominator % p == 0:
+        if d % p == 0:
             continue  # not an element of Z_(p)
-        el = R.el(lam)
-        in_j = lam.numerator % p == 0
+        el = R.frac(n, d)
+        in_j = n % p == 0
         if "J" in targets and in_j and report.root_in_j is None:
             report.root_in_j = el
-        if (
-            "1+J" in targets
-            and (lam - 1).numerator % p == 0
-            and report.root_in_1_plus_j is None
-        ):
+        # n/d - 1 = (n - d)/d, d a unit: in J iff p divides n - d
+        if "1+J" in targets and (n - d) % p == 0 and report.root_in_1_plus_j is None:
             report.root_in_1_plus_j = el
         if "unit" in targets and not in_j and report.root_unit is None:
             report.root_unit = el
-        if "nilpotent" in targets and lam == 0 and report.root_nilpotent is None:
+        if "nilpotent" in targets and n == 0 and report.root_nilpotent is None:
             report.root_nilpotent = el
     return report
 
@@ -328,9 +330,14 @@ def pi_roots(f: MonicQuadratic):
     J, or None where Z_(p) has no such root; lifted on finite rings."""
     R = f.ring
     if R.is_finite:
-        # t(t - rbar) has the simple residue roots rbar and 0: lift both
+        # t(t - rbar) has the simple residue roots rbar and 0: lift 0, and
+        # over a commutative ring read the other root off the sum of the
+        # roots, -a1 (see the module docstring); else lift it from rbar
+        lam_n = lift_root(f, R.zero)
+        if R.is_commutative:
+            return R.neg(R.add(f.a1, lam_n)), lam_n
         rv = R.residue_view()
-        return lift_root(f, rv.lift(rv.reduce(R.neg(f.a1)))), lift_root(f, R.zero)
+        return lift_root(f, rv.lift(rv.reduce(R.neg(f.a1)))), lam_n
     rep = find_roots_rational(f, ("unit", "nilpotent"))
     return rep.root_unit, rep.root_nilpotent
 
@@ -340,7 +347,7 @@ def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     otherwise delegated to the left search over the opposite ring (elements are
     shared, so the reported roots live in the original ring)."""
     R = f.ring
-    if getattr(R, "is_commutative", True):
+    if R.is_commutative:
         return find_roots_auto(f, targets)
     fop = MonicQuadratic(R.opposite(), f.a1, f.a0)
     return find_roots_auto(fop, targets)

@@ -3,7 +3,7 @@
 Six families, all sharing one element interface:
 
   Integers              Z              (not local; kept for the integer classifier)
-  LocalizedIntegers(p)  Z_(p)          fractions with denominator coprime to p
+  LocalizedIntegers(p)  Z_(p)          reduced pairs (n, d) for n/d, d prime to p
   ModPrimePower(p, k)   Z/p^k
   GaloisField(p, m)     GF(p^m)        coefficient vectors over F_p
   TruncatedPoly(F, n)   F[y]/(y^n)     F a Galois field
@@ -57,8 +57,8 @@ above the cap allocates no index table.
 
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     InfiniteRing,
@@ -470,6 +470,11 @@ class IntegerRing(LocalRing):
     def residue_view(self):
         raise NotLocal("Z has no residue field; it is not local")
 
+    def ratio(self, a):
+        """(n, d) in lowest terms with a = n/d and d > 0; here (a, 1)."""
+        self._guard(a)
+        return a.payload, 1
+
     def spec_string(self):
         return "Z"
 
@@ -483,55 +488,98 @@ class IntegerRing(LocalRing):
 
 
 class LocalizedIntegersRing(LocalRing):
+    """Z_(p).  The payload is a reduced pair (n, d) for n/d: d > 0, gcd(n, d)
+    = 1 and d prime to p.  frac (and el through it) reduces its input; the
+    ops compute on pairs and reduce with one gcd."""
+
     family = "LocalizedIntegers"
 
     def __init__(self, spec):
         super().__init__(spec)
         self.p = spec.p
-        self.zero = Element(self, Fraction(0))
-        self.one = Element(self, Fraction(1))
+        self.zero = Element(self, (0, 1))
+        self.one = Element(self, (1, 1))
 
     def el(self, payload):
-        payload = Fraction(payload)
-        if payload.denominator % self.p == 0:
+        """The element of an int or a Fraction (any rational with numerator
+        and denominator)."""
+        try:
+            n, d = payload.numerator, payload.denominator
+        except AttributeError:
+            raise ValueError(f"rational payload expected, got {payload!r}") from None
+        return self.frac(n, d)
+
+    def frac(self, n, d):
+        """n/d for integers n and d != 0; ValueError when p divides the
+        reduced denominator."""
+        g = gcd(n, d)
+        if d < 0:
+            g = -g
+        n, d = n // g, d // g
+        if d % self.p == 0:
             raise ValueError(
-                f"{payload} has denominator divisible by {self.p}; "
+                f"{n}/{d} has denominator divisible by {self.p}; "
                 f"not an element of {self.spec_string()}"
             )
-        return Element(self, payload)
+        return Element(self, (n, d))
 
     def from_int(self, v):
-        return Element(self, Fraction(v))
+        return Element(self, (v, 1))
+
+    def ratio(self, a):
+        """(n, d) in lowest terms with a = n/d and d > 0: the payload."""
+        self._guard(a)
+        return a.payload
 
     def add(self, a, b):
         self._guard(a, b)
-        return Element(self, a.payload + b.payload)
+        (n, d), (m, e) = a.payload, b.payload
+        if d == e:
+            n += m
+        else:
+            n, d = n * e + m * d, d * e
+        g = gcd(n, d)
+        return Element(self, (n // g, d // g))
 
     def neg(self, a):
         self._guard(a)
-        return Element(self, -a.payload)
+        n, d = a.payload
+        return Element(self, (-n, d))
 
     def mul(self, a, b):
         self._guard(a, b)
-        return Element(self, a.payload * b.payload)
+        (n, d), (m, e) = a.payload, b.payload
+        n, d = n * m, d * e
+        g = gcd(n, d)
+        return Element(self, (n // g, d // g))
 
-    dot = IntegerRing.dot
+    def dot(self, a, b, c, d):
+        self._guard(a, b, c, d)
+        (an, ad), (bn, bd) = a.payload, b.payload
+        (cn, cd), (dn, dd) = c.payload, d.payload
+        x, y = ad * bd, cd * dd
+        n, d = an * bn * y + cn * dn * x, x * y
+        g = gcd(n, d)
+        return Element(self, (n // g, d // g))
 
     def is_unit(self, a):
         if not (type(a) is Element and a.ring is self):
             self._guard(a)
-        return a.payload.numerator % self.p != 0
+        return a.payload[0] % self.p != 0
 
     def in_radical(self, a):
         if not (type(a) is Element and a.ring is self):
             self._guard(a)
-        return a.payload.numerator % self.p == 0
+        return a.payload[0] % self.p == 0
 
     def invert(self, a):
         self._guard(a)
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a.payload} is not a unit in {self.spec_string()}")
-        return Element(self, 1 / a.payload)
+        n, d = a.payload
+        if n % self.p == 0:
+            raise NotAUnit(
+                f"{self.format_element(a)} is not a unit in {self.spec_string()}"
+            )
+        return Element(self, (-d, -n) if n < 0 else (d, n))
 
     def _make_residue_view(self):
         field = make_ring(galois_field(self.p, 1))
@@ -539,20 +587,27 @@ class LocalizedIntegersRing(LocalRing):
 
         def reduce_fn(a):
             self._guard(a)
-            num = a.payload.numerator % p
-            den = a.payload.denominator % p
-            return field.el((num * pow(den, -1, p) % p,))
+            n, d = a.payload
+            return field.el((n * pow(d, -1, p) % p,))
 
         def lift_fn(c):
             field._guard(c)
-            return Element(self, Fraction(c.payload[0]))
+            return Element(self, (c.payload[0], 1))
 
         return ResidueView(field, reduce_fn, lift_fn)
 
     def spec_string(self):
         return f"Zloc({self.p})"
 
-    format_element = IntegerRing.format_element
+    def format_element(self, a):
+        """n, or n/d when d > 1: the text of the equal Fraction."""
+        n, d = a.payload
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise TooLarge(
+                f"an element of {self.spec_string()} has too many digits to print"
+            ) from None
 
 
 # ---------------------------------------------------------------- finite rings

@@ -10,10 +10,19 @@ here built on public ring ops; it works over any local ring.
 kernel_scan_is_invertible and brute_pi_sets are the oracle's invertibility
 and pi checks before it counted kernels: scans of all of R^2 on the ring's
 filled index tables.
+
+from_rows, is_nilpotent, right_eval, in_w, companion_matrix and
+is_unimodular are helpers that only the tests call.  fraction and
+FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
+for the reduced-pair payload.
 """
 
-from cleanmatrix.errors import NotAUnit
-from cleanmatrix.matrices import Mat2
+import operator
+from fractions import Fraction
+from math import isqrt
+
+from cleanmatrix.errors import NotApplicable, NotAUnit
+from cleanmatrix.matrices import Mat2, matpow
 from cleanmatrix.rings import Element, _fp_mul, _fp_rem, galois_field, make_ring
 
 
@@ -208,3 +217,75 @@ def brute_pi_sets(A):
             add[mul[mc * n + b] * n + mul[md * n + d]],
         )
     return None
+
+
+def from_rows(ring, rows):
+    (a, b), (c, d) = rows
+    return Mat2(ring, a, b, c, d)
+
+
+def is_nilpotent(A) -> bool:
+    R = A.ring
+    if R.is_finite:
+        # J^v = 0 makes every nilpotent matrix vanish by the 2v-th power
+        return matpow(A, 2 * R.radical_index()) == Mat2.zero(R)
+    # over Z and Z_(p) the characteristic polynomial of a nilpotent 2x2 is t^2
+    return A == Mat2.zero(R) or A * A == Mat2.zero(R)
+
+
+def right_eval(f, lam):
+    """lam^2 + a1 lam + a0, as (lam + a1) lam + a0."""
+    R = f.ring
+    R._guard(lam)
+    return R.add(R.mul(R.add(lam, f.a1), lam), f.a0)
+
+
+def in_w(f) -> bool:
+    """Whether f = t^2 + t a1 + a0 lies in W: a0 and 1 + a1 in J."""
+    R = f.ring
+    return R.in_radical(f.a0) and R.in_radical(R.add(R.one, f.a1))
+
+
+def companion_matrix(cf) -> Mat2:
+    """[[0, top], [1, corner]] of a CompanionForm, whose quadratic is
+    t^2 - t corner - top."""
+    ring = cf.P.ring
+    return Mat2(ring, ring.zero, ring.neg(cf.f.a0), ring.one, ring.neg(cf.f.a1))
+
+
+def is_unimodular(A) -> bool:
+    if A.ring.family != "Integers":
+        raise NotApplicable("integer classification needs matrices over Z")
+    a, b, c, d = (e.payload for e in A.entries())
+    return a * d - b * c in (1, -1)
+
+
+def fraction(a):
+    """The Fraction equal to an element of Z_(p), read off its payload."""
+    n, d = a.payload
+    return Fraction(n, d)
+
+
+FRACTION_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "neg": operator.neg,
+    "invert": lambda x: 1 / x,
+    "dot": lambda a, b, c, d: a * b + c * d,
+}
+
+
+def rational_roots(f):
+    """The roots (-a1 + s)/2 and (-a1 - s)/2 of f = t^2 + a1 t + a0 over Z or
+    Z_(p) as Fractions, s the rational square root of the discriminant, or
+    () when it has none: the root route before payloads became pairs."""
+    a1, a0 = (Fraction(*f.ring.ratio(c)) for c in (f.a1, f.a0))
+    disc = a1 * a1 - 4 * a0
+    if disc < 0:
+        return ()
+    rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        return ()
+    s = Fraction(rn, rd)
+    return ((-a1 + s) / 2, (-a1 - s) / 2)

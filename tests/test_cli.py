@@ -620,3 +620,14 @@ def test_factor_loads_only_its_modules():
     assert {"cleanmatrix.factorization", "cleanmatrix.quadratics"} <= added
     for name in ("clean", "companion", "piregular", "bruteforce"):
         assert f"cleanmatrix.{name}" not in added
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--ring", "Zloc(2)", "--matrix", "[[0,2],[1,1]]"),
+    ("pi", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]"),
+], ids=["decide-Zloc", "pi-Z"])
+def test_rational_rings_load_no_fractions(argv):
+    # Z_(p) payloads are integer pairs and the integer oracle tests
+    # integrality in integer arithmetic; fractions would also pull in decimal
+    added = _modules_loaded_by(*argv)
+    assert "fractions" not in added and "decimal" not in added

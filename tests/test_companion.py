@@ -1,19 +1,24 @@
 """Companion-form reduction and the companion matrix identity."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import ring_references as ref
 
 from cleanmatrix.companion import (
     CompanionForm,
     _kernel_vector,
+    char_quadratic,
     _outside_kernel_and_image,
     check_companion_identity,
     reduce_to_companion,
     reduce_to_companion_pi,
 )
 from cleanmatrix.errors import NotApplicable
+from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2, conjugate, invert2, is_invertible, matvec
+from cleanmatrix.quadratics import MonicQuadratic
 from cleanmatrix.rings import (
     galois_field,
     make_ring,
@@ -38,11 +43,13 @@ def m(ring, a, b, c, d):
 
 
 def test_companion_form_accessors():
-    cf = CompanionForm("clean", Z8.el(4), Z8.el(3), Mat2.identity(Z8), Mat2.identity(Z8))
+    I = Mat2.identity(Z8)
+    # t^2 - t corner - top for [[0, 4], [1, 3]] and [[0, 2], [1, 5]]
+    cf = CompanionForm("clean", MonicQuadratic(Z8, Z8.el(-3), Z8.el(-4)), I, I)
     assert cf.w0 == Z8.el(4)
     assert cf.w1 == Z8.el(2)  # corner minus one
-    assert cf.companion_matrix() == m(Z8, 0, 4, 1, 3)
-    pf = CompanionForm("pi", Z8.el(2), Z8.el(5), Mat2.identity(Z8), Mat2.identity(Z8))
+    assert ref.companion_matrix(cf) == m(Z8, 0, 4, 1, 3)
+    pf = CompanionForm("pi", MonicQuadratic(Z8, Z8.el(-5), Z8.el(-2)), I, I)
     assert pf.w == Z8.el(2)
     assert pf.r == Z8.el(5)
 
@@ -84,7 +91,7 @@ def test_reduce_clean_exhaustive_small(R):
                     cf = reduce_to_companion(A)
                     assert R.in_radical(cf.w0)
                     assert R.in_radical(cf.w1)
-                    assert conjugate(cf.P, A) == cf.companion_matrix()
+                    assert conjugate(cf.P, A) == ref.companion_matrix(cf)
                     hit += 1
     assert hit > 0
 
@@ -104,9 +111,43 @@ def test_reduce_pi_exhaustive_small(R):
                         continue
                     pf = reduce_to_companion_pi(A)
                     assert R.in_radical(pf.w)
-                    assert conjugate(pf.P, A) == pf.companion_matrix()
+                    assert conjugate(pf.P, A) == ref.companion_matrix(pf)
                     hit += 1
     assert hit > 0
+
+
+def _random_matrix(R, rng):
+    """A seeded matrix over R; over Z_(p) entries n/d with |n| <= 40 and d
+    prime to p."""
+    if R.is_finite:
+        return Mat2(R, *(R.element_at(rng.randrange(R.size())) for _ in range(4)))
+    dens = [d for d in range(1, 12) if d % R.p]
+    return Mat2(R, *(R.el(Fraction(rng.randint(-40, 40), rng.choice(dens)))
+                     for _ in range(4)))
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zloc(2)", "Zloc(3)", "Zmod(2,8)", "GF(2,4)", "Trunc(GF(2,2),4)"]
+)
+def test_trace_det_quadratic_is_the_companion_quadratic(spec):
+    # P A P^-1 = [[0, top], [1, corner]] formed by products, against the
+    # quadratic read off tr A and det A: t^2 - t corner - top
+    R = parse_ring(spec)
+    rng = random.Random(spec)
+    I = Mat2.identity(R)
+    clean = pi = 0
+    while clean < 60 or pi < 60:
+        A = _random_matrix(R, rng)
+        if is_invertible(A):
+            continue
+        f = char_quadratic(A)
+        C = Mat2(R, R.zero, R.neg(f.a0), R.one, R.neg(f.a1))
+        if not is_invertible(I - A) and clean < 60:
+            assert conjugate(reduce_to_companion(A).P, A) == C, repr(A)
+            clean += 1
+        if not all(R.in_radical(e) for e in A.entries()) and pi < 60:
+            assert conjugate(reduce_to_companion_pi(A).P, A) == C, repr(A)
+            pi += 1
 
 
 def _image_set_pick(Ab):

@@ -2,17 +2,19 @@
 
 The 2x2 layer forms each entry of a product, each coordinate of a vector
 action and each residue determinant with one dot call, inverts by the L D U
-factorisation and evaluates quadratics in three calls.  These tests count
-the public ring ops one decision makes, wrapped on the ring classes as the
-benchmark's tracer wraps them (a sub counts its add and neg too), and fail
-when a route goes back to per-term calls.
+factorisation and evaluates quadratics in three calls.  Over a commutative
+ring the deciders read the quadratic off tr A and det A and reduce to
+companion form only for a certificate.  These tests count the public ring
+ops one decision makes, wrapped on the ring classes as the benchmark's
+tracer wraps them (a sub counts its add and neg too), and fail when a route
+goes back to per-term calls or reduces before it needs to.
 """
 
 from collections import Counter
 
 import pytest
 
-from cleanmatrix import rings
+from cleanmatrix import clean, piregular, rings
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.piregular import decide_strongly_pi_regular
@@ -43,15 +45,15 @@ def ring_calls(monkeypatch):
 # to companion form through a nontrivial basis change in both deciders
 BUDGETS = [
     ("GF(2,4)", "[[1+w,w],[1+w,w]]", decide_strongly_clean, "NontrivialClean",
-     {"add": 26, "mul": 19, "neg": 25, "sub": 13, "invert": 5, "dot": 45}),
+     {"add": 25, "mul": 19, "neg": 23, "sub": 11, "invert": 5, "dot": 40}),
     ("GF(2,4)", "[[1+w,w],[1+w,w]]", decide_strongly_pi_regular, "Nontrivial",
-     {"add": 4, "mul": 14, "neg": 9, "sub": 0, "invert": 6, "dot": 29}),
+     {"add": 4, "mul": 13, "neg": 9, "sub": 0, "invert": 5, "dot": 24}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_clean,
      "NontrivialClean",
-     {"add": 49, "mul": 28, "neg": 39, "sub": 18, "invert": 7, "dot": 45}),
+     {"add": 48, "mul": 28, "neg": 37, "sub": 16, "invert": 7, "dot": 40}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_pi_regular,
      "Nontrivial",
-     {"add": 19, "mul": 26, "neg": 14, "sub": 5, "invert": 6, "dot": 29}),
+     {"add": 10, "mul": 19, "neg": 11, "sub": 2, "invert": 5, "dot": 24}),
 ]
 
 
@@ -61,6 +63,36 @@ BUDGETS = [
 )
 def test_reduced_decision_ring_calls(ring_calls, spec, matrix, decide, status, budget):
     A = parse_matrix(parse_ring(spec), matrix)
+    ring_calls.clear()
+    assert decide(A).status == status
+    over = {op: ring_calls[op] for op in OPS if ring_calls[op] > budget[op]}
+    assert not over, f"ring calls above budget {budget}: {over}"
+
+
+# [[0,4],[1,1]] and [[0,2],[1,1]] conjugated by [[1,2],[1,3]]; the residue
+# tests count too (their ring is GF(2))
+NEGATIVE_BUDGETS = [
+    ("[[0,2],[2,1]]", decide_strongly_clean, "NotClean",
+     {"add": 4, "mul": 0, "neg": 4, "sub": 1, "invert": 0, "dot": 2}),
+    ("[[2,0],[4,-1]]", decide_strongly_pi_regular, "No",
+     {"add": 1, "mul": 0, "neg": 3, "sub": 0, "invert": 0, "dot": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix, decide, status, budget", NEGATIVE_BUDGETS, ids=["clean-NotClean", "pi-No"]
+)
+def test_zloc_negative_decision_reads_trace_and_det(
+    ring_calls, monkeypatch, matrix, decide, status, budget
+):
+    # the verdict comes from t^2 - tr(A) t + det(A) alone: nothing is
+    # inverted and no companion form is built
+    def refuse(*args):
+        raise AssertionError("a negative verdict reached the companion reduction")
+
+    monkeypatch.setattr(clean, "reduce_to_companion", refuse)
+    monkeypatch.setattr(piregular, "reduce_to_companion_pi", refuse)
+    A = parse_matrix(parse_ring("Zloc(2)"), matrix)
     ring_calls.clear()
     assert decide(A).status == status
     over = {op: ring_calls[op] for op in OPS if ring_calls[op] > budget[op]}

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import ring_references as ref
 
 from cleanmatrix.errors import InfiniteRing, InternalContractViolation, NotApplicable
 from cleanmatrix.literals import parse_ring
@@ -16,7 +17,6 @@ from cleanmatrix.quadratics import (
     left_eval,
     lift_root,
     lift_root_truncated,
-    right_eval,
     right_roots,
 )
 from cleanmatrix.rings import (
@@ -71,11 +71,11 @@ def test_radical_params_round_trip():
     f = MonicQuadratic.from_radical_params(Z8, Z8.el(4), Z8.el(2))
     assert f.a1 == Z8.el(-3 % 8)
     assert f.a0 == Z8.el(-4 % 8)
-    assert f.in_w()
+    assert ref.in_w(f)
     assert f.w0 == Z8.el(4)
     assert f.w1 == Z8.el(2)
-    assert not quad(Z8, 0, 0).in_w()
-    assert not quad(Z8, 1, 1).in_w()
+    assert not ref.in_w(quad(Z8, 0, 0))
+    assert not ref.in_w(quad(Z8, 1, 1))
 
 
 def test_text_prefers_short_signs():
@@ -92,7 +92,7 @@ def test_one_minus_t_transform():
     for lam in Z8.enumerate_elements("All"):
         assert left_eval(g, lam) == left_eval(f, Z8.sub(Z8.one, lam))
     # and g is again of the distinguished shape, with w1 negated and w0 shifted
-    assert g.in_w()
+    assert ref.in_w(g)
     assert g.w1 == Z8.neg(f.w1)
     assert g.w0 == Z8.add(f.w0, f.w1)
 
@@ -102,7 +102,7 @@ def test_left_right_eval_differ_on_skew():
     w = SK16.embed(SK16.base.generator())
     f = MonicQuadratic(SK16, SK16.mul(w, x), SK16.zero)
     lam = SK16.embed(SK16.base.generator())
-    assert left_eval(f, lam) != right_eval(f, lam)
+    assert left_eval(f, lam) != ref.right_eval(f, lam)
 
 
 @pytest.mark.parametrize("R", [SK16, SK16.opposite(), ZL2], ids=lambda R: R.spec_string())
@@ -116,7 +116,7 @@ def test_evals_match_the_expanded_quadratic(R):
             for lam in els:
                 sq = R.mul(lam, lam)
                 assert left_eval(f, lam) == R.add(R.add(sq, R.mul(lam, a1)), a0)
-                assert right_eval(f, lam) == R.add(R.add(sq, R.mul(a1, lam)), a0)
+                assert ref.right_eval(f, lam) == R.add(R.add(sq, R.mul(a1, lam)), a0)
 
 
 def test_element_is_nilpotent():
@@ -236,7 +236,7 @@ def test_right_roots_skew_are_right_roots():
             if rep.root_in_j is None:
                 continue
             hit = True
-            assert right_eval(f, rep.root_in_j) == SK16.zero
+            assert ref.right_eval(f, rep.root_in_j) == SK16.zero
     assert hit
 
 
@@ -314,3 +314,47 @@ def test_lift_root_rejects_non_root_start():
         lift_root(quad(GF4, 1, 1), GF4.zero)  # v = 1: only the final check
     with pytest.raises(NotApplicable):
         lift_root(quad(ZL2, -1, -2), ZL2.zero)
+
+
+@pytest.mark.parametrize("spec", ["Zloc(2)", "Zloc(3)", "Z"])
+def test_find_roots_rational_matches_fraction_reference(spec):
+    # integer-pair discriminant against the Fraction route, on quadratics
+    # built from chosen rational roots and on random ones
+    R = parse_ring(spec)
+    rng = random.Random(spec)
+    p = getattr(R, "p", None)
+    dens = [1] if p is None else [d for d in range(1, 40) if d % p]
+    targets = ("J", "1+J", "unit", "nilpotent") if p else ("unit", "nilpotent")
+    el = R.el if p else (lambda x: R.el(int(x)))  # Z takes int payloads
+
+    def rational():
+        big = rng.random() < 0.2
+        return Fraction(rng.randint(-(2**70), 2**70) if big else rng.randint(-30, 30),
+                        rng.choice(dens))
+
+    for k in range(800):
+        if k % 2:
+            r1, r2 = rational(), rational()
+            a1, a0 = -(r1 + r2), r1 * r2
+        else:
+            a1, a0 = rational(), rational()
+        f = MonicQuadratic(R, el(a1), el(a0))
+        rep = find_roots_rational(f, targets)
+        want = dict.fromkeys(targets)
+        for lam in ref.rational_roots(f):
+            if p is None:
+                if lam.denominator != 1:
+                    continue
+                kinds = {"nilpotent": lam == 0, "unit": lam in (1, -1)}
+            else:
+                if lam.denominator % p == 0:
+                    continue
+                kinds = {"J": lam.numerator % p == 0,
+                         "1+J": (lam - 1).numerator % p == 0,
+                         "unit": lam.numerator % p != 0, "nilpotent": lam == 0}
+            for t in targets:
+                if kinds[t] and want[t] is None:
+                    want[t] = el(lam)
+        got = {"J": rep.root_in_j, "1+J": rep.root_in_1_plus_j,
+               "unit": rep.root_unit, "nilpotent": rep.root_nilpotent}
+        assert {t: got[t] for t in targets} == want, (a1, a0)

@@ -646,3 +646,65 @@ def test_monic_quadratic_rejects_foreign_coefficients():
     assert f == MonicQuadratic(Z8, Z8.el(1), Z8.el(0))
     assert hash(f) == hash(MonicQuadratic(Z8, Z8.el(1), Z8.el(0)))
     assert (f.ring, f.a1, f.a0) == (Z8, Z8.one, Z8.zero)
+
+
+def _fraction_samples(p, rng, count=120):
+    """Seeded rationals of Z_(p): zero, small and 80-bit numerators of both
+    signs, denominators prime to p, some of them large."""
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(p), Fraction(-p, p + 1)]
+    while len(out) < count:
+        big = rng.random() < 0.3
+        n = rng.randint(-(2**80), 2**80) if big else rng.randint(-60, 60)
+        d = rng.randint(1, 2**40 if big else 30)
+        if d % p:
+            out.append(Fraction(n, d))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_localized_pair_arithmetic_matches_fractions(p):
+    # every op on reduced pairs against the same op on Fractions, payload
+    # for payload: (numerator, denominator) in lowest terms, d > 0
+    R = make_ring(localized_integers(p))
+    rng = random.Random(p)
+    xs = _fraction_samples(p, rng)
+    els = [R.el(x) for x in xs]
+    for x, a in zip(xs, els):
+        assert a.payload == (x.numerator, x.denominator)
+        assert ref.fraction(a) == x
+        assert R.format_element(a) == str(x)
+        assert R.is_unit(a) == (x.numerator % p != 0) != R.in_radical(a)
+        assert R.neg(a).payload == ((-x).numerator, (-x).denominator)
+        if R.is_unit(a):
+            y = ref.FRACTION_OPS["invert"](x)
+            assert R.invert(a).payload == (y.numerator, y.denominator)
+        else:
+            with pytest.raises(NotAUnit):
+                R.invert(a)
+    for _ in range(600):
+        i, j, k, m = (rng.randrange(len(xs)) for _ in range(4))
+        for op in ("add", "sub", "mul"):
+            y = ref.FRACTION_OPS[op](xs[i], xs[j])
+            assert getattr(R, op)(els[i], els[j]).payload == (y.numerator, y.denominator)
+        y = ref.FRACTION_OPS["dot"](xs[i], xs[j], xs[k], xs[m])
+        assert R.dot(els[i], els[j], els[k], els[m]).payload == (y.numerator, y.denominator)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_localized_el_and_residue_view(p):
+    R = make_ring(localized_integers(p))
+    F, reduce, lift = R.residue_view()
+    rng = random.Random(f"view{p}")
+    for x in _fraction_samples(p, rng):
+        a = R.el(x)
+        assert R.frac(-7 * x.numerator, -7 * x.denominator) == a
+        if x.denominator == 1:
+            assert R.el(x.numerator) == a == R.from_int(x.numerator)
+        residue = x.numerator * pow(x.denominator, -1, p) % p
+        assert reduce(a) == F.el((residue,))
+        assert lift(reduce(a)).payload == (residue, 1)
+        assert R.in_radical(R.sub(a, lift(reduce(a))))
+    with pytest.raises(ValueError, match="divisible by"):
+        R.el(Fraction(1, p))
+    with pytest.raises(ValueError):
+        R.el("1/3")
