@@ -8,14 +8,17 @@ the same element.  Matrices are [[a,b],[c,d]] with element expressions inside.
 
 Syntax problems raise ParseError with a character position; so do digits
 other than ASCII 0-9 and integer literals longer than the interpreter converts
-(4,300 digits by default).  Nesting too deep for the recursive descent is a
-ParseError too.  Semantic problems (dividing by a non-unit, w over a prime
-field) surface as the ring's own errors.  Over Z and Z_(p) a power that
-surely has more than 4,300 digits raises TooLarge before it is computed, and
-so does the next operation on a product or sum once its running value has
-more than that.
+(4,300 digits by default).  A literal may nest MAX_DEPTH = 200 levels, where
+each open parenthesis and each unary minus is a level (and each Trunc( or
+SkewTrunc( of a ring spec); one more is a ParseError.  Semantic problems
+(dividing by a non-unit, w over a prime field) surface as the ring's own
+errors.  Over Z and Z_(p) a power that surely has more than 4,300 digits
+raises TooLarge before it is computed, and so does the next operation on a
+product or sum once its running value has more than that.  The descent
+evaluates as it reads; token positions are worked out only for an error.
 """
 
+import re
 from functools import wraps
 
 from .errors import ParseError, TooLarge
@@ -35,142 +38,139 @@ from .rings import (
 # |x|^e >= 2^((bits(x) - 1) e), and 2^14300 > 10^4304: past this many bits a
 # power of an integer or fraction cannot be printed (see the module docstring)
 _POWER_BITS = 14300
+_EXACT = ("Integers", "LocalizedIntegers")
+_TRUNCATED = ("TruncatedPoly", "TruncatedSkew")
+
+# parentheses and unary minuses open at once; each parenthesis costs the
+# descent three interpreter frames, well inside the default recursion limit
+MAX_DEPTH = 200
+_TOO_DEEP = "literal nested too deeply"
+
+# ASCII digit runs, letter runs and any other single character; \s is
+# exactly str.isspace, and the whitespace between tokens is dropped.  The
+# middle class also takes numerals that are not letters, such as '²': _lex
+# refuses every token that is not a digit run, a letter run or punctuation.
+_TOKEN = re.compile(r"[0-9]+|[^\W\d_]+|\S")
+_PUNCT = frozenset("()[],+-*/^")
+_END = ""  # the token after the last
 
 
-def _depth_checked(parse):
-    """parse(*args), with nesting too deep to recurse through as a ParseError."""
+class _Bad(Exception):
+    """A ParseError (message, token number) whose position is not yet known."""
+
+
+def _positioned(parse):
+    """parse(*args, text), with a _Bad raised as the ParseError at its position."""
 
     @wraps(parse)
-    def checked(*args):
+    def parse_text(*args):
         try:
             return parse(*args)
-        except RecursionError:
-            raise ParseError("literal nested too deeply") from None
+        except _Bad as bad:
+            message, k = bad.args
+            starts = [m.start() for m in _TOKEN.finditer(args[-1])] + [len(args[-1])]
+            raise ParseError(message, position=starts[k]) from None
 
-    return checked
+    return parse_text
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.items = []  # (kind, value, pos)
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            # str.isdigit alone also takes '²' and the digits of other scripts
-            if ch.isdigit() and ch.isascii():
-                j = i
-                while j < n and text[j].isdigit() and text[j].isascii():
-                    j += 1
-                try:
-                    value = int(text[i:j])
-                except ValueError:  # past the int-to-str digit limit
-                    raise ParseError(
-                        f"integer literal of {j - i} digits is too long", position=i
-                    ) from None
-                self.items.append(("INT", value, i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and text[j].isalpha():
-                    j += 1
-                self.items.append(("NAME", text[i:j], i))
-                i = j
-                continue
-            if ch in "()[],+-*/^":
-                self.items.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", position=i)
-        self.items.append(("END", None, n))
-        self.pos = 0
+def _valid(t):
+    if t in _PUNCT or t.isalpha():
+        return True
+    try:
+        return t.isascii() and t.isdigit() and int(t) >= 0
+    except ValueError:  # past the int-to-str digit limit
+        return False
 
-    def peek(self):
-        return self.items[self.pos]
 
-    def next(self):
-        tok = self.items[self.pos]
-        self.pos += 1
-        return tok
+def _lex(text):
+    """The tokens of text and _END; a bad character or an integer literal
+    too long to convert raises ParseError, the first one in the text."""
+    toks = _TOKEN.findall(text)
+    if not all(map(_valid, set(toks))):
+        m = next(m for m in _TOKEN.finditer(text) if not _valid(m.group()))
+        t, at = m.group(), m.start()
+        if t.isascii() and t.isdigit():
+            raise ParseError(f"integer literal of {len(t)} digits is too long", position=at)
+        k = next(k for k, ch in enumerate(t) if not ch.isalpha())
+        raise ParseError(f"unexpected character {t[k]!r}", position=at + k)
+    toks.append(_END)
+    return toks
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", position=tok[2])
-        return tok
 
-    def expect_end(self):
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", position=tok[2])
+def _shown(t):
+    """The token as error messages show it: an int, a string, or None at the end."""
+    return None if t == _END else int(t) if t.isdigit() else t
+
+
+def _expect(toks, i, kind):
+    """i + 1 when token i is of this kind ("INT", "NAME" or the punctuation)."""
+    t = toks[i]
+    if not (t.isdigit() if kind == "INT" else t.isalpha() if kind == "NAME" else t == kind):
+        raise _Bad(f"expected {kind!r}, found {_shown(t)!r}", i)
+    return i + 1
+
+
+def _expect_end(toks, i):
+    if toks[i] != _END:
+        raise _Bad(f"unexpected trailing {_shown(toks[i])!r}", i)
 
 
 # ------------------------------------------------------------------ ring specs
 
 
-@_depth_checked
+# family: (argument kinds, I an integer and R a ring spec; constructor)
+_FAMILIES = {
+    "Zloc": ("I", localized_integers),
+    "Zmod": ("II", mod_prime_power),
+    "GF": ("I", galois_field),  # GF(p) is GF(p,1)
+    "Trunc": ("RI", truncated_poly),
+    "SkewTrunc": ("RII", truncated_skew),
+}
+
+
+@_positioned
 def parse_ring_spec(text: str) -> RingSpec:
-    toks = _Tokens(text)
-    spec = _ring_spec(toks)
-    toks.expect_end()
+    toks = _lex(text)
+    spec, i = _ring_spec(toks, 0, 0)
+    _expect_end(toks, i)
     return spec
 
 
-def _int_arg(toks) -> int:
+def _int_arg(toks, i):
     sign = 1
-    if toks.peek()[0] == "-":
-        toks.next()
-        sign = -1
-    tok = toks.expect("INT")
-    return sign * tok[1]
+    if toks[i] == "-":
+        sign, i = -1, i + 1
+    j = _expect(toks, i, "INT")
+    return sign * int(toks[i]), j
 
 
-def _ring_spec(toks) -> RingSpec:
-    tok = toks.expect("NAME")
-    name = tok[1]
-    if name == "Z" and toks.peek()[0] != "(":
-        return integers()
+def _ring_spec(toks, i, depth):
+    name, start = toks[i], i
+    i = _expect(toks, i, "NAME")
     if name == "Z":
-        raise ParseError("Z takes no arguments", position=toks.peek()[2])
-    toks.expect("(")
-    if name == "Zloc":
-        p = _int_arg(toks)
-        toks.expect(")")
-        return localized_integers(p)
-    if name == "Zmod":
-        p = _int_arg(toks)
-        toks.expect(",")
-        k = _int_arg(toks)
-        toks.expect(")")
-        return mod_prime_power(p, k)
+        if toks[i] != "(":
+            return integers(), i
+        raise _Bad("Z takes no arguments", i)
+    i = _expect(toks, i, "(")
+    if name not in _FAMILIES:
+        raise _Bad(f"unknown ring family {name!r}", start)
+    kinds, build = _FAMILIES[name]
+    args = []
+    for kind in kinds:
+        if args:
+            i = _expect(toks, i, ",")
+        if kind == "R":
+            if depth == MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
+            arg, i = _ring_spec(toks, i, depth + 1)
+        else:
+            arg, i = _int_arg(toks, i)
+        args.append(arg)
     if name == "GF":
-        p = _int_arg(toks)
-        m = 1
-        if toks.peek()[0] == ",":
-            toks.next()
-            m = _int_arg(toks)
-        toks.expect(")")
-        return galois_field(p, m)
-    if name == "Trunc":
-        base = _ring_spec(toks)
-        toks.expect(",")
-        n = _int_arg(toks)
-        toks.expect(")")
-        return truncated_poly(base, n)
-    if name == "SkewTrunc":
-        base = _ring_spec(toks)
-        toks.expect(",")
-        s = _int_arg(toks)
-        toks.expect(",")
-        n = _int_arg(toks)
-        toks.expect(")")
-        return truncated_skew(base, s, n)
-    raise ParseError(f"unknown ring family {name!r}", position=tok[2])
+        m, i = _int_arg(toks, i + 1) if toks[i] == "," else (1, i)
+        args.append(m)
+    return build(*args), _expect(toks, i, ")")
 
 
 def parse_ring(text: str):
@@ -180,42 +180,44 @@ def parse_ring(text: str):
 # ------------------------------------------------------------ element literals
 
 
-@_depth_checked
+@_positioned
 def parse_element(ring, text: str):
-    toks = _Tokens(text)
-    value = _expr(ring, toks)
-    toks.expect_end()
+    toks = _lex(text)
+    value, i = _sum(ring, toks, 0, 0, {})
+    _expect_end(toks, i)
     return value
 
 
-def _expr(ring, toks):
-    value = _term(ring, toks)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        rhs = _term(ring, toks)
+def _sum(ring, toks, i, depth, names):
+    """The sum of products from token i: (value, the next token's number)."""
+    value, i = _product(ring, toks, i, depth, names)
+    op = toks[i]
+    while op == "+" or op == "-":
+        rhs, i = _product(ring, toks, i + 1, depth, names)
         value = ring.add(value, rhs) if op == "+" else ring.sub(value, rhs)
         _check_bits(ring, value)
-    return value
+        op = toks[i]
+    return value, i
 
 
-def _term(ring, toks):
-    value = _unary(ring, toks)
-    while toks.peek()[0] in ("*", "/"):
-        op = toks.next()[0]
-        rhs = _unary(ring, toks)
+def _product(ring, toks, i, depth, names):
+    value, i = _factor(ring, toks, i, depth, names)
+    op = toks[i]
+    while op == "*" or op == "/":
+        rhs, i = _factor(ring, toks, i + 1, depth, names)
         value = ring.mul(value, rhs) if op == "*" else ring.mul(value, ring.invert(rhs))
         _check_bits(ring, value)
-    return value
+        op = toks[i]
+    return value, i
 
 
 def _check_bits(ring, value):
     # Over Z and Z_(p) each operand is within about twice _POWER_BITS, so one
     # product or sum stays cheap; refusing a running value past the bound
     # keeps a long chain of them from growing without limit.
-    if ring.family in ("Integers", "LocalizedIntegers"):
-        if _bits(ring, value) - 1 > _POWER_BITS:
-            raise TooLarge(f"a product or sum over {ring.spec_string()} "
-                           "has more than 4300 digits")
+    if ring.family in _EXACT and _bits(ring, value) - 1 > _POWER_BITS:
+        raise TooLarge(f"a product or sum over {ring.spec_string()} "
+                       "has more than 4300 digits")
 
 
 def _bits(ring, value):
@@ -224,79 +226,74 @@ def _bits(ring, value):
     return max(n.bit_length(), d.bit_length())
 
 
-def _unary(ring, toks):
-    if toks.peek()[0] == "-":
-        toks.next()
-        return ring.neg(_unary(ring, toks))
-    return _power(ring, toks)
+def _factor(ring, toks, i, depth, names):
+    """Unary minuses, an atom and its powers: -...-atom^e^e, the power
+    binding tighter.  The minuses fold to one neg or none."""
+    t, minuses = toks[i], 0
+    while t == "-":
+        minuses += 1
+        i += 1
+        t = toks[i]
+    if minuses:
+        depth += minuses
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+    if t == "(":
+        if depth == MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        value, i = _sum(ring, toks, i + 1, depth + 1, names)
+        if toks[i] != ")":
+            raise _Bad(f"expected ')', found {_shown(toks[i])!r}", i)
+    elif t.isdigit():
+        value = ring.from_int(int(t))
+    else:
+        value = names.get(t)
+        if value is None:
+            if not t.isalpha():
+                raise _Bad(f"unexpected {_shown(t)!r} in element", i)
+            value = names[t] = _named_element(ring, t, i)
+    i += 1
+    while toks[i] == "^":
+        i = _expect(toks, i + 1, "INT")
+        exp = int(toks[i - 1])
+        if ring.family in _EXACT and (_bits(ring, value) - 1) * exp > _POWER_BITS:
+            raise TooLarge(f"a power with exponent {exp} over "
+                           f"{ring.spec_string()} has more than 4300 digits")
+        value = value ** exp
+    return (ring.neg(value) if minuses & 1 else value), i
 
 
-def _power(ring, toks):
-    base = _atom(ring, toks)
-    while toks.peek()[0] == "^":
-        toks.next()
-        exp = toks.expect("INT")[1]
-        if ring.family in ("Integers", "LocalizedIntegers"):
-            if (_bits(ring, base) - 1) * exp > _POWER_BITS:
-                raise TooLarge(f"a power with exponent {exp} over "
-                               f"{ring.spec_string()} has more than 4300 digits")
-        base = base ** exp
-    return base
-
-
-def _atom(ring, toks):
-    tok = toks.next()
-    kind, value, pos = tok
-    if kind == "INT":
-        return ring.from_int(value)
-    if kind == "(":
-        inner = _expr(ring, toks)
-        toks.expect(")")
-        return inner
-    if kind == "NAME":
-        return _named_element(ring, value, pos)
-    raise ParseError(f"unexpected {value!r} in element", position=pos)
-
-
-def _named_element(ring, name, pos):
+def _named_element(ring, name, i):
     if name == "w":
         if ring.family == "GaloisField" and ring.m >= 2:
             return ring.generator()
-        if (
-            ring.family in ("TruncatedPoly", "TruncatedSkew")
-            and ring.base.m >= 2
-        ):
+        if ring.family in _TRUNCATED and ring.base.m >= 2:
             return ring.embed(ring.base.generator())
-        raise ParseError("'w' needs a Galois coefficient field", position=pos)
+        raise _Bad("'w' needs a Galois coefficient field", i)
     if name in ("x", "y"):
-        if ring.family in ("TruncatedPoly", "TruncatedSkew"):
+        if ring.family in _TRUNCATED:
             return ring.variable()
-        raise ParseError(f"{name!r} needs a truncated ring", position=pos)
-    raise ParseError(f"unknown name {name!r}", position=pos)
+        raise _Bad(f"{name!r} needs a truncated ring", i)
+    raise _Bad(f"unknown name {name!r}", i)
 
 
 # ------------------------------------------------------------ matrix literals
 
 
-@_depth_checked
+@_positioned
 def parse_matrix(ring, text: str) -> Mat2:
-    toks = _Tokens(text)
-    toks.expect("[")
-    a, b = _row(ring, toks)
-    toks.expect(",")
-    c, d = _row(ring, toks)
-    toks.expect("]")
-    toks.expect_end()
-    return Mat2(ring, a, b, c, d)
-
-
-def _row(ring, toks):
-    toks.expect("[")
-    first = _expr(ring, toks)
-    toks.expect(",")
-    second = _expr(ring, toks)
-    toks.expect("]")
-    return first, second
+    toks = _lex(text)
+    names, entries = {}, []
+    i = _expect(toks, 0, "[")
+    for row_end in (",", "]"):
+        i = _expect(toks, i, "[")
+        for entry_end in (",", "]"):
+            value, i = _sum(ring, toks, i, 0, names)
+            entries.append(value)
+            i = _expect(toks, i, entry_end)
+        i = _expect(toks, i, row_end)
+    _expect_end(toks, i)
+    return Mat2(ring, *entries)
 
 
 def matrix_to_literals(A: Mat2):

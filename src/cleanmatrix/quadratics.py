@@ -54,8 +54,9 @@ lifting returns the same element as a complete scan of its residue class.
 pi_roots lifts the nilpotent root lam from 0.  Over a commutative ring
 f(t) = (t - lam)(t - mu) with mu = -a1 - lam, which reduces to rbar, so mu
 is the unit root, the one lifting from lift(rbar) returns; the skew rings
-lift it.  w_roots on the truncated rings lifts the J roots of f and of
-f(1 - t) from 0.
+lift it.  w_roots on the truncated rings lifts the J root of f from 0; its
+1 + J root is -a1 minus it over a commutative ring, and 1 minus the J root of
+f(1 - t), lifted from 0, over a skew one.
 
 Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
 find_roots_rational tests the discriminant and forms the roots in integer
@@ -310,9 +311,15 @@ def w_roots(f: MonicQuadratic):
     R = f.ring
     if R.family in _TRUNCATED and R.element_ring is R:
         lam_j = lift_root_truncated(R, f.w0, f.w1)
-        g = f.one_minus_t_transform()
-        mu = lift_root_truncated(R, g.w0, g.w1)
-        lam_1j = R.sub(R.one, mu)
+        if R.is_commutative:
+            # f = (t - lamJ)(t - lam1J), so lam1J = -a1 - lamJ as in
+            # pi_roots; the root above residue 1 is unique
+            lam_1j = R.neg(R.add(f.a1, lam_j))
+            mu = R.sub(R.one, lam_1j)
+        else:
+            g = f.one_minus_t_transform()
+            mu = lift_root_truncated(R, g.w0, g.w1)
+            lam_1j = R.sub(R.one, mu)
         if not (R.in_radical(lam_j) and R.in_radical(mu)):
             raise InternalContractViolation("a lifted root is not in J")
         if left_eval(f, lam_1j) != R.zero:

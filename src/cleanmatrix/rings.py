@@ -440,19 +440,28 @@ class IntegerRing(LocalRing):
         return Element(self, v)
 
     def add(self, a, b):
-        self._guard(a, b)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
         return Element(self, a.payload + b.payload)
 
     def neg(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return Element(self, -a.payload)
 
     def mul(self, a, b):
-        self._guard(a, b)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
         return Element(self, a.payload * b.payload)
 
     def dot(self, a, b, c, d):
-        self._guard(a, b, c, d)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self
+                and type(c) is Element and c.ring is self
+                and type(d) is Element and d.ring is self):
+            self._guard(a, b, c, d)
         return Element(self, a.payload * b.payload + c.payload * d.payload)
 
     def is_unit(self, a):
@@ -462,7 +471,8 @@ class IntegerRing(LocalRing):
         raise NotLocal("Z is not local; unit/radical tests need a local ring")
 
     def invert(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         if a.payload in (1, -1):
             return a
         raise NotAUnit(f"{a.payload} is not invertible in Z")
@@ -472,7 +482,8 @@ class IntegerRing(LocalRing):
 
     def ratio(self, a):
         """(n, d) in lowest terms with a = n/d and d > 0; here (a, 1)."""
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload, 1
 
     def spec_string(self):
@@ -528,11 +539,14 @@ class LocalizedIntegersRing(LocalRing):
 
     def ratio(self, a):
         """(n, d) in lowest terms with a = n/d and d > 0: the payload."""
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         return a.payload
 
     def add(self, a, b):
-        self._guard(a, b)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
         (n, d), (m, e) = a.payload, b.payload
         if d == e:
             n += m
@@ -542,19 +556,26 @@ class LocalizedIntegersRing(LocalRing):
         return Element(self, (n // g, d // g))
 
     def neg(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         n, d = a.payload
         return Element(self, (-n, d))
 
     def mul(self, a, b):
-        self._guard(a, b)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self):
+            self._guard(a, b)
         (n, d), (m, e) = a.payload, b.payload
         n, d = n * m, d * e
         g = gcd(n, d)
         return Element(self, (n // g, d // g))
 
     def dot(self, a, b, c, d):
-        self._guard(a, b, c, d)
+        if not (type(a) is Element and a.ring is self
+                and type(b) is Element and b.ring is self
+                and type(c) is Element and c.ring is self
+                and type(d) is Element and d.ring is self):
+            self._guard(a, b, c, d)
         (an, ad), (bn, bd) = a.payload, b.payload
         (cn, cd), (dn, dd) = c.payload, d.payload
         x, y = ad * bd, cd * dd
@@ -573,7 +594,8 @@ class LocalizedIntegersRing(LocalRing):
         return a.payload[0] % self.p == 0
 
     def invert(self, a):
-        self._guard(a)
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
         n, d = a.payload
         if n % self.p == 0:
             raise NotAUnit(
@@ -586,9 +608,10 @@ class LocalizedIntegersRing(LocalRing):
         p = self.p
 
         def reduce_fn(a):
-            self._guard(a)
+            if not (type(a) is Element and a.ring is self):
+                self._guard(a)
             n, d = a.payload
-            return field.el((n * pow(d, -1, p) % p,))
+            return field.element_at(n * pow(d, -1, p) % p)
 
         def lift_fn(c):
             field._guard(c)

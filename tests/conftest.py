@@ -1,7 +1,14 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the hypothesis profiles.
+
+HYPOTHESIS_PROFILE=ci selects the "ci" profile, which draws ten times the
+default number of examples; a local run keeps the default budget.
+"""
+
+import os
 
 import pytest
 import ring_references
+from hypothesis import settings
 
 from cleanmatrix.rings import (
     TABLE_CAP,
@@ -12,6 +19,9 @@ from cleanmatrix.rings import (
     ModPrimePowerRing,
     TruncatedRing,
 )
+
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

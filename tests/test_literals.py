@@ -4,6 +4,7 @@ import pytest
 
 from cleanmatrix.errors import CleanMatrixError, ParseError, TooLarge
 from cleanmatrix.literals import (
+    MAX_DEPTH,
     matrix_to_literals,
     parse_element,
     parse_matrix,
@@ -169,20 +170,33 @@ def test_only_ascii_digits_are_digits(text):
 
 
 def test_deep_nesting_is_a_parse_error():
+    # MAX_DEPTH counts open parentheses and unary minuses together
     Z8 = parse_ring("Zmod(2,3)")
-    assert parse_element(Z8, "(" * 50 + "3" + ")" * 50) == Z8.el(3)
-    assert parse_element(Z8, "-" * 51 + "3") == Z8.el(-3)
-    deep = "(" * 400 + "1" + ")" * 400
-    for parse, text in (
-        (parse_element, deep),
-        (parse_element, "-" * 2000 + "1"),
-        (parse_matrix, f"[[{deep},0],[0,1]]"),
-        (parse_matrix, f"[[{'-' * 2000}1,0],[0,1]]"),
-    ):
-        with pytest.raises(ParseError, match="nested too deeply"):
-            parse(Z8, text)
+    d = MAX_DEPTH
+    at_bound = [
+        ("(" * d + "3" + ")" * d, 3),
+        ("-" * d + "3", 3),
+        ("-" * (d - 1) + "3", -3),
+        ("-(" * (d // 2) + "3" + ")" * (d // 2), 3),
+        ("1+" + "(" * d + "2*3" + ")" * d, 7),
+    ]
+    for text, value in at_bound:
+        assert parse_element(Z8, text) == Z8.el(value)
+        assert parse_matrix(Z8, f"[[{text},0],[0,{text}]]").a == Z8.el(value)
+    past = ["(" * (d + 1) + "3" + ")" * (d + 1), "-" * (d + 1) + "3",
+            "(" * d + "-3" + ")" * d, "-" * d + "(3)", "(" * d + "2*(3)" + ")" * d,
+            "(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"]
+    for text in past:
+        for parse, literal in ((parse_element, text), (parse_matrix, f"[[0,{text}],[0,1]]")):
+            with pytest.raises(ParseError) as exc:
+                parse(Z8, literal)
+            assert str(exc.value) == "literal nested too deeply"
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_ring_spec("Trunc(" * 1000 + "GF(2)" + ",2)" * 1000)
+    spec = "Trunc(" * d + "GF(2)" + ",2)" * d
+    assert parse_ring_spec(spec).n == 2
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_ring_spec("Trunc(" + spec + ",2)")
 
 
 @pytest.mark.parametrize(

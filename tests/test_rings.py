@@ -521,6 +521,32 @@ def test_dot_rejects_foreign_operands(R):
                 R.dot(*args)
 
 
+@pytest.mark.parametrize("R", [Z, ZL2], ids=lambda R: R.spec_string())
+def test_exact_ring_ops_reject_foreign_operands(R):
+    # Zloc(3) elements have Zloc(2)'s payload form, Z's are bare ints
+    ops = [R.neg, R.invert, R.ratio]
+    if R is ZL2:
+        ops.append(R.residue_view().reduce)
+    for bad in (make_ring(localized_integers(3)).one, Z8.one, Z.one, 1, None):
+        if bad is R.one:
+            continue
+        for op in (R.add, R.sub, R.mul):
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(R.one, bad)
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(bad, R.one)
+        for op in ops:
+            with pytest.raises(OwnerMismatch, match="does not belong to"):
+                op(bad)
+
+
+def test_localized_residue_is_the_enumerated_element():
+    rv = ZL2.residue_view()
+    zero, one = rv.field.enumerate_elements("All")
+    assert rv.reduce(ZL2.el(Fraction(-3, 5))) is one
+    assert rv.reduce(ZL2.el(Fraction(4, 7))) is zero
+
+
 def _random_payload(R, rng, radical=False):
     """A payload of a finite ring drawn digit by digit; with radical, one whose
     residue is zero."""
