@@ -26,19 +26,21 @@ _MODULES = {
         "reduce_to_companion_pi",
     ),
     "quadratics": (
-        "MonicQuadratic", "RootReport", "element_is_nilpotent",
-        "find_roots_auto", "find_roots_enumerate", "find_roots_rational",
-        "left_eval", "lift_root", "lift_root_truncated", "pi_roots",
-        "right_roots", "w_roots",
+        "MonicQuadratic", "RootReport", "find_roots_auto",
+        "find_roots_enumerate", "find_roots_rational", "left_eval", "lift_root",
+        "lift_root_truncated", "pi_roots", "right_roots", "w_roots",
+    ),
+    "certificates": (
+        "CleanCertificate", "PiCertificate", "element_is_nilpotent",
+        "verify_certificate", "verify_pi_certificate",
     ),
     "clean": (
-        "CleanCertificate", "CleanDecision", "RingCleanVerdict",
-        "decide_strongly_clean", "ring_is_strongly_clean", "verify_certificate",
+        "CleanDecision", "RingCleanVerdict", "decide_strongly_clean",
+        "ring_is_strongly_clean",
     ),
     "piregular": (
-        "PiCertificate", "PiDecision", "RingPiVerdict",
-        "decide_strongly_pi_regular", "ring_is_m2_pi_regular",
-        "verify_pi_certificate",
+        "PiDecision", "RingPiVerdict", "decide_strongly_pi_regular",
+        "ring_is_m2_pi_regular",
     ),
     "factorization": (
         "FactorizationWitness", "Poly", "star_factorize", "verify_factorization",

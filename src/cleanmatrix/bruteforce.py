@@ -4,8 +4,9 @@ Everything here runs on int-indexed operation tables, the ring's own fully
 filled IndexTables, and shares no logic with the decision modules: kernels
 are counted by meeting the two columns, idempotents are listed in rank-one
 form and each checked by E E = E, and the pi-regular check walks the kernel
-chain of the powers.  The only decision-module code the oracle touches is
-verify_certificate, applied to its own output as a final cross-check.
+chain of the powers.  The oracle shares only the certificates module with
+the deciders, and imports neither of them: verify_certificate, applied to its
+own output as a final cross-check.
 
 (x, y) lies in the kernel of [[a, b], [c, d]] exactly when
 (a x, c x) = (-(b y), -(d y)), so one pass over x counts the left sides and
@@ -32,7 +33,7 @@ Each strict step of the chain at least doubles the kernel, so it stops
 within log2 |R|^2 steps.
 """
 
-from .clean import CleanCertificate, verify_certificate
+from .certificates import CleanCertificate, verify_certificate
 from .errors import InternalContractViolation, TooLarge
 from .matrices import Mat2
 

@@ -25,18 +25,11 @@ Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
 """
 
+from .certificates import CleanCertificate, verify_certificate
 from .companion import CompanionForm, char_quadratic, reduce_to_companion
 from .errors import InternalContractViolation, NotLocal
-from .matrices import Mat2, diagonalizes, has_inverse, matvec, outer
+from .matrices import Mat2, matvec, outer
 from .quadratics import MonicQuadratic, w_roots
-
-
-class CleanCertificate:
-    __slots__ = ("E", "U", "diag")
-
-    def __init__(self, E, U, diag=None):
-        self.E, self.U = E, U
-        self.diag = diag  # (t0, t1, P), P invertible, P A = diag(t0, t1) P
 
 
 class CleanDecision:
@@ -53,26 +46,6 @@ class RingCleanVerdict:
 
     def __init__(self, answer, witness=None):
         self.answer, self.witness = answer, witness  # Yes | No
-
-
-def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
-    """E^2 = E, A = E + U, EU = UE, U invertible, and for a certificate with a
-    diagonalization (t0, t1, P) also P invertible and P A = diag(t0, t1) P.
-    Never raises on bad data."""
-    try:
-        E, U = cert.E, cert.U
-        if E.ring is not A.ring or U.ring is not A.ring:
-            return False
-        if not (
-            E * E == E and E + U == A and E * U == U * E and has_inverse(U)
-        ):
-            return False
-        if cert.diag is None:
-            return True
-        t0, t1, P = cert.diag
-        return diagonalizes(P, A, t0, t1)
-    except Exception:
-        return False
 
 
 def build_certificate(

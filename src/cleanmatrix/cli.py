@@ -14,12 +14,9 @@ certificate has been re-checked from scratch.
 Start-up is most of a call's cost, so only the parser, the literals and the
 matrices are imported here; each command imports the deciders it runs in its
 handler.  A decide call loads neither the pi decider nor the factorizer nor
-the oracles, and the integer classifier only for a matrix over Z.
-
-CLEANMATRIX_THREADS caps selftest parallelism: unset or 1 runs serially, a
-larger value splits the sweep over a process pool of at most that many
-workers, one per CPU and one per chunk at most; chunk merge order is fixed
-either way, so output does not depend on the worker count.
+the oracles, and the integer classifier only for a matrix over Z.  The
+selftest sweep (with its CLEANMATRIX_THREADS process pool) and verify's
+document reader live in their own modules, loaded by those commands only.
 """
 
 import argparse
@@ -27,19 +24,14 @@ import json
 import os
 import sys
 
-from .errors import (
-    CleanMatrixError,
-    InternalContractViolation,
-    NoFactorization,
-    ParseError,
-)
+from .errors import CleanMatrixError, NoFactorization, ParseError
 from .literals import (
     matrix_to_literals,
     parse_element,
     parse_matrix,
     parse_ring,
 )
-from .matrices import Mat2, diagonalizes
+from .matrices import diagonalizes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -316,232 +308,18 @@ def _cmd_classify_int(args):
 # ----------------------------------------------------------------- selftest
 
 
-def _pi_power(R, cert):
-    """The least n for which A^n splits, read off A's pi certificate: 1 for
-    a unit, the index for a nilpotent, and for A similar to diag(t0, t1),
-    t0 a unit and t1 nilpotent, the least n with t1^n = 0."""
-    if cert.kind == "unit":
-        return 1
-    if cert.kind == "nilpotent":
-        return cert.index
-    power, t = 1, cert.t1
-    while t != R.zero:
-        power, t = power + 1, R.mul(t, cert.t1)
-    return power
-
-
-def _selftest_chunk(spec_text, flat_indices):
-    """Both deciders against both oracles, certificates compared: the clean
-    status, and on a NontrivialClean matrix the idempotent E itself, which
-    is unique there (E commutes with A, so A acts on the lines im E and
-    ker E, as a non-unit and as a unit; over a finite ring the non-unit
-    action is nilpotent, so im E = ker A^N and ker E = im A^N for large N),
-    and the splitting power against brute_pi's.  A decision that fails its
-    own certificate check counts as a mismatch."""
-    from .bruteforce import brute_clean, brute_pi
-    from .clean import decide_strongly_clean
-    from .piregular import decide_strongly_pi_regular
-
-    R = parse_ring(spec_text)
-    els = R.enumerate_elements("All")
-    n = len(els)
-    clean_ok = pi_ok = 0
-    mismatches = []
-    for flat in flat_indices:
-        i, rest = divmod(flat, n * n * n)
-        j, rest = divmod(rest, n * n)
-        k, l = divmod(rest, n)
-        A = Mat2(R, els[i], els[j], els[k], els[l])
-        try:
-            dec, brute = decide_strongly_clean(A), brute_clean(A)
-            agree = (dec.status == "NotClean") == (brute is None) and (
-                dec.status != "NontrivialClean" or dec.certificate.E == brute.E
-            )
-        except InternalContractViolation:
-            agree = False
-        if agree:
-            clean_ok += 1
-        else:
-            mismatches.append(("clean", flat))
-        try:
-            dec = decide_strongly_pi_regular(A)
-            agree = dec.status != "No" and _pi_power(R, dec.certificate) == brute_pi(A)
-        except InternalContractViolation:
-            agree = False
-        if agree:
-            pi_ok += 1
-        else:
-            mismatches.append(("pi", flat))
-    return clean_ok, pi_ok, len(flat_indices), mismatches
-
-
-def _thread_count():
-    raw = os.environ.get("CLEANMATRIX_THREADS", "1")
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
-
-
 def _cmd_selftest(args):
-    R = parse_ring(args.ring)
-    if not R.is_finite:
-        raise CleanMatrixError("selftest needs a finite ring")
-    from .bruteforce import _tables
+    from .selftest import selftest
 
-    _tables(R)  # TooLarge above ORACLE_CAP, before sampling or enumerating
-    size = R.size()
-    total_all = size ** 4
-    if total_all <= 6561:
-        flat = list(range(total_all))
-        scope = "exhaustive"
-    else:
-        import random
-
-        rng = random.Random(0)
-        flat = sorted(rng.sample(range(total_all), 1000))
-        scope = "sampled"
-    threads = _thread_count()
-    if threads == 1:
-        results = [_selftest_chunk(R.spec_string(), flat)]
-    else:
-        chunk_size = (len(flat) + threads - 1) // threads
-        chunks = [
-            flat[i : i + chunk_size] for i in range(0, len(flat), chunk_size)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(
-                pool.map(_selftest_chunk, [R.spec_string()] * len(chunks), chunks)
-            )
-    clean_ok = sum(r[0] for r in results)
-    pi_ok = sum(r[1] for r in results)
-    total = sum(r[2] for r in results)
-    mismatches = [m for r in results for m in r[3]]
-    print(f"ring: {R.spec_string()}")
-    print(f"scope: {scope}")
-    print(f"matrices: {total}")
-    print(f"clean agreements: {clean_ok}/{total}")
-    print(f"pi agreements: {pi_ok}/{total}")
-    for kind, flat_index in mismatches:
-        print(f"mismatch: {kind} at matrix index {flat_index}")
-    return EXIT_OK if not mismatches else EXIT_NEGATIVE
+    return EXIT_OK if selftest(args.ring) else EXIT_NEGATIVE
 
 
 # ------------------------------------------------------------------- verify
 
 
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array",
-               dict: "object"}
-
-
-def _field(obj, key, kind=str):
-    """obj[key] of a document under verification, checked to be of the given
-    JSON type; ParseError otherwise."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected a JSON object holding {key!r}")
-    if key not in obj:
-        raise ParseError(f"missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ParseError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}")
-    return value
-
-
-def _element(R, literal):
-    if not isinstance(literal, str):
-        raise ParseError(f"element literal must be a string, got {literal!r}")
-    return parse_element(R, literal)
-
-
-def _matrix_from_literals(R, nested):
-    if not (
-        isinstance(nested, list)
-        and len(nested) == 2
-        and all(isinstance(row, list) and len(row) == 2 for row in nested)
-    ):
-        raise ParseError("matrix must be a 2x2 array of element literals")
-    (a, b), (c, d) = nested
-    return Mat2(R, _element(R, a), _element(R, b), _element(R, c), _element(R, d))
-
-
-def _verify_doc(doc):
-    if not isinstance(doc, dict):
-        raise ParseError("document must be a JSON object")
-    command = doc.get("command")
-    if command == "decide":
-        from .clean import CleanCertificate, verify_certificate
-
-        R = parse_ring(_field(doc, "ring"))
-        A = _matrix_from_literals(R, _field(doc, "matrix", list))
-        if doc.get("certificate") is None:
-            return None
-        raw = _field(doc, "certificate", dict)
-        diag = None
-        if "diag" in raw:
-            d = _field(raw, "diag", dict)
-            diag = (
-                _element(R, _field(d, "t0")),
-                _element(R, _field(d, "t1")),
-                _matrix_from_literals(R, _field(d, "P", list)),
-            )
-        cert = CleanCertificate(
-            E=_matrix_from_literals(R, _field(raw, "E", list)),
-            U=_matrix_from_literals(R, _field(raw, "U", list)),
-            diag=diag,
-        )
-        return verify_certificate(A, cert)
-    if command == "pi":
-        from .piregular import PiCertificate, verify_pi_certificate
-
-        R = parse_ring(_field(doc, "ring"))
-        A = _matrix_from_literals(R, _field(doc, "matrix", list))
-        if doc.get("certificate") is None:
-            return None
-        raw = _field(doc, "certificate", dict)
-        kind = _field(raw, "kind")
-        cert = PiCertificate(kind)
-        if kind == "diag":
-            cert.t0 = _element(R, _field(raw, "t0"))
-            cert.t1 = _element(R, _field(raw, "t1"))
-            cert.P = _matrix_from_literals(R, _field(raw, "P", list))
-        elif kind == "nilpotent":
-            cert.index = _field(raw, "index", int)
-        return verify_pi_certificate(A, cert)
-    if command == "factor":
-        from .factorization import FactorizationWitness, Poly, verify_factorization
-        from .quadratics import MonicQuadratic
-
-        R = parse_ring(_field(doc, "ring"))
-        poly_doc = _field(doc, "poly", dict)
-        f = MonicQuadratic(
-            R,
-            _element(R, _field(poly_doc, "a1")),
-            _element(R, _field(poly_doc, "a0")),
-        )
-        raw = doc.get("witness")
-        if raw is None or not isinstance(raw, dict):
-            return None
-        def poly(key):
-            return Poly(R, [_element(R, c) for c in _field(raw, key, list)])
-        witness = FactorizationWitness(
-            g0=poly("g0"), g1=poly("g1"), h0=poly("h0"), h1=poly("h1"),
-            starred=_field(raw, "starred", bool),
-        )
-        return verify_factorization(f, witness)
-    if command == "classify-int":
-        R = parse_ring("Z")
-        A = _matrix_from_literals(R, _field(doc, "matrix", list))
-        if doc.get("tag") != "Diag":
-            return None
-        P = _matrix_from_literals(R, _field(doc, "transform", list))
-        t0, t1 = R.el(_field(doc, "d1", int)), R.el(_field(doc, "d2", int))
-        return diagonalizes(P, A, t0, t1)
-    raise CleanMatrixError(f"nothing to verify in a {command!r} document")
-
-
 def _cmd_verify(args):
+    from .verify import verify_doc
+
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -551,7 +329,7 @@ def _cmd_verify(args):
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}")
-    verdict = _verify_doc(doc)
+    verdict = verify_doc(doc)
     print(json.dumps({"verified": verdict}, sort_keys=True))
     if verdict is False:
         return EXIT_NEGATIVE

@@ -28,19 +28,11 @@ transform is the certificate's P.  Every other singular integer matrix is
 TrivialNilpotent or No.
 """
 
+from .certificates import PiCertificate, verify_pi_certificate
 from .companion import char_quadratic, reduce_to_companion_pi
 from .errors import InfiniteRing, InternalContractViolation
-from .matrices import Mat2, diagonalizes, has_inverse, is_invertible, matpow
-from .quadratics import element_is_nilpotent, pi_roots
-
-
-class PiCertificate:
-    __slots__ = ("kind", "t0", "t1", "P", "index")
-
-    def __init__(self, kind, t0=None, t1=None, P=None, index=None):
-        self.kind = kind  # "diag" | "unit" | "nilpotent"
-        self.t0, self.t1, self.P = t0, t1, P
-        self.index = index  # nilpotency index for kind="nilpotent"
+from .matrices import Mat2, is_invertible
+from .quadratics import pi_roots
 
 
 class PiDecision:
@@ -118,29 +110,6 @@ def _checked_diag(A, t0, t1, P) -> PiDecision:
     if not verify_pi_certificate(A, cert):
         raise InternalContractViolation("pi certificate fails verification")
     return PiDecision("Nontrivial", certificate=cert)
-
-
-def verify_pi_certificate(A: Mat2, cert: PiCertificate) -> bool:
-    """Re-verify a pi certificate against A.  Never raises on bad data."""
-    try:
-        R = A.ring
-        if cert.kind == "unit":
-            return has_inverse(A)
-        if cert.kind == "nilpotent":
-            return (
-                cert.index is not None
-                and cert.index >= 1
-                and matpow(A, cert.index) == Mat2.zero(R)
-            )
-        if cert.kind == "diag":
-            if not diagonalizes(cert.P, A, cert.t0, cert.t1):
-                return False
-            if R.family == "Integers":
-                return cert.t0.payload in (1, -1) and cert.t1.payload == 0
-            return R.is_unit(cert.t0) and element_is_nilpotent(R, cert.t1)
-        return False
-    except Exception:
-        return False
 
 
 def _decide_integer(A: Mat2) -> PiDecision:

@@ -21,8 +21,9 @@ Root search routes.  Each question the package asks has one function that
 picks its route, and every caller goes through it:
   * w_roots, the roots in J and 1 + J of f in W (the clean decider and
     factor, and the witness check of the Z_(p) survey): J-adic lifting from 0
-    on the truncated rings, a complete scan of J and 1 + J on the other
-    finite rings, the discriminant over Z_(p);
+    on the truncated rings, a complete scan of J on Z/p^k (k > 1) with the
+    1 + J root read off the sum of the roots, a scan of J = {0} and of
+    1 + J = {1} on the fields, the discriminant over Z_(p);
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
     pi decider): lifting on every finite ring, the discriminant over Z_(p);
     over a commutative ring only the nilpotent root is lifted, the unit one
@@ -56,7 +57,9 @@ f(t) = (t - lam)(t - mu) with mu = -a1 - lam, which reduces to rbar, so mu
 is the unit root, the one lifting from lift(rbar) returns; the skew rings
 lift it.  w_roots on the truncated rings lifts the J root of f from 0; its
 1 + J root is -a1 minus it over a commutative ring, and 1 minus the J root of
-f(1 - t), lifted from 0, over a skew one.
+f(1 - t), lifted from 0, over a skew one.  On Z/p^k the J root comes from a
+scan, the first hit being the unique root, and the 1 + J root is again -a1
+minus it.
 
 Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
 find_roots_rational tests the discriminant and forms the roots in integer
@@ -66,6 +69,7 @@ arithmetic.
 from collections import namedtuple
 from math import gcd, isqrt
 
+from .certificates import element_is_nilpotent
 from .errors import InfiniteRing, InternalContractViolation, NotApplicable
 from .rings import Element
 
@@ -156,15 +160,6 @@ def left_eval(f: MonicQuadratic, lam: Element) -> Element:
     if not (type(lam) is Element and lam.ring is R.element_ring):
         R._guard(lam)
     return R.add(R.mul(lam, R.add(lam, f.a1)), f.a0)
-
-
-def element_is_nilpotent(ring, a) -> bool:
-    if not ring.in_radical(a):
-        return False
-    v = ring.radical_index()
-    if v is None:
-        return a == ring.zero  # Z_(p): the radical has no nonzero nilpotents
-    return a ** v == ring.zero
 
 
 def find_roots_enumerate(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
@@ -326,6 +321,12 @@ def w_roots(f: MonicQuadratic):
             raise InternalContractViolation("1 - (root of f(1-t)) is not a root")
         return lam_j, lam_1j, "Lifting"
     if R.is_finite:
+        if R.is_commutative and R.radical_index() > 1:
+            # J != 0: scan J alone and read the 1 + J root off the sum of
+            # the roots, as above; fields keep their two one-element scans
+            lam_j = find_roots_enumerate(f, ("J",)).root_in_j
+            lam_1j = None if lam_j is None else R.neg(R.add(f.a1, lam_j))
+            return lam_j, lam_1j, "Enumeration"
         rep = find_roots_enumerate(f, ("J", "1+J"))
         return rep.root_in_j, rep.root_in_1_plus_j, "Enumeration"
     rep = find_roots_rational(f, ("J", "1+J"))

@@ -9,13 +9,16 @@ Six families, all sharing one element interface:
   TruncatedPoly(F, n)   F[y]/(y^n)     F a Galois field
   TruncatedSkew(F,s,n)  F[x; sigma]/(x^n)  with x*a = sigma(a)*x, sigma = Frobenius^s
 
+Z/p^k lives in `modular`, GF(p^m) in `galois`, the truncations in
+`truncated` and opposite rings in `opposite`, each imported when make_ring
+or LocalRing.opposite first builds one and importable from here (PEP 562).
+Z and Z_(p) stay here: they define their own add, mul, neg and invert, and
+bench/spans.py and tests/test_op_counts.py count those calls on the classes
+in this module's namespace.
+
 Every element is an `Element` owning a canonical payload; owners are compared by
 identity (make_ring caches one ring object per spec).  Units and the Jacobson
 radical partition each local ring: is_unit(a) xor in_radical(a).
-
-The Galois field modulus is the library's fixed choice: the first irreducible
-monic of degree m found in base-p counting order of the coefficient vector
-(constant digit least significant).  GF(4): t^2+t+1; GF(8): t^3+t+1; GF(9): t^2+1.
 
 Enumeration order is lexicographic on canonical payloads; OnePlusRadical is the
 image of Radical's order under j -> 1 + j.  An element of the "All" enumeration
@@ -46,23 +49,22 @@ element's residue is one digit of its index, which is also the residue's
 index in the residue field: i mod p on Z/p^k, the leading base-q digit
 i // q^(n-1) on a truncation over GF(q), i itself on GF(p^m).  reduce, the
 constant lift back, is_unit and in_radical all read that digit.  GF(p^m)
-multiplies through exp and log tables of a primitive element up to TABLE_CAP
-elements (Lidl and Niederreiter, Finite Fields, ch. 9) and by polynomials
-above; a truncation convolves digits by its base field's index ops.  Up to
-TABLE_CAP elements the ops answer from flat index tables (IndexTables), one
-array('H') entry per operand pair, filled on first lookup (filled_tables()
-fills all), and they, reduce and lift return the enumerated elements.  A ring
-above the cap allocates no index table.
+multiplies through exp and log tables (see galois), and a truncation
+convolves digits by its base field's index ops.  Up to TABLE_CAP elements
+the ops answer from flat index tables (IndexTables), one array('H') entry
+per operand pair, filled on first lookup (filled_tables() fills all), and
+they, reduce, lift and the constants of from_int return the enumerated
+elements.  A ring above the cap allocates no index table.
 """
 
 from array import array
 from collections import namedtuple
 from functools import cached_property
+from importlib import import_module
 from math import gcd
 
 from .errors import (
     InfiniteRing,
-    InternalContractViolation,
     InvalidSpec,
     NotAUnit,
     NotLocal,
@@ -142,6 +144,20 @@ def _is_prime(n):
 
 
 _RING_CACHE = {}
+# the family classes defined outside this module, by defining module
+_FAMILY_MODULES = {
+    "ModPrimePowerRing": "modular",
+    "GaloisFieldRing": "galois",
+    "TruncatedRing": "truncated",
+    "OppositeRing": "opposite",
+}
+
+
+def __getattr__(name):
+    mod = _FAMILY_MODULES.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{mod}", __package__), name)
 
 
 def make_ring(spec: RingSpec):
@@ -161,6 +177,8 @@ def make_ring(spec: RingSpec):
             raise InvalidSpec(f"Zmod needs a prime, got {spec.p}")
         if not spec.k or spec.k < 1:
             raise InvalidSpec(f"Zmod exponent must be >= 1, got {spec.k}")
+        from .modular import ModPrimePowerRing
+
         ring = ModPrimePowerRing(spec)
     elif fam == "GaloisField":
         if not _is_prime(spec.p or 0):
@@ -169,6 +187,8 @@ def make_ring(spec: RingSpec):
             raise InvalidSpec(f"GF degree must be >= 1, got {spec.m}")
         if spec.m > GF_DEGREE_CAP:
             raise TooLarge(f"GF degree {spec.m} is above the cap {GF_DEGREE_CAP}")
+        from .galois import GaloisFieldRing
+
         ring = GaloisFieldRing(spec)
     elif fam in ("TruncatedPoly", "TruncatedSkew"):
         if spec.base is None or spec.base.family != "GaloisField":
@@ -180,6 +200,8 @@ def make_ring(spec: RingSpec):
         if fam == "TruncatedSkew":
             if spec.s is None or spec.s < 0 or spec.s >= base.m:
                 raise InvalidSpec(f"twist power must satisfy 0 <= s < {base.m}")
+        from .truncated import TruncatedRing
+
         ring = TruncatedRing(spec, base, s)
     else:
         raise InvalidSpec(f"unknown ring family {fam!r}")
@@ -413,6 +435,8 @@ class LocalRing:
     def opposite(self):
         """The opposite ring: same elements, multiplication reversed."""
         if self._opposite is None:
+            from .opposite import OppositeRing
+
             self._opposite = OppositeRing(self)
         return self._opposite
 
@@ -819,507 +843,3 @@ class FiniteRing(LocalRing):
             return self.element_at((F._index(c) if k is None else k) * place)
 
         return ResidueView(F, reduce, lift)
-
-
-def _digits(k, radix, places):
-    """The base-radix digits of k at these place values, most significant first."""
-    return [k // w % radix for w in places]
-
-
-def _fold(digits, radix):
-    """The number with these base-radix digits, most significant first."""
-    k = 0
-    for d in digits:
-        k = k * radix + d
-    return k
-
-
-def _digit_sum(i, j, p, c=1):
-    """e_i + c e_j where indices list base-p coefficients: digit by digit
-    (x + c y) mod p, with no carry; an exclusive or in characteristic 2."""
-    if p == 2:
-        return i ^ j
-    k, w = 0, 1
-    while i or j:
-        i, x = divmod(i, p)
-        j, y = divmod(j, p)
-        k += (x + c * y) % p * w
-        w *= p
-    return k
-
-
-# ---------------------------------------------------------------- Z/p^k
-
-
-class ModPrimePowerRing(FiniteRing):
-    family = "ModPrimePower"
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.p, self.k = spec.p, spec.k
-        self.modulus = spec.p**spec.k
-        # the residue is the last base-p digit
-        self._field = make_ring(galois_field(spec.p, 1))
-        self._res_place, self._res_radix = 1, spec.p
-        self.zero = Element(self, 0)
-        self.one = Element(self, 1 % self.modulus)
-
-    def el(self, payload):
-        if not isinstance(payload, int):
-            raise ValueError(f"integer payload expected, got {payload!r}")
-        return Element(self, payload % self.modulus)
-
-    def from_int(self, v):
-        return Element(self, v % self.modulus)
-
-    def _add_ix(self, i, j):
-        return (i + j) % self.modulus
-
-    def _neg_ix(self, i):
-        return -i % self.modulus
-
-    def _mul_ix(self, i, j):
-        return i * j % self.modulus
-
-    def _inv_ix(self, i):
-        if i % self.p == 0:
-            raise NotAUnit(f"{i} is not a unit mod {self.modulus}")
-        return pow(i, -1, self.modulus)
-
-    def radical_index(self):
-        return self.k
-
-    def size(self):
-        return self.modulus
-
-    def spec_string(self):
-        return f"Zmod({self.p},{self.k})"
-
-    format_element = IntegerRing.format_element
-
-
-# ---------------------------------------------------------------- GF(p^m)
-
-# F_p[t] helpers on coefficient tuples, low degree first, no trailing zeros.
-
-
-def _fp_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(tuple(out))
-
-
-def _fp_rem(a, f, p):
-    # remainder of a by monic f
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df + 1):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
-    return _fp_trim(tuple(x % p for x in a))
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(tuple(a)), _fp_trim(tuple(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = tuple((x * inv) % p for x in b)
-        a, b = b, _fp_rem(a, bm, p)
-    return a
-
-
-def _fp_powmod(a, e, f, p, out=(1,)):
-    # out a^e mod f, by square and multiply
-    while e:
-        if e & 1:
-            out = _fp_rem(_fp_mul(out, a, p), f, p)
-        e >>= 1
-        if e:
-            a = _fp_rem(_fp_mul(a, a, p), f, p)
-    return out
-
-
-def _fp_is_irreducible(f, p):
-    # Ben-Or: f of degree m has no factor of degree i <= m/2 iff
-    # gcd(t^(p^i) - t, f) = 1 for each such i
-    x = (0, 1)
-    for _ in range((len(f) - 1) // 2):
-        x = _fp_powmod(x, p, f, p)
-        d = list(x) + [0] * (2 - len(x))
-        d[1] = (d[1] - 1) % p
-        if len(_fp_gcd(d, f, p)) > 1:
-            return False
-    return True
-
-
-def _find_modulus(p, m):
-    """First irreducible monic of degree m, counting coefficient vectors base p.
-
-    The first p candidates are the binomials t^m + c.  For m >= 2, t^m - a
-    with a != 0 is irreducible iff every prime r dividing m divides p - 1 and
-    a is no r-th power, and p = 1 mod 4 when 4 divides m (Lidl and
-    Niederreiter, Finite Fields, Theorem 3.75).  That test settles them, so a
-    large p whose binomials are all reducible is not scanned through."""
-    start = 0
-    if m > 1:
-        rs = [r for r in range(2, m + 1)
-              if m % r == 0 and all(r % d for d in range(2, r))]  # primes r | m
-        if all((p - 1) % r == 0 for r in rs) and (m % 4 or p % 4 == 1):
-            for c in range(1, p):
-                if all(pow(-c % p, (p - 1) // r, p) != 1 for r in rs):
-                    return (c,) + (0,) * (m - 1) + (1,)
-        start = p
-    for idx in range(start, p**m):
-        coeffs = tuple((idx // p**i) % p for i in range(m)) + (1,)
-        if _fp_is_irreducible(coeffs, p):
-            return coeffs
-    raise InvalidSpec(f"no irreducible of degree {m} over F_{p}")  # unreachable
-
-
-class GaloisFieldRing(FiniteRing):
-    family = "GaloisField"
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.p, self.m = spec.p, spec.m
-        # for m = 1 the modulus is t, and reducing a product by it keeps its constant
-        self.modulus = _find_modulus(spec.p, spec.m)
-        self._places = [spec.p**e for e in range(spec.m - 1, -1, -1)]
-        self._one_ix = self._places[0]
-        self._powers = {}
-        # its own residue field: the whole index is the digit
-        self._field, self._res_place, self._res_radix = self, 1, spec.p**spec.m
-        self.zero = Element(self, (0,) * self.m)
-        self.one = Element(self, (1 % self.p,) + (0,) * (self.m - 1))
-
-    def el(self, payload):
-        payload = tuple(int(c) % self.p for c in payload)
-        if len(payload) != self.m:
-            raise ValueError(f"coefficient vector of length {self.m} expected")
-        return Element(self, payload)
-
-    def from_int(self, v):
-        return Element(self, (v % self.p,) + (0,) * (self.m - 1))
-
-    def enumerate_elements(self, subset="All"):
-        # J = {0}: the radical and 1 + J need no "All" tuple
-        if subset == "Radical":
-            return (self.zero,)
-        if subset == "OnePlusRadical":
-            return (self.one,)
-        return super().enumerate_elements(subset)
-
-    def generator(self):
-        if self.m < 2:
-            raise ValueError(f"{self.spec_string()} has no generator w")
-        return Element(self, (0, 1) + (0,) * (self.m - 2))
-
-    def _ix(self, payload):
-        return _fold(payload, self.p)
-
-    def _pl(self, k):
-        return tuple(_digits(k, self.p, self._places))
-
-    def _add_ix(self, i, j):
-        return _digit_sum(i, j, self.p)
-
-    def _neg_ix(self, i):
-        return _digit_sum(0, i, self.p, -1)
-
-    def _mul_ix(self, i, j, e=1):
-        """Index of e_i e_j^e, e >= 1: one lookup in the log tables.  Above
-        TABLE_CAP, polynomial products, with e_j^e memoised for e > 1: those
-        are Frobenius powers, which a skew truncation's twists repeat."""
-        logs = self._logs
-        if logs is None:
-            if e > 1:
-                key = (j, e)
-                if key not in self._powers:
-                    self._powers[key] = self._poly_mul_ix(self._one_ix, j, e)
-                j = self._powers[key]
-            return self._poly_mul_ix(i, j)
-        if not (i and j):
-            return 0
-        exp, log = logs
-        return exp[(log[i] + log[j] * e) % len(exp)]
-
-    def _inv_ix(self, i):
-        if not i:
-            raise NotAUnit(f"0 is not a unit in {self.spec_string()}")
-        logs = self._logs
-        if logs is None:  # a^(q-2) = a^-1
-            return self._poly_mul_ix(self._one_ix, i, self.size() - 2)
-        exp, log = logs
-        return exp[-log[i] % len(exp)]
-
-    def _poly_mul_ix(self, i, j, e=1):
-        p = self.p
-        red = _fp_powmod(self._pl(j), e, self.modulus, p, self._pl(i))
-        return _fold(red + (0,) * (self.m - len(red)), p)
-
-    @cached_property
-    def _logs(self):
-        """(exp, log), None above TABLE_CAP: exp[k] indexes g^k for the first
-        primitive g in index order, and log inverts exp on the units.  Each
-        candidate g costs at most q - 1 polynomial products."""
-        q = self.size()
-        if q > TABLE_CAP:
-            return None
-        one = self._one_ix
-        for g in range(1, q):
-            exp, x = [one], self._poly_mul_ix(one, g)
-            while x != one and len(exp) < q:  # the bound stops a zero divisor
-                exp.append(x)
-                x = self._poly_mul_ix(x, g)
-            if len(exp) == q - 1 and x == one:
-                log = [0] * q
-                for k, x in enumerate(exp):
-                    log[x] = k
-                return exp, log
-        raise InternalContractViolation(f"{self.modulus} is reducible over F_{self.p}")
-
-    def frobenius(self, a, power=1):
-        """a -> a^(p^power), the field automorphism fixing F_p."""
-        self._guard(a)
-        e = self.p ** (power % self.m)
-        return self.element_at(self._mul_ix(self._one_ix, self._ix(a.payload), e))
-
-    def radical_index(self):
-        return 1
-
-    def size(self):
-        return self.p**self.m
-
-    def spec_string(self):
-        return f"GF({self.p},{self.m})"
-
-    def format_element(self, a):
-        return _format_poly(a.payload, "w", lambda c: str(c), lambda c: c == 0,
-                            lambda c: c == 1)
-
-
-def _format_poly(coeffs, var, fmt, is_zero, is_one):
-    terms = []
-    for i, c in enumerate(coeffs):
-        if is_zero(c):
-            continue
-        if i == 0:
-            terms.append(fmt(c))
-            continue
-        power = var if i == 1 else f"{var}^{i}"
-        if is_one(c):
-            terms.append(power)
-        else:
-            body = fmt(c)
-            if "+" in body or "-" in body[1:]:
-                body = f"({body})"
-            terms.append(f"{body}*{power}")
-    return "+".join(terms) if terms else "0"
-
-
-# ---------------------------------------------------------------- truncations
-
-
-class TruncatedRing(FiniteRing):
-    """F[y]/(y^n) or F[x; sigma]/(x^n) with x*a = sigma(a)*x, sigma = Frobenius^s.
-
-    Payload: tuple of n base-field payloads, constant coefficient first.
-    Multiplication twists the right factor: (a_i x^i)(b_j x^j) = a_i sigma^i(b_j) x^(i+j),
-    with powers at or beyond n discarded.  s = 0 gives the plain truncated
-    polynomial ring (the two families then agree element-wise and operation-wise).
-    """
-
-    def __init__(self, spec, base, s):
-        super().__init__(spec)
-        self.family = spec.family
-        self.base = base
-        self.n = spec.n
-        self.s = s
-        self.var = "y" if spec.family == "TruncatedPoly" else "x"
-        self.is_commutative = s % base.m == 0
-        bz = base.zero.payload
-        self.zero = Element(self, (bz,) * self.n)
-        self.one = Element(self, (base.one.payload,) + (bz,) * (self.n - 1))
-        # digits are base-field indices; sigma^i raises one to the power _pw[i]
-        self._q = base.size()
-        self._places = [self._q**e for e in range(self.n - 1, -1, -1)]
-        self._pw = [base.p ** (s * i % base.m) for i in range(self.n)]
-        # the residue is the constant coefficient, the leading digit
-        self._field, self._res_place, self._res_radix = base, self._places[0], self._q
-
-    def el(self, payload):
-        payload = tuple(tuple(c) for c in payload)
-        if len(payload) != self.n:
-            raise ValueError(f"coefficient vector of length {self.n} expected")
-        return Element(self, tuple(self.base.el(c).payload for c in payload))
-
-    def from_int(self, v):
-        return self.embed(self.base.from_int(v))
-
-    def variable(self):
-        if self.n < 2:
-            raise ValueError(f"{self.spec_string()} truncates the variable to 0")
-        bz = self.base.zero.payload
-        return Element(self, (bz, self.base.one.payload) + (bz,) * (self.n - 2))
-
-    def embed(self, c):
-        """Constant embedding of a base-field element."""
-        self.base._guard(c)
-        bz = self.base.zero.payload
-        return Element(self, (c.payload,) + (bz,) * (self.n - 1))
-
-    def _ix(self, payload):
-        return _fold(map(self.base._ix, payload), self._q)
-
-    def _pl(self, k):
-        return tuple(map(self.base._pl, _digits(k, self._q, self._places)))
-
-    # an index's base-q digits list base-p coefficients too, so sums are digit-wise
-
-    def _add_ix(self, i, j):
-        return _digit_sum(i, j, self.base.p)
-
-    def _neg_ix(self, i):
-        return _digit_sum(0, i, self.base.p, -1)
-
-    def _mul_ix(self, i, j):
-        """The sum of a_u sigma^u(b_v) x^(u+v) over u + v < n, where sigma^u
-        raises b_v to the power _pw[u], over the base field's index ops."""
-        F, q, n, p = self.base, self._q, self.n, self.base.p
-        a, b = _digits(i, q, self._places), _digits(j, q, self._places)
-        out = [0] * n
-        for u in range(n):
-            x, e = a[u], self._pw[u]
-            for v in range(n - u if x else 0):
-                if b[v]:
-                    out[u + v] = _digit_sum(out[u + v], F._mul_ix(x, b[v], e), p)
-        return _fold(out, q)
-
-    def _inv_ix(self, i):
-        F, top = self.base, self._places[0]
-        c = i // top  # the constant coefficient's index
-        if not c:
-            raise NotAUnit(f"constant term 0: not a unit in {self.spec_string()}")
-        # i = c (1 + z) with z in the radical, so i^-1 = (1 - z + z^2 - ...) c^-1
-        ci = F._inv_ix(c) * top
-        z = self._mul_ix(ci, _digit_sum(i, c * top, F.p, -1))
-        acc = term = F._one_ix * top
-        for _ in range(1, self.n):
-            term = self._neg_ix(self._mul_ix(term, z))
-            acc = self._add_ix(acc, term)
-        return self._mul_ix(acc, ci)
-
-    def sigma(self, c, power=1):
-        """The twist automorphism on base-field elements."""
-        self.base._guard(c)
-        return self.base.frobenius(c, (self.s * power) % self.base.m)
-
-    def radical_index(self):
-        return self.n
-
-    def size(self):
-        return self.base.size() ** self.n
-
-    def spec_string(self):
-        b = self.base.spec_string()
-        if self.family == "TruncatedPoly":
-            return f"Trunc({b},{self.n})"
-        return f"SkewTrunc({b},{self.s},{self.n})"
-
-    def format_element(self, a):
-        base = self.base
-        return _format_poly(
-            a.payload,
-            self.var,
-            lambda c: base.format_element(base.el(c)),
-            lambda c: not any(c),
-            lambda c: base.el(c) == base.one,
-        )
-
-
-# ---------------------------------------------------------------- opposite
-
-
-class OppositeRing(LocalRing):
-    """Same element set as the wrapped ring, multiplication reversed."""
-
-    def __init__(self, base):
-        super().__init__(base.spec)
-        self.base_ring = base
-        self.element_ring = base
-        self.family = base.family
-        self.is_finite = base.is_finite
-        self.is_commutative = base.is_commutative
-        self.zero = base.zero
-        self.one = base.one
-        self._op_tables = None
-
-    def el(self, payload):
-        return self.base_ring.el(payload)
-
-    def from_int(self, v):
-        return self.base_ring.from_int(v)
-
-    def add(self, a, b):
-        return self.base_ring.add(a, b)
-
-    def neg(self, a):
-        return self.base_ring.neg(a)
-
-    def mul(self, a, b):
-        return self.base_ring.mul(b, a)
-
-    def dot(self, a, b, c, d):
-        return self.base_ring.dot(b, a, d, c)
-
-    def is_unit(self, a):
-        return self.base_ring.is_unit(a)
-
-    def in_radical(self, a):
-        return self.base_ring.in_radical(a)
-
-    def invert(self, a):
-        # two-sided inverses agree with the base ring's
-        return self.base_ring.invert(a)
-
-    def residue_view(self):
-        return self.base_ring.residue_view()
-
-    def filled_tables(self):
-        if self._op_tables is None:
-            self._op_tables = self.base_ring.filled_tables().transposed()
-        return self._op_tables
-
-    def radical_index(self):
-        return self.base_ring.radical_index()
-
-    def size(self):
-        return self.base_ring.size()
-
-    def enumerate_elements(self, subset="All"):
-        return self.base_ring.enumerate_elements(subset)
-
-    def opposite(self):
-        return self.base_ring
-
-    def spec_string(self):
-        return f"op({self.base_ring.spec_string()})"
-
-    def format_element(self, a):
-        return self.base_ring.format_element(a)

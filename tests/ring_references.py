@@ -23,7 +23,8 @@ from math import isqrt
 
 from cleanmatrix.errors import NotApplicable, NotAUnit
 from cleanmatrix.matrices import Mat2, matpow
-from cleanmatrix.rings import Element, _fp_mul, _fp_rem, galois_field, make_ring
+from cleanmatrix.galois import _fp_mul, _fp_rem
+from cleanmatrix.rings import Element, galois_field, make_ring
 
 
 def _add(R, x, y):

@@ -583,8 +583,8 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
-def _modules_loaded_by(*argv):
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+def _modules_loaded_by(*argv, stdin=None):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], input=stdin,
                           capture_output=True, text=True, check=True)
     code, added = json.loads(proc.stdout)
     assert code == OK
@@ -593,10 +593,29 @@ def _modules_loaded_by(*argv):
 
 def test_decide_loads_only_its_modules():
     added = _modules_loaded_by("decide", "--ring", "Zmod(2,8)", "--matrix", "[[0,2],[1,1]]")
-    assert "cleanmatrix.clean" in added
-    for name in ("bruteforce", "factorization", "piregular", "integer_matrices"):
+    assert {"cleanmatrix.clean", "cleanmatrix.modular"} <= added
+    for name in ("bruteforce", "factorization", "piregular", "integer_matrices",
+                 "truncated", "opposite", "selftest", "verify"):
         assert f"cleanmatrix.{name}" not in added
     assert "dataclasses" not in added
+
+
+def test_decide_over_z_loads_no_finite_family():
+    added = _modules_loaded_by("decide", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]")
+    assert "cleanmatrix.integer_matrices" in added
+    for name in ("galois", "modular", "truncated", "opposite"):
+        assert f"cleanmatrix.{name}" not in added
+
+
+@pytest.mark.parametrize("command", ["decide", "pi"])
+def test_verify_loads_only_the_certificate_checks(capsys, command):
+    code, out, _ = invoke(capsys, command, "--ring", "Zmod(2,3)",
+                          "--matrix", "[[0,2],[1,1]]", "--json")
+    assert code == OK and "certificate" in json.loads(out)
+    added = _modules_loaded_by("verify", stdin=out)
+    assert {"cleanmatrix.certificates", "cleanmatrix.verify"} <= added
+    for name in ("companion", "quadratics", "clean", "piregular", "factorization"):
+        assert f"cleanmatrix.{name}" not in added
 
 
 def test_pi_loads_only_its_modules():

@@ -1,13 +1,17 @@
 """Quadratic root searches and root lifting."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import ring_references as ref
 
+from cleanmatrix.clean import decide_strongly_clean
+from cleanmatrix.companion import char_quadratic
 from cleanmatrix.errors import InfiniteRing, InternalContractViolation, NotApplicable
 from cleanmatrix.literals import parse_ring
+from cleanmatrix.matrices import Mat2
 from cleanmatrix.quadratics import (
     MonicQuadratic,
     element_is_nilpotent,
@@ -18,6 +22,7 @@ from cleanmatrix.quadratics import (
     lift_root,
     lift_root_truncated,
     right_roots,
+    w_roots,
 )
 from cleanmatrix.rings import (
     galois_field,
@@ -314,6 +319,28 @@ def test_lift_root_rejects_non_root_start():
         lift_root(quad(GF4, 1, 1), GF4.zero)  # v = 1: only the final check
     with pytest.raises(NotApplicable):
         lift_root(quad(ZL2, -1, -2), ZL2.zero)
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,3)", "Zmod(3,2)"])
+def test_w_roots_on_zmod_match_both_scans(spec):
+    # w_roots scans J alone and reads the 1 + J root as -a1 - lamJ; both
+    # roots must be those of the complete scan, on the quadratic of every
+    # NontrivialClean matrix
+    R = parse_ring(spec)
+    els = R.enumerate_elements("All")
+    seen = 0
+    for a, b, c, d in itertools.product(els, repeat=4):
+        A = Mat2(R, a, b, c, d)
+        if decide_strongly_clean(A).status != "NontrivialClean":
+            continue
+        f = char_quadratic(A)
+        rep = find_roots_enumerate(f, ("J", "1+J"))
+        got = w_roots(f)
+        assert got[:2] == (rep.root_in_j, rep.root_in_1_plus_j), A
+        assert got[2] == "Enumeration"
+        seen += 1
+    j, q = len(R.enumerate_elements("Radical")), R.residue_view().field.size()
+    assert seen == j**4 * (q * q + q)
 
 
 @pytest.mark.parametrize("spec", ["Zloc(2)", "Zloc(3)", "Z"])

@@ -11,7 +11,7 @@ import ring_references as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanmatrix import rings
+from cleanmatrix import galois, rings
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.errors import (
     InfiniteRing,
@@ -124,7 +124,7 @@ def test_galois_field_modulus_is_the_first_irreducible():
     small = [(p, m) for p in range(2, 65) if rings._is_prime(p)
              for m in range(1, 13) if p**m <= 4096]
     for p, m in small + [(2, 20), (2, 24)]:
-        assert rings._find_modulus(p, m) == ref.first_irreducible(p, m), (p, m)
+        assert galois._find_modulus(p, m) == ref.first_irreducible(p, m), (p, m)
     # and a reducible one, (t + 1)^2, leaves no primitive element for the logs
     F = rings.GaloisFieldRing(rings.galois_field(2, 2))
     F.modulus = (1, 0, 1)
@@ -140,17 +140,17 @@ def test_galois_field_degree_is_capped():
         start = time.perf_counter()
         R = rings.GaloisFieldRing(galois_field(p, GF_DEGREE_CAP))
         assert time.perf_counter() - start < 5
-        assert rings._fp_is_irreducible(R.modulus, p)
+        assert galois._fp_is_irreducible(R.modulus, p)
         assert R.modulus[1] != 0  # not a binomial
     for spec in (galois_field(2, GF_DEGREE_CAP + 1),
                  truncated_poly(galois_field(3, 4096), 2)):
         with pytest.raises(TooLarge, match="above the cap"):
             make_ring(spec)
     # binomial moduli: t^2 + 1 over GF(3); mod 65537, -1 and -2 are squares, -3 is not
-    assert rings._find_modulus(3, 2) == (1, 0, 1)
-    assert rings._find_modulus(65537, 16) == (3,) + (0,) * 15 + (1,)
+    assert galois._find_modulus(3, 2) == (1, 0, 1)
+    assert galois._find_modulus(65537, 16) == (3,) + (0,) * 15 + (1,)
     big = 2**61 - 1  # 3 mod 4: no t^4 + c is irreducible
-    assert rings._fp_is_irreducible(rings._find_modulus(big, 4), big)
+    assert galois._fp_is_irreducible(galois._find_modulus(big, 4), big)
 
 
 def test_prime_test_is_exact_below_its_bound():
