@@ -2,13 +2,14 @@
 U invertible, and EU = UE.
 
 Trivial cases: A invertible (E = 0) and I - A invertible (E = I).  Every other
-candidate reduces to a companion matrix C = [[0, w0], [1, 1+w1]] and is strongly
-clean exactly when t^2 - t(1+w1) - w0 has a left root in J.  Over a
+candidate is similar to a companion matrix C = [[0, w0], [1, 1+w1]] and is
+strongly clean exactly when t^2 - t(1+w1) - w0 has a left root in J.  Over a
 commutative ring that quadratic is t^2 - tr(A) t + det(A), read off A with
-one add and one dot, so the roots are settled first: a NotClean verdict forms
-no companion form, and only a NontrivialClean one reduces, for its P.  Over
-the skew rings the reduction comes first and the quadratic is read off C.
-The certificate is assembled from a pair of row eigenvectors of C,
+one add and one dot, so the roots are settled first and nothing reduces: a
+NotClean verdict forms nothing more, and a NontrivialClean certificate is
+built from A itself by commutative_certificate.  Over the skew rings the
+reduction comes first, the quadratic is read off C, and build_certificate
+assembles the certificate from a pair of row eigenvectors of C,
 
     v1 = (1, lamJ),  v2 = (1, lam1J),  vi C = lami vi,
 
@@ -17,8 +18,14 @@ u = (-lam1J d^-1, d^-1) for the unit d = lamJ - lam1J, so the projection onto
 the lamJ eigenrow, Q^-1 diag(0,1) Q, is the rank-one u v1, and pulled back
 through the companion transform P it is E = (P^-1 u)(v1 P), with U = A - E.
 The rows v2 P and v1 P diagonalize: (Q P) A = diag(lam1J, lamJ) (Q P), the
-unit eigenvalue first.  Nothing is inverted on the way; verify_certificate,
-the one complete check, runs once on the result.
+unit eigenvalue first.
+
+commutative_certificate writes the same elements without P: the rows are
+(1, t) Q^-1 for Q = [x | Ax], by the adjugate of Q (companion.eigenrows),
+and by Cayley-Hamilton the projection is E = (A - lam1J I)(lamJ - lam1J)^-1,
+since C, and so A, satisfies (t - lam1J)(t - lamJ) = 0.  On either route
+nothing but units is inverted, and verify_certificate, the one complete check,
+runs once on the result.
 
 The roots come from quadratics.w_roots, which picks the route for the ring.
 Integer matrices are dispatched to the integer classifier, which builds the
@@ -26,7 +33,13 @@ same shape of certificate from a unimodular eigenvector transform.
 """
 
 from .certificates import CleanCertificate, verify_certificate
-from .companion import CompanionForm, char_quadratic, reduce_to_companion
+from .companion import (
+    CompanionForm,
+    char_quadratic,
+    clean_basis_vector,
+    eigenrows,
+    reduce_to_companion,
+)
 from .errors import InternalContractViolation, NotLocal
 from .matrices import Mat2, matvec, outer
 from .quadratics import MonicQuadratic, w_roots
@@ -48,22 +61,46 @@ class RingCleanVerdict:
         self.answer, self.witness = answer, witness  # Yes | No
 
 
-def build_certificate(
-    companion: CompanionForm, lam_j, lam_1j, A: Mat2
-) -> CleanCertificate:
-    """Assemble the eigenrow certificate in closed form and verify it once."""
-    R = A.ring
-    t0, t1 = lam_1j, lam_j
-    if not (R.in_radical(R.sub(R.one, t0)) and R.in_radical(t1)):
+def _diagonal(R, lam_j, lam_1j):
+    """(t0, t1) = (lam1J, lamJ), the unit root first, after checking that
+    they lie on the right sides of J."""
+    if not (R.in_radical(R.sub(R.one, lam_1j)) and R.in_radical(lam_j)):
         raise InternalContractViolation("diagonal entries on the wrong side of J")
-    d_inv = R.invert(R.sub(t1, t0))  # a unit: t1 in J, t0 in 1 + J
-    u = matvec(companion.P_inv, (R.neg(R.mul(t0, d_inv)), d_inv))
-    diag_P = companion.eigenrow_transform(t0, t1)
-    E = outer(R, u, (diag_P.c, diag_P.d))
-    cert = CleanCertificate(E, A - E, diag=(t0, t1, diag_P))
+    return lam_1j, lam_j
+
+
+def _checked(A, E, t0, t1, P) -> CleanCertificate:
+    cert = CleanCertificate(E, A - E, diag=(t0, t1, P))
     if not verify_certificate(A, cert):
         raise InternalContractViolation("built certificate fails verification")
     return cert
+
+
+def build_certificate(
+    companion: CompanionForm, lam_j, lam_1j, A: Mat2
+) -> CleanCertificate:
+    """Assemble the eigenrow certificate through the companion form, in
+    closed form, and verify it once."""
+    R = A.ring
+    t0, t1 = _diagonal(R, lam_j, lam_1j)
+    d_inv = R.invert(R.sub(t1, t0))  # a unit: t1 in J, t0 in 1 + J
+    u = matvec(companion.P_inv, (R.neg(R.mul(t0, d_inv)), d_inv))
+    diag_P = companion.eigenrow_transform(t0, t1)
+    return _checked(A, outer(R, u, (diag_P.c, diag_P.d)), t0, t1, diag_P)
+
+
+def commutative_certificate(A: Mat2, lam_j, lam_1j) -> CleanCertificate:
+    """The same certificate over a commutative ring, straight from A: the
+    eigenrows by the adjugate of [x | Ax] for x = clean_basis_vector(A),
+    and E = (A - t0 I) (t1 - t0)^-1, which is the projection E_C pulled back
+    through P, by Cayley-Hamilton.  Verified once."""
+    R = A.ring
+    t0, t1 = _diagonal(R, lam_j, lam_1j)
+    P = eigenrows(A, clean_basis_vector(A), t0, t1)
+    k, nt0 = R.invert(R.sub(t1, t0)), R.neg(t0)
+    E = Mat2(R, R.dot(A.a, k, nt0, k), R.mul(A.b, k),
+             R.mul(A.c, k), R.dot(A.d, k, nt0, k))
+    return _checked(A, E, t0, t1, P)
 
 
 def decide_strongly_clean(A: Mat2) -> CleanDecision:
@@ -89,7 +126,7 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         )
     if R.is_commutative:
         # the companion quadratic is A's own t^2 - tr(A) t + det(A): settle
-        # the roots first and reduce only for a certificate
+        # the roots from it, and build any certificate from A itself
         cf, f = None, char_quadratic(A)
     else:
         cf = reduce_to_companion(A)
@@ -101,8 +138,9 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
     if lam_j is None or lam_1j is None:
         return CleanDecision("NotClean", witness=f, method=method)
     if cf is None:
-        cf = reduce_to_companion(A, f)
-    cert = build_certificate(cf, lam_j, lam_1j, A)
+        cert = commutative_certificate(A, lam_j, lam_1j)
+    else:
+        cert = build_certificate(cf, lam_j, lam_1j, A)
     return CleanDecision("NontrivialClean", certificate=cert, method=method)
 
 

@@ -11,19 +11,24 @@ the radical, picks the first residue vector x outside ker(Abar) and outside
 im(Abar), and lands on [[0, w], [1, r]] with w in the radical and r
 unconstrained.  Abar has rank 1 there, so both are lines, and each residue
 vector is found in closed form from those lines, not by a scan of the field.
-Both reductions form the residue matrix once and test their preconditions on
-it, over the residue field.
+clean_basis_vector and pi_basis_vector write x down; a matrix already in
+companion shape keeps x = (1, 0), so that Q = [x | Ax] = I.
 
-Both record P = Q^-1 for Q = [x | Ax], so P A P^-1 is the companion matrix
-exactly, and keep Q as P_inv.  invert2's check that P Q = Q P = I is the one
-proof of that inverse, and it also gives the companion matrix's first column:
-P (Ax) is the second column of P Q, e2.  Over a commutative ring the second
-column is read off the similarity invariants, top = -det A and corner = tr A,
-which char_quadratic reads too; the deciders there settle the roots of
-t^2 - tr(A) t + det(A) first and reduce only to build a certificate.  Over
-the skew rings the second column is P A (Ax), and a NotClean or No witness,
-which has no certificate to re-verify later, rests on invert2's check.
-Inputs already in companion shape short-circuit to P = I.
+The deciders reduce over the skew rings only.  The reductions form the
+residue matrix once, test their preconditions on it, and record P = Q^-1 for
+Q = [x | Ax], so P A P^-1 is the companion matrix exactly, keeping Q as
+P_inv.  invert2's check that P Q = Q P = I is the one proof of that inverse,
+and it also gives the companion matrix's first column: P (Ax) is the second
+column of P Q, e2.  The second column is P A (Ax), and a NotClean or No
+witness, which has no certificate to re-verify later, rests on invert2's
+check.
+
+Over a commutative ring the companion quadratic is t^2 - tr(A) t + det(A),
+which char_quadratic reads off A, and the deciders build their certificates
+from A and x without a companion form: eigenrows gives the rows (1, t) Q^-1
+by the adjugate of Q, one inversion of the unit det Q, so invert2's check is
+part of no certificate path there.  The reductions still accept commutative
+rings, whose companion quadratic is then char_quadratic(A) entry for entry.
 """
 
 from .errors import InternalContractViolation, NotApplicable, NotInvertible
@@ -119,76 +124,113 @@ def char_quadratic(A) -> MonicQuadratic:
     return MonicQuadratic(R, R.neg(tr), R.dot(A.a, A.d, R.neg(A.b), A.c))
 
 
-def _basis_change(A, x):
-    """(P, Q) for Q = [x | Ax] and P = Q^-1."""
+def clean_basis_vector(A, Ab=None, I_Ab=None):
+    """x with {x, Ax} a basis in which A is [[0, w0], [1, 1 + w1]], for A
+    with neither A nor I - A invertible: (1, 0) when A has that shape
+    already, else the lift of v + w for the first residue vectors v in
+    ker(Abar) and w in ker(I - Abar).  Ab and I_Ab are Abar and I - Abar
+    when the caller has them."""
     R = A.ring
-    Ax = matvec(A, x)
-    Q = Mat2(R, x[0], Ax[0], x[1], Ax[1])
-    try:
-        return invert2(Q), Q
-    except NotInvertible:
-        raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
-
-
-def _form(kind, A, P, Q, f) -> CompanionForm:
-    """The companion form of A for P = Q^-1, Q = [x | Ax]; f is
-    char_quadratic(A) or None.  P A Q has first column P (Ax) = e2, Ax being
-    Q's second column; over a skew ring its second column, P A (Ax), gives
-    the quadratic, over a commutative ring A's own quadratic is it."""
-    R = A.ring
-    if R.is_commutative:
-        return CompanionForm(kind, char_quadratic(A) if f is None else f, P, Q)
-    top, corner = matvec(P, matvec(A, (Q.b, Q.d)))
-    return CompanionForm(kind, MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
-
-
-def reduce_to_companion(A: Mat2, f=None) -> CompanionForm:
-    """Clean-case reduction; NotApplicable when A or I - A is invertible.  A
-    caller over a commutative ring that has read f = char_quadratic(A)
-    passes it, so that it is not read twice."""
-    R = A.ring
-    Ab = residue_matrix(A)
-    I_Ab = Mat2.identity(Ab.ring) - Ab
-    if is_invertible(Ab) or is_invertible(I_Ab):
-        raise NotApplicable("A or I - A is invertible; no companion reduction")
     if (
         A.a == R.zero
         and A.c == R.one
         and R.in_radical(A.b)
         and R.in_radical(R.sub(A.d, R.one))
     ):
-        I = Mat2.identity(R)
-        return _form("clean", A, I, I, f)
-    rv = R.residue_view()
+        return R.one, R.zero
+    if Ab is None:
+        Ab = residue_matrix(A)
+        I_Ab = Mat2.identity(Ab.ring) - Ab
+    lift = R.residue_view().lift
     v = _kernel_vector(Ab)
-    wv = _kernel_vector(I_Ab)
-    x = (
-        R.add(rv.lift(v[0]), rv.lift(wv[0])),
-        R.add(rv.lift(v[1]), rv.lift(wv[1])),
-    )
-    cf = _form("clean", A, *_basis_change(A, x), f)
+    w = _kernel_vector(I_Ab)
+    return R.add(lift(v[0]), lift(w[0])), R.add(lift(v[1]), lift(w[1]))
+
+
+def pi_basis_vector(A, Ab=None):
+    """x with {x, Ax} a basis in which A is [[0, w], [1, r]], for A neither
+    invertible nor over J: (1, 0) when A has that shape already, else the
+    lift of the first residue vector outside ker(Abar) and im(Abar).  Ab is
+    Abar when the caller has it."""
+    R = A.ring
+    if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
+        return R.one, R.zero
+    if Ab is None:
+        Ab = residue_matrix(A)
+    lift = R.residue_view().lift
+    # A is singular and not over J, so its residue matrix has rank exactly 1
+    pick = _outside_kernel_and_image(Ab)
+    return lift(pick[0]), lift(pick[1])
+
+
+def eigenrows(A, x, t0, t1) -> Mat2:
+    """The matrix with rows (1, t0) Q^-1 and (1, t1) Q^-1 for Q = [x | Ax],
+    over a commutative ring.  By the adjugate, Q^-1 = k [[y1, -y0], [-x1, x0]]
+    for y = Ax and k the inverse of delta = x0 y1 - y0 x1, so row i is
+    (y1 - ti x1, ti x0 - y0) k.  When t0 and t1 are roots of A's
+    characteristic quadratic, (1, ti) is a row eigenvector of the companion
+    matrix Q^-1 A Q, and these rows diagonalize A: they are the rows of
+    CompanionForm.eigenrow_transform, with Q^-1 = P."""
+    R = A.ring
+    x0, x1 = x
+    y0, y1 = matvec(A, x)
+    ny0 = R.neg(y0)
+    delta = R.dot(x0, y1, ny0, x1)
+    if not R.is_unit(delta):
+        raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
+    k = R.invert(delta)
+    p, q, r, s = R.mul(y1, k), R.mul(x1, k), R.mul(x0, k), R.mul(ny0, k)
+    one, n0, n1 = R.one, R.neg(t0), R.neg(t1)
+    dot = R.dot
+    return Mat2(R, dot(n0, q, p, one), dot(t0, r, s, one),
+                dot(n1, q, p, one), dot(t1, r, s, one))
+
+
+def _basis_change(A, x):
+    """(P, Q) for Q = [x | Ax] and P = Q^-1; P = I for Q = I, the x = (1, 0)
+    of a matrix already in companion shape."""
+    R = A.ring
+    Ax = matvec(A, x)
+    Q = Mat2(R, x[0], Ax[0], x[1], Ax[1])
+    if Q.b == R.zero and Q.c == R.zero and Q.a == R.one and Q.d == R.one:
+        return Q, Q
+    try:
+        return invert2(Q), Q
+    except NotInvertible:
+        raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
+
+
+def _form(kind, A, P, Q) -> CompanionForm:
+    """The companion form of A for P = Q^-1, Q = [x | Ax].  P A Q has first
+    column P (Ax) = e2, Ax being Q's second column; its second column,
+    P A (Ax), gives the quadratic."""
+    R = A.ring
+    top, corner = matvec(P, matvec(A, (Q.b, Q.d)))
+    return CompanionForm(kind, MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
+
+
+def reduce_to_companion(A: Mat2) -> CompanionForm:
+    """Clean-case reduction; NotApplicable when A or I - A is invertible."""
+    R = A.ring
+    Ab = residue_matrix(A)
+    I_Ab = Mat2.identity(Ab.ring) - Ab
+    if is_invertible(Ab) or is_invertible(I_Ab):
+        raise NotApplicable("A or I - A is invertible; no companion reduction")
+    cf = _form("clean", A, *_basis_change(A, clean_basis_vector(A, Ab, I_Ab)))
     if not (R.in_radical(cf.f.a0) and R.in_radical(R.add(R.one, cf.f.a1))):
         raise InternalContractViolation("companion shape violated after reduction")
     return cf
 
 
-def reduce_to_companion_pi(A: Mat2, f=None) -> CompanionForm:
-    """Pi-case reduction; NotApplicable when A is invertible or A is over J.
-    f as for reduce_to_companion."""
+def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
+    """Pi-case reduction; NotApplicable when A is invertible or A is over J."""
     R = A.ring
     Ab = residue_matrix(A)
     if Ab == Mat2.zero(Ab.ring):
         raise NotApplicable("all entries in the radical; no pi companion form")
     if is_invertible(Ab):
         raise NotApplicable("A is invertible; no pi companion form")
-    if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
-        I = Mat2.identity(R)
-        return _form("pi", A, I, I, f)
-    rv = R.residue_view()
-    # A is singular and not over J, so its residue matrix has rank exactly 1
-    pick = _outside_kernel_and_image(Ab)
-    x = (rv.lift(pick[0]), rv.lift(pick[1]))
-    cf = _form("pi", A, *_basis_change(A, x), f)
+    cf = _form("pi", A, *_basis_change(A, pi_basis_vector(A, Ab)))
     if not R.in_radical(cf.f.a0):
         raise InternalContractViolation("pi companion shape violated")
     return cf

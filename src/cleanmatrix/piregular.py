@@ -11,14 +11,15 @@ D = diag(t0 unit, t1 nilpotent).  verify_pi_certificate checks P invertible
 and P A = D P, never forming P^-1, and the decider runs it once on the
 certificate it builds.  Over a commutative ring r = tr A and w = -det A, so
 the decider reads the quadratic off A and settles the case and the roots
-first; only a Nontrivial verdict reduces, for its P.  The skew rings reduce
-first and read r and w off the companion form.  When r itself falls in J,
-A^2 has all entries in J and A is nilpotent over the finite families; the
-nilpotent certificate needs only the index.  Otherwise the roots come from
-quadratics.pi_roots: on the finite rings the residue t (t - rbar) has the
-simple roots rbar and 0, so both roots exist and are lifted by chord steps,
-scanning neither the ring nor its residue field; Z_(p) finds them, or not, by
-the discriminant.
+first, and nothing reduces: a Nontrivial P is companion.eigenrows of A, the
+rows (1, ti) Q^-1 by the adjugate of Q = [x | Ax], x = pi_basis_vector(A).
+Only the skew rings reduce, first, and read r and w off the companion form.
+When r itself falls in J, A^2 has all entries in J and A is nilpotent over
+the finite families; the nilpotent certificate needs only the index.
+Otherwise the roots come from quadratics.pi_roots: on the finite rings the
+residue t (t - rbar) has the simple roots rbar and 0, so both roots exist and
+are lifted by chord steps, scanning neither the ring nor its residue field;
+Z_(p) finds them, or not, by the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
@@ -29,7 +30,12 @@ TrivialNilpotent or No.
 """
 
 from .certificates import PiCertificate, verify_pi_certificate
-from .companion import char_quadratic, reduce_to_companion_pi
+from .companion import (
+    char_quadratic,
+    eigenrows,
+    pi_basis_vector,
+    reduce_to_companion_pi,
+)
 from .errors import InfiniteRing, InternalContractViolation
 from .matrices import Mat2, is_invertible
 from .quadratics import pi_roots
@@ -88,8 +94,8 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
         # nilpotent, unless (Z_(p) only) no power vanishes: never pi-regular
         return _nilpotent_or_no(A)
     if R.is_commutative:
-        # t^2 - t r - w is A's own t^2 - tr(A) t + det(A): decide from it
-        # first and reduce only for a Nontrivial certificate
+        # t^2 - t r - w is A's own t^2 - tr(A) t + det(A): decide from it,
+        # and build a Nontrivial certificate from A itself
         cf, f = None, char_quadratic(A)
     else:
         cf = reduce_to_companion_pi(A)
@@ -101,8 +107,10 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
     if lam_u is None or lam_n is None:
         return PiDecision("No", witness=f)
     if cf is None:
-        cf = reduce_to_companion_pi(A, f)
-    return _checked_diag(A, lam_u, lam_n, cf.eigenrow_transform(lam_u, lam_n))
+        P = eigenrows(A, pi_basis_vector(A), lam_u, lam_n)
+    else:
+        P = cf.eigenrow_transform(lam_u, lam_n)
+    return _checked_diag(A, lam_u, lam_n, P)
 
 
 def _checked_diag(A, t0, t1, P) -> PiDecision:

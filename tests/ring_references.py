@@ -11,6 +11,10 @@ kernel_scan_is_invertible and brute_pi_sets are the oracle's invertibility
 and pi checks before it counted kernels: scans of all of R^2 on the ring's
 filled index tables.
 
+companion_route_certificates is how the deciders assembled certificates
+over a commutative ring before they built them from A: through the
+companion form, whose basis change invert2 inverts.
+
 from_rows, is_nilpotent, right_eval, in_w, companion_matrix and
 is_unimodular are helpers that only the tests call.  fraction and
 FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
@@ -21,9 +25,12 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
+from cleanmatrix.clean import build_certificate
+from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
 from cleanmatrix.matrices import Mat2, matpow
 from cleanmatrix.galois import _fp_mul, _fp_rem
+from cleanmatrix.quadratics import pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
 
 
@@ -218,6 +225,32 @@ def brute_pi_sets(A):
             add[mul[mc * n + b] * n + mul[md * n + d]],
         )
     return None
+
+
+def companion_route_certificates(A):
+    """(clean, pi) for A over a commutative local ring, by the companion
+    route: reduce_to_companion and w_roots, then build_certificate, for the
+    clean certificate; reduce_to_companion_pi and pi_roots, then the
+    eigenrow transform (1, ti) P, for the pi one as (t0, t1, P).  Each is
+    None where the decider answers otherwise: a trivial or negative clean
+    case; an invertible A, an A over J, tr A in J or no root pair for pi."""
+    try:
+        cf = reduce_to_companion(A)
+    except NotApplicable:
+        clean = None
+    else:
+        lam_j, lam_1j, _ = w_roots(cf.f)
+        clean = None if lam_j is None else build_certificate(cf, lam_j, lam_1j, A)
+    try:
+        cf = reduce_to_companion_pi(A)
+    except NotApplicable:
+        return clean, None
+    if A.ring.in_radical(cf.f.a1):
+        return clean, None
+    t0, t1 = pi_roots(cf.f)
+    if t0 is None or t1 is None:
+        return clean, None
+    return clean, (t0, t1, cf.eigenrow_transform(t0, t1))
 
 
 def from_rows(ring, rows):

@@ -1,10 +1,12 @@
 """Certificate assembly and verification.
 
 The deciders build their certificates in closed form (rank-one products of
-eigenrows, no inverse) and check each one once, with the complete verifier.
-These tests keep the inverse-based assembly as the reference, tamper with
-certificates the verifiers must reject, feed the deciders wrong roots, and
-count the inversions a decision makes.
+eigenrows, no inverse; over a commutative ring straight from A, by the
+adjugate of the basis change) and check each one once, with the complete
+verifier.  These tests keep the inverse-based assembly and, on commutative
+rings, the companion route as references, tamper with certificates the
+verifiers must reject, feed the deciders wrong roots, and count the
+inversions a decision makes.
 """
 
 import random
@@ -12,6 +14,7 @@ import sys
 
 import pytest
 
+import ring_references as ref
 from cleanmatrix import matrices, quadratics
 from cleanmatrix.clean import (
     CleanCertificate,
@@ -75,6 +78,7 @@ def _check_against_reference(A):
     "spec", ["Zmod(2,3)", "Zmod(3,2)", "GF(2,2)", "Trunc(GF(2),3)"]
 )
 def test_closed_form_matches_inverse_assembly_exhaustive(spec):
+    # every ring here is commutative: the companion route is a reference too
     R = parse_ring(spec)
     els = R.enumerate_elements("All")
     counts = [0, 0]
@@ -82,7 +86,9 @@ def test_closed_form_matches_inverse_assembly_exhaustive(spec):
         for b in els:
             for c in els:
                 for d in els:
-                    hits = _check_against_reference(Mat2(R, a, b, c, d))
+                    A = Mat2(R, a, b, c, d)
+                    hits = _check_against_reference(A)
+                    assert _check_against_companion_route(A) == hits, A
                     counts = [n + h for n, h in zip(counts, hits)]
     assert all(counts)  # both reduced routes were reached
 
@@ -100,6 +106,74 @@ def test_closed_form_matches_inverse_assembly_skew():
     for _ in range(1500):
         A = Mat2(R, *(rng.choice(els) for _ in range(4)))
         hits = _check_against_reference(A)
+        counts = [n + h for n, h in zip(counts, hits)]
+    assert all(counts)
+
+
+# ------------------------------------------ the companion route, commutative
+
+
+def _check_against_companion_route(A):
+    """Compare both deciders' certificates for A over a commutative ring with
+    the companion route's (E, U, t0, t1, P and the pi t0, t1, P); returns
+    (clean reduced, pi nontrivial) for the caller's counts."""
+    clean_ref, pi_ref = ref.companion_route_certificates(A)
+    dec = decide_strongly_clean(A)
+    assert (dec.status == "NontrivialClean") == (clean_ref is not None), A
+    if clean_ref is not None:
+        cert = dec.certificate
+        assert (cert.E, cert.U) == (clean_ref.E, clean_ref.U), A
+        assert cert.diag == clean_ref.diag, A
+    pdec = decide_strongly_pi_regular(A)
+    assert (pdec.status == "Nontrivial") == (pi_ref is not None), A
+    if pi_ref is not None:
+        cert = pdec.certificate
+        assert (cert.t0, cert.t1, cert.P) == pi_ref, A
+    return clean_ref is not None, pi_ref is not None
+
+
+def _zloc_samples(R, rng, count):
+    """Matrices over Z_(p): random small entries, which are rarely clean,
+    and S diag(t0, t1) S^-1 for t0 in 1 + J, t1 in J (0 a third of the
+    time, for a nilpotent pi root) and S = [[1 + s u, s], [u, 1]] of
+    determinant 1, which are clean and rarely in companion shape."""
+    p = R.p
+
+    def unit_den():
+        return rng.choice([d for d in range(1, 12) if d % p])
+
+    def in_radical():
+        return R.mul(R.el(p), R.frac(rng.randint(-5, 5), unit_den()))
+
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            entries = (R.frac(rng.randint(-9, 9), unit_den()) for _ in range(4))
+            out.append(Mat2(R, *entries))
+            continue
+        t0 = R.add(R.one, in_radical())
+        t1 = R.zero if i % 3 == 1 else in_radical()
+        s, u = R.el(rng.randint(-4, 4)), R.el(rng.choice([-3, -2, -1, 1, 2, 3]))
+        S = Mat2(R, R.add(R.one, R.mul(s, u)), s, u, R.one)
+        S_inv = Mat2(R, R.one, R.neg(s), R.neg(u), R.add(R.one, R.mul(s, u)))
+        out.append((S * Mat2.diag(R, t0, t1)) * S_inv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zmod(2,8)", "Trunc(GF(2,2),4)", "GF(2,4)", "Zloc(2)", "Zloc(3)"]
+)
+def test_adjugate_route_matches_companion_route_sampled(spec):
+    R = parse_ring(spec)
+    rng = random.Random(19)
+    if R.is_finite:
+        els = R.enumerate_elements("All")
+        samples = [Mat2(R, *(rng.choice(els) for _ in range(4))) for _ in range(300)]
+    else:
+        samples = _zloc_samples(R, rng, 300)
+    counts = [0, 0]
+    for A in samples:
+        hits = _check_against_companion_route(A)
         counts = [n + h for n, h in zip(counts, hits)]
     assert all(counts)
 
@@ -224,13 +298,16 @@ def invert2_calls(monkeypatch):
     [("Zmod(2,3)", "[[1,1],[2,0]]"), ("SkewTrunc(GF(2,2),1,2)", "[[1+x,w],[w*x,x]]")],
 )
 def test_reduced_decisions_invert_once(spec, matrix, invert2_calls):
+    # the skew ring's reduction inverts its basis change once per decision;
+    # a commutative owner builds its certificates from A and inverts none
     R = parse_ring(spec)
     A = parse_matrix(R, matrix)
     assert not (A.a == R.zero and A.c == R.one)  # not in companion shape
+    per_decision = 0 if R.is_commutative else 1
     assert decide_strongly_clean(A).status == "NontrivialClean"
-    assert len(invert2_calls) == 1
+    assert len(invert2_calls) == per_decision
     assert decide_strongly_pi_regular(A).status == "Nontrivial"
-    assert len(invert2_calls) == 2
+    assert len(invert2_calls) == 2 * per_decision
 
 
 def test_integer_decision_inverts_once(invert2_calls):

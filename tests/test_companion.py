@@ -12,10 +12,13 @@ from cleanmatrix.companion import (
     char_quadratic,
     _outside_kernel_and_image,
     check_companion_identity,
+    clean_basis_vector,
+    eigenrows,
+    pi_basis_vector,
     reduce_to_companion,
     reduce_to_companion_pi,
 )
-from cleanmatrix.errors import NotApplicable
+from cleanmatrix.errors import InternalContractViolation, NotApplicable
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2, conjugate, invert2, is_invertible, matvec
 from cleanmatrix.quadratics import MonicQuadratic
@@ -74,6 +77,17 @@ def test_reduce_shortcircuits_companion_shape():
     pf = reduce_to_companion_pi(m(Z8, 0, 2, 1, 5))
     assert pf.P == Mat2.identity(Z8)
     assert (pf.w, pf.r) == (Z8.el(2), Z8.el(5))
+
+
+def test_basis_vectors_and_eigenrows():
+    # companion shape keeps x = (1, 0), where the rows are (1, t0), (1, t1)
+    A = m(Z8, 0, 4, 1, 3)
+    assert clean_basis_vector(A) == pi_basis_vector(A) == (Z8.one, Z8.zero)
+    assert eigenrows(A, (Z8.one, Z8.zero), Z8.el(7), Z8.el(4)) == m(Z8, 1, 7, 1, 4)
+    # x = (2, 0) spans no basis with Ax = (2, 4): det [x | Ax] = 8 - 0 is
+    # not a unit, so no rows are written
+    with pytest.raises(InternalContractViolation, match="not a basis"):
+        eigenrows(m(Z8, 1, 1, 2, 0), (Z8.el(2), Z8.zero), Z8.el(3), Z8.el(2))
 
 
 @pytest.mark.parametrize("R", RINGS)
