@@ -12,9 +12,10 @@ in the input grammar, and a verified flag that is set only after the
 certificate has been re-checked from scratch.
 
 Start-up is most of a call's cost, so only the parser, the literals and the
-matrices are imported here; each command imports the deciders it runs in its
-handler.  A decide call loads neither the pi decider nor the factorizer nor
-the oracles, and the integer classifier only for a matrix over Z.  The
+matrices are imported here, the parser gets only the subcommand the call
+names, and each command imports the deciders it runs in its handler.  A
+decide call loads neither the pi decider nor the factorizer nor the oracles,
+and the integer classifier only for a matrix over Z.  The
 selftest sweep (with its CLEANMATRIX_THREADS process pool) and verify's
 document reader live in their own modules, loaded by those commands only.
 """
@@ -47,39 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser with only the subparser that argv[0] names, or with all of
+    them when it names none (--help, a bad command): a subcommand's usage and
+    errors do not depend on its siblings."""
     parser = _Parser(prog="cleanmatrix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decide", help="strongly clean decision for one matrix")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("pi", help="strongly pi-regular decision for one matrix")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("factor", help="unit-split factorization of t^2+a1*t+a0")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--poly", required=True, metavar="a1,a0")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("survey", help="ring-level verdict")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--mode", choices=("clean", "pi"), default="clean")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("classify-int", help="integer similarity class")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("selftest", help="oracle agreement sweep")
-    p.add_argument("--ring", default="Zmod(2,2)")
-
-    p = sub.add_parser("verify")  # internal: re-check an emitted JSON document
-    p.add_argument("--file", default="-", help="JSON document, - for stdin")
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text) if help_text else sub.add_parser(name)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -339,22 +319,36 @@ def _cmd_verify(args):
 # --------------------------------------------------------------------- main
 
 
+_RING = ("--ring", {"required": True})
+_MATRIX = ("--matrix", {"required": True})
+_JSON = ("--json", {"action": "store_true"})
+
+# name: (handler, help line, (flag, add_argument keywords) pairs), in help
+# order; verify is internal (it re-checks an emitted JSON document), so it
+# has no help line
 _COMMANDS = {
-    "decide": _cmd_decide,
-    "pi": _cmd_pi,
-    "factor": _cmd_factor,
-    "survey": _cmd_survey,
-    "classify-int": _cmd_classify_int,
-    "selftest": _cmd_selftest,
-    "verify": _cmd_verify,
+    "decide": (_cmd_decide, "strongly clean decision for one matrix",
+               (_RING, _MATRIX, _JSON)),
+    "pi": (_cmd_pi, "strongly pi-regular decision for one matrix",
+           (_RING, _MATRIX, _JSON)),
+    "factor": (_cmd_factor, "unit-split factorization of t^2+a1*t+a0",
+               (_RING, ("--poly", {"required": True, "metavar": "a1,a0"}), _JSON)),
+    "survey": (_cmd_survey, "ring-level verdict",
+               (_RING, ("--mode", {"choices": ("clean", "pi"), "default": "clean"}),
+                _JSON)),
+    "classify-int": (_cmd_classify_int, "integer similarity class", (_MATRIX, _JSON)),
+    "selftest": (_cmd_selftest, "oracle agreement sweep",
+                 (("--ring", {"default": "Zmod(2,2)"}),)),
+    "verify": (_cmd_verify, None,
+               (("--file", {"default": "-", "help": "JSON document, - for stdin"}),)),
 }
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,10 @@
-"""Z/p^k: the payload is the residue in [0, p^k), which is also its index."""
+"""Z/p^k: the payload is the residue in [0, p^k), which is also its index.
+
+So the radical J = pZ/p^kZ is the multiples of p, in index order the ring's
+"Radical" enumeration, and radical_root scans it for a root of a quadratic
+in integer arithmetic on the coefficients' payloads, building no Element per
+candidate and no enumeration tuple.
+"""
 
 from .errors import NotAUnit
 from .rings import Element, FiniteRing, IntegerRing, galois_field, make_ring
@@ -41,6 +47,18 @@ class ModPrimePowerRing(FiniteRing):
         if i % self.p == 0:
             raise NotAUnit(f"{i} is not a unit mod {self.modulus}")
         return pow(i, -1, self.modulus)
+
+    def radical_root(self, a1, a0):
+        """The first lam in J, in the "Radical" order 0, p, 2p, ..., with
+        lam (lam + a1) + a0 = 0, or None: the J root find_roots_enumerate
+        returns, computed on payloads.  TooLarge above ENUM_CAP, as that scan."""
+        m = self.enumerable_size()
+        self._guard(a1, a0)
+        b1, b0 = a1.payload, a0.payload
+        for lam in range(0, m, self.p):
+            if (lam * (lam + b1) + b0) % m == 0:
+                return self.element_at(lam)
+        return None
 
     def radical_index(self):
         return self.k

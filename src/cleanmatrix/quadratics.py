@@ -23,7 +23,10 @@ picks its route, and every caller goes through it:
     factor, and the witness check of the Z_(p) survey): J-adic lifting from 0
     on the truncated rings, a complete scan of J on Z/p^k (k > 1) with the
     1 + J root read off the sum of the roots, a scan of J = {0} and of
-    1 + J = {1} on the fields, the discriminant over Z_(p);
+    1 + J = {1} on the fields, the discriminant over Z_(p).  The Z/p^k scan
+    (ModPrimePowerRing.radical_root) runs on payload integers, in the
+    "Radical" enumeration order and under the same ENUM_CAP as
+    find_roots_enumerate, so it returns the same root;
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
     pi decider): lifting on every finite ring, the discriminant over Z_(p);
     over a commutative ring only the nilpotent root is lifted, the unit one
@@ -58,8 +61,8 @@ is the unit root, the one lifting from lift(rbar) returns; the skew rings
 lift it.  w_roots on the truncated rings lifts the J root of f from 0; its
 1 + J root is -a1 minus it over a commutative ring, and 1 minus the J root of
 f(1 - t), lifted from 0, over a skew one.  On Z/p^k the J root comes from a
-scan, the first hit being the unique root, and the 1 + J root is again -a1
-minus it.
+scan of the multiples of p, the first hit being the unique root, and the
+1 + J root is again -a1 minus it.
 
 Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
 find_roots_rational tests the discriminant and forms the roots in integer
@@ -289,44 +292,55 @@ def lift_root(f: MonicQuadratic, start: Element) -> Element:
     raise InternalContractViolation(f"f(lam) is still nonzero after {v} chord steps")
 
 
+def _lift_w_root(f: MonicQuadratic) -> Element:
+    """The left root in J of f in W, lifted from 0; NotApplicable when f is
+    not in W, that is when a0 = -w0 or 1 + a1 = -w1 is not in J."""
+    R = f.ring
+    if not (R.in_radical(f.a0) and R.in_radical(R.add(R.one, f.a1))):
+        raise NotApplicable("lifting needs w0, w1 in the radical")
+    return lift_root(f, R.zero)
+
+
 def lift_root_truncated(ring, w0, w1) -> Element:
     """Left root in J of t^2 - t(1+w1) - w0 over F[x; sigma]/(x^n), lifted
     from the residue root 0 by lift_root."""
     if ring.family not in _TRUNCATED:
         raise NotApplicable("lifting needs a truncated polynomial ring")
     ring._guard(w0, w1)
-    if not (ring.in_radical(w0) and ring.in_radical(w1)):
-        raise NotApplicable("lifting needs w0, w1 in the radical")
-    return lift_root(MonicQuadratic.from_radical_params(ring, w0, w1), ring.zero)
+    return _lift_w_root(MonicQuadratic.from_radical_params(ring, w0, w1))
 
 
 def w_roots(f: MonicQuadratic):
     """(lamJ, lam1J, method): the left roots of f in W in J and in 1 + J, or
-    None where the ring has none, by the route of f's ring."""
+    None where the ring has none, by the route of f's ring.
+
+    On Z/p^k (k > 1) the J root comes from ModPrimePowerRing.radical_root, a
+    complete scan of J in the "Radical" enumeration order on payload integers
+    under the same ENUM_CAP, so its first hit and its method, Enumeration,
+    are find_roots_enumerate's."""
     R = f.ring
     if R.family in _TRUNCATED and R.element_ring is R:
-        lam_j = lift_root_truncated(R, f.w0, f.w1)
+        lam_j = _lift_w_root(f)
         if R.is_commutative:
             # f = (t - lamJ)(t - lam1J), so lam1J = -a1 - lamJ as in
             # pi_roots; the root above residue 1 is unique
             lam_1j = R.neg(R.add(f.a1, lam_j))
             mu = R.sub(R.one, lam_1j)
         else:
-            g = f.one_minus_t_transform()
-            mu = lift_root_truncated(R, g.w0, g.w1)
+            mu = _lift_w_root(f.one_minus_t_transform())
             lam_1j = R.sub(R.one, mu)
         if not (R.in_radical(lam_j) and R.in_radical(mu)):
             raise InternalContractViolation("a lifted root is not in J")
         if left_eval(f, lam_1j) != R.zero:
             raise InternalContractViolation("1 - (root of f(1-t)) is not a root")
         return lam_j, lam_1j, "Lifting"
+    if R.family == "ModPrimePower" and R.element_ring is R and R.k > 1:
+        # J != 0: scan J alone and read the 1 + J root off the sum of the
+        # roots, as above; Z/p and the fields keep their two one-element scans
+        lam_j = R.radical_root(f.a1, f.a0)
+        lam_1j = None if lam_j is None else R.neg(R.add(f.a1, lam_j))
+        return lam_j, lam_1j, "Enumeration"
     if R.is_finite:
-        if R.is_commutative and R.radical_index() > 1:
-            # J != 0: scan J alone and read the 1 + J root off the sum of
-            # the roots, as above; fields keep their two one-element scans
-            lam_j = find_roots_enumerate(f, ("J",)).root_in_j
-            lam_1j = None if lam_j is None else R.neg(R.add(f.a1, lam_j))
-            return lam_j, lam_1j, "Enumeration"
         rep = find_roots_enumerate(f, ("J", "1+J"))
         return rep.root_in_j, rep.root_in_1_plus_j, "Enumeration"
     rep = find_roots_rational(f, ("J", "1+J"))

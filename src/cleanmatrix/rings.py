@@ -401,6 +401,17 @@ class LocalRing:
             e += 1
         return f"{p}^{e}"
 
+    def enumerable_size(self):
+        """The element count, or TooLarge above ENUM_CAP: the one test of the
+        cap, made by every complete scan before it builds anything."""
+        n = self.size()
+        if n > ENUM_CAP:
+            raise TooLarge(
+                f"{self.spec_string()} has {self.size_text()} elements; "
+                f"enumeration stops at {ENUM_CAP}"
+            )
+        return n
+
     def enumerate_elements(self, subset="All"):
         """Deterministic tuple of elements: All, Units, Radical, OnePlusRadical."""
         if not self.is_finite:
@@ -409,12 +420,7 @@ class LocalRing:
         if got is not None:
             return got
         if subset == "All":
-            n = self.size()
-            if n > ENUM_CAP:
-                raise TooLarge(
-                    f"{self.spec_string()} has {self.size_text()} elements; "
-                    f"enumeration stops at {ENUM_CAP}"
-                )
+            n = self.enumerable_size()
             out = tuple(Element(self, self._pl(k)) for k in range(n))
             for i, a in enumerate(out):
                 a.idx = i

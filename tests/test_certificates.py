@@ -243,15 +243,13 @@ def test_verify_pi_certificate_rejects_bad_diagonalizations(spec, matrix):
 
 
 def test_wrong_enumerated_root_raises(monkeypatch):
+    # the Z/p^k clean route scans J by ModPrimePowerRing.radical_root
     R = parse_ring("Zmod(2,3)")
-    original = quadratics.find_roots_enumerate
-
-    def wrong(f, targets):
-        rep = original(f, targets)
-        rep.root_in_j = R.add(rep.root_in_j, R.el(2))
-        return rep
-
-    monkeypatch.setattr(quadratics, "find_roots_enumerate", wrong)
+    original = type(R).radical_root
+    monkeypatch.setattr(
+        type(R), "radical_root",
+        lambda self, a1, a0: R.add(original(self, a1, a0), R.el(2)),
+    )
     for matrix in ("[[0,2],[1,1]]", "[[1,1],[2,0]]"):
         with pytest.raises(InternalContractViolation, match="fails verification"):
             decide_strongly_clean(parse_matrix(R, matrix))

@@ -143,6 +143,28 @@ def test_huge_ring_pi_lifts_and_decide_refuses(capsys, ring, poly, lifts_clean):
         assert err.startswith("error:") and "enumeration stops at" in err
 
 
+def test_zmod_clean_scan_at_enum_cap_builds_no_element_tuple(capsys, refuse_scans):
+    # Zmod(2,16) is above TABLE_CAP and at ENUM_CAP: the J scan runs on
+    # payload integers, so the decision enumerates nothing
+    code, doc, _ = invoke_json(
+        capsys, "decide", "--ring", "Zmod(2,16)", "--matrix", "[[0,12346],[1,3]]",
+        "--json",
+    )
+    assert code == OK
+    assert (doc["status"], doc["method"]) == ("NontrivialClean", "Enumeration")
+    assert doc["verified"] is True
+
+
+@pytest.mark.parametrize("ring", ["Zmod(2,17)", "Zmod(2,64)"])
+def test_zmod_clean_scan_refuses_above_enum_cap(capsys, refuse_scans, ring):
+    for command, arg in (("decide", "--matrix=[[0,2],[1,1]]"), ("factor", "--poly=1,2")):
+        code, out, err = invoke(capsys, command, "--ring", ring, arg)
+        assert code == USAGE
+        assert out == ""
+        assert err.startswith("error:") and "enumeration stops at 65536" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_factor_equals_form_for_negative_coefficients(capsys):
     # --poly -1,-4 would be eaten by argparse; the = form must work
     code, doc, _ = invoke_json(
@@ -278,6 +300,32 @@ def test_usage_errors(capsys):
                   "--matrix", "[[1,0],[0,1]]")[0] == USAGE
     assert invoke(capsys, "factor", "--ring", "Zmod(2,3)",
                   "--poly", "1", "--json")[0] == USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--help"], ["decide", "--ring", "Zmod(2,3)"],
+    ["pi", "--ring", "Z", "--matrix", "[[1,0],[0,1]]", "extra"],
+    ["factor", "-h"], ["survey", "--ring", "Z", "--mode", "x"], ["classify-int"],
+    ["selftest", "--help"], ["verify", "--bogus"], ["verify", "-h"],
+    ["decide", "--ring", "Zmod(2,3)", "--matrix", "[[0,2],[1,1]]", "--json"],
+])
+def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    # run builds only the subparser argv[0] names; its help, errors and
+    # parsed arguments must be those of the parser with all seven
+    from cleanmatrix import cli
+
+    def outcome(parser):
+        try:
+            got = ("args", vars(parser.parse_args(argv)))
+        except cli._UsageError as exc:
+            got = ("usage error", str(exc))
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        return got, capsys.readouterr()
+
+    assert outcome(cli._build_parser(argv)) == outcome(cli._build_parser([]))
+    with pytest.raises(cli._UsageError, match="invalid choice"):
+        cli._build_parser(argv).parse_args(["pi" if argv[0] != "pi" else "decide"])
 
 
 def test_verify_round_trip(capsys, tmp_path):

@@ -6,17 +6,19 @@ factorisation and evaluates quadratics in three calls.  Over a commutative
 ring the deciders read the quadratic off tr A and det A and build a
 certificate from A itself, with no companion form, and over a commutative
 truncated ring the root search lifts one root of the quadratic and reads the
-other off the sum of the roots.  These tests count the public ring
+other off the sum of the roots; on Z/p^k it scans J on payload integers, with
+no ring call per candidate.  These tests count the public ring
 ops one decision makes, wrapped on the ring classes as the benchmark's
 tracer wraps them (a sub counts its add and neg too), and fail when a route
 goes back to per-term calls or to the companion reduction.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
-from cleanmatrix import clean, piregular, rings
+from cleanmatrix import clean, piregular, quadratics, rings
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.piregular import decide_strongly_pi_regular
@@ -61,7 +63,10 @@ BUDGETS = [
      {"add": 4, "mul": 13, "neg": 9, "sub": 0, "invert": 4, "dot": 14}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_clean,
      "NontrivialClean",
-     {"add": 34, "mul": 20, "neg": 30, "sub": 14, "invert": 5, "dot": 29}),
+     {"add": 33, "mul": 20, "neg": 26, "sub": 14, "invert": 5, "dot": 29}),
+    # t^2 - 255 t + 254: its J root 254 is the last of J's 128 elements
+    ("Zmod(2,8)", "[[255,2],[1,0]]", decide_strongly_clean, "NontrivialClean",
+     {"add": 21, "mul": 12, "neg": 23, "sub": 11, "invert": 3, "dot": 29}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_pi_regular,
      "Nontrivial",
      {"add": 10, "mul": 19, "neg": 11, "sub": 2, "invert": 4, "dot": 14}),
@@ -81,6 +86,33 @@ def test_reduced_decision_ring_calls(
     assert decide(A).status == status
     over = {op: ring_calls[op] for op in OPS if ring_calls[op] > budget[op]}
     assert not over, f"ring calls above budget {budget}: {over}"
+
+
+def test_zmod_clean_scan_runs_on_payloads(monkeypatch):
+    # the J root comes last in J, and the scan reaches it with no left_eval
+    # call and no complete scan of Elements
+    refuse_reduction(monkeypatch, "a commutative certificate")
+    evals = Counter()
+    original = quadratics.left_eval
+
+    def counted(*args):
+        evals["left_eval"] += 1
+        return original(*args)
+
+    def refuse(*args):
+        raise AssertionError("the Z/p^k clean route reached find_roots_enumerate")
+
+    for name, replacement in (("left_eval", counted), ("find_roots_enumerate", refuse)):
+        bound = getattr(quadratics, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cleanmatrix") and getattr(mod, name, None) is bound:
+                monkeypatch.setattr(mod, name, replacement)
+    R = parse_ring("Zmod(2,8)")
+    dec = decide_strongly_clean(parse_matrix(R, "[[255,2],[1,0]]"))
+    assert dec.status == "NontrivialClean"
+    assert dec.method == "Enumeration"
+    assert dec.certificate.diag[:2] == (R.el(1), R.el(254))
+    assert evals["left_eval"] == 0
 
 
 # [[0,4],[1,1]] and [[0,2],[1,1]] conjugated by [[1,2],[1,3]]; the residue

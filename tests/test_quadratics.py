@@ -9,7 +9,13 @@ import ring_references as ref
 
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.companion import char_quadratic
-from cleanmatrix.errors import InfiniteRing, InternalContractViolation, NotApplicable
+from cleanmatrix.errors import (
+    InfiniteRing,
+    InternalContractViolation,
+    NotApplicable,
+    OwnerMismatch,
+    TooLarge,
+)
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2
 from cleanmatrix.quadratics import (
@@ -341,6 +347,35 @@ def test_w_roots_on_zmod_match_both_scans(spec):
         seen += 1
     j, q = len(R.enumerate_elements("Radical")), R.residue_view().field.size()
     assert seen == j**4 * (q * q + q)
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,3)", "Zmod(3,2)", "Zmod(5,2)", "Zmod(2,8)"])
+def test_radical_root_is_the_enumerated_root(spec):
+    # the payload scan of J returns the very element the complete scan of J
+    # finds first, for every f in W, a0 = 0 (root 0) included
+    R = parse_ring(spec)
+    J = R.enumerate_elements("Radical")
+    for w0, w1 in itertools.product(J, repeat=2):
+        f = MonicQuadratic.from_radical_params(R, w0, w1)
+        assert R.radical_root(f.a1, f.a0) is find_roots_enumerate(f, ("J",)).root_in_j
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,3)", "Zmod(3,2)", "Zmod(5,2)"])
+def test_radical_root_matches_the_scan_on_every_quadratic(spec):
+    # outside W too: no root in J (a0 a unit), several roots in J (a1 in J)
+    R = parse_ring(spec)
+    els = R.enumerate_elements("All")
+    for a1, a0 in itertools.product(els, repeat=2):
+        f = MonicQuadratic(R, a1, a0)
+        assert R.radical_root(a1, a0) is find_roots_enumerate(f, ("J",)).root_in_j
+
+
+def test_radical_root_refuses_above_enum_cap(refuse_scans):
+    R = parse_ring("Zmod(2,17)")
+    with pytest.raises(TooLarge, match=r"has 2\^17 elements; enumeration stops at 65536"):
+        R.radical_root(R.el(-1), R.el(0))
+    with pytest.raises(OwnerMismatch):
+        Z8.radical_root(Z8.el(1), R.el(0))
 
 
 @pytest.mark.parametrize("spec", ["Zloc(2)", "Zloc(3)", "Z"])
