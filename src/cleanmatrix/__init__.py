@@ -49,7 +49,7 @@ _MODULES = {
         "IntCleanClass", "classify_integer", "integer_clean_decision",
         "integer_oracle",
     ),
-    "bruteforce": ("brute_clean", "brute_pi", "enumerate_idempotents"),
+    "bruteforce": ("brute_clean", "brute_pi"),
     "literals": (
         "matrix_to_literals", "parse_element", "parse_matrix", "parse_ring",
         "parse_ring_spec",

@@ -2,8 +2,7 @@
 
 Everything here runs on int-indexed operation tables, the ring's own fully
 filled IndexTables, and shares no logic with the decision modules: kernels
-are counted by meeting the two columns, idempotents are listed in rank-one
-form and each checked by E E = E, and the pi-regular check walks the kernel
+are counted by meeting the two columns, and both oracles walk the kernel
 chain of the powers.  The oracle shares only the certificates module with
 the deciders, and imports neither of them: verify_certificate, applied to its
 own output as a final cross-check.
@@ -12,14 +11,6 @@ own output as a final cross-check.
 (a x, c x) = (-(b y), -(d y)), so one pass over x counts the left sides and
 one pass over y adds up the counts of the right sides: |ker| in 2|R| steps,
 and the matrix is invertible exactly when |ker| = 1.
-
-Over a local ring R each idempotent E of M_2(R) other than 0 and I is a
-column u times a row phi with phi u = 1: its image is a free direct summand
-of rank one (an idempotent with entries in J is 0), with a generator u unique
-up to a unit on the right.  So exactly one u is (1, a), a in R, or (b, 1),
-b in J, and then phi = (1 - f a, f) or (f, 1 - f b), f in R: every idempotent
-once, 2 + |R|^2 (1 + 1/q) in all (q = |R/J|), and u (phi u) phi = u phi
-needs no commutativity.
 
 R^2 = ker(A^n) (+) im(A^n) for the least n >= 1 with |ker A^n| = |ker A^(n+1)|:
 - the kernels are nested, and constant from the first n with
@@ -30,7 +21,36 @@ R^2 = ker(A^n) (+) im(A^n) for the least n >= 1 with |ker A^n| = |ker A^(n+1)|:
 - |ker A^n| |im A^n| = |R|^2 for a map of additive groups, so a zero meet
   makes ker A^n + im A^n all of R^2.
 Each strict step of the chain at least doubles the kernel, so it stops
-within log2 |R|^2 steps.
+within log2 |R|^2 steps.  Call that n N.
+
+The clean idempotent is the Fitting projection onto ker A^N along im A^N
+(Nicholson, Strongly clean rings and Fitting's lemma, 1999).  E = 0 works
+when A is invertible and E = I when I - A is; brute_clean takes these first.
+Otherwise neither works, and every clean E is that projection:
+- E commutes with A, and so does U = A - E; so A and U map the summands
+  im E and ker E of R^2 into themselves, and U is invertible on each;
+- a summand of R^2 over a local ring is free; as E is not 0 or I, im E and
+  ker E are free of rank one, and A acts on each as an element of R;
+- on ker E, A = U acts as a unit; on im E, A acts as some a with a - 1 a
+  unit, and a is not a unit, since A is not invertible.  So a lies in J,
+  which is nilpotent on a finite ring;
+- hence im E lies in ker A^N and ker E in im A^N.  As ker A^N meets
+  im A^N in 0 and im E + ker E = R^2, the two inclusions are equalities.
+Conversely that projection is clean, so A is clean exactly when 0, I or it
+works, and the clean E of a nontrivial A is unique.
+
+Both Fitting summands are then free of rank one, so each has a generator
+with a unit coordinate:
+- ker A^N holds exactly one u = (1, y), or u = (x, 1) with x in J: u r has
+  first coordinate 1 only for r = 1 when u = (1, y), and never when u = (x, 1);
+- im A^N is spanned by the columns of A^N, so one of them has a unit
+  coordinate, and any such column w generates it;
+- the rows phi with phi w = 0 are the left multiples of one row psi, and
+  psi u is a unit since (u, w) is a basis, so exactly one phi has
+  phi w = 0 and phi u = 1.  For w = (w0, w1) with w0 a unit,
+  phi = (-(q w1) w0^-1, q), and a pass over q in R finds it; likewise when
+  w1 is the unit.
+E = u phi fixes u (E u = u (phi u)) and kills w, so it is the projection.
 """
 
 from .certificates import CleanCertificate, verify_certificate
@@ -44,17 +64,16 @@ _TABLE_CACHE = {}
 class _Tables:
     def __init__(self, R):
         tables = R.filled_tables()
-        self.ring = R
         self.tables = tables
         self.elements = tables.elements
         self.size = tables.size
         self.add = tables.add
         self.mul = tables.mul
         self.neg = tables.neg
+        self.inv = tables.inv  # an index at least size marks a non-unit
         self.zero = tables.index_of(R.zero)
         self.one = tables.index_of(R.one)
         self.radical = [i for i, x in enumerate(self.elements) if R.in_radical(x)]
-        self.idempotents = None  # filled lazily
 
     def matrix_indices(self, A):
         return tuple(self.tables.index_of(e) for e in A.entries())
@@ -74,48 +93,6 @@ def _tables(R):
     return tab
 
 
-def _idempotent_indices(tab):
-    """Every idempotent as an index quadruple, in sorted order: 0, I and each
-    u phi of the module docstring, each checked by E E = E."""
-    if tab.idempotents is not None:
-        return tab.idempotents
-    n = tab.size
-    mul = tab.mul
-    add = tab.add
-    neg = tab.neg
-    zero, one = tab.zero, tab.one
-    candidates = [(zero, zero, zero, zero), (one, zero, zero, one)]
-    for f in range(n):
-        for a in range(n):  # u = (1, a), phi = (1 - f a, f)
-            p = add[one * n + neg[mul[f * n + a]]]
-            candidates.append((p, f, mul[a * n + p], mul[a * n + f]))
-        for b in tab.radical:  # u = (b, 1), phi = (f, 1 - f b)
-            p = add[one * n + neg[mul[f * n + b]]]
-            candidates.append((mul[b * n + f], mul[b * n + p], f, p))
-    found = sorted(set(candidates))
-    if len(found) != len(candidates):
-        raise InternalContractViolation("rank-one idempotents repeat")
-    for a, b, c, d in found:
-        if not (
-            add[mul[a * n + a] * n + mul[b * n + c]] == a
-            and add[mul[a * n + b] * n + mul[b * n + d]] == b
-            and add[mul[c * n + a] * n + mul[d * n + c]] == c
-            and add[mul[c * n + b] * n + mul[d * n + d]] == d
-        ):
-            raise InternalContractViolation("rank-one candidate is not idempotent")
-    tab.idempotents = found
-    return found
-
-
-def enumerate_idempotents(R):
-    tab = _tables(R)
-    els = tab.elements
-    return [
-        Mat2(R, els[a], els[b], els[c], els[d])
-        for a, b, c, d in _idempotent_indices(tab)
-    ]
-
-
 def _kernel_size(tab, m):
     """|ker m| on R^2, by the counted meet of the module docstring."""
     n = tab.size
@@ -133,64 +110,84 @@ def _kernel_size(tab, m):
     return size
 
 
-def brute_clean(A: Mat2):
-    """First idempotent (scan order) giving a verified clean decomposition."""
-    R = A.ring
-    tab = _tables(R)
+def _kernel_chain(tab, m):
+    """(N, A^N) for A = m: the least N >= 1 at which the kernel chain of the
+    module docstring stops growing, and that power."""
+    n = tab.size
+    mul = tab.mul
+    add = tab.add
+    a, b, c, d = m
+    kernel = _kernel_size(tab, m)
+    for power in range(1, (n * n).bit_length() + 1):
+        ma, mb, mc, md = m
+        following = (
+            add[mul[ma * n + a] * n + mul[mb * n + c]],
+            add[mul[ma * n + b] * n + mul[mb * n + d]],
+            add[mul[mc * n + a] * n + mul[md * n + c]],
+            add[mul[mc * n + b] * n + mul[md * n + d]],
+        )
+        previous, kernel = kernel, _kernel_size(tab, following)
+        if kernel == previous:
+            return power, m
+        m = following
+    raise InternalContractViolation("kernel chain grew past log2 |R|^2 steps")
+
+
+def _fitting_idempotent(tab, m):
+    """E = u phi of the module docstring, the projection onto ker A^N along
+    im A^N, for A = m with neither A nor I - A invertible."""
     n = tab.size
     mul = tab.mul
     add = tab.add
     neg = tab.neg
-    a, b, c, d = tab.matrix_indices(A)
-    for ea, eb, ec, ed in _idempotent_indices(tab):
-        # commute check: E*A == A*E entrywise
-        if (
-            add[mul[ea * n + a] * n + mul[eb * n + c]]
-            != add[mul[a * n + ea] * n + mul[b * n + ec]]
-            or add[mul[ea * n + b] * n + mul[eb * n + d]]
-            != add[mul[a * n + eb] * n + mul[b * n + ed]]
-            or add[mul[ec * n + a] * n + mul[ed * n + c]]
-            != add[mul[c * n + ea] * n + mul[d * n + ec]]
-            or add[mul[ec * n + b] * n + mul[ed * n + d]]
-            != add[mul[c * n + eb] * n + mul[d * n + ed]]
-        ):
-            continue
-        u = (
-            add[a * n + neg[ea]],
-            add[b * n + neg[eb]],
-            add[c * n + neg[ec]],
-            add[d * n + neg[ed]],
-        )
-        if _kernel_size(tab, u) != 1:
-            continue
-        els = tab.elements
-        E = Mat2(R, els[ea], els[eb], els[ec], els[ed])
-        U = Mat2(R, els[u[0]], els[u[1]], els[u[2]], els[u[3]])
-        cert = CleanCertificate(E=E, U=U)
-        if not verify_certificate(A, cert):
-            raise InternalContractViolation("oracle certificate fails verification")
-        return cert
-    return None
+    inv = tab.inv
+    zero, one = tab.zero, tab.one
+    _, (ma, mb, mc, md) = _kernel_chain(tab, m)
+    gens = [(one, y) for y in range(n)
+            if add[ma * n + mul[mb * n + y]] == zero and add[mc * n + mul[md * n + y]] == zero]
+    gens += [(x, one) for x in tab.radical
+             if add[mul[ma * n + x] * n + mb] == zero and add[mul[mc * n + x] * n + md] == zero]
+    w0, w1 = (ma, mc) if inv[ma] < n or inv[mc] < n else (mb, md)
+    if len(gens) != 1 or not (inv[w0] < n or inv[w1] < n):
+        raise InternalContractViolation("ker A^N or im A^N is not free of rank one")
+    [(u0, u1)] = gens
+    if inv[w0] < n:  # phi = (-(q w1) w0^-1, q)
+        rows = ((neg[mul[mul[q * n + w1] * n + inv[w0]]], q) for q in range(n))
+    else:  # phi = (p, -(p w0) w1^-1)
+        rows = ((p, neg[mul[mul[p * n + w0] * n + inv[w1]]]) for p in range(n))
+    for p, q in rows:
+        if add[mul[p * n + u0] * n + mul[q * n + u1]] == one:
+            return (mul[u0 * n + p], mul[u0 * n + q], mul[u1 * n + p], mul[u1 * n + q])
+    raise InternalContractViolation("no row meets u in 1 and kills w")
+
+
+def brute_clean(A: Mat2):
+    """A verified clean certificate with E = 0, else E = I, else the Fitting
+    projection of the module docstring.  Over a finite local ring one of the
+    three is always clean, so the oracle never answers None."""
+    R = A.ring
+    tab = _tables(R)
+    n = tab.size
+    add = tab.add
+    neg = tab.neg
+    zero, one = tab.zero, tab.one
+    m = a, b, c, d = tab.matrix_indices(A)
+    if _kernel_size(tab, m) == 1:
+        e = (zero, zero, zero, zero)
+    elif _kernel_size(tab, (add[one * n + neg[a]], neg[b], neg[c], add[one * n + neg[d]])) == 1:
+        e = (one, zero, zero, one)
+    else:
+        e = _fitting_idempotent(tab, m)
+    els = tab.elements
+    E = Mat2(R, *(els[i] for i in e))
+    cert = CleanCertificate(E=E, U=A - E)
+    if not verify_certificate(A, cert):
+        raise InternalContractViolation("oracle certificate fails verification")
+    return cert
 
 
 def brute_pi(A: Mat2):
     """Smallest n with R^2 = ker(A^n) (+) im(A^n): the first n at which the
     kernel chain of the module docstring stops growing."""
     tab = _tables(A.ring)
-    n = tab.size
-    mul = tab.mul
-    add = tab.add
-    a, b, c, d = m = tab.matrix_indices(A)
-    kernel = _kernel_size(tab, m)
-    for power in range(1, (n * n).bit_length() + 1):
-        ma, mb, mc, md = m
-        m = (
-            add[mul[ma * n + a] * n + mul[mb * n + c]],
-            add[mul[ma * n + b] * n + mul[mb * n + d]],
-            add[mul[mc * n + a] * n + mul[md * n + c]],
-            add[mul[mc * n + b] * n + mul[md * n + d]],
-        )
-        previous, kernel = kernel, _kernel_size(tab, m)
-        if kernel == previous:
-            return power
-    raise InternalContractViolation("kernel chain grew past log2 |R|^2 steps")
+    return _kernel_chain(tab, tab.matrix_indices(A))[0]

@@ -31,6 +31,13 @@ def element_is_nilpotent(ring, a) -> bool:
     return a ** v == ring.zero
 
 
+def nilpotency_bound(R):
+    """An index at which every nilpotent 2x2 over R vanishes: 2v on a finite
+    ring with J^v = 0 (A nilpotent has A^2 over J), else 2, since a nilpotent
+    2x2 over Z or Z_(p) has characteristic polynomial t^2."""
+    return 2 * R.radical_index() if R.is_finite else 2
+
+
 def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
     """E^2 = E, A = E + U, EU = UE, U invertible, and for a certificate with a
     diagonalization (t0, t1, P) also P invertible and P A = diag(t0, t1) P.
@@ -58,10 +65,11 @@ def verify_pi_certificate(A: Mat2, cert: PiCertificate) -> bool:
         if cert.kind == "unit":
             return has_inverse(A)
         if cert.kind == "nilpotent":
+            # A^index = 0 exactly when A^min(index, bound) = 0
             return (
                 cert.index is not None
                 and cert.index >= 1
-                and matpow(A, cert.index) == Mat2.zero(R)
+                and matpow(A, min(cert.index, nilpotency_bound(R))) == Mat2.zero(R)
             )
         if cert.kind == "diag":
             if not diagonalizes(cert.P, A, cert.t0, cert.t1):

@@ -16,8 +16,8 @@ matrices are imported here, the parser gets only the subcommand the call
 names, and each command imports the deciders it runs in its handler.  A
 decide call loads neither the pi decider nor the factorizer nor the oracles,
 and the integer classifier only for a matrix over Z.  The
-selftest sweep (with its CLEANMATRIX_THREADS process pool) and verify's
-document reader live in their own modules, loaded by those commands only.
+selftest sweep, which runs serially in one process, and verify's document
+reader live in their own modules, loaded by those commands only.
 """
 
 import argparse
@@ -307,7 +307,7 @@ def _cmd_verify(args):
             text = handle.read()
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits
         raise ParseError(f"bad JSON: {exc}")
     verdict = verify_doc(doc)
     print(json.dumps({"verified": verdict}, sort_keys=True))

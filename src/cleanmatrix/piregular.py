@@ -29,7 +29,7 @@ transform is the certificate's P.  Every other singular integer matrix is
 TrivialNilpotent or No.
 """
 
-from .certificates import PiCertificate, verify_pi_certificate
+from .certificates import PiCertificate, nilpotency_bound, verify_pi_certificate
 from .companion import (
     char_quadratic,
     eigenrows,
@@ -57,11 +57,10 @@ class RingPiVerdict:
 
 
 def _nilpotency_index(A):
-    """Smallest n with A^n = 0, or None when none is at most the bound: 2v on a
-    finite ring with J^v = 0, else 2, since a nilpotent 2x2 over Z or Z_(p) has
-    characteristic polynomial t^2.  A^(bound+1) is never formed."""
+    """Smallest n with A^n = 0, or None when none is at most
+    certificates.nilpotency_bound.  A^(bound+1) is never formed."""
     R = A.ring
-    bound = 2 * R.radical_index() if R.is_finite else 2
+    bound = nilpotency_bound(R)
     Z = Mat2.zero(R)
     M, n = A, 1
     while M != Z:

@@ -1,12 +1,5 @@
-"""The selftest sweep: both deciders against both brute-force oracles.
-
-CLEANMATRIX_THREADS caps selftest parallelism: unset or 1 runs serially, a
-larger value splits the sweep over a process pool of at most that many
-workers, one per CPU and one per chunk at most; chunk merge order is fixed
-either way, so output does not depend on the worker count.
-"""
-
-import os
+"""The selftest sweep: both deciders against both brute-force oracles, one
+matrix after another in a fixed order."""
 
 from .errors import CleanMatrixError, InternalContractViolation
 from .literals import parse_ring
@@ -27,21 +20,35 @@ def _pi_power(R, cert):
     return power
 
 
-def _selftest_chunk(spec_text, flat_indices):
-    """Both deciders against both oracles, certificates compared: the clean
-    status, and on a NontrivialClean matrix the idempotent E itself, which
-    is unique there (E commutes with A, so A acts on the lines im E and
-    ker E, as a non-unit and as a unit; over a finite ring the non-unit
-    action is nilpotent, so im E = ker A^N and ker E = im A^N for large N),
-    and the splitting power against brute_pi's.  A decision that fails its
-    own certificate check counts as a mismatch."""
-    from .bruteforce import brute_clean, brute_pi
+def selftest(spec_text) -> bool:
+    """Sweep the ring of spec_text, print the agreement report, and say
+    whether every matrix agreed.
+
+    Both deciders are run against both oracles, certificates compared: the
+    clean status, and on a NontrivialClean matrix the idempotent E itself,
+    which is unique there (the Fitting projection, see the bruteforce
+    module), and the splitting power against brute_pi's.  A decision that
+    fails its own certificate check counts as a mismatch."""
+    R = parse_ring(spec_text)
+    if not R.is_finite:
+        raise CleanMatrixError("selftest needs a finite ring")
+    from .bruteforce import _tables, brute_clean, brute_pi
     from .clean import decide_strongly_clean
     from .piregular import decide_strongly_pi_regular
 
-    R = parse_ring(spec_text)
+    _tables(R)  # TooLarge above ORACLE_CAP, before sampling or enumerating
+    n = R.size()
+    total_all = n ** 4
+    if total_all <= 6561:
+        flat_indices = range(total_all)
+        scope = "exhaustive"
+    else:
+        import random
+
+        rng = random.Random(0)
+        flat_indices = sorted(rng.sample(range(total_all), 1000))
+        scope = "sampled"
     els = R.enumerate_elements("All")
-    n = len(els)
     clean_ok = pi_ok = 0
     mismatches = []
     for flat in flat_indices:
@@ -69,55 +76,7 @@ def _selftest_chunk(spec_text, flat_indices):
             pi_ok += 1
         else:
             mismatches.append(("pi", flat))
-    return clean_ok, pi_ok, len(flat_indices), mismatches
-
-
-def _thread_count():
-    raw = os.environ.get("CLEANMATRIX_THREADS", "1")
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
-
-
-def selftest(spec_text) -> bool:
-    """Sweep the ring of spec_text, print the agreement report, and say
-    whether every matrix agreed."""
-    R = parse_ring(spec_text)
-    if not R.is_finite:
-        raise CleanMatrixError("selftest needs a finite ring")
-    from .bruteforce import _tables
-
-    _tables(R)  # TooLarge above ORACLE_CAP, before sampling or enumerating
-    size = R.size()
-    total_all = size ** 4
-    if total_all <= 6561:
-        flat = list(range(total_all))
-        scope = "exhaustive"
-    else:
-        import random
-
-        rng = random.Random(0)
-        flat = sorted(rng.sample(range(total_all), 1000))
-        scope = "sampled"
-    threads = _thread_count()
-    if threads == 1:
-        results = [_selftest_chunk(R.spec_string(), flat)]
-    else:
-        chunk_size = (len(flat) + threads - 1) // threads
-        chunks = [
-            flat[i : i + chunk_size] for i in range(0, len(flat), chunk_size)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(
-                pool.map(_selftest_chunk, [R.spec_string()] * len(chunks), chunks)
-            )
-    clean_ok = sum(r[0] for r in results)
-    pi_ok = sum(r[1] for r in results)
-    total = sum(r[2] for r in results)
-    mismatches = [m for r in results for m in r[3]]
+    total = len(flat_indices)
     print(f"ring: {R.spec_string()}")
     print(f"scope: {scope}")
     print(f"matrices: {total}")

@@ -18,13 +18,13 @@ _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array",
 
 def _field(obj, key, kind=str):
     """obj[key] of a document under verification, checked to be of the given
-    JSON type; ParseError otherwise."""
+    JSON type (a JSON boolean is no integer); ParseError otherwise."""
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object holding {key!r}")
     if key not in obj:
         raise ParseError(f"missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ParseError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}")
     return value
 

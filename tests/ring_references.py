@@ -9,7 +9,9 @@ that the matrices module used before its L D U form, is the one reference
 here built on public ring ops; it works over any local ring.
 kernel_scan_is_invertible and brute_pi_sets are the oracle's invertibility
 and pi checks before it counted kernels: scans of all of R^2 on the ring's
-filled index tables.
+filled index tables.  enumerate_idempotents lists every idempotent of M_2(R)
+and commute_scan_clean tries them in turn: the clean oracle before it built
+the Fitting projection.
 
 companion_route_certificates is how the deciders assembled certificates
 over a commutative ring before they built them from A: through the
@@ -25,6 +27,7 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
+from cleanmatrix.bruteforce import _kernel_size, _tables
 from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
@@ -224,6 +227,79 @@ def brute_pi_sets(A):
             add[mul[mc * n + a] * n + mul[md * n + c]],
             add[mul[mc * n + b] * n + mul[md * n + d]],
         )
+    return None
+
+
+_IDEMPOTENTS = {}
+
+
+def idempotent_indices(R):
+    """Every idempotent of M_2(R) as an index quadruple on the oracle's
+    tables, in sorted order, each checked by E E = E; TooLarge where the
+    oracle refuses R.
+
+    Over a local ring each idempotent other than 0 and I is a column u times a
+    row phi with phi u = 1: its image is a free direct summand of rank one
+    (an idempotent with entries in J is 0), with a generator u unique up to a
+    unit on the right.  So exactly one u is (1, a), a in R, or (b, 1), b in J,
+    and then phi = (1 - f a, f) or (f, 1 - f b), f in R: every idempotent
+    once, 2 + |R|^2 (1 + 1/q) in all (q = |R/J|)."""
+    tab = _tables(R)
+    key = R.spec_string()
+    if key in _IDEMPOTENTS:
+        return _IDEMPOTENTS[key]
+    n, mul, add, neg = tab.size, tab.mul, tab.add, tab.neg
+    zero, one = tab.zero, tab.one
+    candidates = [(zero, zero, zero, zero), (one, zero, zero, one)]
+    for f in range(n):
+        for a in range(n):  # u = (1, a), phi = (1 - f a, f)
+            p = add[one * n + neg[mul[f * n + a]]]
+            candidates.append((p, f, mul[a * n + p], mul[a * n + f]))
+        for b in tab.radical:  # u = (b, 1), phi = (f, 1 - f b)
+            p = add[one * n + neg[mul[f * n + b]]]
+            candidates.append((mul[b * n + f], mul[b * n + p], f, p))
+    found = sorted(set(candidates))
+    assert len(found) == len(candidates), "rank-one idempotents repeat"
+    for a, b, c, d in found:
+        assert (
+            add[mul[a * n + a] * n + mul[b * n + c]] == a
+            and add[mul[a * n + b] * n + mul[b * n + d]] == b
+            and add[mul[c * n + a] * n + mul[d * n + c]] == c
+            and add[mul[c * n + b] * n + mul[d * n + d]] == d
+        ), "rank-one candidate is not idempotent"
+    _IDEMPOTENTS[key] = found
+    return found
+
+
+def enumerate_idempotents(R):
+    els = _tables(R).elements
+    return [Mat2(R, els[a], els[b], els[c], els[d]) for a, b, c, d in idempotent_indices(R)]
+
+
+def commute_scan_clean(A):
+    """The first idempotent E of enumerate_idempotents that commutes with A
+    and leaves A - E invertible, or None."""
+    R = A.ring
+    tab = _tables(R)
+    n, mul, add, neg = tab.size, tab.mul, tab.add, tab.neg
+    a, b, c, d = tab.matrix_indices(A)
+    for ea, eb, ec, ed in idempotent_indices(R):
+        if (
+            add[mul[ea * n + a] * n + mul[eb * n + c]]
+            != add[mul[a * n + ea] * n + mul[b * n + ec]]
+            or add[mul[ea * n + b] * n + mul[eb * n + d]]
+            != add[mul[a * n + eb] * n + mul[b * n + ed]]
+            or add[mul[ec * n + a] * n + mul[ed * n + c]]
+            != add[mul[c * n + ea] * n + mul[d * n + ec]]
+            or add[mul[ec * n + b] * n + mul[ed * n + d]]
+            != add[mul[c * n + eb] * n + mul[d * n + ed]]
+        ):
+            continue
+        u = (add[a * n + neg[ea]], add[b * n + neg[eb]],
+             add[c * n + neg[ec]], add[d * n + neg[ed]])
+        if _kernel_size(tab, u) == 1:
+            els = tab.elements
+            return Mat2(R, els[ea], els[eb], els[ec], els[ed])
     return None
 
 

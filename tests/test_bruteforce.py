@@ -1,4 +1,5 @@
-"""Table-driven oracle behavior: idempotent lists, brute clean, brute pi."""
+"""Table-driven oracle behavior: brute clean against the idempotent list of
+the reference, brute pi against set arithmetic and the decider."""
 
 import itertools
 import random
@@ -12,10 +13,10 @@ from cleanmatrix.bruteforce import (
     _tables,
     brute_clean,
     brute_pi,
-    enumerate_idempotents,
 )
-from cleanmatrix.clean import verify_certificate
+from cleanmatrix.clean import CleanCertificate, verify_certificate
 from cleanmatrix.errors import TooLarge
+from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import Mat2, matpow
 from cleanmatrix.piregular import decide_strongly_pi_regular
 from cleanmatrix.rings import (
@@ -47,7 +48,7 @@ def m(ring, a, b, c, d):
 
 def test_gf2_idempotent_count():
     # over a field: 0, I, and the rank-1 projections; GF(2) has 8 of them
-    ids = enumerate_idempotents(GF2)
+    ids = ref.enumerate_idempotents(GF2)
     assert len(ids) == 8
     for E in ids:
         assert E * E == E
@@ -65,7 +66,7 @@ def test_idempotent_scan_is_complete():
             A = Mat2(R, a, b, c, d)
             if A * A == A:
                 slow.append(A)
-        assert enumerate_idempotents(R) == slow, R.spec_string()
+        assert ref.enumerate_idempotents(R) == slow, R.spec_string()
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -73,7 +74,7 @@ def test_idempotent_count_formula(k):
     # 0, I and one rank-one projection per (1, a) or (b, 1) column and free
     # row entry: 2 + |R|^2 (1 + 1/q) distinct idempotents, here with q = 2
     R = make_ring(mod_prime_power(2, k))
-    ids = enumerate_idempotents(R)
+    ids = ref.enumerate_idempotents(R)
     n = R.size()
     assert len(ids) == 2 + n * n + n * n // 2
     assert len(set(ids)) == len(ids)
@@ -84,17 +85,17 @@ def test_idempotent_count_formula(k):
 def test_idempotent_counts_pinned():
     # fields carry 2 + q(q+1) idempotents (trivial pair plus rank-1
     # projections); lifts along the nil radical are plentiful but finite
-    assert len(enumerate_idempotents(GF2)) == 8
-    assert len(enumerate_idempotents(GF4)) == 22
-    assert len(enumerate_idempotents(Z4)) == 26
-    assert len(enumerate_idempotents(T2)) == 26
+    assert len(ref.enumerate_idempotents(GF2)) == 8
+    assert len(ref.enumerate_idempotents(GF4)) == 22
+    assert len(ref.enumerate_idempotents(Z4)) == 26
+    assert len(ref.enumerate_idempotents(T2)) == 26
 
 
 def test_too_large_and_infinite():
     with pytest.raises(TooLarge):
-        enumerate_idempotents(ZL2)
+        ref.enumerate_idempotents(ZL2)
     with pytest.raises(TooLarge):
-        enumerate_idempotents(make_ring(mod_prime_power(2, 9)))  # 512 > ORACLE_CAP
+        ref.enumerate_idempotents(make_ring(mod_prime_power(2, 9)))  # 512 > ORACLE_CAP
 
 
 def test_oracle_cap_is_256_elements():
@@ -116,7 +117,7 @@ def test_brute_clean_pinned_gf2():
 def test_brute_clean_invertible_uses_zero_idempotent():
     A = m(Z4, 1, 1, 0, 1)
     cert = brute_clean(A)
-    # scan starts at (0,0,0,0): E = 0 is hit first for invertible A
+    # A is invertible and A - I is not: only E = 0 is clean
     assert cert.E == Mat2.zero(Z4)
     assert verify_certificate(A, cert)
 
@@ -131,6 +132,38 @@ def test_brute_clean_never_fails_on_finite_test_rings():
                     cert = brute_clean(A)
                     assert cert is not None
                     assert verify_certificate(A, cert)
+
+
+# every ring of at most 64 elements that the tests build, the skew rings'
+# opposites included: each matrix where |R| <= 9, a sample elsewhere
+SMALL_RINGS = [parse_ring(spec) for spec in (
+    "GF(2)", "GF(3)", "GF(5)", "GF(2,2)", "Zmod(2,2)", "Trunc(GF(2),2)",
+    "Zmod(2,3)", "Trunc(GF(2),3)", "GF(2,3)", "Zmod(3,2)", "GF(3,2)",
+    "Trunc(GF(3),2)", "SkewTrunc(GF(2,2),1,2)", "SkewTrunc(GF(2,2),0,2)",
+    "Trunc(GF(2,2),2)", "GF(2,4)", "Zmod(2,4)", "Zmod(5,2)", "GF(5,2)",
+    "Zmod(3,3)", "Trunc(GF(3),3)", "GF(3,3)", "Zmod(2,5)", "GF(7,2)",
+    "Zmod(2,6)", "SkewTrunc(GF(2,2),1,3)",
+)]
+SMALL_RINGS += [R.opposite() for R in SMALL_RINGS if not R.is_commutative]
+
+
+@pytest.mark.parametrize("R", SMALL_RINGS, ids=lambda R: R.spec_string())
+def test_brute_clean_is_the_reference_idempotent(R):
+    # where neither E = 0 nor E = I is clean, the clean E is unique, so the
+    # Fitting projection is the commute scan's only hit; elsewhere the
+    # oracle takes 0 when it is clean, else I
+    zero, one = Mat2.zero(R), Mat2.identity(R)
+    if R.size() ** 4 <= 6561:
+        quadruples = itertools.product(R.enumerate_elements("All"), repeat=4)
+    else:
+        quadruples = _sample(R, 300)
+    for entries in quadruples:
+        A = Mat2(R, *entries)
+        cert = brute_clean(A)
+        assert verify_certificate(A, cert), repr(A)
+        trivial = [E for E in (zero, one) if verify_certificate(A, CleanCertificate(E, A - E))]
+        expected = trivial[0] if trivial else ref.commute_scan_clean(A)
+        assert cert.E == expected, repr(A)
 
 
 def test_brute_pi_pinned():

@@ -444,6 +444,47 @@ def test_verify_malformed_document(capsys, tmp_path, doc):
     assert err.startswith("parse error:")
 
 
+def test_verify_integer_past_the_conversion_limit(capsys, tmp_path):
+    # json.loads refuses to convert an integer of more than 4,300 digits
+    # (ValueError, not JSONDecodeError); where it converts, the integer
+    # stands where a literal string must
+    path = tmp_path / "huge.json"
+    path.write_text('{"command": "decide", "ring": "Zmod(2,3)", "matrix": [[%s, "2"], '
+                    '["1", "1"]]}' % ("9" * 5000))
+    code, out, err = invoke(capsys, "verify", "--file", str(path))
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "classify-int", "matrix": [["3", "2"], ["-3", "-2"]], "tag": "Diag",
+         "transform": [["3", "2"], ["-1", "-1"]], "d1": True, "d2": False},
+        {"command": "pi", "ring": "Zmod(2,3)", "matrix": [["0", "2"], ["0", "0"]],
+         "certificate": {"kind": "nilpotent", "index": True}},
+    ],
+)
+def test_verify_rejects_booleans_for_integers(capsys, tmp_path, doc):
+    # JSON true is no integer, though Python's bool is an int
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "verify", "--file", str(path))
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("parse error:")
+
+
+def test_verify_large_nilpotent_index_answers_fast():
+    # index 2^24 over Z_(3): the check stops at the bound of two products
+    doc = ('{"command":"pi","ring":"Zloc(3)","matrix":[["3","0"],["0","3"]],'
+           '"certificate":{"kind":"nilpotent","index":16777216}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "cleanmatrix", "verify"],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (NEGATIVE, '{"verified": false}\n')
+
+
 def test_selftest_serial(capsys):
     code, out, _ = invoke(capsys, "selftest", "--ring", "Zmod(2,2)")
     assert code == OK
@@ -471,56 +512,6 @@ def test_selftest_refuses_rings_above_the_oracle_cap(capsys, ring, refuse_scans)
     assert out == ""
     assert err.startswith("error:") and "oracle cap is 256" in err
     assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_selftest_thread_determinism():
-    env = dict(os.environ)
-    env.pop("CLEANMATRIX_THREADS", None)
-    serial = subprocess.run(
-        [sys.executable, "-m", "cleanmatrix", "selftest", "--ring", "GF(2)"],
-        capture_output=True, text=True, env=env,
-    )
-    env["CLEANMATRIX_THREADS"] = "3"
-    threaded = subprocess.run(
-        [sys.executable, "-m", "cleanmatrix", "selftest", "--ring", "GF(2)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert serial.returncode == 0
-    assert threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
-
-
-@pytest.mark.parametrize(
-    "threads, cpus, workers",
-    [("1000000000", 64, 16), ("1000000000", 2, 2), ("5", 64, 4), ("2", 1, None)],
-)
-def test_selftest_workers_capped(capsys, monkeypatch, threads, cpus, workers):
-    # GF(2) has 16 matrices: 16 chunks at most, and 5 workers' chunks of 4
-    # make 4 chunks.  The pool is a recorder, so no real worker is started.
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("CLEANMATRIX_THREADS", threads)
-    code, out, _ = invoke(capsys, "selftest", "--ring", "GF(2)")
-    assert code == OK
-    assert "clean agreements: 16/16" in out and "pi agreements: 16/16" in out
-    assert started == ([] if workers is None else [workers])
 
 
 def test_module_entry_point():

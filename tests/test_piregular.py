@@ -82,6 +82,27 @@ def test_trivial_nilpotent_index_at_the_bound(spec, matrix, index):
     assert not verify_pi_certificate(A, PiCertificate("nilpotent", index=index - 1))
 
 
+@pytest.mark.parametrize(
+    "spec, matrix, nilpotent",
+    [
+        # 3 I over Z_(3) has entries in J but no vanishing power, and the
+        # entries of (3 I)^n grow with n, so (3 I)^(10^18) is out of reach
+        ("Zloc(3)", "[[3,0],[0,3]]", False),
+        ("Zloc(3)", "[[3,-9],[1,-3]]", True),
+        ("Z", "[[1,0],[0,0]]", False),
+        ("Z", "[[2,4],[-1,-2]]", True),
+        ("Zmod(2,3)", "[[2,2],[0,2]]", True),
+        ("SkewTrunc(GF(2,2),1,2)", "[[x,w],[0,1]]", False),
+    ],
+)
+def test_huge_nilpotent_index_is_checked_at_the_bound(spec, matrix, nilpotent):
+    # A^index = 0 exactly when A^min(index, bound) = 0: a 10^18 index is
+    # checked by at most the bound's products
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    assert verify_pi_certificate(A, PiCertificate("nilpotent", index=10**18)) is nilpotent
+
+
 @pytest.mark.parametrize("spec, matrix", [("Zloc(2)", "[[2,0],[0,2]]"),
                                           ("Z", "[[2,4],[1,2]]")])
 def test_not_nilpotent_gives_characteristic_witness(spec, matrix):
