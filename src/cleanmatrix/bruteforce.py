@@ -110,14 +110,16 @@ def _kernel_size(tab, m):
     return size
 
 
-def _kernel_chain(tab, m):
-    """(N, A^N) for A = m: the least N >= 1 at which the kernel chain of the
-    module docstring stops growing, and that power."""
+def _kernel_chain(tab, m, kernel):
+    """(N, A^N) for A = m with |ker A| = kernel: the least N >= 1 at which the
+    kernel chain of the module docstring stops growing, and that power.  An
+    invertible A stops at N = 1, with no further kernel to count."""
+    if kernel == 1:
+        return 1, m
     n = tab.size
     mul = tab.mul
     add = tab.add
     a, b, c, d = m
-    kernel = _kernel_size(tab, m)
     for power in range(1, (n * n).bit_length() + 1):
         ma, mb, mc, md = m
         following = (
@@ -133,16 +135,16 @@ def _kernel_chain(tab, m):
     raise InternalContractViolation("kernel chain grew past log2 |R|^2 steps")
 
 
-def _fitting_idempotent(tab, m):
+def _fitting_idempotent(tab, power):
     """E = u phi of the module docstring, the projection onto ker A^N along
-    im A^N, for A = m with neither A nor I - A invertible."""
+    im A^N, from power = A^N for an A with neither A nor I - A invertible."""
     n = tab.size
     mul = tab.mul
     add = tab.add
     neg = tab.neg
     inv = tab.inv
     zero, one = tab.zero, tab.one
-    _, (ma, mb, mc, md) = _kernel_chain(tab, m)
+    ma, mb, mc, md = power
     gens = [(one, y) for y in range(n)
             if add[ma * n + mul[mb * n + y]] == zero and add[mc * n + mul[md * n + y]] == zero]
     gens += [(x, one) for x in tab.radical
@@ -161,23 +163,22 @@ def _fitting_idempotent(tab, m):
     raise InternalContractViolation("no row meets u in 1 and kills w")
 
 
-def brute_clean(A: Mat2):
-    """A verified clean certificate with E = 0, else E = I, else the Fitting
-    projection of the module docstring.  Over a finite local ring one of the
-    three is always clean, so the oracle never answers None."""
+def _clean_certificate(A, tab, m, kernel, chain=None):
+    """brute_clean(A) for A = m with |ker A| = kernel; chain is A's
+    (N, A^N) when the caller has walked it, and is walked here only when
+    neither 0 nor I is clean."""
     R = A.ring
-    tab = _tables(R)
     n = tab.size
     add = tab.add
     neg = tab.neg
     zero, one = tab.zero, tab.one
-    m = a, b, c, d = tab.matrix_indices(A)
-    if _kernel_size(tab, m) == 1:
+    a, b, c, d = m
+    if kernel == 1:
         e = (zero, zero, zero, zero)
     elif _kernel_size(tab, (add[one * n + neg[a]], neg[b], neg[c], add[one * n + neg[d]])) == 1:
         e = (one, zero, zero, one)
     else:
-        e = _fitting_idempotent(tab, m)
+        e = _fitting_idempotent(tab, (chain or _kernel_chain(tab, m, kernel))[1])
     els = tab.elements
     E = Mat2(R, *(els[i] for i in e))
     cert = CleanCertificate(E=E, U=A - E)
@@ -186,8 +187,28 @@ def brute_clean(A: Mat2):
     return cert
 
 
+def brute_clean(A: Mat2):
+    """A verified clean certificate with E = 0, else E = I, else the Fitting
+    projection of the module docstring.  Over a finite local ring one of the
+    three is always clean, so the oracle never answers None."""
+    tab = _tables(A.ring)
+    m = tab.matrix_indices(A)
+    return _clean_certificate(A, tab, m, _kernel_size(tab, m))
+
+
 def brute_pi(A: Mat2):
     """Smallest n with R^2 = ker(A^n) (+) im(A^n): the first n at which the
     kernel chain of the module docstring stops growing."""
     tab = _tables(A.ring)
-    return _kernel_chain(tab, tab.matrix_indices(A))[0]
+    m = tab.matrix_indices(A)
+    return _kernel_chain(tab, m, _kernel_size(tab, m))[0]
+
+
+def brute_both(A: Mat2):
+    """(brute_clean(A), brute_pi(A)) from one walk of A's kernel chain, for a
+    sweep that asks both oracles about each matrix."""
+    tab = _tables(A.ring)
+    m = tab.matrix_indices(A)
+    kernel = _kernel_size(tab, m)
+    chain = _kernel_chain(tab, m, kernel)
+    return _clean_certificate(A, tab, m, kernel, chain), chain[0]

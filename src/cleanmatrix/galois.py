@@ -56,24 +56,26 @@ def _fp_mul(a, b, p):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(tuple(out))
+            for j, bj in terms:
+                out[i + j] += ai * bj
+    return _fp_trim(tuple(x % p for x in out))
 
 
 def _fp_rem(a, f, p):
-    # remainder of a by monic f
+    # remainder of a by monic f, over f's nonzero lower terms only: a modulus
+    # is often a trinomial or a pentanomial
     a = list(a)
     df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1] % p
+    terms = [(i, c) for i, c in enumerate(f[:df]) if c]
+    for top in range(len(a) - 1, df - 1, -1):
+        lead = a.pop() % p
         if lead:
-            shift = len(a) - 1 - df
-            for i in range(df + 1):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
+            shift = top - df
+            for i, c in terms:
+                a[shift + i] -= lead * c
     return _fp_trim(tuple(x % p for x in a))
 
 
@@ -144,7 +146,7 @@ class GaloisFieldRing(FiniteRing):
         self.modulus = _find_modulus(spec.p, spec.m)
         self._places = [spec.p**e for e in range(spec.m - 1, -1, -1)]
         self._one_ix = self._places[0]
-        self._powers = {}
+        self._frobenius_rows = {}
         # its own residue field: the whole index is the digit
         self._field, self._res_place, self._res_radix = self, 1, spec.p**spec.m
         self.zero = Element(self, (0,) * self.m)
@@ -189,17 +191,13 @@ class GaloisFieldRing(FiniteRing):
         return _digit_sum(0, i, self.p, -1)
 
     def _mul_ix(self, i, j, e=1):
-        """Index of e_i e_j^e, e >= 1: one lookup in the log tables.  Above
-        TABLE_CAP, polynomial products, with e_j^e memoised for e > 1: those
-        are Frobenius powers, which a skew truncation's twists repeat."""
+        """Index of e_i e_j^e, e a power of p: one lookup in the log tables.
+        Above TABLE_CAP, a product of coefficient tuples, each index
+        converted once, with e_j^e by _frobenius_poly."""
         logs = self._logs
         if logs is None:
-            if e > 1:
-                key = (j, e)
-                if key not in self._powers:
-                    self._powers[key] = self._poly_mul_ix(self._one_ix, j, e)
-                j = self._powers[key]
-            return self._poly_mul_ix(i, j)
+            b = self._pl(j)
+            return self._poly_mul_ix(i, b if e == 1 else self._frobenius_poly(b, e))
         if not (i and j):
             return 0
         exp, log = logs
@@ -210,14 +208,36 @@ class GaloisFieldRing(FiniteRing):
             raise NotAUnit(f"0 is not a unit in {self.spec_string()}")
         logs = self._logs
         if logs is None:  # a^(q-2) = a^-1
-            return self._poly_mul_ix(self._one_ix, i, self.size() - 2)
+            return self._poly_ix(_fp_powmod(self._pl(i), self.size() - 2, self.modulus, self.p))
         exp, log = logs
         return exp[-log[i] % len(exp)]
 
-    def _poly_mul_ix(self, i, j, e=1):
-        p = self.p
-        red = _fp_powmod(self._pl(j), e, self.modulus, p, self._pl(i))
-        return _fold(red + (0,) * (self.m - len(red)), p)
+    def _poly_mul_ix(self, i, b):
+        """Index of e_i b for a coefficient tuple b, by polynomial arithmetic."""
+        return self._poly_ix(_fp_rem(_fp_mul(self._pl(i), b, self.p), self.modulus, self.p))
+
+    def _frobenius_poly(self, b, e):
+        """b^e for a coefficient tuple b and e a power of p.  Frobenius is
+        F_p-linear, so b^e = sum b_k (t^e)^k: a combination of m rows cached
+        for each e, which a skew truncation's twists repeat."""
+        p, f = self.p, self.modulus
+        rows = self._frobenius_rows.get(e)
+        if rows is None:
+            g, row, rows = _fp_powmod((0, 1), e, f, p), (1,), []
+            for _ in range(self.m):
+                rows.append(row)
+                row = _fp_rem(_fp_mul(row, g, p), f, p)
+            self._frobenius_rows[e] = rows
+        out = [0] * self.m
+        for bk, row in zip(b, rows):
+            if bk:
+                for u, c in enumerate(row):
+                    out[u] += bk * c
+        return _fp_trim(tuple(x % p for x in out))
+
+    def _poly_ix(self, c):
+        """The index of a reduced coefficient tuple, which may be short."""
+        return _fold(c + (0,) * (self.m - len(c)), self.p)
 
     @cached_property
     def _logs(self):
@@ -229,10 +249,11 @@ class GaloisFieldRing(FiniteRing):
             return None
         one = self._one_ix
         for g in range(1, q):
-            exp, x = [one], self._poly_mul_ix(one, g)
+            c = self._pl(g)
+            exp, x = [one], g
             while x != one and len(exp) < q:  # the bound stops a zero divisor
                 exp.append(x)
-                x = self._poly_mul_ix(x, g)
+                x = self._poly_mul_ix(x, c)
             if len(exp) == q - 1 and x == one:
                 log = [0] * q
                 for k, x in enumerate(exp):

@@ -54,7 +54,9 @@ convolves digits by its base field's index ops.  Up to TABLE_CAP elements
 the ops answer from flat index tables (IndexTables), one array('H') entry
 per operand pair, filled on first lookup (filled_tables() fills all), and
 they, reduce, lift and the constants of from_int return the enumerated
-elements.  A ring above the cap allocates no index table.
+elements.  A missing mul entry goes through _fill_mul, which fills that one
+entry, except on a truncation, which fills its whole row at once (see
+truncated).  A ring above the cap allocates no index table.
 """
 
 from array import array
@@ -673,7 +675,9 @@ class FiniteRing(LocalRing):
     residue rule: an element's residue is the digit of its index at place
     value _res_place in radix _res_radix, and that digit is the residue's
     index in _field, the residue field.  See the module docstring.  The
-    default numbering is Z/p^k's, the residue itself."""
+    default numbering is Z/p^k's, the residue itself.  mul and dot send each
+    missing mul entry through _fill_mul, which a subclass may override to
+    fill more of the table at once."""
 
     is_finite = True
 
@@ -744,11 +748,16 @@ class FiniteRing(LocalRing):
         i, j = a.idx, b.idx
         if i is None or j is None:
             i, j = t.index_of(a), t.index_of(b)
-        at = i * t.size + j
-        k = t.mul[at]
+        k = t.mul[i * t.size + j]
         if k == _EMPTY:
-            k = t.mul[at] = self._mul_ix(i, j)
+            k = self._fill_mul(t, i, j)
         return t.elements[k]
+
+    def _fill_mul(self, t, i, j):
+        """Fill the missing mul entry of e_i e_j in the tables t and return it:
+        this entry alone, by _mul_ix."""
+        k = t.mul[i * t.size + j] = self._mul_ix(i, j)
+        return k
 
     def dot(self, a, b, c, d):
         """a b + c d: two mul entries and one add entry, filled as mul and
@@ -765,14 +774,12 @@ class FiniteRing(LocalRing):
         if i is None or j is None or u is None or v is None:
             i, j, u, v = t.index_of(a), t.index_of(b), t.index_of(c), t.index_of(d)
         n, mul = t.size, t.mul
-        at = i * n + j
-        x = mul[at]
+        x = mul[i * n + j]
         if x == _EMPTY:
-            x = mul[at] = self._mul_ix(i, j)
-        at = u * n + v
-        y = mul[at]
+            x = self._fill_mul(t, i, j)
+        y = mul[u * n + v]
         if y == _EMPTY:
-            y = mul[at] = self._mul_ix(u, v)
+            y = self._fill_mul(t, u, v)
         at = x * n + y
         z = t.add[at]
         if z == _EMPTY:

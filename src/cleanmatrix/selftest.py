@@ -24,15 +24,17 @@ def selftest(spec_text) -> bool:
     """Sweep the ring of spec_text, print the agreement report, and say
     whether every matrix agreed.
 
-    Both deciders are run against both oracles, certificates compared: the
+    Both deciders are run against both oracles, which answer each matrix
+    from one walk of its kernel chain (brute_both), certificates compared: the
     clean status, and on a NontrivialClean matrix the idempotent E itself,
     which is unique there (the Fitting projection, see the bruteforce
     module), and the splitting power against brute_pi's.  A decision that
-    fails its own certificate check counts as a mismatch."""
+    fails its own certificate check counts as a mismatch, and an oracle that
+    raises as a mismatch of both."""
     R = parse_ring(spec_text)
     if not R.is_finite:
         raise CleanMatrixError("selftest needs a finite ring")
-    from .bruteforce import _tables, brute_clean, brute_pi
+    from .bruteforce import _tables, brute_both
     from .clean import decide_strongly_clean
     from .piregular import decide_strongly_pi_regular
 
@@ -56,8 +58,9 @@ def selftest(spec_text) -> bool:
         j, rest = divmod(rest, n * n)
         k, l = divmod(rest, n)
         A = Mat2(R, els[i], els[j], els[k], els[l])
+        power = None  # an oracle that raises fails both comparisons
         try:
-            dec, brute = decide_strongly_clean(A), brute_clean(A)
+            dec, (brute, power) = decide_strongly_clean(A), brute_both(A)
             agree = (dec.status == "NotClean") == (brute is None) and (
                 dec.status != "NontrivialClean" or dec.certificate.E == brute.E
             )
@@ -69,7 +72,7 @@ def selftest(spec_text) -> bool:
             mismatches.append(("clean", flat))
         try:
             dec = decide_strongly_pi_regular(A)
-            agree = dec.status != "No" and _pi_power(R, dec.certificate) == brute_pi(A)
+            agree = dec.status != "No" and _pi_power(R, dec.certificate) == power
         except InternalContractViolation:
             agree = False
         if agree:

@@ -1,5 +1,7 @@
 """The truncations F[y]/(y^n) and F[x; sigma]/(x^n) over a Galois field F."""
 
+from array import array
+
 from .errors import NotAUnit
 from .galois import _digit_sum, _digits, _fold, _format_poly
 from .rings import Element, FiniteRing
@@ -12,6 +14,12 @@ class TruncatedRing(FiniteRing):
     Multiplication twists the right factor: (a_i x^i)(b_j x^j) = a_i sigma^i(b_j) x^(i+j),
     with powers at or beyond n discarded.  s = 0 gives the plain truncated
     polynomial ring (the two families then agree element-wise and operation-wise).
+
+    A missing mul table entry fills its whole row (_fill_mul): left
+    multiplication by e_i is additive, so the row costs q n base-field
+    products and n list passes of digit sums, about what eight entries cost
+    one by one.  The other families fill one entry per miss: there a row
+    costs far more than the few entries of it that a call uses.
     """
 
     def __init__(self, spec, base, s):
@@ -85,6 +93,27 @@ class TruncatedRing(FiniteRing):
                 if b[v]:
                     out[u + v] = _digit_sum(out[u + v], F._mul_ix(x, b[v], e), p)
         return _fold(out, q)
+
+    def _fill_mul(self, t, i, j):
+        """Fill row i of the mul table t and return its entry j.
+
+        With e_i = sum a_u x^u, e_i b = sum a_u sigma^u(b) x^u for a constant
+        b, whose index c0[b] costs n base-field products; e_i (b x^v) is
+        (e_i b) x^v, and shifting up v degrees is c0[b] // q^v, since the
+        constant coefficient is the leading digit.  Entry j sums these over
+        j's n digits, digit-wise: one list pass per digit."""
+        F, q, n, p = self.base, self._q, self.n, self.base.p
+        a = _digits(i, q, self._places)
+        c0 = [_fold([F._mul_ix(x, b, e) for x, e in zip(a, self._pw)], q) for b in range(q)]
+        row = c0
+        for v in range(1, n):
+            shifted = [c // q**v for c in c0]
+            if p == 2:  # _digit_sum's exclusive or, without a call per entry
+                row = [r ^ s for r in row for s in shifted]
+            else:
+                row = [_digit_sum(r, s, p) for r in row for s in shifted]
+        t.mul[i * t.size:(i + 1) * t.size] = array("H", row)
+        return row[j]
 
     def _inv_ix(self, i):
         F, top = self.base, self._places[0]

@@ -13,6 +13,9 @@ filled index tables.  enumerate_idempotents lists every idempotent of M_2(R)
 and commute_scan_clean tries them in turn: the clean oracle before it built
 the Fitting projection.
 
+fp_mul and fp_rem are the F_p[t] product and remainder as plain loops over
+every coefficient; the package's helpers skip zero terms.
+
 companion_route_certificates is how the deciders assembled certificates
 over a commutative ring before they built them from A: through the
 companion form, whose basis change invert2 inverts.
@@ -32,9 +35,40 @@ from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
 from cleanmatrix.matrices import Mat2, matpow
-from cleanmatrix.galois import _fp_mul, _fp_rem
 from cleanmatrix.quadratics import pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
+
+
+def fp_mul(a, b, p):
+    """The F_p[t] product of coefficient tuples, low degree first, by the
+    schoolbook loop over every coefficient pair."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def fp_rem(a, f, p):
+    """The remainder of a by a monic f, one subtraction of a multiple of f
+    per degree above f's."""
+    a = list(a)
+    df = len(f) - 1
+    while len(a) - 1 >= df and a:
+        lead = a[-1] % p
+        shift = len(a) - 1 - df
+        for i in range(df + 1):
+            a[shift + i] = (a[shift + i] - lead * f[i]) % p
+        a.pop()
+    return _trim([x % p for x in a])
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return tuple(c)
 
 
 def _add(R, x, y):
@@ -59,7 +93,7 @@ def _mul(R, x, y):
     if R.family == "GaloisField":
         if R.m == 1:
             return (x[0] * y[0] % R.p,)
-        red = _fp_rem(_fp_mul(x, y, R.p), R.modulus, R.p)
+        red = fp_rem(fp_mul(x, y, R.p), R.modulus, R.p)
         return red + (0,) * (R.m - len(red))
     # (a_i x^i)(b_j x^j) = a_i sigma^i(b_j) x^(i+j), sigma = Frobenius^s
     F = R.base
@@ -146,7 +180,7 @@ def first_irreducible(p, m):
             yield tuple(k // p**i % p for i in range(d)) + (1,)
 
     divisors = [g for d in range(1, m // 2 + 1) for g in monics(d)]
-    return next(f for f in monics(m) if all(_fp_rem(f, g, p) for g in divisors))
+    return next(f for f in monics(m) if all(fp_rem(f, g, p) for g in divisors))
 
 
 def invert2_rows(A):

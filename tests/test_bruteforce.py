@@ -11,6 +11,7 @@ from cleanmatrix.bruteforce import (
     ORACLE_CAP,
     _kernel_size,
     _tables,
+    brute_both,
     brute_clean,
     brute_pi,
 )
@@ -216,6 +217,22 @@ def test_kernel_chain_matches_set_arithmetic():
             invertible = _kernel_size(tab, tab.matrix_indices(A)) == 1
             assert invertible == ref.kernel_scan_is_invertible(A), repr(A)
             assert brute_pi(A) == ref.brute_pi_sets(A), repr(A)
+
+
+def test_brute_both_answers_as_the_two_oracles():
+    # one walk of the kernel chain serves both: every matrix over three rings,
+    # and samples over the skew ring and a 64-element ring, cover E = 0, E = I
+    # and the Fitting projection
+    cases = [(R, itertools.product(R.enumerate_elements("All"), repeat=4)) for R in (Z4, GF4, T2)]
+    cases += [(SK16, _sample(SK16, 300)), (Z64, _sample(Z64, 300))]
+    kinds = set()
+    for R, quadruples in cases:
+        for entries in quadruples:
+            A = Mat2(R, *entries)
+            cert, power = brute_both(A)
+            assert (cert.E, power) == (brute_clean(A).E, brute_pi(A)), repr(A)
+            kinds.add("0" if cert.E == Mat2.zero(R) else "I" if cert.E == Mat2.identity(R) else "E")
+    assert kinds == {"0", "I", "E"}
 
 
 def _decider_power(A):

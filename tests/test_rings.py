@@ -322,7 +322,8 @@ def test_index_tables_match_arithmetic(R):
 
 @pytest.mark.parametrize(
     "spec",
-    ["Trunc(GF(2,4),8)", "Trunc(GF(2,24),2)", "SkewTrunc(GF(2,16),1,4)", "GF(2,20)"],
+    ["Trunc(GF(2,4),8)", "Trunc(GF(2,24),2)", "SkewTrunc(GF(2,16),1,4)", "GF(2,20)",
+     "SkewTrunc(GF(3,7),2,3)"],
 )
 def test_direct_ops_above_table_cap_match_reference(spec):
     R = parse_ring(spec)
@@ -347,7 +348,7 @@ def test_direct_ops_above_table_cap_match_reference(spec):
     for u in units:
         assert R.invert(u) == ref.invert(R, u)
     for c in (field_sample() for _ in range(4)):
-        assert F.frobenius(c, 1) == ref.mul(F, c, c)  # every field here has p = 2
+        assert F.frobenius(c, 1) == Element(F, ref._pow(F, c.payload, F.p))
     assert R._tables is None and R._enum_cache == {}
     # no log table above TABLE_CAP
     assert (F._logs is None) == (F.size() > TABLE_CAP)
@@ -374,6 +375,18 @@ def test_cold_decisions_fill_by_index(monkeypatch, refuse_element_fills, spec):
     assert {"NontrivialClean", "Nontrivial"} <= statuses
     assert F._logs is not None
     assert any(k != rings._EMPTY for k in R._tables.mul)
+
+
+def test_polynomial_helpers_match_the_schoolbook_loops():
+    # the products and remainders behind every field above TABLE_CAP, its
+    # modulus search and its log tables, against the plain loops
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        a, b = (tuple(rng.randrange(p) for _ in range(rng.randrange(12))) for _ in range(2))
+        f = tuple(rng.randrange(p) for _ in range(rng.randrange(8))) + (1,)
+        assert galois._fp_mul(a, b, p) == ref.fp_mul(a, b, p)
+        assert galois._fp_rem(a, f, p) == ref.fp_rem(a, f, p)
 
 
 def test_ring_above_table_cap_allocates_nothing():
@@ -507,6 +520,49 @@ def test_dot_fills_cold_tables_by_index(monkeypatch, refuse_element_fills, spec)
         k, m = t.mul[i * t.size + j], t.mul[u * t.size + v]
         assert (t.elements[k].payload, t.elements[m].payload) == (x, y)
         assert t.elements[t.add[k * t.size + m]] is got
+
+
+ROW_FILL_SPECS = [
+    "Trunc(GF(2,2),4)", "SkewTrunc(GF(2,2),1,3)", "SkewTrunc(GF(2,3),2,2)", "Trunc(GF(3),4)",
+    "SkewTrunc(GF(3,2),1,2)", "Trunc(GF(5),3)", "Trunc(GF(2),3)", "SkewTrunc(GF(2,2),1,2)",
+]
+
+
+@pytest.mark.parametrize("spec", ROW_FILL_SPECS)
+def test_truncated_row_fill_matches_mul_ix(monkeypatch, spec):
+    # a miss fills its whole row by additivity; every entry must be the
+    # convolution _mul_ix computes on its own (skew rings check the twist,
+    # odd characteristic the digit sums)
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # a fresh ring, every table cold
+    R = parse_ring(spec)
+    t = R._tables
+    els, n = t.elements, t.size
+    for i, a in enumerate(els):
+        R.mul(a, els[(7 * i) % n])
+    assert rings._EMPTY not in t.mul
+    for i in range(n):
+        assert t.mul[i * n:(i + 1) * n].tolist() == [R._mul_ix(i, j) for j in range(n)]
+
+
+@pytest.mark.parametrize("spec", ["Trunc(GF(2,2),4)", "SkewTrunc(GF(2,2),1,3)", "Trunc(GF(3),4)",
+                                  "Zmod(2,8)", "GF(2,4)"])
+def test_a_mul_miss_fills_its_row_on_a_truncation_and_one_entry_elsewhere(monkeypatch, spec):
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # a fresh ring, every table cold
+    R = parse_ring(spec)
+    t = R._tables
+    els, n = t.elements, t.size
+    row = R.family in ("TruncatedPoly", "TruncatedSkew")
+
+    def filled_by(call, i, j):
+        before = t.mul.tolist()
+        call()
+        changed = {at for at, k in enumerate(t.mul) if k != before[at]}
+        assert changed == (set(range(i * n, (i + 1) * n)) if row else {i * n + j})
+
+    i, j, u, v = 5, n - 3, 2, 9
+    filled_by(lambda: R.mul(els[i], els[j]), i, j)
+    R.mul(els[u], els[v])  # dot then misses only its first product
+    filled_by(lambda: R.dot(els[i + 1], els[j], els[u], els[v]), i + 1, j)
 
 
 @pytest.mark.parametrize("R", DOT_RINGS, ids=lambda R: R.spec_string())
