@@ -55,8 +55,8 @@ the ops answer from flat index tables (IndexTables), one array('H') entry
 per operand pair, filled on first lookup (filled_tables() fills all), and
 they, reduce, lift and the constants of from_int return the enumerated
 elements.  A missing mul entry goes through _fill_mul, which fills that one
-entry, except on a truncation, which fills its whole row at once (see
-truncated).  A ring above the cap allocates no index table.
+entry, except on a truncation of characteristic 2, which fills its whole
+row at once (see truncated).  A ring above the cap allocates no index table.
 """
 
 from array import array

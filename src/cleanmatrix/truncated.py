@@ -15,11 +15,12 @@ class TruncatedRing(FiniteRing):
     with powers at or beyond n discarded.  s = 0 gives the plain truncated
     polynomial ring (the two families then agree element-wise and operation-wise).
 
-    A missing mul table entry fills its whole row (_fill_mul): left
-    multiplication by e_i is additive, so the row costs q n base-field
-    products and n list passes of digit sums, about what eight entries cost
-    one by one.  The other families fill one entry per miss: there a row
-    costs far more than the few entries of it that a call uses.
+    In characteristic 2 a missing mul table entry fills its whole row
+    (_fill_mul): left multiplication by e_i is additive, so the row costs
+    q n base-field products and n list passes of exclusive ors, about what
+    eight entries cost one by one.  In odd characteristic, and in the other
+    families, a miss fills one entry: there a row costs far more than the
+    few entries of it that a call uses.
     """
 
     def __init__(self, spec, base, s):
@@ -95,23 +96,25 @@ class TruncatedRing(FiniteRing):
         return _fold(out, q)
 
     def _fill_mul(self, t, i, j):
-        """Fill row i of the mul table t and return its entry j.
+        """Fill row i of the mul table t and return its entry j, in
+        characteristic 2; otherwise the entry alone.
 
         With e_i = sum a_u x^u, e_i b = sum a_u sigma^u(b) x^u for a constant
         b, whose index c0[b] costs n base-field products; e_i (b x^v) is
         (e_i b) x^v, and shifting up v degrees is c0[b] // q^v, since the
         constant coefficient is the leading digit.  Entry j sums these over
-        j's n digits, digit-wise: one list pass per digit."""
-        F, q, n, p = self.base, self._q, self.n, self.base.p
+        j's n digits, an exclusive or of indices: one list pass per digit.
+        In odd characteristic each entry of that sum would be a _digit_sum
+        call, and a row of Trunc(GF(3),4) would cost about 18 entries."""
+        if self.base.p != 2:
+            return super()._fill_mul(t, i, j)
+        F, q = self.base, self._q
         a = _digits(i, q, self._places)
         c0 = [_fold([F._mul_ix(x, b, e) for x, e in zip(a, self._pw)], q) for b in range(q)]
         row = c0
-        for v in range(1, n):
+        for v in range(1, self.n):
             shifted = [c // q**v for c in c0]
-            if p == 2:  # _digit_sum's exclusive or, without a call per entry
-                row = [r ^ s for r in row for s in shifted]
-            else:
-                row = [_digit_sum(r, s, p) for r in row for s in shifted]
+            row = [r ^ s for r in row for s in shifted]
         t.mul[i * t.size:(i + 1) * t.size] = array("H", row)
         return row[j]
 

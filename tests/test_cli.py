@@ -504,6 +504,33 @@ def test_selftest_sampled_scope(capsys):
     assert "pi agreements: 1000/1000" in out
 
 
+@pytest.mark.parametrize(
+    "module, name, failed",
+    [
+        ("clean", "decide_strongly_clean", {"clean"}),
+        ("piregular", "decide_strongly_pi_regular", {"pi"}),
+        ("bruteforce", "brute_both", {"clean", "pi"}),
+    ],
+)
+def test_selftest_counts_a_raise_against_its_own_comparisons(capsys, monkeypatch, module, name, failed):
+    # a decider that raises fails its comparison alone; the oracle answers
+    # both, so a raise there fails both
+    import importlib
+
+    from cleanmatrix.errors import InternalContractViolation
+
+    def raises(A):
+        raise InternalContractViolation("certificate fails verification")
+
+    monkeypatch.setattr(importlib.import_module(f"cleanmatrix.{module}"), name, raises)
+    code, out, _ = invoke(capsys, "selftest", "--ring", "Zmod(2,2)")
+    assert code == NEGATIVE
+    for kind in ("clean", "pi"):
+        assert f"{kind} agreements: {0 if kind in failed else 256}/256" in out
+    kinds = {line.split()[1] for line in out.splitlines() if line.startswith("mismatch:")}
+    assert kinds == failed
+
+
 @pytest.mark.parametrize("ring", ["Zmod(2,16)", "GF(2,20)", "Trunc(GF(2,16),4)"])
 def test_selftest_refuses_rings_above_the_oracle_cap(capsys, ring, refuse_scans):
     # refused before the sample is drawn or a single element is enumerated
