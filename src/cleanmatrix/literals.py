@@ -14,8 +14,15 @@ SkewTrunc( of a ring spec); one more is a ParseError.  Semantic problems
 (dividing by a non-unit, w over a prime field) surface as the ring's own
 errors.  Over Z and Z_(p) a power that surely has more than 4,300 digits
 raises TooLarge before it is computed, and so does the next operation on a
-product or sum once its running value has more than that.  The descent
-evaluates as it reads; token positions are worked out only for an error.
+product or sum once its running value has more than that.
+
+The descent evaluates as it reads, in one loop over the factors of a sum
+and its products; it recurses only at an open parenthesis, and nesting is
+counted as above whether it recurses or not.  Each integer token, name and
+single power of one (w^2, 16^3) is evaluated once per literal, the four
+entries of a matrix sharing them, the first time it is read; a power is
+checked against the bound above then.  Token positions are worked out only
+for an error.
 """
 
 import re
@@ -42,7 +49,7 @@ _EXACT = ("Integers", "LocalizedIntegers")
 _TRUNCATED = ("TruncatedPoly", "TruncatedSkew")
 
 # parentheses and unary minuses open at once; each parenthesis costs the
-# descent three interpreter frames, well inside the default recursion limit
+# descent one interpreter frame, well inside the default recursion limit
 MAX_DEPTH = 200
 _TOO_DEEP = "literal nested too deeply"
 
@@ -183,84 +190,120 @@ def parse_ring(text: str):
 @_positioned
 def parse_element(ring, text: str):
     toks = _lex(text)
-    value, i = _sum(ring, toks, 0, 0, {})
+    value, i = _sum(ring, toks, 0, 0, {}, ring.family in _EXACT)
     _expect_end(toks, i)
     return value
 
 
-def _sum(ring, toks, i, depth, names):
-    """The sum of products from token i: (value, the next token's number)."""
-    value, i = _product(ring, toks, i, depth, names)
-    op = toks[i]
-    while op == "+" or op == "-":
-        rhs, i = _product(ring, toks, i + 1, depth, names)
-        value = ring.add(value, rhs) if op == "+" else ring.sub(value, rhs)
-        _check_bits(ring, value)
+def _sum(ring, toks, i, depth, atoms, exact):
+    """The sum of products from token i: (value, the next token's number).
+
+    One loop reads every factor of every product; only a parenthesis
+    recurses, and not one around a lone atom.  A factor is -...-atom^e^e,
+    the power binding tighter; the minuses fold to one neg or none.  atoms
+    holds the value of each integer token, name and single power atom^INT
+    read so far (a group ( atom ) reads as its atom), and exact is whether
+    the ring is Z or Z_(p), where running values and powers are checked for
+    size.
+    """
+    total = sum_op = prod_op = None
+    while True:
+        t, minuses = toks[i], 0
+        while t == "-":
+            minuses += 1
+            i += 1
+            t = toks[i]
+        if minuses and depth + minuses > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        factor = atoms.get(t)
+        if factor is None:
+            if t == "(":
+                if depth + minuses == MAX_DEPTH:
+                    raise ParseError(_TOO_DEEP)
+                t = toks[i + 1]
+                if (t.isdigit() or t.isalpha()) and toks[i + 2] == ")":
+                    i += 2
+                    factor = atoms.get(t)
+                    if factor is None:
+                        factor = _atom(ring, t, i - 1, atoms)
+                else:
+                    factor, i = _sum(ring, toks, i + 1, depth + minuses + 1, atoms, exact)
+                    if toks[i] != ")":
+                        raise _Bad(f"expected ')', found {_shown(toks[i])!r}", i)
+                    t = None
+            else:
+                factor = _atom(ring, t, i, atoms)
+        i += 1
+        if toks[i] == "^":
+            i = _expect(toks, i + 1, "INT")
+            if t is None:
+                factor = _power(ring, factor, toks[i - 1], exact)
+            else:
+                key = (t, toks[i - 1])
+                power = atoms.get(key)
+                if power is None:
+                    power = atoms[key] = _power(ring, factor, key[1], exact)
+                factor = power
+            while toks[i] == "^":
+                i = _expect(toks, i + 1, "INT")
+                factor = _power(ring, factor, toks[i - 1], exact)
+        if minuses & 1:
+            factor = ring.neg(factor)
+
+        if prod_op is None:
+            value = factor
+        else:
+            value = ring.mul(value, factor if prod_op == "*" else ring.invert(factor))
+            if exact:
+                _check_bits(ring, value)
         op = toks[i]
-    return value, i
+        if op == "*" or op == "/":
+            prod_op = op
+        else:
+            if sum_op is None:
+                total = value
+            else:
+                total = ring.add(total, value) if sum_op == "+" else ring.sub(total, value)
+                if exact:
+                    _check_bits(ring, total)
+            if op != "+" and op != "-":
+                return total, i
+            sum_op, prod_op = op, None
+        i += 1
 
 
-def _product(ring, toks, i, depth, names):
-    value, i = _factor(ring, toks, i, depth, names)
-    op = toks[i]
-    while op == "*" or op == "/":
-        rhs, i = _factor(ring, toks, i + 1, depth, names)
-        value = ring.mul(value, rhs) if op == "*" else ring.mul(value, ring.invert(rhs))
-        _check_bits(ring, value)
-        op = toks[i]
-    return value, i
+def _atom(ring, t, i, atoms):
+    """The integer or name t at token i, entered in atoms."""
+    if t.isdigit():
+        value = ring.from_int(int(t))
+    elif t.isalpha():
+        value = _named_element(ring, t, i)
+    else:
+        raise _Bad(f"unexpected {_shown(t)!r} in element", i)
+    atoms[t] = value
+    return value
+
+
+def _power(ring, value, exp, exact):
+    exp = int(exp)
+    if exact:
+        # bits: the longer of numerator and denominator
+        n, d = ring.ratio(value)
+        if (max(n.bit_length(), d.bit_length()) - 1) * exp > _POWER_BITS:
+            raise TooLarge(f"a power with exponent {exp} over "
+                           f"{ring.spec_string()} has more than 4300 digits")
+    return value ** exp
 
 
 def _check_bits(ring, value):
     # Over Z and Z_(p) each operand is within about twice _POWER_BITS, so one
-    # product or sum stays cheap; refusing a running value past the bound
-    # keeps a long chain of them from growing without limit.
-    if ring.family in _EXACT and _bits(ring, value) - 1 > _POWER_BITS:
+    # product or sum stays cheap; refusing a running value whose numerator
+    # or denominator has more than _POWER_BITS + 1 bits keeps a long chain
+    # of them from growing without limit.
+    n, d = ring.ratio(value)
+    if n.bit_length() > _POWER_BITS + 1 or d.bit_length() > _POWER_BITS + 1:
         raise TooLarge(f"a product or sum over {ring.spec_string()} "
                        "has more than 4300 digits")
-
-
-def _bits(ring, value):
-    # the longer of numerator and denominator, in bits
-    n, d = ring.ratio(value)
-    return max(n.bit_length(), d.bit_length())
-
-
-def _factor(ring, toks, i, depth, names):
-    """Unary minuses, an atom and its powers: -...-atom^e^e, the power
-    binding tighter.  The minuses fold to one neg or none."""
-    t, minuses = toks[i], 0
-    while t == "-":
-        minuses += 1
-        i += 1
-        t = toks[i]
-    if minuses:
-        depth += minuses
-        if depth > MAX_DEPTH:
-            raise ParseError(_TOO_DEEP)
-    if t == "(":
-        if depth == MAX_DEPTH:
-            raise ParseError(_TOO_DEEP)
-        value, i = _sum(ring, toks, i + 1, depth + 1, names)
-        if toks[i] != ")":
-            raise _Bad(f"expected ')', found {_shown(toks[i])!r}", i)
-    elif t.isdigit():
-        value = ring.from_int(int(t))
-    else:
-        value = names.get(t)
-        if value is None:
-            if not t.isalpha():
-                raise _Bad(f"unexpected {_shown(t)!r} in element", i)
-            value = names[t] = _named_element(ring, t, i)
-    i += 1
-    while toks[i] == "^":
-        i = _expect(toks, i + 1, "INT")
-        exp = int(toks[i - 1])
-        if ring.family in _EXACT and (_bits(ring, value) - 1) * exp > _POWER_BITS:
-            raise TooLarge(f"a power with exponent {exp} over "
-                           f"{ring.spec_string()} has more than 4300 digits")
-        value = value ** exp
-    return (ring.neg(value) if minuses & 1 else value), i
 
 
 def _named_element(ring, name, i):
@@ -283,12 +326,12 @@ def _named_element(ring, name, i):
 @_positioned
 def parse_matrix(ring, text: str) -> Mat2:
     toks = _lex(text)
-    names, entries = {}, []
+    atoms, exact, entries = {}, ring.family in _EXACT, []
     i = _expect(toks, 0, "[")
     for row_end in (",", "]"):
         i = _expect(toks, i, "[")
         for entry_end in (",", "]"):
-            value, i = _sum(ring, toks, i, 0, names)
+            value, i = _sum(ring, toks, i, 0, atoms, exact)
             entries.append(value)
             i = _expect(toks, i, entry_end)
         i = _expect(toks, i, row_end)

@@ -142,6 +142,10 @@ def test_parse_ring_spec_matches_reference(text):
     "9" * 4301, "1+" + "9" * 4301 + "+#", "#+" + "9" * 4301, "--w", "(((1)", "1)",
     "[[1,2],[3,4]]", "[[1,2],[3,4]]x", "[[1,2],[3]]", "[1,2]", "[[1,2],[3,4]", "x^y",
     "10^4000*10^4000*10^4000", "1/7^4000-1/11^4000+1/13^4000", "(10^4000)^5",
+    # the one-loop descent ("2^" above too): a group of one atom, atoms and
+    # powers read once
+    "(", "(w", "w^2^3", "w^0007*w^7", "(w)^2", "(-(16))*(16)",
+    "10^4000*10^4000*(10^4000)",
 ])
 @pytest.mark.parametrize("spec", RINGS)
 def test_fixed_texts_match_reference(spec, text):

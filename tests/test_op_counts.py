@@ -10,7 +10,8 @@ other off the sum of the roots; on Z/p^k it scans J on payload integers, with
 no ring call per candidate.  These tests count the public ring
 ops one decision makes, wrapped on the ring classes as the benchmark's
 tracer wraps them (a sub counts its add and neg too), and fail when a route
-goes back to per-term calls or to the companion reduction.
+goes back to per-term calls or to the companion reduction.  A parsed
+matrix literal evaluates each integer token and each power of a name once.
 """
 
 import sys
@@ -21,6 +22,7 @@ import pytest
 from cleanmatrix import clean, piregular, quadratics, rings
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.literals import parse_matrix, parse_ring
+from cleanmatrix.matrices import Mat2
 from cleanmatrix.piregular import decide_strongly_pi_regular
 
 OPS = ("add", "mul", "neg", "sub", "invert", "dot")
@@ -139,3 +141,26 @@ def test_zloc_negative_decision_reads_trace_and_det(
     assert decide(A).status == status
     over = {op: ring_calls[op] for op in OPS if ring_calls[op] > budget[op]}
     assert not over, f"ring calls above budget {budget}: {over}"
+
+
+def test_matrix_literal_reads_each_atom_once(monkeypatch):
+    # 1 + w + w^2 occurs seven times in the four entries
+    R = parse_ring("GF(2,4)")
+    text = ("[[1+w+w^2,(1+w+w^2)*(-(1+w+w^2))+(1+w+w^2)*(1+w+w^2)],"
+            "[1,-(1+w+w^2)+1+w+w^2]]")
+    s = R.add(R.add(R.one, R.generator()), R.generator() ** 2)
+    calls = Counter()
+    power, from_int = rings.Element.__pow__, type(R).from_int
+
+    def counted_power(self, e):
+        calls["pow", self.payload, e] += 1
+        return power(self, e)
+
+    def counted_from_int(self, v):
+        calls["from_int", v] += 1
+        return from_int(self, v)
+
+    monkeypatch.setattr(rings.Element, "__pow__", counted_power)
+    monkeypatch.setattr(type(R), "from_int", counted_from_int)
+    assert parse_matrix(R, text) == Mat2(R, s, R.zero, R.one, R.zero)
+    assert calls == {("pow", R.generator().payload, 2): 1, ("from_int", 1): 1}
