@@ -41,7 +41,7 @@ from .companion import (
     reduce_to_companion,
 )
 from .errors import InternalContractViolation, NotLocal
-from .matrices import Mat2, matvec, outer
+from .matrices import Mat2, matvec, minus_identity, outer
 from .quadratics import MonicQuadratic, w_roots
 
 
@@ -111,16 +111,16 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         return integer_clean_decision(A)
     # both trivial tests from one residue read: A is invertible iff det Abar
     # is not 0, and I - A iff det(I - Abar) = 1 - tr Abar + det Abar is not,
-    # the residue field being commutative
+    # the residue field being commutative.  A field's units are its nonzero
+    # elements, so the second test is one comparison, 1 + det Abar != tr Abar
     F, r, _ = R.residue_view()
     a, b, c, d = r(A.a), r(A.b), r(A.c), r(A.d)
     det = F.dot(a, d, F.neg(b), c)
     if F.is_unit(det):
         cert = CleanCertificate(Mat2.zero(R), A)
         return CleanDecision("TrivialUnit", certificate=cert, method="Trivial")
-    if F.is_unit(F.sub(F.add(F.one, det), F.add(a, d))):
-        I = Mat2.identity(R)
-        cert = CleanCertificate(I, A - I)
+    if F.add(F.one, det) != F.add(a, d):
+        cert = CleanCertificate(Mat2.identity(R), minus_identity(A))
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="Trivial"
         )

@@ -17,11 +17,13 @@ companion shape keeps x = (1, 0), so that Q = [x | Ax] = I.
 The deciders reduce over the skew rings only.  The reductions form the
 residue matrix once, test their preconditions on it, and record P = Q^-1 for
 Q = [x | Ax], so P A P^-1 is the companion matrix exactly, keeping Q as
-P_inv.  invert2's check that P Q = Q P = I is the one proof of that inverse,
-and it also gives the companion matrix's first column: P (Ax) is the second
-column of P Q, e2.  The second column is P A (Ax), and a NotClean or No
-witness, which has no certificate to re-verify later, rests on invert2's
-check.
+P_inv.  The clean reduction reads the second kernel off Abar - I, not
+I - Abar: a negated matrix has the same kernel, the same first kernel vector
+and the same invertibility, and Abar - I changes only Abar's diagonal.
+invert2's check that P Q = Q P = I is the one proof of that inverse, and it
+also gives the companion matrix's first column: P (Ax) is the second column
+of P Q, e2.  The second column is P A (Ax), and a NotClean or No witness,
+which has no certificate to re-verify later, rests on invert2's check.
 
 Over a commutative ring the companion quadratic is t^2 - tr(A) t + det(A),
 which char_quadratic reads off A, and the deciders build their certificates
@@ -32,7 +34,15 @@ rings, whose companion quadratic is then char_quadratic(A) entry for entry.
 """
 
 from .errors import InternalContractViolation, NotApplicable, NotInvertible
-from .matrices import Mat2, invert2, is_invertible, matvec, residue_matrix, rowvec_mul
+from .matrices import (
+    Mat2,
+    invert2,
+    is_invertible,
+    matvec,
+    minus_identity,
+    residue_matrix,
+    rowvec_mul,
+)
 from .quadratics import MonicQuadratic
 
 
@@ -92,7 +102,9 @@ def _height(F, d, e1):
 def _kernel_vector(Ab):
     """First nonzero kernel vector of a singular residue matrix.  For a
     nonzero row (r0, r1) the kernel is the line of (r1, -r0); for Ab = 0,
-    whose rows give (0, 0), it is all of F^2, led by (0, e1) all the same."""
+    whose rows give (0, 0), it is all of F^2, led by (0, e1) all the same.
+    -Ab gives the same vector: its rows are negated, so the same row is
+    picked, and (-r1)^-1 r0 = r1^-1 (-r0) is the same height t."""
     F, z = Ab.ring, Ab.ring.zero
     e1 = F.element_at(1)
     r0, r1 = (Ab.a, Ab.b) if (Ab.a != z or Ab.b != z) else (Ab.c, Ab.d)
@@ -124,12 +136,14 @@ def char_quadratic(A) -> MonicQuadratic:
     return MonicQuadratic(R, R.neg(tr), R.dot(A.a, A.d, R.neg(A.b), A.c))
 
 
-def clean_basis_vector(A, Ab=None, I_Ab=None):
+def clean_basis_vector(A, Ab=None, Ab_I=None):
     """x with {x, Ax} a basis in which A is [[0, w0], [1, 1 + w1]], for A
     with neither A nor I - A invertible: (1, 0) when A has that shape
     already, else the lift of v + w for the first residue vectors v in
-    ker(Abar) and w in ker(I - Abar).  Ab and I_Ab are Abar and I - Abar
-    when the caller has them."""
+    ker(Abar) and w in ker(I - Abar).  w is read off Abar - I, which has the
+    same kernel and the same first kernel vector (see _kernel_vector) and
+    changes only the diagonal.  Ab and Ab_I are Abar and Abar - I when the
+    caller has them."""
     R = A.ring
     if (
         A.a == R.zero
@@ -140,10 +154,10 @@ def clean_basis_vector(A, Ab=None, I_Ab=None):
         return R.one, R.zero
     if Ab is None:
         Ab = residue_matrix(A)
-        I_Ab = Mat2.identity(Ab.ring) - Ab
+        Ab_I = minus_identity(Ab)
     lift = R.residue_view().lift
     v = _kernel_vector(Ab)
-    w = _kernel_vector(I_Ab)
+    w = _kernel_vector(Ab_I)
     return R.add(lift(v[0]), lift(w[0])), R.add(lift(v[1]), lift(w[1]))
 
 
@@ -213,10 +227,10 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
     """Clean-case reduction; NotApplicable when A or I - A is invertible."""
     R = A.ring
     Ab = residue_matrix(A)
-    I_Ab = Mat2.identity(Ab.ring) - Ab
-    if is_invertible(Ab) or is_invertible(I_Ab):
+    Ab_I = minus_identity(Ab)  # det(Abar - I) = det(I - Abar)
+    if is_invertible(Ab) or is_invertible(Ab_I):
         raise NotApplicable("A or I - A is invertible; no companion reduction")
-    cf = _form("clean", A, *_basis_change(A, clean_basis_vector(A, Ab, I_Ab)))
+    cf = _form("clean", A, *_basis_change(A, clean_basis_vector(A, Ab, Ab_I)))
     if not (R.in_radical(cf.f.a0) and R.in_radical(R.add(R.one, cf.f.a1))):
         raise InternalContractViolation("companion shape violated after reduction")
     return cf

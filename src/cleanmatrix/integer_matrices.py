@@ -17,7 +17,7 @@ unimodularity of A - E directly, never touching the classifier's tables.
 from math import gcd, isqrt
 
 from .errors import InternalContractViolation, NotApplicable
-from .matrices import Mat2, invert2, outer
+from .matrices import Mat2, invert2, minus_identity, outer
 from .quadratics import MonicQuadratic
 
 # (trace, det) -> the diagonal (unit eigenvalue, non-unit eigenvalue)
@@ -140,8 +140,7 @@ def integer_clean_decision(A: Mat2):
         cert = CleanCertificate(E=Mat2.zero(R), U=A)
         return CleanDecision("TrivialUnit", certificate=cert, method="IntegerClass")
     if cls.tag == "TrivialOneMinusUnit":
-        I = Mat2.identity(R)
-        cert = CleanCertificate(E=I, U=A - I)
+        cert = CleanCertificate(E=Mat2.identity(R), U=minus_identity(A))
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="IntegerClass"
         )

@@ -133,6 +133,14 @@ class Mat2:
         return f"[[{f(self.a)},{f(self.b)}],[{f(self.c)},{f(self.d)}]]"
 
 
+def minus_identity(A) -> Mat2:
+    """A - I in three ring calls: only the diagonal changes, each entry plus
+    -1, and the off-diagonal entries are A's own."""
+    R = A.ring
+    m = R.neg(R.one)
+    return Mat2(R, R.add(A.a, m), A.b, A.c, R.add(A.d, m))
+
+
 def matvec(A, v):
     R = A.ring
     return R.dot(A.a, v[0], A.b, v[1]), R.dot(A.c, v[0], A.d, v[1])

@@ -20,7 +20,14 @@ from cleanmatrix.companion import (
 )
 from cleanmatrix.errors import InternalContractViolation, NotApplicable
 from cleanmatrix.literals import parse_ring
-from cleanmatrix.matrices import Mat2, conjugate, invert2, is_invertible, matvec
+from cleanmatrix.matrices import (
+    Mat2,
+    conjugate,
+    invert2,
+    is_invertible,
+    matvec,
+    minus_identity,
+)
 from cleanmatrix.quadratics import MonicQuadratic
 from cleanmatrix.rings import (
     galois_field,
@@ -251,6 +258,27 @@ def test_residue_vectors_match_pair_scans(F):
                             _outside_kernel_and_image_scan(A)
     q = len(elems)
     assert singular == q ** 4 - (q * q - 1) * (q * q - q)
+
+
+@pytest.mark.parametrize("F", FIELDS[:3], ids=lambda F: F.spec_string())
+def test_kernel_vector_of_minus_identity_matches_i_minus(F):
+    # the clean reductions read ker(I - Abar) off Abar - I; I - M stays the
+    # reference
+    elems = F.enumerate_elements("All")
+    I = Mat2.identity(F)
+    both_singular = 0
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                for d in elems:
+                    M = Mat2(F, a, b, c, d)
+                    if is_invertible(M) or is_invertible(I - M):
+                        continue
+                    both_singular += 1
+                    assert not is_invertible(minus_identity(M))
+                    assert _kernel_vector(minus_identity(M)) == _kernel_vector(I - M)
+    q = len(elems)
+    assert both_singular == q * q + q  # the conjugates of diag(0, 1)
 
 
 @pytest.mark.parametrize("R", RINGS)

@@ -16,6 +16,7 @@ from cleanmatrix.matrices import (
     is_invertible,
     matpow,
     matvec,
+    minus_identity,
     residue_matrix,
     rowvec_mul,
 )
@@ -91,6 +92,26 @@ def test_mat2_rejects_one_foreign_entry(R):
                 Mat2(R, *entries)
     # over op(SK16) the entries are SK16's own elements
     assert Mat2(R, o, o, o, o).entries() == (o,) * 4
+
+
+@pytest.mark.parametrize(
+    "R", OWNER_RINGS + [Z, parse_ring("Zloc(2)"), parse_ring("Zloc(3)")],
+    ids=lambda R: R.spec_string(),
+)
+def test_minus_identity_matches_subtracting_identity(R):
+    # Mat2 subtraction of the whole identity stays the reference
+    rng = random.Random(R.spec_string())
+    for _ in range(40):
+        if R.is_finite:
+            at = R.element_ring.element_at  # op(R) holds R's elements
+            entries = [at(rng.randrange(R.size())) for _ in range(4)]
+        elif R.family == "Integers":
+            entries = [R.el(rng.randint(-50, 50)) for _ in range(4)]
+        else:
+            entries = [R.el(Fraction(rng.randint(-40, 40), rng.choice((1, 5, 7))))
+                       for _ in range(4)]
+        A = Mat2(R, *entries)
+        assert minus_identity(A) == A - Mat2.identity(R), repr(A)
 
 
 def test_noncommutative_product_order():

@@ -7,11 +7,14 @@ ring the deciders read the quadratic off tr A and det A and build a
 certificate from A itself, with no companion form, and over a commutative
 truncated ring the root search lifts one root of the quadratic and reads the
 other off the sum of the roots; on Z/p^k it scans J on payload integers, with
-no ring call per candidate.  These tests count the public ring
-ops one decision makes, wrapped on the ring classes as the benchmark's
-tracer wraps them (a sub counts its add and neg too), and fail when a route
-goes back to per-term calls or to the companion reduction.  A parsed
-matrix literal evaluates each integer token and each power of a name once.
+no ring call per candidate.  A TrivialUnit verdict takes the two calls of
+the residue determinant, and a TrivialOneMinusUnit verdict two residue adds
+more and the three calls of A - I, which changes only the diagonal.  These
+tests count the public ring ops one decision makes, wrapped on the ring
+classes as the benchmark's tracer wraps them (a sub counts its add and neg
+too), and fail when a route goes back to per-term calls or to the companion
+reduction.  A parsed matrix literal evaluates each integer token and each
+power of a name once.
 """
 
 import sys
@@ -87,6 +90,36 @@ def test_reduced_decision_ring_calls(
     ring_calls.clear()
     assert decide(A).status == status
     over = {op: ring_calls[op] for op in OPS if ring_calls[op] > budget[op]}
+    assert not over, f"ring calls above budget {budget}: {over}"
+
+
+# the trivial verdicts: the residue determinant and trace settle both tests,
+# and U = A - I changes only the diagonal of A
+TRIVIAL_BUDGETS = [
+    (spec, matrix, status, budget)
+    for specs, matrix, status, budget in [
+        (("GF(2,4)", "Zloc(2)", "SkewTrunc(GF(2,2),1,3)"), "[[0,0],[1,0]]",
+         "TrivialOneMinusUnit", {"add": 4, "neg": 2, "dot": 1}),
+        (("Z",), "[[0,0],[1,0]]", "TrivialOneMinusUnit", {"add": 2, "neg": 1}),
+        (("GF(2,4)", "Zloc(2)", "SkewTrunc(GF(2,2),1,3)"), "[[0,1],[1,0]]",
+         "TrivialUnit", {"neg": 1, "dot": 1}),
+    ]
+    for spec in specs
+]
+
+
+@pytest.mark.parametrize(
+    "spec, matrix, status, budget", TRIVIAL_BUDGETS,
+    ids=[f"{b[0]}-{b[2]}" for b in TRIVIAL_BUDGETS],
+)
+def test_trivial_decision_ring_calls(
+    ring_calls, monkeypatch, spec, matrix, status, budget
+):
+    refuse_reduction(monkeypatch, "a trivial verdict")
+    A = parse_matrix(parse_ring(spec), matrix)
+    ring_calls.clear()
+    assert decide_strongly_clean(A).status == status
+    over = {op: n for op, n in ring_calls.items() if n > budget.get(op, 0)}
     assert not over, f"ring calls above budget {budget}: {over}"
 
 
