@@ -1,8 +1,30 @@
 """Clean and pi certificates and their checks, one place for the deciders,
 the brute-force oracle and `verify`.  Only matrices and rings are needed, so
-re-checking a document loads neither a decider nor the root search."""
+re-checking a document loads neither a decider nor the root search.
 
-from .matrices import Mat2, diagonalizes, has_inverse, matpow
+A clean certificate A = E + U is checked through its structure before the
+four equations E^2 = E, EU = UE, U invertible (A = E + U is always checked).
+Two conditions are sufficient, and each is exact given what it assumes:
+
+- E = 0 or E = I.  Both are idempotent and central, so only U is left to
+  test for invertibility.
+- A diagonalization (t0, t1, P) that names E: P A = D P for D = diag(t0, t1)
+  with P invertible (checked first, as for every diagonalization), and
+  P E = Delta P for Delta = diag(0, 1).  P is then two-sided invertible, so
+  E = P^-1 Delta P is idempotent.  Delta commutes with D, its entries being
+  0 and 1, so E commutes with A = P^-1 D P and with U = A - E.  And
+  P U P^-1 = D - Delta = diag(t0, t1 - 1), so U is invertible exactly when
+  t0 and t1 - 1 are units.  Nothing here uses commutativity or locality.
+
+Every certificate the deciders build passes the second test (t0 in 1 + J
+first, E the projection onto the t1 eigenrow, as Borooah, Diesl and Dorsey
+diagonalise a strongly clean 2x2 over a commutative local ring), and every
+trivial one the first.  The four equations remain for what neither names,
+such as the oracle's Fitting projections or a document whose rows of P were
+swapped together with (t0, t1).
+"""
+
+from .matrices import Mat2, diag_has_inverse, diagonalizes, has_inverse, matpow
 
 
 class CleanCertificate:
@@ -41,19 +63,25 @@ def nilpotency_bound(R):
 def verify_certificate(A: Mat2, cert: CleanCertificate) -> bool:
     """E^2 = E, A = E + U, EU = UE, U invertible, and for a certificate with a
     diagonalization (t0, t1, P) also P invertible and P A = diag(t0, t1) P.
+    Once A = E + U and the diagonalization hold, E = 0 or I needs only U
+    invertible, and P E = diag(0, 1) P only t0 and t1 - 1 units (see the
+    module docstring); any other E goes through the four equations.
     Never raises on bad data."""
     try:
-        E, U = cert.E, cert.U
-        if E.ring is not A.ring or U.ring is not A.ring:
+        E, U, diag = cert.E, cert.U, cert.diag
+        R = A.ring
+        if E.ring is not R or U.ring is not R or E + U != A:
             return False
-        if not (
-            E * E == E and E + U == A and E * U == U * E and has_inverse(U)
-        ):
-            return False
-        if cert.diag is None:
-            return True
-        t0, t1, P = cert.diag
-        return diagonalizes(P, A, t0, t1)
+        if diag is not None:
+            t0, t1, P = diag
+            if not diagonalizes(P, A, t0, t1):
+                return False
+        z = R.zero
+        if E.b == z and E.c == z and E.a == E.d and (E.a == z or E.a == R.one):
+            return has_inverse(U)
+        if diag is not None and P * E == Mat2(R, z, z, P.c, P.d):
+            return diag_has_inverse(R, t0, R.sub(t1, R.one))
+        return E * E == E and E * U == U * E and has_inverse(U)
     except Exception:
         return False
 

@@ -165,15 +165,17 @@ def diag_mul(t0, t1, P) -> Mat2:
 
 
 def matpow(A, e):
+    """A^e by square and multiply, with no product by I and no square unused:
+    floor(log2 e) + popcount(e) - 1 products for e >= 1."""
     assert e >= 0
-    out = Mat2.identity(A.ring)
-    base = A
+    out, base = None, A
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         e >>= 1
-    return out
+        if e:
+            base = base * base
+    return Mat2.identity(A.ring) if out is None else out
 
 
 def residue_matrix(A):
@@ -197,6 +199,14 @@ def has_inverse(A) -> bool:
     if A.ring.family == "Integers":
         return A.a.payload * A.d.payload - A.b.payload * A.c.payload in (1, -1)
     return is_invertible(A)
+
+
+def diag_has_inverse(R, x, y) -> bool:
+    """Whether diag(x, y) is invertible, that is x and y are both units (+-1
+    over Z), with no determinant formed."""
+    if R.family == "Integers":
+        return x.payload in (1, -1) and y.payload in (1, -1)
+    return R.is_unit(x) and R.is_unit(y)
 
 
 def diagonalizes(P, A, t0, t1) -> bool:

@@ -13,7 +13,8 @@ certificate it builds.  Over a commutative ring r = tr A and w = -det A, so
 the decider reads the quadratic off A and settles the case and the roots
 first, and nothing reduces: a Nontrivial P is companion.eigenrows of A, the
 rows (1, ti) Q^-1 by the adjugate of Q = [x | Ax], x = pi_basis_vector(A).
-Only the skew rings reduce, first, and read r and w off the companion form.
+Only the skew rings reduce, and read r and w off the companion form, but
+first they read rbar = tr Abar off A, the residue field being commutative.
 When r itself falls in J, A^2 has all entries in J and A is nilpotent over
 the finite families; the nilpotent certificate needs only the index.
 Otherwise the roots come from quadratics.pi_roots: on the finite rings the
@@ -97,6 +98,11 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
         # and build a Nontrivial certificate from A itself
         cf, f = None, char_quadratic(A)
     else:
+        # the residue field is commutative, so rbar = tr Abar: settle r in J
+        # before reducing (a finite ring answers TrivialNilpotent there)
+        F, r, _ = R.residue_view()
+        if F.add(r(A.a), r(A.d)) == F.zero:
+            return _nilpotent_or_no(A)
         cf = reduce_to_companion_pi(A)
         f = cf.f  # t^2 - t r - w
     if R.in_radical(f.a1):

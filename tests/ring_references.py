@@ -20,6 +20,10 @@ companion_route_certificates is how the deciders assembled certificates
 over a commutative ring before they built them from A: through the
 companion form, whose basis change invert2 inverts.
 
+verify_clean_equations is the clean check before it read the certificate's
+structure: the four equations E^2 = E, A = E + U, EU = UE and U invertible
+on every certificate, then the diagonalization.
+
 from_rows, is_nilpotent, right_eval, in_w, companion_matrix and
 is_unimodular are helpers that only the tests call.  fraction and
 FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
@@ -34,7 +38,7 @@ from cleanmatrix.bruteforce import _kernel_size, _tables
 from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
-from cleanmatrix.matrices import Mat2, matpow
+from cleanmatrix.matrices import Mat2, diagonalizes, has_inverse, matpow
 from cleanmatrix.quadratics import pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
 
@@ -361,6 +365,26 @@ def companion_route_certificates(A):
     if t0 is None or t1 is None:
         return clean, None
     return clean, (t0, t1, cf.eigenrow_transform(t0, t1))
+
+
+def verify_clean_equations(A, cert) -> bool:
+    """E^2 = E, A = E + U, EU = UE, U invertible, and for a certificate with a
+    diagonalization (t0, t1, P) also P invertible and P A = diag(t0, t1) P.
+    Never raises on bad data."""
+    try:
+        E, U = cert.E, cert.U
+        if E.ring is not A.ring or U.ring is not A.ring:
+            return False
+        if not (
+            E * E == E and E + U == A and E * U == U * E and has_inverse(U)
+        ):
+            return False
+        if cert.diag is None:
+            return True
+        t0, t1, P = cert.diag
+        return diagonalizes(P, A, t0, t1)
+    except Exception:
+        return False
 
 
 def from_rows(ring, rows):

@@ -9,6 +9,7 @@ verifiers must reject, feed the deciders wrong roots, and count the
 inversions a decision makes.
 """
 
+import itertools
 import random
 import sys
 
@@ -24,7 +25,7 @@ from cleanmatrix.clean import (
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import InternalContractViolation
 from cleanmatrix.literals import parse_element, parse_matrix, parse_ring
-from cleanmatrix.matrices import Mat2, invert2, is_invertible
+from cleanmatrix.matrices import Mat2, diag_mul, invert2, is_invertible
 from cleanmatrix.piregular import (
     PiCertificate,
     decide_strongly_pi_regular,
@@ -237,6 +238,116 @@ def test_verify_pi_certificate_rejects_bad_diagonalizations(spec, matrix):
         bad = PiCertificate("diag", t0=cert.t0, t1=cert.t1, P=P)
         assert verify_pi_certificate(A, bad) is False
     assert verify_pi_certificate(A, PiCertificate("diag", P=cert.P)) is False
+
+
+# ------------------------------------ the structural check, against equations
+
+
+def _unit_other_than_one(R):
+    """A unit u != 1 of R, for scaling a row of P."""
+    if R.family == "Integers":
+        return R.el(-1)
+    if R.is_finite:
+        return next(u for u in R.enumerate_elements("Units") if u != R.one)
+    return R.el(3 if R.p != 3 else 2)
+
+
+def _variants(A, cert, u):
+    """The certificate and copies of it: without its diagonalization, with
+    E replaced by I - E and U by A - (I - E), with one entry of U changed,
+    with P's rows swapped together with (t0, t1), with t1 + 1, and with a
+    row of P scaled on the left by the unit u."""
+    R = A.ring
+    E, U, diag = cert.E, cert.U, cert.diag
+    I_E = Mat2.identity(R) - E
+    bad_U = Mat2(R, R.add(U.a, R.one), U.b, U.c, U.d)
+    out = [cert, CleanCertificate(E, U), CleanCertificate(I_E, A - I_E),
+           CleanCertificate(E, bad_U, diag)]
+    if diag is not None:
+        t0, t1, P = diag
+        swapped = (t1, t0, Mat2(R, P.c, P.d, P.a, P.b))
+        out += [
+            CleanCertificate(E, U, swapped),
+            CleanCertificate(I_E, A - I_E, diag),
+            CleanCertificate(I_E, A - I_E, swapped),
+            CleanCertificate(E, U, (t0, R.add(t1, R.one), P)),
+        ]
+        for scaled in (diag_mul(R.one, u, P), diag_mul(u, R.one, P)):
+            out.append(CleanCertificate(E, U, (t0, t1, scaled)))
+    return out
+
+
+def _check_against_equations(A, u):
+    """verify_certificate against the four-equation reference on A's decider
+    certificate and its copies; returns the decision's status."""
+    dec = decide_strongly_clean(A)
+    if dec.certificate is None:
+        return dec.status
+    variants = _variants(A, dec.certificate, u)
+    answers = [verify_certificate(A, c) for c in variants]
+    assert answers == [ref.verify_clean_equations(A, c) for c in variants], A
+    assert answers[0] is True, A
+    if dec.certificate.diag is not None:
+        assert answers[4] is True, A  # swapped rows go through the equations
+    return dec.status
+
+
+def _matrices(R, rng, count):
+    """Every matrix over R when there are at most 4,096, else count seeded
+    ones; over Z_(p) the clean-biased samples, over Z small entries and
+    conjugates of diag(+-1, 0 or 2) by unimodular matrices."""
+    if R.is_finite:
+        els = R.enumerate_elements("All")
+        if len(els) ** 4 <= 4096:
+            return [Mat2(R, *e) for e in itertools.product(els, repeat=4)]
+        return [Mat2(R, *(rng.choice(els) for _ in range(4))) for _ in range(count)]
+    if R.family != "Integers":
+        return _zloc_samples(R, rng, count)
+    out = []
+    for i in range(count):
+        if i % 2:
+            out.append(Mat2(R, *(R.el(rng.randint(-3, 3)) for _ in range(4))))
+            continue
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        S = Mat2(R, R.el(1 + s * t), R.el(s), R.el(t), R.one)
+        S_inv = Mat2(R, R.one, R.el(-s), R.el(-t), R.el(1 + s * t))
+        D = Mat2.diag(R, R.el(rng.choice((1, -1))), R.el(rng.choice((0, 2))))
+        out.append((S * D) * S_inv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Zmod(2,2)", "Zmod(2,3)", "GF(2,2)", "Zmod(3,2)", "Trunc(GF(2),3)",
+     "SkewTrunc(GF(2,2),1,2)", "Zloc(2)", "Z"],
+)
+def test_structural_check_matches_four_equations(spec):
+    R = parse_ring(spec)
+    u = _unit_other_than_one(R)
+    statuses = {
+        _check_against_equations(A, u) for A in _matrices(R, random.Random(23), 1500)
+    }
+    assert "NontrivialClean" in statuses and "TrivialUnit" in statuses
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Zmod(2,2)", "Zmod(2,3)", "GF(2,2)", "Zmod(3,2)", "Trunc(GF(2),3)",
+     "SkewTrunc(GF(2,2),1,2)", "Zloc(2)", "Zloc(3)", "Z"],
+)
+def test_structural_check_needs_both_diagonal_units(spec):
+    # P E = diag(0,1) P holds in both, with P = I; U = diag(t0, t1 - 1) is
+    # singular through t1 - 1 = 0 in the first and t0 = 0 in the second
+    R = parse_ring(spec)
+    z, o = R.zero, R.one
+    E = Mat2.diag(R, z, o)
+    for A, U, t in (
+        (Mat2.identity(R), Mat2.diag(R, o, z), o),
+        (Mat2.zero(R), Mat2.diag(R, z, R.neg(o)), z),
+    ):
+        cert = CleanCertificate(E, U, (t, t, Mat2.identity(R)))
+        assert verify_certificate(A, cert) is False
+        assert ref.verify_clean_equations(A, cert) is False
 
 
 # ------------------------------------------------------------- wrong roots

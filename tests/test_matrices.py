@@ -63,6 +63,34 @@ def test_arithmetic():
     assert matpow(A, 3) == A * A * A
 
 
+@pytest.mark.parametrize("R", [Z, Z8, SK16], ids=lambda R: R.spec_string())
+def test_matpow_makes_no_product_by_identity(R, monkeypatch):
+    # square and multiply from the lowest set bit's power, with no square
+    # after the last bit: floor(log2 e) + popcount(e) - 1 products
+    rng = random.Random(11)
+    if R.is_finite:
+        els = R.enumerate_elements("All")
+    else:
+        els = [R.el(k) for k in (-2, -1, 0, 1, 2)]
+    A = Mat2(R, *(rng.choice(els) for _ in range(4)))
+    powers = [Mat2.identity(R)]
+    for _ in range(20):
+        powers.append(powers[-1] * A)
+    products = []
+    original = Mat2.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    for e in range(21):
+        products.clear()
+        assert matpow(A, e) == powers[e], e
+        most = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+        assert len(products) <= most, e
+
+
 def test_owner_mismatch():
     with pytest.raises(OwnerMismatch):
         m(Z8, 1, 0, 0, 1) * m(GF4, 1, 0, 0, 1)

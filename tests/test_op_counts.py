@@ -13,8 +13,10 @@ more and the three calls of A - I, which changes only the diagonal.  These
 tests count the public ring ops one decision makes, wrapped on the ring
 classes as the benchmark's tracer wraps them (a sub counts its add and neg
 too), and fail when a route goes back to per-term calls or to the companion
-reduction.  A parsed matrix literal evaluates each integer token and each
-power of a name once.
+reduction.  A check of a decider's clean certificate reads its
+diagonalization and forms no product of E with U, and a skew pi decision
+settles TrivialNilpotent from tr Abar before it reduces.  A parsed matrix
+literal evaluates each integer token and each power of a name once.
 """
 
 import sys
@@ -23,7 +25,7 @@ from collections import Counter
 import pytest
 
 from cleanmatrix import clean, piregular, quadratics, rings
-from cleanmatrix.clean import decide_strongly_clean
+from cleanmatrix.clean import decide_strongly_clean, verify_certificate
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2
 from cleanmatrix.piregular import decide_strongly_pi_regular
@@ -63,15 +65,17 @@ def refuse_reduction(monkeypatch, what):
 # [x | Ax] for a lifted x
 BUDGETS = [
     ("GF(2,4)", "[[1+w,w],[1+w,w]]", decide_strongly_clean, "NontrivialClean",
-     {"add": 24, "mul": 16, "neg": 22, "sub": 11, "invert": 4, "dot": 29}),
+     {"add": 24, "mul": 16, "neg": 22, "sub": 11, "invert": 4, "dot": 20}),
     ("GF(2,4)", "[[1+w,w],[1+w,w]]", decide_strongly_pi_regular, "Nontrivial",
      {"add": 4, "mul": 13, "neg": 9, "sub": 0, "invert": 4, "dot": 14}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_clean,
      "NontrivialClean",
-     {"add": 33, "mul": 20, "neg": 26, "sub": 14, "invert": 5, "dot": 29}),
+     {"add": 33, "mul": 20, "neg": 26, "sub": 14, "invert": 5, "dot": 20}),
     # t^2 - 255 t + 254: its J root 254 is the last of J's 128 elements
     ("Zmod(2,8)", "[[255,2],[1,0]]", decide_strongly_clean, "NontrivialClean",
-     {"add": 21, "mul": 12, "neg": 23, "sub": 11, "invert": 3, "dot": 29}),
+     {"add": 21, "mul": 12, "neg": 23, "sub": 11, "invert": 3, "dot": 20}),
+    ("Zloc(2)", "[[3,2],[-3,-2]]", decide_strongly_clean, "NontrivialClean",
+     {"add": 18, "mul": 12, "neg": 18, "sub": 7, "invert": 3, "dot": 20}),
     ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_pi_regular,
      "Nontrivial",
      {"add": 10, "mul": 19, "neg": 11, "sub": 2, "invert": 4, "dot": 14}),
@@ -121,6 +125,51 @@ def test_trivial_decision_ring_calls(
     assert decide_strongly_clean(A).status == status
     over = {op: n for op, n in ring_calls.items() if n > budget.get(op, 0)}
     assert not over, f"ring calls above budget {budget}: {over}"
+
+
+# the clean check of a decider's certificate: A = E + U, the diagonalization
+# and P E = diag(0,1) P, then t0 and t1 - 1 as units (no product of E with
+# U); a trivial E = 0 or I leaves only the residue determinant of U
+VERIFY_BUDGETS = [
+    (spec, matrix, status, budget)
+    for specs, matrix, status, budget in [
+        (("GF(2,4)",), "[[1+w,w],[1+w,w]]", "NontrivialClean", {"dot": 9, "all": 21}),
+        (("Zmod(2,8)",), "[[255,2],[1,0]]", "NontrivialClean", {"dot": 9, "all": 21}),
+        (("Trunc(GF(2,2),4)",), "[[1+w+y,w+y^2],[1+w,w+y^3]]", "NontrivialClean",
+         {"dot": 9, "all": 21}),
+        (("SkewTrunc(GF(2,2),1,3)",), "[[1+x,w],[w*x,x]]", "NontrivialClean",
+         {"dot": 9, "all": 21}),
+        (("Zloc(2)",), "[[3,2],[-3,-2]]", "NontrivialClean", {"dot": 9, "all": 21}),
+        (("GF(2,4)", "Zloc(2)", "SkewTrunc(GF(2,2),1,3)"), "[[0,1],[1,0]]",
+         "TrivialUnit", {"dot": 1, "all": 6}),
+        (("GF(2,4)", "Zloc(2)", "SkewTrunc(GF(2,2),1,3)"), "[[0,0],[1,0]]",
+         "TrivialOneMinusUnit", {"dot": 1, "all": 6}),
+    ]
+    for spec in specs
+]
+
+
+@pytest.mark.parametrize(
+    "spec, matrix, status, budget", VERIFY_BUDGETS,
+    ids=[f"{b[0]}-{b[2]}" for b in VERIFY_BUDGETS],
+)
+def test_verify_certificate_ring_calls(ring_calls, spec, matrix, status, budget):
+    A = parse_matrix(parse_ring(spec), matrix)
+    dec = decide_strongly_clean(A)
+    assert dec.status == status
+    ring_calls.clear()
+    assert verify_certificate(A, dec.certificate)
+    calls = {"dot": ring_calls["dot"], "all": sum(ring_calls.values())}
+    assert calls["dot"] <= budget["dot"] and calls["all"] <= budget["all"], calls
+
+
+def test_skew_pi_nilpotent_reads_residue_trace(monkeypatch):
+    # tr Abar = 0 puts the companion corner in J, so a skew ring answers
+    # TrivialNilpotent before any reduction
+    refuse_reduction(monkeypatch, "a skew TrivialNilpotent verdict")
+    R = parse_ring("SkewTrunc(GF(2,2),1,3)")
+    dec = decide_strongly_pi_regular(parse_matrix(R, "[[1+x,w],[w^2,1]]"))
+    assert dec.status == "TrivialNilpotent" and dec.certificate.index == 6
 
 
 def test_zmod_clean_scan_runs_on_payloads(monkeypatch):
