@@ -131,11 +131,8 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
     else:
         cf = reduce_to_companion(A)
         f = cf.f
-    lam_j, lam_1j, method = w_roots(f)
-    if (lam_j is None) != (lam_1j is None):
-        # roots in J and in 1+J exist together or not at all
-        raise InternalContractViolation("one-sided root presence is asymmetric")
-    if lam_j is None or lam_1j is None:
+    lam_j, lam_1j, method = w_roots(f)  # both or neither
+    if lam_j is None:
         return CleanDecision("NotClean", witness=f, method=method)
     if cf is None:
         cert = commutative_certificate(A, lam_j, lam_1j)
@@ -152,8 +149,8 @@ def ring_is_strongly_clean(R) -> RingCleanVerdict:
     companion quadratic f in W has a left root in J and one in 1 + J.  f has
     a0 = -w0 in J and a1 = -(1 + w1) a unit, so its residue t (t - 1) has the
     simple roots 0 and 1, and the lifting lemma of the quadratics module
-    (J^v = 0 on every finite ring here) lifts 0 to a root in J; applied to
-    f(1 - t), again in W, it gives the root in 1 + J.  (Independently, a
+    (J^v = 0 on every finite ring here) lifts 0 to a root in J and 1 to a
+    root in 1 + J.  (Independently, a
     finite ring is strongly pi-regular, hence strongly clean: Nicholson 1999.)
 
     Z_(p): No, with the witness f = t^2 - t - w0, w0 = p for odd p and w0 = 4

@@ -48,36 +48,15 @@ from .quadratics import MonicQuadratic
 
 class CompanionForm:
     """P A P^-1 = [[0, top], [1, corner]], kept as its quadratic
-    f = t^2 - t corner - top: t^2 - t (1 + w1) - w0 for kind "clean",
-    t^2 - t r - w for kind "pi"."""
+    f = t^2 - t corner - top: t^2 - t (1 + w1) - w0 from the clean
+    reduction, t^2 - t r - w from the pi one."""
 
-    __slots__ = ("kind", "f", "P", "P_inv")
+    __slots__ = ("f", "P", "P_inv")
 
-    def __init__(self, kind, f, P, P_inv):
-        self.kind = kind  # "clean" or "pi"
+    def __init__(self, f, P, P_inv):
         self.f = f
         self.P = P
         self.P_inv = P_inv  # P^-1, checked by invert2 when it built P
-
-    @property
-    def w0(self):
-        assert self.kind == "clean"
-        return self.f.w0
-
-    @property
-    def w1(self):
-        assert self.kind == "clean"
-        return self.f.w1
-
-    @property
-    def w(self):
-        assert self.kind == "pi"
-        return self.f.w0
-
-    @property
-    def r(self):
-        assert self.kind == "pi"
-        return self.P.ring.neg(self.f.a1)
 
     def eigenrow_transform(self, lam0, lam1) -> Mat2:
         """Q P for the Q with rows (1, lam0) and (1, lam1), row by row.  When
@@ -214,13 +193,13 @@ def _basis_change(A, x):
         raise InternalContractViolation("lifted basis {x, Ax} is not a basis")
 
 
-def _form(kind, A, P, Q) -> CompanionForm:
+def _form(A, P, Q) -> CompanionForm:
     """The companion form of A for P = Q^-1, Q = [x | Ax].  P A Q has first
     column P (Ax) = e2, Ax being Q's second column; its second column,
     P A (Ax), gives the quadratic."""
     R = A.ring
     top, corner = matvec(P, matvec(A, (Q.b, Q.d)))
-    return CompanionForm(kind, MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
+    return CompanionForm(MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
 
 
 def reduce_to_companion(A: Mat2) -> CompanionForm:
@@ -230,7 +209,7 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
     Ab_I = minus_identity(Ab)  # det(Abar - I) = det(I - Abar)
     if is_invertible(Ab) or is_invertible(Ab_I):
         raise NotApplicable("A or I - A is invertible; no companion reduction")
-    cf = _form("clean", A, *_basis_change(A, clean_basis_vector(A, Ab, Ab_I)))
+    cf = _form(A, *_basis_change(A, clean_basis_vector(A, Ab, Ab_I)))
     if not (R.in_radical(cf.f.a0) and R.in_radical(R.add(R.one, cf.f.a1))):
         raise InternalContractViolation("companion shape violated after reduction")
     return cf
@@ -244,7 +223,7 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
         raise NotApplicable("all entries in the radical; no pi companion form")
     if is_invertible(Ab):
         raise NotApplicable("A is invertible; no pi companion form")
-    cf = _form("pi", A, *_basis_change(A, pi_basis_vector(A, Ab)))
+    cf = _form(A, *_basis_change(A, pi_basis_vector(A, Ab)))
     if not R.in_radical(cf.f.a0):
         raise InternalContractViolation("pi companion shape violated")
     return cf

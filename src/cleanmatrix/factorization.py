@@ -162,14 +162,10 @@ def star_factorize(f: MonicQuadratic) -> FactorizationWitness:
     else:
         # both evaluations in J, so a0 in J and 1 + a1 in J: f is in W, and
         # its J / 1+J root pair comes by the clean decider's route
-        t0, t1, _ = w_roots(f)
-        if t0 is None and t1 is None:
+        t0, t1, _ = w_roots(f)  # both or neither
+        if t0 is None:
             raise NoFactorization(
                 f"no unit-split factorization of {f.text()}", witness=f
-            )
-        if t0 is None or t1 is None:
-            raise InternalContractViolation(
-                "exactly one of the J / 1+J roots exists"
             )
         g0, g1 = _root_factor_pair(f, t1)
         h1, h0 = _root_factor_pair(f, t0)

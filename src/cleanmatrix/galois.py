@@ -165,14 +165,6 @@ class GaloisFieldRing(FiniteRing):
             return Element(self, (v % self.p,) + (0,) * (self.m - 1))
         return t.elements[v % self.p * self._one_ix]
 
-    def enumerate_elements(self, subset="All"):
-        # J = {0}: the radical and 1 + J need no "All" tuple
-        if subset == "Radical":
-            return (self.zero,)
-        if subset == "OnePlusRadical":
-            return (self.one,)
-        return super().enumerate_elements(subset)
-
     def generator(self):
         if self.m < 2:
             raise ValueError(f"{self.spec_string()} has no generator w")

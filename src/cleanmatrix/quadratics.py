@@ -10,27 +10,22 @@ The distinguished family
 
     W = { t^2 - t (1 + w1) - w0 : w0, w1 in J }
 
-collects the quadratics whose residue has both 0 and 1 as roots.  For such f the
-substitution g(t) = f(1 - t), expanded with only central scalars moved past t,
-
-    g(t) = t^2 - t (1 - w1) - (w0 + w1),
-
-is again in W and swaps roots in J with roots in 1 + J via lambda <-> 1 - lambda.
+collects the quadratics whose residue has both 0 and 1 as roots.
 
 Root search routes.  Each question the package asks has one function that
 picks its route, and every caller goes through it:
   * w_roots, the roots in J and 1 + J of f in W (the clean decider and
-    factor, and the witness check of the Z_(p) survey): J-adic lifting from 0
-    on the truncated rings, a complete scan of J on Z/p^k (k > 1) with the
-    1 + J root read off the sum of the roots, a scan of J = {0} and of
-    1 + J = {1} on the fields, the discriminant over Z_(p).  The Z/p^k scan
-    (ModPrimePowerRing.radical_root) runs on payload integers, in the
-    "Radical" enumeration order and under the same ENUM_CAP as
-    find_roots_enumerate, so it returns the same root;
+    factor, and the witness check of the Z_(p) survey): _lift_pair on the
+    truncated rings, a complete scan of J on Z/p^k (k > 1) with the 1 + J
+    root read off the sum of the roots, a scan of J = {0} and of
+    1 + J = {1} on the fields and Z/p, the discriminant over Z_(p).  The
+    Z/p^k scan (ModPrimePowerRing.radical_root) runs on payload integers,
+    in the "Radical" enumeration order and under the same ENUM_CAP as
+    find_roots_enumerate, so it returns the same root.  Whatever the route,
+    w_roots checks once that the two roots exist together or not at all;
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
-    pi decider): lifting on every finite ring, the discriminant over Z_(p);
-    over a commutative ring only the nilpotent root is lifted, the unit one
-    being -a1 minus it;
+    pi decider): _lift_pair on every finite ring, the discriminant over
+    Z_(p);
   * find_roots_auto, any requested subsets (right_roots): a complete scan on
     finite rings, the discriminant over Z and Z_(p).
 
@@ -55,12 +50,12 @@ with x in J^i but not in J^(i+1), the expansion gives
 lam x + x (lam + a1) + x^2 = 0, whose left side is x a1 or lam x modulo
 J^(i+1) by the same case split: a unit times x, so not in J^(i+1).  So
 lifting returns the same element as a complete scan of its residue class.
-pi_roots lifts the nilpotent root lam from 0.  Over a commutative ring
-f(t) = (t - lam)(t - mu) with mu = -a1 - lam, which reduces to rbar, so mu
-is the unit root, the one lifting from lift(rbar) returns; the skew rings
-lift it.  w_roots on the truncated rings lifts the J root of f from 0; its
-1 + J root is -a1 minus it over a commutative ring, and 1 minus the J root of
-f(1 - t), lifted from 0, over a skew one.  On Z/p^k the J root comes from a
+_lift_pair, the one lifting route of w_roots and pi_roots, lifts the root
+lam above 0 from 0.  Over a commutative ring f(t) = (t - lam)(t - mu) with
+mu = -a1 - lam, which reduces to -a1bar, so mu is the other root, the one
+lifting from lift(-a1bar) returns; a skew ring lifts it from there.  For f
+in W that start is 1 and mu is the root in 1 + J; for the pi quadratic it
+is lift(rbar) and mu is the unit root.  On Z/p^k the J root comes from a
 scan of the multiples of p, the first hit being the unique root, and the
 1 + J root is again -a1 minus it.
 
@@ -103,14 +98,6 @@ class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
     def w1(self):
         R = self.ring
         return R.neg(R.add(R.one, self.a1))
-
-    def one_minus_t_transform(self) -> "MonicQuadratic":
-        """g(t) = f(1 - t); left roots of g in J are 1 - (left roots of f in 1+J)."""
-        R = self.ring
-        two = R.add(R.one, R.one)
-        g1 = R.neg(R.add(two, self.a1))
-        g0 = R.add(R.add(R.one, self.a1), self.a0)
-        return MonicQuadratic(R, g1, g0)
 
     def text(self) -> str:
         return format_quadratic(self)
@@ -292,27 +279,35 @@ def lift_root(f: MonicQuadratic, start: Element) -> Element:
     raise InternalContractViolation(f"f(lam) is still nonzero after {v} chord steps")
 
 
-def _lift_w_root(f: MonicQuadratic) -> Element:
-    """The left root in J of f in W, lifted from 0; NotApplicable when f is
-    not in W, that is when a0 = -w0 or 1 + a1 = -w1 is not in J."""
+def _lift_pair(f: MonicQuadratic):
+    """(lam, mu): the left roots of f above the residue roots 0 and -a1bar,
+    for f with a0 in J and a1 a unit, on a finite ring.  lam is lifted from
+    0; mu is -a1 - lam over a commutative ring and lifted from
+    lift(-a1bar) over a skew one (see the module docstring)."""
     R = f.ring
-    if not (R.in_radical(f.a0) and R.in_radical(R.add(R.one, f.a1))):
-        raise NotApplicable("lifting needs w0, w1 in the radical")
-    return lift_root(f, R.zero)
+    lam = lift_root(f, R.zero)
+    if R.is_commutative:
+        return lam, R.neg(R.add(f.a1, lam))
+    rv = R.residue_view()
+    return lam, lift_root(f, rv.lift(rv.reduce(R.neg(f.a1))))
 
 
 def lift_root_truncated(ring, w0, w1) -> Element:
     """Left root in J of t^2 - t(1+w1) - w0 over F[x; sigma]/(x^n), lifted
-    from the residue root 0 by lift_root."""
+    from the residue root 0 by lift_root; NotApplicable unless w0, w1 lie
+    in J."""
     if ring.family not in _TRUNCATED:
         raise NotApplicable("lifting needs a truncated polynomial ring")
     ring._guard(w0, w1)
-    return _lift_w_root(MonicQuadratic.from_radical_params(ring, w0, w1))
+    if not (ring.in_radical(w0) and ring.in_radical(w1)):
+        raise NotApplicable("lifting needs w0, w1 in the radical")
+    return lift_root(MonicQuadratic.from_radical_params(ring, w0, w1), ring.zero)
 
 
 def w_roots(f: MonicQuadratic):
     """(lamJ, lam1J, method): the left roots of f in W in J and in 1 + J, or
-    None where the ring has none, by the route of f's ring.
+    None where the ring has none, by the route of f's ring.  Raises
+    InternalContractViolation when exactly one of them exists.
 
     On Z/p^k (k > 1) the J root comes from ModPrimePowerRing.radical_root, a
     complete scan of J in the "Radical" enumeration order on payload integers
@@ -320,46 +315,31 @@ def w_roots(f: MonicQuadratic):
     are find_roots_enumerate's."""
     R = f.ring
     if R.family in _TRUNCATED and R.element_ring is R:
-        lam_j = _lift_w_root(f)
-        if R.is_commutative:
-            # f = (t - lamJ)(t - lam1J), so lam1J = -a1 - lamJ as in
-            # pi_roots; the root above residue 1 is unique
-            lam_1j = R.neg(R.add(f.a1, lam_j))
-            mu = R.sub(R.one, lam_1j)
-        else:
-            mu = _lift_w_root(f.one_minus_t_transform())
-            lam_1j = R.sub(R.one, mu)
-        if not (R.in_radical(lam_j) and R.in_radical(mu)):
-            raise InternalContractViolation("a lifted root is not in J")
-        if left_eval(f, lam_1j) != R.zero:
-            raise InternalContractViolation("1 - (root of f(1-t)) is not a root")
-        return lam_j, lam_1j, "Lifting"
-    if R.family == "ModPrimePower" and R.element_ring is R and R.k > 1:
+        (lam_j, lam_1j), method = _lift_pair(f), "Lifting"
+    elif R.family == "ModPrimePower" and R.element_ring is R and R.k > 1:
         # J != 0: scan J alone and read the 1 + J root off the sum of the
-        # roots, as above; Z/p and the fields keep their two one-element scans
-        lam_j = R.radical_root(f.a1, f.a0)
+        # roots; Z/p and the fields keep their two one-element scans
+        lam_j, method = R.radical_root(f.a1, f.a0), "Enumeration"
         lam_1j = None if lam_j is None else R.neg(R.add(f.a1, lam_j))
-        return lam_j, lam_1j, "Enumeration"
-    if R.is_finite:
-        rep = find_roots_enumerate(f, ("J", "1+J"))
-        return rep.root_in_j, rep.root_in_1_plus_j, "Enumeration"
-    rep = find_roots_rational(f, ("J", "1+J"))
-    return rep.root_in_j, rep.root_in_1_plus_j, "Discriminant"
+    else:
+        if R.is_finite:
+            rep, method = find_roots_enumerate(f, ("J", "1+J")), "Enumeration"
+        else:
+            rep, method = find_roots_rational(f, ("J", "1+J")), "Discriminant"
+        lam_j, lam_1j = rep.root_in_j, rep.root_in_1_plus_j
+    if (lam_j is None) != (lam_1j is None):
+        raise InternalContractViolation("one-sided root presence is asymmetric")
+    return lam_j, lam_1j, method
 
 
 def pi_roots(f: MonicQuadratic):
     """(unit root, nilpotent root) of f = t^2 - t r - w with r a unit and w in
-    J, or None where Z_(p) has no such root; lifted on finite rings."""
+    J, or None where Z_(p) has no such root; lifted on finite rings, where
+    t(t - rbar) has the simple residue roots rbar and 0."""
     R = f.ring
     if R.is_finite:
-        # t(t - rbar) has the simple residue roots rbar and 0: lift 0, and
-        # over a commutative ring read the other root off the sum of the
-        # roots, -a1 (see the module docstring); else lift it from rbar
-        lam_n = lift_root(f, R.zero)
-        if R.is_commutative:
-            return R.neg(R.add(f.a1, lam_n)), lam_n
-        rv = R.residue_view()
-        return lift_root(f, rv.lift(rv.reduce(R.neg(f.a1)))), lam_n
+        lam_n, lam_u = _lift_pair(f)
+        return lam_u, lam_n
     rep = find_roots_rational(f, ("unit", "nilpotent"))
     return rep.root_unit, rep.root_nilpotent
 

@@ -694,6 +694,16 @@ class FiniteRing(LocalRing):
             return None
         return IndexTables(self.enumerate_elements("All"))
 
+    def enumerate_elements(self, subset="All"):
+        # a field (Z/p, GF) has J = {0}: its radical and 1 + J need no "All"
+        # tuple, so no cap
+        if self.radical_index() == 1:
+            if subset == "Radical":
+                return (self.zero,)
+            if subset == "OnePlusRadical":
+                return (self.one,)
+        return super().enumerate_elements(subset)
+
     def element_at(self, k):
         """The k-th element of the "All" order: the enumerated one when the
         ring has index tables, else built from k alone."""

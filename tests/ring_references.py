@@ -24,6 +24,10 @@ verify_clean_equations is the clean check before it read the certificate's
 structure: the four equations E^2 = E, A = E + U, EU = UE and U invertible
 on every certificate, then the diagonalization.
 
+one_minus_t_transform is the substitution t -> 1 - t by which the clean
+route once reached the root in 1 + J on the skew rings, by lifting a root in
+J of f(1 - t); the tests check it and the root pairs with it.
+
 from_rows, is_nilpotent, right_eval, in_w, companion_matrix and
 is_unimodular are helpers that only the tests call.  fraction and
 FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
@@ -39,7 +43,7 @@ from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
 from cleanmatrix.matrices import Mat2, diagonalizes, has_inverse, matpow
-from cleanmatrix.quadratics import pi_roots, w_roots
+from cleanmatrix.quadratics import MonicQuadratic, pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
 
 
@@ -412,6 +416,17 @@ def in_w(f) -> bool:
     """Whether f = t^2 + t a1 + a0 lies in W: a0 and 1 + a1 in J."""
     R = f.ring
     return R.in_radical(f.a0) and R.in_radical(R.add(R.one, f.a1))
+
+
+def one_minus_t_transform(f):
+    """g(t) = f(1 - t), expanded with only central scalars moved past t:
+    g(t) = t^2 - t (2 + a1) + (1 + a1 + a0).  For f in W, g is again in W,
+    and its left roots in J are 1 - (the left roots of f in 1 + J)."""
+    R = f.ring
+    two = R.add(R.one, R.one)
+    g1 = R.neg(R.add(two, f.a1))
+    g0 = R.add(R.add(R.one, f.a1), f.a0)
+    return MonicQuadratic(R, g1, g0)
 
 
 def companion_matrix(cf) -> Mat2:

@@ -31,7 +31,7 @@ from cleanmatrix.piregular import (
     decide_strongly_pi_regular,
     verify_pi_certificate,
 )
-from cleanmatrix.quadratics import MonicQuadratic, find_roots_enumerate
+from cleanmatrix.quadratics import find_roots_enumerate
 
 SK16 = parse_ring("SkewTrunc(GF(2,2),1,2)")
 
@@ -42,8 +42,7 @@ def _reference_clean(A):
     through invert2, and E = P^-1 E_C P."""
     R = A.ring
     cf = reduce_to_companion(A)
-    f = MonicQuadratic.from_radical_params(R, cf.w0, cf.w1)
-    rep = find_roots_enumerate(f, ("J", "1+J"))
+    rep = find_roots_enumerate(cf.f, ("J", "1+J"))
     lam_j, lam_1j = rep.root_in_j, rep.root_in_1_plus_j
     Qe = Mat2(R, R.one, lam_1j, R.one, lam_j)
     E_C = (invert2(Qe) * Mat2.diag(R, R.zero, R.one)) * Qe
@@ -66,9 +65,7 @@ def _check_against_reference(A):
     if nontrivial:
         cert = pdec.certificate
         cf = reduce_to_companion_pi(A)
-        rep = find_roots_enumerate(
-            MonicQuadratic(R, R.neg(cf.r), R.neg(cf.w)), ("unit", "nilpotent")
-        )
+        rep = find_roots_enumerate(cf.f, ("unit", "nilpotent"))
         assert (cert.t0, cert.t1) == (rep.root_unit, rep.root_nilpotent)
         Qe = Mat2(R, R.one, cert.t0, R.one, cert.t1)
         assert cert.P == Qe * cf.P, A

@@ -1,5 +1,8 @@
 """Strongly clean decisions, certificates, and ring-level verdicts."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from cleanmatrix.clean import (
@@ -13,6 +16,7 @@ from cleanmatrix.companion import reduce_to_companion
 from cleanmatrix.errors import NotLocal
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2, conjugate, is_invertible, matpow
+from cleanmatrix.piregular import decide_strongly_pi_regular
 from cleanmatrix.rings import (
     galois_field,
     integers,
@@ -162,6 +166,35 @@ def test_decide_scans_no_large_residue_field(spec, matrix, status, method, refus
     assert (dec.status, dec.method) == (status, method)
     if status == "NontrivialClean":
         assert verify_certificate(A, dec.certificate)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Zmod(2,2)", "Zmod(2,3)", "Zmod(3,2)", "GF(2,2)", "Trunc(GF(2),3)",
+     "SkewTrunc(GF(2,2),1,2)"],
+)
+def test_status_census_matches_the_formulas(spec):
+    # on a finite local ring with q = |R/J| each status is fixed by the
+    # residue matrix: (q^2 - 1)(q^2 - q) of them are invertible, q^2 + q are
+    # conjugate to diag(0, 1), q^2 are nilpotent and q (q^2 - 1) have rank 1
+    # and a nonzero trace; each lifts to |J|^4 matrices
+    R = parse_ring(spec)
+    els = R.enumerate_elements("All")
+    j, q = len(R.enumerate_elements("Radical")), R.residue_view().field.size()
+    clean, pi = Counter(), Counter()
+    for a, b, c, d in itertools.product(els, repeat=4):
+        A = Mat2(R, a, b, c, d)
+        clean[decide_strongly_clean(A).status] += 1
+        pi[decide_strongly_pi_regular(A).status] += 1
+    units = j**4 * (q * q - 1) * (q * q - q)
+    assert clean["TrivialUnit"] == pi["TrivialUnit"] == units
+    assert clean["NontrivialClean"] == j**4 * (q * q + q)
+    assert pi["TrivialNilpotent"] == j**4 * q * q
+    assert pi["Nontrivial"] == j**4 * q * (q * q - 1)
+    # every matrix over a finite local ring is strongly clean and strongly
+    # pi-regular
+    assert set(clean) <= {"TrivialUnit", "TrivialOneMinusUnit", "NontrivialClean"}
+    assert set(pi) == {"TrivialUnit", "TrivialNilpotent", "Nontrivial"}
 
 
 def test_decide_skew_exhaustive_companions():

@@ -165,6 +165,19 @@ def test_zmod_clean_scan_refuses_above_enum_cap(capsys, refuse_scans, ring):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_zmod_p_above_enum_cap_scans_its_one_element_radical(capsys, refuse_scans):
+    # Z/p is a field, J = {0}: its clean route scans {0} and {1}, as GF's
+    # does, and builds no "All" tuple above ENUM_CAP
+    for command, arg in (("decide", "--matrix=[[1,0],[0,0]]"), ("factor", "--poly=-1,0")):
+        code, doc, _ = invoke_json(capsys, command, "--ring", "Zmod(65537,1)", arg, "--json")
+        assert code == OK
+        assert doc["verified"] is True
+        if command == "decide":
+            assert (doc["status"], doc["method"]) == ("NontrivialClean", "Enumeration")
+        else:
+            assert doc["status"] == "Factored"
+
+
 def test_factor_equals_form_for_negative_coefficients(capsys):
     # --poly -1,-4 would be eaten by argparse; the = form must work
     code, doc, _ = invoke_json(

@@ -55,13 +55,13 @@ def m(ring, a, b, c, d):
 def test_companion_form_accessors():
     I = Mat2.identity(Z8)
     # t^2 - t corner - top for [[0, 4], [1, 3]] and [[0, 2], [1, 5]]
-    cf = CompanionForm("clean", MonicQuadratic(Z8, Z8.el(-3), Z8.el(-4)), I, I)
-    assert cf.w0 == Z8.el(4)
-    assert cf.w1 == Z8.el(2)  # corner minus one
+    cf = CompanionForm(MonicQuadratic(Z8, Z8.el(-3), Z8.el(-4)), I, I)
+    assert cf.f.w0 == Z8.el(4)
+    assert cf.f.w1 == Z8.el(2)  # corner minus one
     assert ref.companion_matrix(cf) == m(Z8, 0, 4, 1, 3)
-    pf = CompanionForm("pi", MonicQuadratic(Z8, Z8.el(-5), Z8.el(-2)), I, I)
-    assert pf.w == Z8.el(2)
-    assert pf.r == Z8.el(5)
+    pf = CompanionForm(MonicQuadratic(Z8, Z8.el(-5), Z8.el(-2)), I, I)
+    assert (pf.f.a1, pf.f.a0) == (Z8.el(-5), Z8.el(-2))  # t^2 - t r - w
+    assert ref.companion_matrix(pf) == m(Z8, 0, 2, 1, 5)
 
 
 def test_reduce_rejects_trivial_cases():
@@ -79,11 +79,10 @@ def test_reduce_shortcircuits_companion_shape():
     A = m(Z8, 0, 4, 1, 3)
     cf = reduce_to_companion(A)
     assert cf.P == Mat2.identity(Z8)
-    assert cf.w0 == Z8.el(4)
-    assert cf.w1 == Z8.el(2)
+    assert (cf.f.w0, cf.f.w1) == (Z8.el(4), Z8.el(2))
     pf = reduce_to_companion_pi(m(Z8, 0, 2, 1, 5))
     assert pf.P == Mat2.identity(Z8)
-    assert (pf.w, pf.r) == (Z8.el(2), Z8.el(5))
+    assert (pf.f.a1, pf.f.a0) == (Z8.el(-5), Z8.el(-2))
 
 
 def test_basis_vectors_and_eigenrows():
@@ -110,8 +109,8 @@ def test_reduce_clean_exhaustive_small(R):
                     if is_invertible(A) or is_invertible(I - A):
                         continue
                     cf = reduce_to_companion(A)
-                    assert R.in_radical(cf.w0)
-                    assert R.in_radical(cf.w1)
+                    assert R.in_radical(cf.f.w0)
+                    assert R.in_radical(cf.f.w1)
                     assert conjugate(cf.P, A) == ref.companion_matrix(cf)
                     hit += 1
     assert hit > 0
@@ -131,7 +130,7 @@ def test_reduce_pi_exhaustive_small(R):
                     if all(R.in_radical(e) for e in A.entries()):
                         continue
                     pf = reduce_to_companion_pi(A)
-                    assert R.in_radical(pf.w)
+                    assert R.in_radical(pf.f.a0)  # -w
                     assert conjugate(pf.P, A) == ref.companion_matrix(pf)
                     hit += 1
     assert hit > 0

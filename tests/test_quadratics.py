@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import ring_references as ref
 
+from cleanmatrix import quadratics
 from cleanmatrix.clean import decide_strongly_clean
 from cleanmatrix.companion import char_quadratic
 from cleanmatrix.errors import (
@@ -16,10 +17,12 @@ from cleanmatrix.errors import (
     OwnerMismatch,
     TooLarge,
 )
-from cleanmatrix.literals import parse_ring
+from cleanmatrix.factorization import star_factorize
+from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2
 from cleanmatrix.quadratics import (
     MonicQuadratic,
+    RootReport,
     element_is_nilpotent,
     find_roots_auto,
     find_roots_enumerate,
@@ -98,7 +101,7 @@ def test_text_prefers_short_signs():
 
 def test_one_minus_t_transform():
     f = MonicQuadratic.from_radical_params(Z8, Z8.el(4), Z8.el(2))
-    g = f.one_minus_t_transform()
+    g = ref.one_minus_t_transform(f)
     # g(t) = f(1 - t) pointwise over the commutative owner
     for lam in Z8.enumerate_elements("All"):
         assert left_eval(g, lam) == left_eval(f, Z8.sub(Z8.one, lam))
@@ -260,7 +263,7 @@ def test_left_root_exists_throughout_w_skew():
             rep = find_roots_auto(f, ("J", "1+J"))
             assert rep.root_in_j is not None
             assert rep.root_in_1_plus_j is not None
-            g = f.one_minus_t_transform()
+            g = ref.one_minus_t_transform(f)
             flipped = SK16.sub(SK16.one, rep.root_in_1_plus_j)
             assert left_eval(g, flipped) == SK16.zero
 
@@ -347,6 +350,20 @@ def test_w_roots_on_zmod_match_both_scans(spec):
         seen += 1
     j, q = len(R.enumerate_elements("Radical")), R.residue_view().field.size()
     assert seen == j**4 * (q * q + q)
+
+
+def test_one_sided_root_raises_in_every_caller(monkeypatch):
+    # w_roots checks that the J and 1 + J roots come together, whatever the
+    # route: a Z_(p) route that finds a J root alone fails the clean decider
+    # and the factorizer alike
+    monkeypatch.setattr(
+        quadratics, "find_roots_rational",
+        lambda f, targets: RootReport(root_in_j=f.ring.zero, method="Discriminant"),
+    )
+    with pytest.raises(InternalContractViolation, match="one-sided"):
+        decide_strongly_clean(parse_matrix(ZL2, "[[0,2],[1,1]]"))
+    with pytest.raises(InternalContractViolation, match="one-sided"):
+        star_factorize(quad(ZL2, -1, -2))
 
 
 @pytest.mark.parametrize("spec", ["Zmod(2,3)", "Zmod(3,2)", "Zmod(5,2)", "Zmod(2,8)"])
