@@ -37,10 +37,6 @@ class Poly:
         self.coeffs = tuple(trimmed)
 
     @staticmethod
-    def constant(ring, c):
-        return Poly(ring, [c])
-
-    @staticmethod
     def one(ring):
         return Poly(ring, [ring.one])
 

@@ -39,10 +39,9 @@ class Mat2:
     __slots__ = ("ring", "a", "b", "c", "d")
 
     def __init__(self, ring, a, b, c, d):
-        e = ring.element_ring
-        if not (type(a) is Element and a.ring is e and type(b) is Element
-                and b.ring is e and type(c) is Element and c.ring is e
-                and type(d) is Element and d.ring is e):
+        if not (type(a) is Element and a.ring is ring and type(b) is Element
+                and b.ring is ring and type(c) is Element and c.ring is ring
+                and type(d) is Element and d.ring is ring):
             ring._guard(a, b, c, d)
         self.ring = ring
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -64,9 +63,6 @@ class Mat2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
-
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
 
     def _same_owner(self, other):
         if not isinstance(other, Mat2):
@@ -111,13 +107,6 @@ class Mat2:
         dot = R.dot
         return Mat2(R, dot(a, e, b, g), dot(a, f, b, h),
                     dot(c, e, d, g), dot(c, f, d, h))
-
-    def scale_right(self, s):
-        """A * (s I): every entry picks up s on the right."""
-        R = self.ring
-        return Mat2(
-            R, R.mul(self.a, s), R.mul(self.b, s), R.mul(self.c, s), R.mul(self.d, s)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):

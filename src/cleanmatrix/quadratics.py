@@ -2,9 +2,9 @@
 
 Coefficients sit to the RIGHT of the powers, so the left evaluation at lambda is
 lambda^2 + lambda a1 + a0 and lambda is a left root when that vanishes.  Right
-roots put the coefficients on the left and are searched by delegating to the
-left search over the opposite ring (same coefficient elements, multiplication
-reversed).
+roots put the coefficients on the left, lambda^2 + a1 lambda + a0; on a skew
+ring right_roots finds them by the same complete scan as the left search,
+evaluating (lambda + a1) lambda + a0.
 
 The distinguished family
 
@@ -26,8 +26,10 @@ picks its route, and every caller goes through it:
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
     pi decider): _lift_pair on every finite ring, the discriminant over
     Z_(p);
-  * find_roots_auto, any requested subsets (right_roots): a complete scan on
-    finite rings, the discriminant over Z and Z_(p).
+  * right_roots, the right roots in any requested subsets: find_roots_auto
+    on a commutative ring (a complete scan on finite rings, the discriminant
+    over Z and Z_(p)); on a skew ring, every one of which is finite,
+    find_roots_enumerate's scan with the right evaluation.
 
 Lifting.  On every finite ring here J is nilpotent: J^v = 0.  Take f with a0
 in J and a1 a unit, as in W and in the pi decider's t^2 - t r - w.  Its
@@ -90,15 +92,6 @@ class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
         ring._guard(w0, w1)
         return MonicQuadratic(ring, ring.neg(ring.add(ring.one, w1)), ring.neg(w0))
 
-    @property
-    def w0(self):
-        return self.ring.neg(self.a0)
-
-    @property
-    def w1(self):
-        R = self.ring
-        return R.neg(R.add(R.one, self.a1))
-
     def text(self) -> str:
         return format_quadratic(self)
 
@@ -147,13 +140,25 @@ class RootReport:
 def left_eval(f: MonicQuadratic, lam: Element) -> Element:
     """lam^2 + lam a1 + a0, as lam (lam + a1) + a0."""
     R = f.ring
-    if not (type(lam) is Element and lam.ring is R.element_ring):
+    if not (type(lam) is Element and lam.ring is R):
         R._guard(lam)
     return R.add(R.mul(lam, R.add(lam, f.a1)), f.a0)
 
 
+def _right_eval(f: MonicQuadratic, lam: Element) -> Element:
+    """lam^2 + a1 lam + a0, as (lam + a1) lam + a0."""
+    R = f.ring
+    return R.add(R.mul(R.add(lam, f.a1), lam), f.a0)
+
+
 def find_roots_enumerate(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     """Complete scan of each requested subset, first hit in enumeration order."""
+    return _scan(f, targets, left_eval)
+
+
+def _scan(f: MonicQuadratic, targets, evaluate) -> RootReport:
+    """The roots of evaluate(f, lam) = 0 by a complete scan of each requested
+    subset, first hit in enumeration order."""
     R = f.ring
     if not R.is_finite:
         raise InfiniteRing("enumeration root search needs a finite ring")
@@ -164,22 +169,22 @@ def find_roots_enumerate(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     zero = R.zero
     if "J" in targets:
         for lam in R.enumerate_elements("Radical"):
-            if left_eval(f, lam) == zero:
+            if evaluate(f, lam) == zero:
                 report.root_in_j = lam
                 break
     if "1+J" in targets:
         for lam in R.enumerate_elements("OnePlusRadical"):
-            if left_eval(f, lam) == zero:
+            if evaluate(f, lam) == zero:
                 report.root_in_1_plus_j = lam
                 break
     if "unit" in targets:
         for lam in R.enumerate_elements("Units"):
-            if left_eval(f, lam) == zero:
+            if evaluate(f, lam) == zero:
                 report.root_unit = lam
                 break
     if "nilpotent" in targets:
         for lam in R.enumerate_elements("Radical"):
-            if left_eval(f, lam) == zero and element_is_nilpotent(R, lam):
+            if evaluate(f, lam) == zero and element_is_nilpotent(R, lam):
                 report.root_nilpotent = lam
                 break
     return report
@@ -314,9 +319,9 @@ def w_roots(f: MonicQuadratic):
     under the same ENUM_CAP, so its first hit and its method, Enumeration,
     are find_roots_enumerate's."""
     R = f.ring
-    if R.family in _TRUNCATED and R.element_ring is R:
+    if R.family in _TRUNCATED:
         (lam_j, lam_1j), method = _lift_pair(f), "Lifting"
-    elif R.family == "ModPrimePower" and R.element_ring is R and R.k > 1:
+    elif R.family == "ModPrimePower" and R.k > 1:
         # J != 0: scan J alone and read the 1 + J root off the sum of the
         # roots; Z/p and the fields keep their two one-element scans
         lam_j, method = R.radical_root(f.a1, f.a0), "Enumeration"
@@ -345,14 +350,12 @@ def pi_roots(f: MonicQuadratic):
 
 
 def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
-    """Right-root search: identical to the left search over commutative owners,
-    otherwise delegated to the left search over the opposite ring (elements are
-    shared, so the reported roots live in the original ring)."""
-    R = f.ring
-    if R.is_commutative:
+    """Right-root search: the left search over a commutative ring, otherwise
+    (every skew ring is finite) find_roots_enumerate's scan with the right
+    evaluation."""
+    if f.ring.is_commutative:
         return find_roots_auto(f, targets)
-    fop = MonicQuadratic(R.opposite(), f.a1, f.a0)
-    return find_roots_auto(fop, targets)
+    return _scan(f, targets, _right_eval)
 
 
 def find_roots_auto(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:

@@ -9,9 +9,9 @@ Six families, all sharing one element interface:
   TruncatedPoly(F, n)   F[y]/(y^n)     F a Galois field
   TruncatedSkew(F,s,n)  F[x; sigma]/(x^n)  with x*a = sigma(a)*x, sigma = Frobenius^s
 
-Z/p^k lives in `modular`, GF(p^m) in `galois`, the truncations in
-`truncated` and opposite rings in `opposite`, each imported when make_ring
-or LocalRing.opposite first builds one and importable from here (PEP 562).
+Z/p^k lives in `modular`, GF(p^m) in `galois` and the truncations in
+`truncated`, each imported when make_ring first builds one and importable
+from here (PEP 562).
 Z and Z_(p) stay here: they define their own add, mul, neg and invert, and
 bench/spans.py and tests/test_op_counts.py count those calls on the classes
 in this module's namespace.
@@ -35,8 +35,7 @@ v = radical_index().
 Every ring also has dot(a, b, c, d) = a b + c d, one call for an inner
 product: the 2x2 layer forms its products, vector actions and residue
 determinants with it.  By default it is add(mul(a, b), mul(c, d)); Z and
-Z_(p) compute on payloads and build one Element, and an opposite ring swaps
-each pair's factors.
+Z_(p) compute on payloads and build one Element.
 
 Z/p^k, GF(p^m) and the truncations share FiniteRing's add, neg, mul, dot,
 invert, is_unit, in_radical and residue view.  Each first tests inline that
@@ -151,7 +150,6 @@ _FAMILY_MODULES = {
     "ModPrimePowerRing": "modular",
     "GaloisFieldRing": "galois",
     "TruncatedRing": "truncated",
-    "OppositeRing": "opposite",
 }
 
 
@@ -336,15 +334,6 @@ class IndexTables:
             i = a.idx = self.index[a.payload]
         return i
 
-    def transposed(self):
-        """The opposite ring's tables: these, with mul transposed."""
-        n = self.size
-        out = IndexTables.__new__(IndexTables)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name))
-        out.mul = array("H", (self.mul[j * n + i] for i in range(n) for j in range(n)))
-        return out
-
 
 # ---------------------------------------------------------------- base class
 
@@ -361,15 +350,11 @@ class LocalRing:
     def __init__(self, spec):
         self.spec = spec
         self._enum_cache = {}
-        self._opposite = None
         self._residue = None
-        # the owner of this ring's elements; an opposite ring names its base
-        self.element_ring = self
 
     def _guard(self, *els):
-        owner = self.element_ring
         for a in els:
-            if not isinstance(a, Element) or a.ring is not owner:
+            if not isinstance(a, Element) or a.ring is not self:
                 raise OwnerMismatch(
                     f"operand does not belong to {self.spec_string()}"
                 )
@@ -439,14 +424,6 @@ class LocalRing:
             raise ValueError(f"unknown subset {subset!r}")
         self._enum_cache[subset] = out
         return out
-
-    def opposite(self):
-        """The opposite ring: same elements, multiplication reversed."""
-        if self._opposite is None:
-            from .opposite import OppositeRing
-
-            self._opposite = OppositeRing(self)
-        return self._opposite
 
     def __repr__(self):
         return f"<ring {self.spec_string()}>"

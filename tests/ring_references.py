@@ -28,8 +28,11 @@ one_minus_t_transform is the substitution t -> 1 - t by which the clean
 route once reached the root in 1 + J on the skew rings, by lifting a root in
 J of f(1 - t); the tests check it and the root pairs with it.
 
-from_rows, is_nilpotent, right_eval, in_w, companion_matrix and
-is_unimodular are helpers that only the tests call.  fraction and
+is_nilpotent, right_eval, in_w, companion_matrix and is_unimodular are
+helpers that only the tests call.  opposite_map is the anti-isomorphism from
+SkewTrunc(F,s,n) onto SkewTrunc(F,m-s,n), the ring's opposite up to
+isomorphism, by which the tests compare a skew ring's right-hand questions
+with the left-hand ones of the other.  fraction and
 FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
 for the reduced-pair payload.
 """
@@ -391,11 +394,6 @@ def verify_clean_equations(A, cert) -> bool:
         return False
 
 
-def from_rows(ring, rows):
-    (a, b), (c, d) = rows
-    return Mat2(ring, a, b, c, d)
-
-
 def is_nilpotent(A) -> bool:
     R = A.ring
     if R.is_finite:
@@ -410,6 +408,20 @@ def right_eval(f, lam):
     R = f.ring
     R._guard(lam)
     return R.add(R.mul(R.add(lam, f.a1), lam), f.a0)
+
+
+def opposite_map(R, S):
+    """psi(sum a_i x^i) = sum sigma^-i(a_i) x^i, from R = SkewTrunc(F,s,n)
+    onto S = SkewTrunc(F,m-s,n): S twists by sigma^-1, so psi(a b) =
+    psi(b) psi(a), and psi is additive, bijective and keeps 1."""
+    F = R.base
+    assert S.base is F and S.n == R.n and (R.s + S.s) % F.m == 0
+
+    def psi(a):
+        R._guard(a)
+        return S.el(tuple(S.sigma(F.el(c), i).payload for i, c in enumerate(a.payload)))
+
+    return psi
 
 
 def in_w(f) -> bool:

@@ -1,9 +1,11 @@
 """Strongly clean decisions, certificates, and ring-level verdicts."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
+import ring_references as ref
 
 from cleanmatrix.clean import (
     CleanCertificate,
@@ -257,13 +259,27 @@ def test_localized_survey_witness_in_closed_form(p):
     assert decide_strongly_clean(m(R, 0, w0, 1, 1)).status == "NotClean"
 
 
-def test_opposite_ring_decisions_match():
-    # a matrix strongly clean over R is strongly clean over op(R) transposed;
-    # here we check the companion sweep agrees element-wise on certificates
-    op = SK16.opposite()
-    for w0 in SK16.enumerate_elements("Radical")[:2]:
-        for w1 in SK16.enumerate_elements("Radical"):
-            A = Mat2(op, op.zero, w0, op.one, op.add(op.one, w1))
-            dec = decide_strongly_clean(A)
-            assert dec.status == "NontrivialClean"
-            assert verify_certificate(A, dec.certificate)
+def test_skew_opposite_decides_alike():
+    # A -> psi(A)^T is an anti-isomorphism from M_2(R) onto M_2(S), S the
+    # opposite of R up to isomorphism, so it keeps both verdicts and carries
+    # the clean idempotent; R = SkewTrunc(GF(2,3),1,2) has sigma^-1 != sigma
+    R, S = parse_ring("SkewTrunc(GF(2,3),1,2)"), parse_ring("SkewTrunc(GF(2,3),2,2)")
+    psi = ref.opposite_map(R, S)
+
+    def flip(A):
+        return Mat2(S, psi(A.a), psi(A.c), psi(A.b), psi(A.d))
+
+    els = R.enumerate_elements("All")
+    rng = random.Random(20261020)
+    seeded = [Mat2(R, *(rng.choice(els) for _ in range(4))) for _ in range(3000)]
+    companions = [Mat2(R, R.zero, w0, R.one, R.add(R.one, w1)) for w0 in els for w1 in els]
+    statuses = set()
+    for A in seeded + companions:
+        dec, flipped = decide_strongly_clean(A), decide_strongly_clean(flip(A))
+        assert dec.status == flipped.status, repr(A)
+        if dec.status == "NontrivialClean":
+            assert flip(dec.certificate.E) == flipped.certificate.E, repr(A)
+        pi_status = decide_strongly_pi_regular(A).status
+        assert pi_status == decide_strongly_pi_regular(flip(A)).status, repr(A)
+        statuses.add(dec.status)
+    assert {"TrivialUnit", "TrivialOneMinusUnit", "NontrivialClean"} <= statuses

@@ -674,7 +674,7 @@ def test_decide_loads_only_its_modules():
     added = _modules_loaded_by("decide", "--ring", "Zmod(2,8)", "--matrix", "[[0,2],[1,1]]")
     assert {"cleanmatrix.clean", "cleanmatrix.modular"} <= added
     for name in ("bruteforce", "factorization", "piregular", "integer_matrices",
-                 "truncated", "opposite", "selftest", "verify"):
+                 "truncated", "selftest", "verify"):
         assert f"cleanmatrix.{name}" not in added
     assert "dataclasses" not in added
 
@@ -682,7 +682,7 @@ def test_decide_loads_only_its_modules():
 def test_decide_over_z_loads_no_finite_family():
     added = _modules_loaded_by("decide", "--ring", "Z", "--matrix", "[[3,2],[-3,-2]]")
     assert "cleanmatrix.integer_matrices" in added
-    for name in ("galois", "modular", "truncated", "opposite"):
+    for name in ("galois", "modular", "truncated"):
         assert f"cleanmatrix.{name}" not in added
 
 

@@ -56,8 +56,8 @@ def test_companion_form_accessors():
     I = Mat2.identity(Z8)
     # t^2 - t corner - top for [[0, 4], [1, 3]] and [[0, 2], [1, 5]]
     cf = CompanionForm(MonicQuadratic(Z8, Z8.el(-3), Z8.el(-4)), I, I)
-    assert cf.f.w0 == Z8.el(4)
-    assert cf.f.w1 == Z8.el(2)  # corner minus one
+    assert Z8.neg(cf.f.a0) == Z8.el(4)
+    assert Z8.neg(Z8.add(Z8.one, cf.f.a1)) == Z8.el(2)  # corner minus one
     assert ref.companion_matrix(cf) == m(Z8, 0, 4, 1, 3)
     pf = CompanionForm(MonicQuadratic(Z8, Z8.el(-5), Z8.el(-2)), I, I)
     assert (pf.f.a1, pf.f.a0) == (Z8.el(-5), Z8.el(-2))  # t^2 - t r - w
@@ -79,7 +79,7 @@ def test_reduce_shortcircuits_companion_shape():
     A = m(Z8, 0, 4, 1, 3)
     cf = reduce_to_companion(A)
     assert cf.P == Mat2.identity(Z8)
-    assert (cf.f.w0, cf.f.w1) == (Z8.el(4), Z8.el(2))
+    assert (Z8.neg(cf.f.a0), Z8.neg(Z8.add(Z8.one, cf.f.a1))) == (Z8.el(4), Z8.el(2))
     pf = reduce_to_companion_pi(m(Z8, 0, 2, 1, 5))
     assert pf.P == Mat2.identity(Z8)
     assert (pf.f.a1, pf.f.a0) == (Z8.el(-5), Z8.el(-2))
@@ -109,8 +109,8 @@ def test_reduce_clean_exhaustive_small(R):
                     if is_invertible(A) or is_invertible(I - A):
                         continue
                     cf = reduce_to_companion(A)
-                    assert R.in_radical(cf.f.w0)
-                    assert R.in_radical(cf.f.w1)
+                    assert R.in_radical(R.neg(cf.f.a0))
+                    assert R.in_radical(R.neg(R.add(R.one, cf.f.a1)))
                     assert conjugate(cf.P, A) == ref.companion_matrix(cf)
                     hit += 1
     assert hit > 0

@@ -47,7 +47,6 @@ def test_poly_basics():
     assert p.add(q).coeffs == (Z8.el(0), Z8.el(3), Z8.el(1))
     assert p.sub(p).is_zero()
     assert p.mul(Poly.one(Z8)) == p
-    assert Poly.constant(Z8, Z8.el(3)).degree() == 0
 
 
 def test_poly_trims_leading_zeros():

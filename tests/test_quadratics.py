@@ -49,9 +49,12 @@ Z8 = make_ring(mod_prime_power(2, 3))
 GF4 = make_ring(galois_field(2, 2))
 T3 = make_ring(truncated_poly(galois_field(2, 1), 3))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
+# SkewTrunc(GF(2,3),1,2) and its opposite, up to isomorphism (sigma^-1 = sigma^2)
+SK64 = make_ring(truncated_skew(galois_field(2, 3), 1, 2))
+SK64_OP = make_ring(truncated_skew(galois_field(2, 3), 2, 2))
 
 # the finite rings of test_rings.py, two more truncations and the opposite of
-# the skew ring
+# SkewTrunc(GF(2,3),1,2)
 LIFT_RINGS = [
     make_ring(mod_prime_power(2, 2)),
     Z8,
@@ -66,7 +69,7 @@ LIFT_RINGS = [
     make_ring(truncated_skew(galois_field(2, 2), 0, 2)),
     make_ring(truncated_poly(galois_field(2, 2), 2)),
     make_ring(truncated_skew(galois_field(2, 2), 1, 3)),
-    SK16.opposite(),
+    SK64_OP,
 ]
 MID_RINGS = [
     "Zmod(2,8)",
@@ -86,8 +89,8 @@ def test_radical_params_round_trip():
     assert f.a1 == Z8.el(-3 % 8)
     assert f.a0 == Z8.el(-4 % 8)
     assert ref.in_w(f)
-    assert f.w0 == Z8.el(4)
-    assert f.w1 == Z8.el(2)
+    assert Z8.neg(f.a0) == Z8.el(4)
+    assert Z8.neg(Z8.add(Z8.one, f.a1)) == Z8.el(2)
     assert not ref.in_w(quad(Z8, 0, 0))
     assert not ref.in_w(quad(Z8, 1, 1))
 
@@ -105,10 +108,11 @@ def test_one_minus_t_transform():
     # g(t) = f(1 - t) pointwise over the commutative owner
     for lam in Z8.enumerate_elements("All"):
         assert left_eval(g, lam) == left_eval(f, Z8.sub(Z8.one, lam))
-    # and g is again of the distinguished shape, with w1 negated and w0 shifted
+    # and g is again of the distinguished shape, with w1 = -(1 + a1) negated
+    # and w0 = -a0 shifted by w1
     assert ref.in_w(g)
-    assert g.w1 == Z8.neg(f.w1)
-    assert g.w0 == Z8.add(f.w0, f.w1)
+    assert Z8.add(Z8.one, g.a1) == Z8.neg(Z8.add(Z8.one, f.a1))
+    assert Z8.neg(g.a0) == Z8.sub(Z8.neg(f.a0), Z8.add(Z8.one, f.a1))
 
 
 def test_left_right_eval_differ_on_skew():
@@ -119,7 +123,7 @@ def test_left_right_eval_differ_on_skew():
     assert left_eval(f, lam) != ref.right_eval(f, lam)
 
 
-@pytest.mark.parametrize("R", [SK16, SK16.opposite(), ZL2], ids=lambda R: R.spec_string())
+@pytest.mark.parametrize("R", [SK16, SK64_OP, ZL2], ids=lambda R: R.spec_string())
 def test_evals_match_the_expanded_quadratic(R):
     # lam (lam + a1) + a0 and (lam + a1) lam + a0 expand by distributivity alone
     els = (R.enumerate_elements("All") if R.is_finite
@@ -254,6 +258,59 @@ def test_right_roots_skew_are_right_roots():
     assert hit
 
 
+# (subset, report slot): the four subsets every right_roots check asks for
+_SLOTS = (("J", "root_in_j"), ("1+J", "root_in_1_plus_j"), ("unit", "root_unit"),
+          ("nilpotent", "root_nilpotent"))
+_TARGETS = tuple(t for t, _ in _SLOTS)
+
+
+def _first_right_root(f, target):
+    """The first right root of f in the enumeration order of `target`; on a
+    finite local ring the nilpotents are J."""
+    R = f.ring
+    subset = {"J": "Radical", "1+J": "OnePlusRadical", "unit": "Units",
+              "nilpotent": "Radical"}[target]
+    for lam in R.enumerate_elements(subset):
+        if ref.right_eval(f, lam) == R.zero:
+            return lam
+    return None
+
+
+@pytest.mark.parametrize("spec, step", [("SkewTrunc(GF(2,2),1,2)", 1),
+                                        ("SkewTrunc(GF(2,3),1,2)", 7)])
+def test_right_roots_match_the_reference_scan(spec, step):
+    # every f, or every step-th, not only those in W, where the left and the
+    # right first hits coincide; here some of them differ
+    R = parse_ring(spec)
+    els = R.enumerate_elements("All")
+    differ = 0
+    for a1, a0 in list(itertools.product(els, repeat=2))[::step]:
+        f = MonicQuadratic(R, a1, a0)
+        rep = right_roots(f, _TARGETS)
+        assert rep.method == "Enumeration"
+        left = find_roots_enumerate(f, _TARGETS)
+        for target, slot in _SLOTS:
+            assert getattr(rep, slot) == _first_right_root(f, target), (f, target)
+            differ += getattr(rep, slot) != getattr(left, slot)
+    assert differ
+
+
+def test_right_roots_are_left_roots_over_the_opposite():
+    # psi carries a right root of t^2 + t a1 + a0 over R to a left root of
+    # t^2 + t psi(a1) + psi(a0) over S, and keeps J, 1 + J, the units and
+    # the nilpotents: each subset holds a root on both sides or on neither
+    R, S = SK64, SK64_OP
+    psi = ref.opposite_map(R, S)
+    for a1, a0 in itertools.product(R.enumerate_elements("All"), repeat=2):
+        f, g = MonicQuadratic(R, a1, a0), MonicQuadratic(S, psi(a1), psi(a0))
+        rep, left = right_roots(f, _TARGETS), find_roots_enumerate(g, _TARGETS)
+        for target, slot in _SLOTS:
+            root = getattr(rep, slot)
+            assert (root is None) == (getattr(left, slot) is None), (f, target)
+            if root is not None:
+                assert left_eval(g, psi(root)) == S.zero
+
+
 def test_left_root_exists_throughout_w_skew():
     # every distinguished quadratic over the skew test ring has a left root in J
     # and a left root in 1 + J, and the transform swaps them
@@ -298,7 +355,7 @@ def test_lift_root_matches_enumeration_exhaustive(R, monkeypatch):
     for w0 in radical:
         for w1 in radical:
             cases += _w_lift_cases(R, w0, w1)
-    for ring in {R, R.element_ring, R.residue_view().field}:
+    for ring in {R, R.residue_view().field}:
         monkeypatch.setattr(ring, "enumerate_elements", _refuse)
     for f, start, root in cases:
         assert root is not None

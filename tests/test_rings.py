@@ -54,6 +54,8 @@ T2 = make_ring(truncated_poly(galois_field(2, 1), 2))
 T3 = make_ring(truncated_poly(galois_field(2, 1), 3))
 SK16 = make_ring(truncated_skew(galois_field(2, 2), 1, 2))
 SK16_PLAIN = make_ring(truncated_skew(galois_field(2, 2), 0, 2))
+# the opposite of SkewTrunc(GF(2,3),1,2) up to isomorphism
+SK64_OP = make_ring(truncated_skew(galois_field(2, 3), 2, 2))
 
 FINITE_RINGS = [Z4, Z8, Z9, GF2, GF4, GF8, GF9, T2, T3, SK16, SK16_PLAIN]
 # larger fields, odd-characteristic truncations and a 256-element truncation
@@ -62,8 +64,8 @@ INDEX_RINGS = [
     for spec in ("GF(2,8)", "GF(3,3)", "GF(5,2)", "GF(7,2)", "Trunc(GF(3),3)",
                  "SkewTrunc(GF(3,2),1,2)", "Trunc(GF(2,2),4)")
 ]
-# every table-backed ring, one above the table cap, and an opposite ring
-OP_RINGS = FINITE_RINGS + [make_ring(mod_prime_power(2, 20)), SK16.opposite()]
+# every table-backed ring, one above the table cap, and a skew ring over GF(8)
+OP_RINGS = FINITE_RINGS + [make_ring(mod_prime_power(2, 20)), SK64_OP]
 
 
 def test_make_ring_caches_instances():
@@ -281,37 +283,44 @@ def test_truncated_invert_neumann():
     assert v == T3.add(T3.add(T3.one, y), yy)  # geometric series mod y^3
 
 
-def test_opposite_ring():
-    op = SK16.opposite()
-    a = SK16.embed(SK16.base.generator())
-    x = SK16.variable()
-    assert op.mul(a, x) == SK16.mul(x, a)
-    assert op.opposite() is SK16
-    assert op.spec_string() == "op(SkewTrunc(GF(2,2),1,2))"
-    assert op.size() == 16
-    for u in op.enumerate_elements("Units"):
-        assert op.mul(u, op.invert(u)) == op.one
+@pytest.mark.parametrize("spec, op_spec", [
+    ("SkewTrunc(GF(2,3),1,2)", "SkewTrunc(GF(2,3),2,2)"),
+    ("SkewTrunc(GF(2,3),2,2)", "SkewTrunc(GF(2,3),1,2)"),
+    ("SkewTrunc(GF(2,2),1,2)", "SkewTrunc(GF(2,2),1,2)"),
+    ("SkewTrunc(GF(2,4),1,2)", "SkewTrunc(GF(2,4),3,2)"),
+])
+def test_skew_opposite_is_the_inverse_twist(spec, op_spec):
+    # op(F[x; sigma]/(x^n)) = F[x; sigma^-1]/(x^n): psi reverses every product
+    R, S = parse_ring(spec), parse_ring(op_spec)
+    psi = ref.opposite_map(R, S)
+    els = R.enumerate_elements("All")
+    image = [psi(a) for a in els]
+    assert sorted(b.payload for b in image) == sorted(b.payload for b in S.enumerate_elements("All"))
+    assert psi(R.one) == S.one
+    step = max(1, len(els) // 64)  # every b on the 16- and 64-element rings
+    for a, pa in zip(els, image):
+        for b, pb in zip(els[::step], image[::step]):
+            assert psi(R.add(a, b)) == S.add(pa, pb)
+            assert psi(R.mul(a, b)) == S.mul(pb, pa)
 
 
-@pytest.mark.parametrize("R", FINITE_RINGS + [SK16.opposite()] + INDEX_RINGS)
+@pytest.mark.parametrize("R", FINITE_RINGS + [SK64_OP] + INDEX_RINGS)
 def test_index_tables_match_arithmetic(R):
-    # the index route against the element-level reference, on every entry;
-    # the opposite ring's tables are its base ring's, with mul transposed
-    base = R.element_ring
+    # the index route against the element-level reference, on every entry
     tab = R.filled_tables()
     els, n = tab.elements, tab.size
-    assert els == base.enumerate_elements("All")
+    assert els == R.enumerate_elements("All")
     assert [a.idx for a in els] == list(range(n))
     for i, a in enumerate(els):
-        assert els[tab.neg[i]] == ref.neg(base, a)
+        assert els[tab.neg[i]] == ref.neg(R, a)
         if R.is_unit(a):
-            assert els[tab.inv[i]] == ref.invert(base, a)
+            assert els[tab.inv[i]] == ref.invert(R, a)
         else:
             with pytest.raises(NotAUnit):
                 R.invert(a)
         for j, b in enumerate(els):
-            assert els[tab.add[i * n + j]] == ref.add(base, a, b)
-            product = ref.mul(base, a, b) if R is base else ref.mul(base, b, a)
+            assert els[tab.add[i * n + j]] == ref.add(R, a, b)
+            product = ref.mul(R, a, b)
             assert els[tab.mul[i * n + j]] == product
             assert R.mul(a, b) == product
     symmetric = all(
@@ -451,7 +460,7 @@ def test_owner_mismatch():
 @pytest.mark.parametrize("R", OP_RINGS, ids=lambda R: R.spec_string())
 def test_ops_reject_foreign_operands(R):
     # an enumerated element carries an index that is valid in most of these tables
-    other = Z9 if R.element_ring is not Z9 else Z8
+    other = Z9 if R is not Z9 else Z8
     foreign = other.enumerate_elements("All")[1]
     a = R.one
     f = MonicQuadratic(R, R.one, R.zero)
@@ -470,22 +479,21 @@ def test_ops_reject_foreign_operands(R):
                 op(bad)
 
 
-# every family: table-backed, above the cap (Z/2^20, GF(2,20)), opposite, Z, Z_(p)
+# every family: table-backed, above the cap (Z/2^20, GF(2,20)), Z, Z_(p)
 DOT_RINGS = OP_RINGS + [make_ring(galois_field(2, 20)), Z, ZL2]
 
 
 def _sample(R, rng):
     """A random element of R; on a table-backed ring sometimes a copy with
     no index."""
-    E = R.element_ring
-    if E is Z:
+    if R is Z:
         return Z.el(rng.randint(-50, 50))
-    if E is ZL2:
+    if R is ZL2:
         return ZL2.el(Fraction(rng.randint(-50, 50), rng.choice((1, 3, 5, 7))))
-    if E._tables is None:
-        return Element(E, _random_payload(E, rng))
-    a = rng.choice(E.enumerate_elements("All"))
-    return Element(E, a.payload) if rng.random() < 0.3 else a
+    if R._tables is None:
+        return Element(R, _random_payload(R, rng))
+    a = rng.choice(R.enumerate_elements("All"))
+    return Element(R, a.payload) if rng.random() < 0.3 else a
 
 
 @pytest.mark.parametrize("R", DOT_RINGS, ids=lambda R: R.spec_string())
@@ -495,7 +503,7 @@ def test_dot_is_a_sum_of_products(R):
         a, b, c, d = (_sample(R, rng) for _ in range(4))
         assert R.dot(a, b, c, d) == R.add(R.mul(a, b), R.mul(c, d))
     if not R.is_commutative:
-        x, w = SK16.variable(), SK16.embed(SK16.base.generator())
+        x, w = R.variable(), R.embed(R.base.generator())
         assert R.dot(x, w, R.zero, R.zero) == R.mul(x, w) != R.mul(w, x)
 
 
@@ -568,7 +576,7 @@ def test_a_mul_miss_fills_its_row_in_characteristic_2_and_one_entry_elsewhere(mo
 
 @pytest.mark.parametrize("R", DOT_RINGS, ids=lambda R: R.spec_string())
 def test_dot_rejects_foreign_operands(R):
-    other = Z9 if R.element_ring is not Z9 else Z8
+    other = Z9 if R is not Z9 else Z8
     foreign = other.enumerate_elements("All")[1]  # carries an index
     for bad in (foreign, 1, None):
         for slot in range(4):
@@ -638,32 +646,31 @@ def test_residue_reduce_matches_unmemoised(R):
     # reads the payload.  A lookup records an index, so each call gets a fresh
     # element.
     rv = R.residue_view()
-    base = R.element_ring
     F = rv.field
-    assert F is ref.residue_field(base)
-    rng = random.Random(base.spec_string())
+    assert F is ref.residue_field(R)
+    rng = random.Random(R.spec_string())
 
     def fresh(ring, payload, idx):
         e = Element(ring, payload)
         e.idx = idx
         return e
 
-    for x, idx in _with_and_without_idx(base, rng):
-        expect = ref.reduce(base, fresh(base, x, None))
-        got = rv.reduce(fresh(base, x, idx))
+    for x, idx in _with_and_without_idx(R, rng):
+        expect = ref.reduce(R, fresh(R, x, None))
+        got = rv.reduce(fresh(R, x, idx))
         assert got == expect and got.ring is F
         if F._tables is not None:  # the enumerated element, so ops hit the tables
             assert got is F.enumerate_elements("All")[got.idx]
-        unit = ref.is_unit(base, fresh(base, x, None))
-        assert R.is_unit(fresh(base, x, idx)) is unit
-        assert R.in_radical(fresh(base, x, idx)) is not unit
+        unit = ref.is_unit(R, fresh(R, x, None))
+        assert R.is_unit(fresh(R, x, idx)) is unit
+        assert R.in_radical(fresh(R, x, idx)) is not unit
     for x, idx in _with_and_without_idx(F, rng):
-        expect = ref.lift(base, fresh(F, x, None))
+        expect = ref.lift(R, fresh(F, x, None))
         got = rv.lift(fresh(F, x, idx))
-        assert got == expect and got.ring is base
-        if base._tables is not None:
-            assert got is base.enumerate_elements("All")[got.idx]
-    other = Z9 if base is not Z9 else Z8
+        assert got == expect and got.ring is R
+        if R._tables is not None:
+            assert got is R.enumerate_elements("All")[got.idx]
+    other = Z9 if R is not Z9 else Z8
     for bad in (other.enumerate_elements("All")[1], 1, None):
         with pytest.raises(OwnerMismatch):
             rv.reduce(bad)
