@@ -64,19 +64,18 @@ _TABLE_CACHE = {}
 class _Tables:
     def __init__(self, R):
         tables = R.filled_tables()
-        self.tables = tables
         self.elements = tables.elements
         self.size = tables.size
         self.add = tables.add
         self.mul = tables.mul
         self.neg = tables.neg
         self.inv = tables.inv  # an index at least size marks a non-unit
-        self.zero = tables.index_of(R.zero)
-        self.one = tables.index_of(R.one)
+        self.zero = R._index(R.zero)
+        self.one = R._index(R.one)
         self.radical = [i for i, x in enumerate(self.elements) if R.in_radical(x)]
 
     def matrix_indices(self, A):
-        return tuple(self.tables.index_of(e) for e in A.entries())
+        return tuple(map(A.ring._index, A.entries()))
 
 
 def _tables(R):

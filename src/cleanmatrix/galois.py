@@ -257,7 +257,7 @@ class GaloisFieldRing(FiniteRing):
         """a -> a^(p^power), the field automorphism fixing F_p."""
         self._guard(a)
         e = self.p ** (power % self.m)
-        return self.element_at(self._mul_ix(self._one_ix, self._ix(a.payload), e))
+        return self.element_at(self._mul_ix(self._one_ix, self._index(a), e))
 
     def radical_index(self):
         return 1

@@ -16,16 +16,20 @@ Z and Z_(p) stay here: they define their own add, mul, neg and invert, and
 bench/spans.py and tests/test_op_counts.py count those calls on the classes
 in this module's namespace.
 
-Every element is an `Element` owning a canonical payload; owners are compared by
-identity (make_ring caches one ring object per spec).  Units and the Jacobson
-radical partition each local ring: is_unit(a) xor in_radical(a).
+Every element is an `Element` owning a canonical payload, combined only by its
+ring's methods; owners are compared by identity (make_ring caches one ring
+object per spec).  Units and the Jacobson radical partition each local ring:
+is_unit(a) xor in_radical(a).
 
 Enumeration order is lexicographic on canonical payloads; OnePlusRadical is the
-image of Radical's order under j -> 1 + j.  An element of the "All" enumeration
-carries its position there as `idx`.  Rings of more than ENUM_CAP elements
-refuse enumeration with TooLarge before building anything: at the cap the
-"All" tuple already takes about 2 s and 90 MB (Trunc(GF(2),16)), each doubling
-of the ring doubles both, and every sweep over it costs at least as much again.
+image of Radical's order under j -> 1 + j.  On a finite ring an element's
+`idx` is its position in the "All" order: the enumerated elements and every
+result above TABLE_CAP carry it, and any other element gets it from its
+payload the first time an op reads it (FiniteRing._index), and keeps it.
+Rings of more than ENUM_CAP elements refuse enumeration with TooLarge before
+building anything: at the cap the "All" tuple already takes about 2 s and
+90 MB (Trunc(GF(2),16)), each doubling of the ring doubles both, and every
+sweep over it costs at least as much again.
 Routes that must work on larger rings (the pi decider's root lifting and the
 companion reduction) enumerate neither the ring nor its residue field.
 
@@ -51,11 +55,12 @@ constant lift back, is_unit and in_radical all read that digit.  GF(p^m)
 multiplies through exp and log tables (see galois), and a truncation
 convolves digits by its base field's index ops.  Up to TABLE_CAP elements
 the ops answer from flat index tables (IndexTables), one array('H') entry
-per operand pair, filled on first lookup (filled_tables() fills all), and
-they, reduce, lift and the constants of from_int return the enumerated
-elements.  A missing mul entry goes through _fill_mul, which fills that one
-entry, except on a truncation of characteristic 2, which fills its whole
-row at once (see truncated).  A ring above the cap allocates no index table.
+per operand pair, computed when an op first needs it (filled_tables()
+computes all), and they, reduce, lift and the constants of from_int return
+the enumerated elements.  A missing mul entry goes through _fill_mul, which
+fills that one entry, except on a truncation of characteristic 2, which
+fills its whole row at once (see truncated).  A ring above the cap
+allocates no index table.
 """
 
 from array import array
@@ -215,62 +220,18 @@ def make_ring(spec: RingSpec):
 class Element:
     """One ring element: an owner plus a canonical payload.
 
-    `idx` is the element's position in the owner's "All" enumeration, or None
-    until an index table has looked it up."""
+    On the finite families `idx` is the element's position in the owner's
+    "All" enumeration, or None until FiniteRing._index first computes it from
+    the payload; it is then kept.  It stays None on Z and Z_(p).  Arithmetic
+    goes through the owner's methods (R.add(a, b)); the one operator is
+    a ** e, by the owner's mul."""
 
     __slots__ = ("ring", "payload", "idx")
 
-    def __init__(self, ring, payload):
+    def __init__(self, ring, payload, idx=None):
         self.ring = ring
         self.payload = payload
-        self.idx = None
-
-    def _coerce(self, other):
-        if isinstance(other, Element):
-            if other.ring is not self.ring:
-                raise OwnerMismatch(
-                    f"elements of {self.ring.spec_string()} and "
-                    f"{other.ring.spec_string()} cannot be combined"
-                )
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.sub(self, other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.sub(other, self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.mul(self, other)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.mul(other, self)
-
-    def __neg__(self):
-        return self.ring.neg(self)
+        self.idx = idx
 
     def __pow__(self, e):
         """Square and multiply, with no product by one and no square unused."""
@@ -287,10 +248,7 @@ class Element:
 
     def __eq__(self, other):
         if type(other) is not Element:
-            if isinstance(other, int):
-                other = self.ring.from_int(other)
-            elif not isinstance(other, Element):
-                return NotImplemented
+            return NotImplemented
         return other.ring is self.ring and other.payload == self.payload
 
     def __hash__(self):
@@ -312,27 +270,20 @@ class IndexTables:
 
     With n elements, add[i*n + j] and mul[i*n + j] index e_i + e_j and e_i e_j,
     neg[i] and inv[i] index -e_i and e_i^-1, and _EMPTY marks an entry not yet
-    computed (inv keeps it for non-units).  The owning ring fills a missing
-    entry with its index op.
+    computed (inv keeps it for non-units).  The owning ring numbers operands
+    (FiniteRing._index) and fills a missing entry with its index op.
     """
 
-    __slots__ = ("elements", "size", "index", "add", "mul", "neg", "inv")
+    __slots__ = ("elements", "size", "add", "mul", "neg", "inv")
 
     def __init__(self, elements):
         n = len(elements)
         self.elements = elements
         self.size = n
-        self.index = {a.payload: i for i, a in enumerate(elements)}
         self.add = array("H", [_EMPTY]) * (n * n)
         self.mul = array("H", [_EMPTY]) * (n * n)
         self.neg = array("H", [_EMPTY]) * n
         self.inv = array("H", [_EMPTY]) * n
-
-    def index_of(self, a):
-        i = a.idx
-        if i is None:
-            i = a.idx = self.index[a.payload]
-        return i
 
 
 # ---------------------------------------------------------------- base class
@@ -408,9 +359,7 @@ class LocalRing:
             return got
         if subset == "All":
             n = self.enumerable_size()
-            out = tuple(Element(self, self._pl(k)) for k in range(n))
-            for i, a in enumerate(out):
-                a.idx = i
+            out = tuple(Element(self, self._pl(k), k) for k in range(n))
         elif subset == "Units":
             out = tuple(a for a in self.enumerate_elements("All") if self.is_unit(a))
         elif subset == "Radical":
@@ -687,11 +636,21 @@ class FiniteRing(LocalRing):
         if not 0 <= k < self.size():
             raise IndexError(f"{self.spec_string()} has no element number {k}")
         t = self._tables
-        return Element(self, self._pl(k)) if t is None else t.elements[k]
+        return Element(self, self._pl(k), k) if t is None else t.elements[k]
+
+    def _index(self, a):
+        """a's index in the "All" order, the one numbering rule: a.idx, else
+        _ix of its payload, kept in a.idx.  The ops read a.idx inline first."""
+        i = a.idx
+        if i is None:
+            i = a.idx = self._ix(a.payload)
+        return i
 
     def _direct(self, op, *els):
-        """op on the operands' indices, above TABLE_CAP."""
-        return Element(self, self._pl(op(*(self._ix(a.payload) for a in els))))
+        """op on the operands' indices, above TABLE_CAP; the result keeps the
+        index op returned."""
+        k = op(*map(self._index, els))
+        return Element(self, self._pl(k), k)
 
     def filled_tables(self) -> IndexTables:
         """The index tables with every entry computed; TooLarge above TABLE_CAP."""
@@ -718,7 +677,7 @@ class FiniteRing(LocalRing):
             return self._direct(self._add_ix, a, b)
         i, j = a.idx, b.idx
         if i is None or j is None:
-            i, j = t.index_of(a), t.index_of(b)
+            i, j = self._index(a), self._index(b)
         at = i * t.size + j
         k = t.add[at]
         if k == _EMPTY:
@@ -734,7 +693,7 @@ class FiniteRing(LocalRing):
             return self._direct(self._mul_ix, a, b)
         i, j = a.idx, b.idx
         if i is None or j is None:
-            i, j = t.index_of(a), t.index_of(b)
+            i, j = self._index(a), self._index(b)
         k = t.mul[i * t.size + j]
         if k == _EMPTY:
             k = self._fill_mul(t, i, j)
@@ -759,7 +718,7 @@ class FiniteRing(LocalRing):
             return super().dot(a, b, c, d)
         i, j, u, v = a.idx, b.idx, c.idx, d.idx
         if i is None or j is None or u is None or v is None:
-            i, j, u, v = t.index_of(a), t.index_of(b), t.index_of(c), t.index_of(d)
+            i, j, u, v = map(self._index, (a, b, c, d))
         n, mul = t.size, t.mul
         x = mul[i * n + j]
         if x == _EMPTY:
@@ -781,7 +740,7 @@ class FiniteRing(LocalRing):
             return self._direct(self._neg_ix, a)
         i = a.idx
         if i is None:
-            i = t.index_of(a)
+            i = self._index(a)
         k = t.neg[i]
         if k == _EMPTY:
             k = t.neg[i] = self._neg_ix(i)
@@ -795,17 +754,11 @@ class FiniteRing(LocalRing):
             return self._direct(self._inv_ix, a)
         i = a.idx
         if i is None:
-            i = t.index_of(a)
+            i = self._index(a)
         k = t.inv[i]
         if k == _EMPTY:  # _inv_ix raises NotAUnit for a non-unit
             k = t.inv[i] = self._inv_ix(i)
         return t.elements[k]
-
-    def _index(self, a):
-        """The index of an element with no idx: from the tables, which record
-        it, or read off the payload."""
-        t = self._tables
-        return self._ix(a.payload) if t is None else t.index_of(a)
 
     def is_unit(self, a):
         """Whether a's residue digit (see _make_residue_view) is not 0."""
@@ -839,7 +792,6 @@ class FiniteRing(LocalRing):
         def lift(c):
             if not (type(c) is Element and c.ring is F):
                 F._guard(c)
-            k = c.idx
-            return self.element_at((F._index(c) if k is None else k) * place)
+            return self.element_at(F._index(c) * place)
 
         return ResidueView(F, reduce, lift)

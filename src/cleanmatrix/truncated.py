@@ -65,8 +65,7 @@ class TruncatedRing(FiniteRing):
         t = self._tables
         if t is None:
             return Element(self, (c.payload,) + (F.zero.payload,) * (self.n - 1))
-        k = c.idx
-        return t.elements[(F._index(c) if k is None else k) * self._places[0]]
+        return t.elements[F._index(c) * self._places[0]]
 
     def _ix(self, payload):
         return _fold(map(self.base._ix, payload), self._q)

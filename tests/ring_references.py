@@ -224,14 +224,14 @@ def _oracle_view(A):
     tab = A.ring.filled_tables()
     n = tab.size
     vectors = [(x, y) for x in range(n) for y in range(n)]
-    return tuple(tab.index_of(e) for e in A.entries()), tab, vectors
+    return tuple(map(A.ring._index, A.entries())), tab, vectors
 
 
 def kernel_scan_is_invertible(A):
     """No nonzero kernel vector over the whole finite module R^2."""
     (a, b, c, d), tab, vectors = _oracle_view(A)
     n, mul, add = tab.size, tab.mul, tab.add
-    zero = tab.index_of(A.ring.zero)
+    zero = A.ring._index(A.ring.zero)
     for x, y in vectors:
         if x == zero and y == zero:
             continue
@@ -249,7 +249,7 @@ def brute_pi_sets(A):
     m, tab, vectors = _oracle_view(A)
     a, b, c, d = m
     n, mul, add = tab.size, tab.mul, tab.add
-    zero = tab.index_of(A.ring.zero)
+    zero = A.ring._index(A.ring.zero)
     prev = None
     for power in range(1, n * n + 1):
         ma, mb, mc, md = m
