@@ -230,49 +230,21 @@ def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
 
 
 def check_companion_identity(ring, coeffs) -> bool:
-    """For monic h = a0 + a1 t + ... + t^n (n <= 4), the n x n companion matrix
-    C_h with subdiagonal 1s and last column -a0..-a_(n-1) satisfies
+    """For monic h = a0 + a1 t + t^2, given as (a0, a1, 1), the companion
+    matrix C = [[0, -a0], [1, -a1]] satisfies
 
-        C^n + C^(n-1) (a_(n-1) I) + ... + C (a_1 I) + (a_0 I) = 0,
+        C^2 + C diag(a1, a1) + diag(a0, a0) = 0,
 
-    with each coefficient applied as a scalar matrix on the right."""
+    with each coefficient applied as a scalar matrix on the right.  Entry by
+    entry C^2 = [[-a0, a0 a1], [-a1, a1^2 - a0]] and C diag(a1, a1) =
+    [[0, -a0 a1], [a1, -a1^2]], so the sum vanishes in any ring; diag(a1, a1) C
+    would put a1 a0 in place of a0 a1, which differs over a skew ring when a0
+    and a1 do not commute.  Every quadratic the deciders meet has degree 2, so
+    no other degree is accepted."""
     coeffs = list(coeffs)
-    n = len(coeffs) - 1
-    assert 1 <= n <= 4, "degree must be between 1 and 4"
-    assert coeffs[-1] == ring.one, "polynomial must be monic"
-    z, o = ring.zero, ring.one
-    C = [[z] * n for _ in range(n)]
-    for i in range(1, n):
-        C[i][i - 1] = o
-    for i in range(n):
-        C[i][n - 1] = ring.neg(coeffs[i])
-
-    def nmul(X, Y):
-        return [
-            [
-                _sum(ring, [ring.mul(X[i][t], Y[t][j]) for t in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def scale_right(X, s):
-        return [[ring.mul(X[i][j], s) for j in range(n)] for i in range(n)]
-
-    ident = [[o if i == j else z for j in range(n)] for i in range(n)]
-    total = [[z] * n for _ in range(n)]
-    power = ident
-    for j in range(n + 1):
-        term = power if j == n else scale_right(power, coeffs[j])
-        total = [
-            [ring.add(total[i][t], term[i][t]) for t in range(n)] for i in range(n)
-        ]
-        power = nmul(power, C)
-    return all(total[i][j] == z for i in range(n) for j in range(n))
-
-
-def _sum(ring, items):
-    out = ring.zero
-    for it in items:
-        out = ring.add(out, it)
-    return out
+    assert len(coeffs) == 3, "degree must be 2"
+    a0, a1, lead = coeffs
+    assert lead == ring.one, "polynomial must be monic"
+    C = Mat2(ring, ring.zero, ring.neg(a0), ring.one, ring.neg(a1))
+    total = C * C + C * Mat2.diag(ring, a1, a1) + Mat2.diag(ring, a0, a0)
+    return total == Mat2.zero(ring)

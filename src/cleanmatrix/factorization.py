@@ -2,9 +2,13 @@
 
 A witness factors f two ways, f = g0*g1 = h1*h0, with g0(0), g1(1), h0(0),
 h1(1) all units.  The starred flag additionally certifies that the residue
-images of each pair generate the unit ideal of the residue polynomial ring
-(Bezout identity found by the Euclidean algorithm; the residue field is
-commutative for every supported family, so left and right coprimality agree).
+images of each pair generate the unit ideal of the residue polynomial ring.
+Reducing coefficients is a ring map R[t] -> F[t], t being central, so a pair
+that multiplies back to f has residue images of degrees {0, 2} or {1, 1}
+whose product is f mod J: a nonzero constant is a unit, and two linear
+polynomials are coprime exactly when they are not proportional, a 2x2
+determinant (the residue field is commutative for every supported family, so
+left and right coprimality agree).
 
 Polynomials live in R[t] with t central: coefficients keep their ring order
 and never move past each other, only past t.  When f(0) or f(1) is a unit the
@@ -15,13 +19,15 @@ of left roots t0 in J, t1 in 1+J (quadratics.w_roots) via
 f = (t - lam)(t + a1 + lam).
 """
 
+from functools import reduce
+
 from .errors import (
     InternalContractViolation,
     NoFactorization,
     NotApplicable,
     OwnerMismatch,
 )
-from .quadratics import MonicQuadratic, left_eval, w_roots
+from .quadratics import MonicQuadratic, _compound, left_eval, w_roots
 
 
 class Poly:
@@ -51,20 +57,6 @@ class Poly:
             return self.coeffs[i]
         return self.ring.zero
 
-    def add(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.ring,
-            [self.ring.add(self.coeff(i), other.coeff(i)) for i in range(n)],
-        )
-
-    def sub(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.ring,
-            [self.ring.sub(self.coeff(i), other.coeff(i)) for i in range(n)],
-        )
-
     def mul(self, other):
         R = self.ring
         if self.is_zero() or other.is_zero():
@@ -74,19 +66,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = R.add(out[i + j], R.mul(a, b))
         return Poly(R, out)
-
-    def scale_left(self, c):
-        return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
-
-    def eval_left(self, x):
-        """Sum of x^i * a_i.  At central points (0, 1) this is the plain value."""
-        R = self.ring
-        total = R.zero
-        power = R.one
-        for a in self.coeffs:
-            total = R.add(total, R.mul(power, a))
-            power = R.mul(power, x)
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -104,13 +83,12 @@ class Poly:
             c = self.coeffs[i]
             if c == self.ring.zero:
                 continue
-            cs = self.ring.format_element(c)
-            if i == 0:
-                term = cs
-            elif i == 1:
-                term = var if cs == "1" else f"{cs}*{var}"
-            else:
-                term = f"{var}^{i}" if cs == "1" else f"{cs}*{var}^{i}"
+            term = self.ring.format_element(c)
+            if i:
+                power = var if i == 1 else f"{var}^{i}"
+                if _compound(term):
+                    term = f"({term})"
+                term = power if term == "1" else f"{term}*{power}"
             parts.append(term)
         return "+".join(parts).replace("+-", "-")
 
@@ -173,76 +151,35 @@ def star_factorize(f: MonicQuadratic) -> FactorizationWitness:
 
 def verify_factorization(f: MonicQuadratic, witness: FactorizationWitness) -> bool:
     R = f.ring
-    for poly in (witness.g0, witness.g1, witness.h0, witness.h1):
+    g0, g1, h0, h1 = witness.g0, witness.g1, witness.h0, witness.h1
+    for poly in (g0, g1, h0, h1):
         if poly.ring is not R:
             raise OwnerMismatch("witness polynomial from a different ring")
     fp = _quadratic_poly(f)
-    if witness.g0.mul(witness.g1) != fp:
+    if g0.mul(g1) != fp or h1.mul(h0) != fp:
         return False
-    if witness.h1.mul(witness.h0) != fp:
-        return False
-    for poly, point in (
-        (witness.g0, R.zero),
-        (witness.g1, R.one),
-        (witness.h0, R.zero),
-        (witness.h1, R.one),
-    ):
-        if not R.is_unit(poly.eval_left(point)):
+    # t is central: a witness's value at 0 is its constant coefficient, at 1
+    # the sum of its coefficients
+    for value in (g0.coeff(0), reduce(R.add, g1.coeffs, R.zero),
+                  h0.coeff(0), reduce(R.add, h1.coeffs, R.zero)):
+        if not R.is_unit(value):
             return False
     if witness.starred:
         view = R.residue_view()
-        if not _residue_coprime(view, witness.g0, witness.g1):
-            return False
-        if not _residue_coprime(view, witness.h0, witness.h1):
-            return False
+        return _residue_coprime(view, g0, g1) and _residue_coprime(view, h0, h1)
     return True
 
 
 def _residue_coprime(view, p0: Poly, p1: Poly) -> bool:
-    field = view.field
-    a = Poly(field, [view.reduce(c) for c in p0.coeffs])
-    b = Poly(field, [view.reduce(c) for c in p1.coeffs])
-    u, v, d = _field_bezout(field, a, b)
-    if d.degree() != 0:
-        return False
-    # re-multiply the identity instead of trusting the algorithm
-    return u.mul(a).add(v.mul(b)) == Poly.one(field)
-
-
-def _field_bezout(field, a: Poly, b: Poly):
-    """Extended Euclid in field[t]: returns (u, v, d), u*a + v*b = d monic."""
-    zero = Poly(field, [])
-    one = Poly.one(field)
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero():
-        q, rem = _field_divmod(field, r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0.sub(q.mul(u1))
-        v0, v1 = v1, v0.sub(q.mul(v1))
-    if r0.is_zero():
-        return u0, v0, r0
-    lead_inv = field.invert(r0.coeffs[-1])
-    return (
-        u0.scale_left(lead_inv),
-        v0.scale_left(lead_inv),
-        r0.scale_left(lead_inv),
-    )
-
-
-def _field_divmod(field, num: Poly, den: Poly):
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = field.invert(den.coeffs[-1])
-    dd = den.degree()
-    rem = list(num.coeffs)
-    quo = [field.zero] * max(len(rem) - dd, 1)
-    for i in range(len(rem) - 1 - dd, -1, -1):
-        c = field.mul(rem[i + dd], lead_inv)
-        if c == field.zero:
-            continue
-        quo[i] = c
-        for j, dc in enumerate(den.coeffs):
-            rem[i + j] = field.sub(rem[i + j], field.mul(c, dc))
-    return Poly(field, quo), Poly(field, rem)
+    """Whether the residue images of p0 and p1 are coprime, for p0 p1 a monic
+    quadratic: the images multiply to a monic quadratic over the residue
+    field, so their degrees are {0, 2}, where the constant is a nonzero unit,
+    or {1, 1}, where a0 + a1 t and b0 + b1 t are coprime exactly when
+    a0 b1 - a1 b0 is nonzero."""
+    F = view.field
+    a = Poly(F, [view.reduce(c) for c in p0.coeffs])
+    if a.degree() != 1:
+        return True
+    b = Poly(F, [view.reduce(c) for c in p1.coeffs])
+    (a0, a1), (b0, b1) = a.coeffs, b.coeffs
+    return F.dot(a0, b1, F.neg(a1), b0) != F.zero

@@ -99,17 +99,19 @@ class MonicQuadratic(namedtuple("MonicQuadratic", "ring a1 a0")):
         return f"<{self.ring.spec_string()}: {self.text()}>"
 
 
+def _compound(text) -> bool:
+    """Whether an element's text is a sum or difference, which needs
+    parentheses as a factor or after a sign."""
+    return "+" in text or "-" in text[1:]
+
+
 def format_quadratic(f: MonicQuadratic) -> str:
     def term(sign, body, power):
         if power and body == "1":
             return f"{sign}{power}"
-        if power:
-            if "+" in body or "-" in body[1:] or "*" in body:
-                body = f"({body})"
-            return f"{sign}{body}*{power}"
-        if "+" in body or "-" in body[1:]:
+        if _compound(body) or (power and "*" in body):
             body = f"({body})"
-        return f"{sign}{body}"
+        return f"{sign}{body}*{power}" if power else f"{sign}{body}"
 
     R = f.ring
     out = "t^2"

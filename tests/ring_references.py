@@ -28,6 +28,11 @@ one_minus_t_transform is the substitution t -> 1 - t by which the clean
 route once reached the root in 1 + J on the skew rings, by lifting a root in
 J of f(1 - t); the tests check it and the root pairs with it.
 
+residue_coprime_euclid and verify_factorization_euclid are the starred
+factorization check before it read coprimality off degrees and a 2x2
+determinant: an extended Euclid over the residue field on polynomials of any
+degree, with the witness values at 0 and 1 taken by left evaluation.
+
 is_nilpotent, right_eval, in_w, companion_matrix and is_unimodular are
 helpers that only the tests call.  opposite_map is the anti-isomorphism from
 SkewTrunc(F,s,n) onto SkewTrunc(F,m-s,n), the ring's opposite up to
@@ -45,6 +50,7 @@ from cleanmatrix.bruteforce import _kernel_size, _tables
 from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
+from cleanmatrix.factorization import Poly
 from cleanmatrix.matrices import Mat2, diagonalizes, has_inverse, matpow
 from cleanmatrix.quadratics import MonicQuadratic, pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
@@ -392,6 +398,82 @@ def verify_clean_equations(A, cert) -> bool:
         return diagonalizes(P, A, t0, t1)
     except Exception:
         return False
+
+
+def _poly_zip(F, p, q, op):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly(F, [op(p.coeff(i), q.coeff(i)) for i in range(n)])
+
+
+def _scale_left(F, c, p):
+    return Poly(F, [F.mul(c, a) for a in p.coeffs])
+
+
+def _field_divmod(F, num, den):
+    lead_inv = F.invert(den.coeffs[-1])
+    dd = den.degree()
+    rem = list(num.coeffs)
+    quo = [F.zero] * max(len(rem) - dd, 1)
+    for i in range(len(rem) - 1 - dd, -1, -1):
+        c = F.mul(rem[i + dd], lead_inv)
+        if c == F.zero:
+            continue
+        quo[i] = c
+        for j, dc in enumerate(den.coeffs):
+            rem[i + j] = F.sub(rem[i + j], F.mul(c, dc))
+    return Poly(F, quo), Poly(F, rem)
+
+
+def field_bezout(F, a, b):
+    """Extended Euclid in F[t]: (u, v, d) with u a + v b = d, d monic or 0."""
+    r0, r1 = a, b
+    u0, u1 = Poly.one(F), Poly(F, [])
+    v0, v1 = Poly(F, []), Poly.one(F)
+    while not r1.is_zero():
+        q, rem = _field_divmod(F, r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, _poly_zip(F, u0, q.mul(u1), F.sub)
+        v0, v1 = v1, _poly_zip(F, v0, q.mul(v1), F.sub)
+    if r0.is_zero():
+        return u0, v0, r0
+    lead_inv = F.invert(r0.coeffs[-1])
+    return (_scale_left(F, lead_inv, u0), _scale_left(F, lead_inv, v0),
+            _scale_left(F, lead_inv, r0))
+
+
+def residue_coprime_euclid(view, p0, p1) -> bool:
+    F = view.field
+    a = Poly(F, [view.reduce(c) for c in p0.coeffs])
+    b = Poly(F, [view.reduce(c) for c in p1.coeffs])
+    u, v, d = field_bezout(F, a, b)
+    if d.degree() != 0:
+        return False
+    return _poly_zip(F, u.mul(a), v.mul(b), F.add) == Poly.one(F)
+
+
+def _eval_left(p, x):
+    R = p.ring
+    total, power = R.zero, R.one
+    for a in p.coeffs:
+        total = R.add(total, R.mul(power, a))
+        power = R.mul(power, x)
+    return total
+
+
+def verify_factorization_euclid(f, witness) -> bool:
+    R = f.ring
+    fp = Poly(R, [f.a0, f.a1, R.one])
+    if witness.g0.mul(witness.g1) != fp or witness.h1.mul(witness.h0) != fp:
+        return False
+    for poly, point in ((witness.g0, R.zero), (witness.g1, R.one),
+                        (witness.h0, R.zero), (witness.h1, R.one)):
+        if not R.is_unit(_eval_left(poly, point)):
+            return False
+    if witness.starred:
+        view = R.residue_view()
+        return (residue_coprime_euclid(view, witness.g0, witness.g1)
+                and residue_coprime_euclid(view, witness.h0, witness.h1))
+    return True
 
 
 def is_nilpotent(A) -> bool:

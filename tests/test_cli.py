@@ -189,6 +189,20 @@ def test_factor_equals_form_for_negative_coefficients(capsys):
     assert doc["verified"] is True
 
 
+def test_factor_text_parenthesizes_compound_coefficients(capsys):
+    # the witness lines print a sum coefficient of t as the f line does
+    for ring, poly, line in (
+        ("GF(2,2)", "1+w,1", "t^2+(1+w)*t+1"),
+        ("Trunc(GF(2,2),2)", "1+w*y,w", "t^2+(1+w*y)*t+w"),
+    ):
+        code, out, _ = invoke(capsys, "factor", "--ring", ring, "--poly", poly)
+        assert code == OK
+        lines = out.splitlines()
+        for name in ("f", "g0", "h0"):
+            assert f"{name}: {line}" in lines
+        assert "g1: 1" in lines and "h1: 1" in lines
+
+
 def test_factor_no_factorization(capsys):
     code, doc, _ = invoke_json(
         capsys, "factor", "--ring", "Zloc(2)", "--poly=-1,-4", "--json"

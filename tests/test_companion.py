@@ -282,21 +282,23 @@ def test_kernel_vector_of_minus_identity_matches_i_minus(F):
 
 @pytest.mark.parametrize("R", RINGS)
 def test_companion_identity_random_degrees(R):
+    # quadratics only: every companion matrix the deciders meet is 2x2
     rng = random.Random(7)
     elems = R.enumerate_elements("All")
     for _ in range(40):
-        n = rng.randrange(1, 5)
-        coeffs = [rng.choice(elems) for _ in range(n)] + [R.one]
+        coeffs = [rng.choice(elems), rng.choice(elems), R.one]
         assert check_companion_identity(R, coeffs)
 
 
 def test_companion_identity_rejects_non_monic():
     with pytest.raises(AssertionError):
         check_companion_identity(Z8, [Z8.el(1), Z8.el(2)])
+    with pytest.raises(AssertionError):
+        check_companion_identity(Z8, [Z8.el(1), Z8.el(1), Z8.el(2)])
 
 
 def test_companion_identity_degree_bounds():
-    with pytest.raises(AssertionError):
-        check_companion_identity(Z8, [Z8.one])
-    with pytest.raises(AssertionError):
-        check_companion_identity(Z8, [Z8.el(1)] * 5 + [Z8.one])
+    # only monic quadratics: degrees 0, 1, 3 and 5 are refused
+    for n in (0, 1, 3, 5):
+        with pytest.raises(AssertionError):
+            check_companion_identity(Z8, [Z8.el(1)] * n + [Z8.one])

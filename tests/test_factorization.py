@@ -7,6 +7,7 @@ from cleanmatrix.errors import NoFactorization, NotApplicable, OwnerMismatch
 from cleanmatrix.factorization import (
     FactorizationWitness,
     Poly,
+    _residue_coprime,
     star_factorize,
     verify_factorization,
 )
@@ -43,9 +44,6 @@ def test_poly_basics():
     assert p.coeff(5) == Z8.zero
     assert Poly(Z8, [Z8.zero]).is_zero()
     assert Poly(Z8, []).degree() == -1
-    q = Poly(Z8, [Z8.el(7), Z8.el(1)])
-    assert p.add(q).coeffs == (Z8.el(0), Z8.el(3), Z8.el(1))
-    assert p.sub(p).is_zero()
     assert p.mul(Poly.one(Z8)) == p
 
 
@@ -57,10 +55,26 @@ def test_poly_trims_leading_zeros():
 
 def test_poly_eval_left_and_text():
     p = Poly(Z8, [Z8.el(3), Z8.el(2), Z8.el(1)])
-    assert p.eval_left(Z8.el(2)) == Z8.el(3 + 4 + 4)
     assert p.text() == "t^2+2*t+3"
     assert Poly(Z8, [Z8.zero, Z8.el(1)]).text() == "t"
     assert Poly(Z8, []).text() == "0"
+
+
+@pytest.mark.parametrize("spec, a1, a0, text, top_text", [
+    ("GF(2,2)", "1+w", "1", "t^2+(1+w)*t+1", "(1+w)*t^2+1"),
+    ("Trunc(GF(2,2),2)", "1+w*y", "w", "t^2+(1+w*y)*t+w", "(1+w*y)*t^2+w"),
+    ("SkewTrunc(GF(2,2),1,2)", "w+w*x", "1+x", "t^2+(w+w*x)*t+1+x",
+     "(w+w*x)*t^2+1+x"),
+    ("Zloc(2)", "-1/3", "-1", "t^2-1/3*t-1", "-1/3*t^2-1"),
+    ("Zmod(2,3)", "6", "5", "t^2+6*t+5", "6*t^2+5"),
+])
+def test_poly_text_parenthesizes_compound_coefficients(spec, a1, a0, text, top_text):
+    # a sum or difference multiplying a power of t gets parentheses; a
+    # leading minus alone does not, and a constant term never needs them
+    R = parse_ring(spec)
+    c1, c0 = parse_element(R, a1), parse_element(R, a0)
+    assert Poly(R, [c0, c1, R.one]).text() == text
+    assert Poly(R, [c0, R.zero, c1]).text() == top_text
 
 
 def test_poly_noncommutative_coefficient_order():
@@ -202,3 +216,45 @@ def test_factor_truncated_above_enum_cap_lifts(spec, refuse_scans):
     assert verify_factorization(f, w)
     assert w.g0.degree() == 1 and w.h0.degree() == 1
     assert "All" not in R._enum_cache
+
+
+def _monic_quadratic_pairs(R):
+    """Every (p0, p1) of degree at most 2 over R with p0 p1 monic of degree
+    2: the t^4 and t^3 coefficients vanish and the t^2 coefficient is 1."""
+    els = R.enumerate_elements("All")
+    z, o, mul, add = R.zero, R.one, R.mul, R.add
+    for a2 in els:
+        for b2 in els:
+            if mul(a2, b2) != z:
+                continue
+            for a1 in els:
+                for b1 in els:
+                    if add(mul(a1, b2), mul(a2, b1)) != z:
+                        continue
+                    m = mul(a1, b1)
+                    for a0 in els:
+                        for b0 in els:
+                            if add(add(mul(a0, b2), m), mul(a2, b0)) == o:
+                                yield Poly(R, [a0, a1, a2]), Poly(R, [b0, b1, b2])
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,2)", "Zmod(2,3)", "GF(2,2)",
+                                  "Trunc(GF(2),3)", "SkewTrunc(GF(2,2),1,2)"])
+def test_residue_coprimality_matches_euclid(spec):
+    # the degree argument and its 2x2 determinant against the extended
+    # Euclid, on every factor pair of a monic quadratic of degree <= 2 each
+    R = parse_ring(spec)
+    view = R.residue_view()
+    seen = set()
+    for p0, p1 in _monic_quadratic_pairs(R):
+        fp = p0.mul(p1)
+        f = MonicQuadratic(R, fp.coeff(1), fp.coeff(0))
+        coprime = _residue_coprime(view, p0, p1)
+        assert coprime == ref.residue_coprime_euclid(view, p0, p1), (p0, p1)
+        for starred in (False, True):
+            w = FactorizationWitness(g0=p0, g1=p1, h0=p1, h1=p0, starred=starred)
+            verdict = verify_factorization(f, w)
+            assert verdict == ref.verify_factorization_euclid(f, w), (p0, p1)
+            seen.add((coprime, starred, verdict))
+    # both coprimality answers occur, and each decides a starred verdict
+    assert {(True, True, True), (False, True, False)} <= seen
