@@ -89,14 +89,15 @@ def build_certificate(
     return _checked(A, outer(R, u, (diag_P.c, diag_P.d)), t0, t1, diag_P)
 
 
-def commutative_certificate(A: Mat2, lam_j, lam_1j) -> CleanCertificate:
+def commutative_certificate(A: Mat2, lam_j, lam_1j, Ab) -> CleanCertificate:
     """The same certificate over a commutative ring, straight from A: the
-    eigenrows by the adjugate of [x | Ax] for x = clean_basis_vector(A),
+    eigenrows by the adjugate of [x | Ax] for x = clean_basis_vector(A, Ab),
     and E = (A - t0 I) (t1 - t0)^-1, which is the projection E_C pulled back
-    through P, by Cayley-Hamilton.  Verified once."""
+    through P, by Cayley-Hamilton.  Ab is Abar, from the decider's residue
+    read.  Verified once."""
     R = A.ring
     t0, t1 = _diagonal(R, lam_j, lam_1j)
-    P = eigenrows(A, clean_basis_vector(A), t0, t1)
+    P = eigenrows(A, clean_basis_vector(A, Ab), t0, t1)
     k, nt0 = R.invert(R.sub(t1, t0)), R.neg(t0)
     E = Mat2(R, R.dot(A.a, k, nt0, k), R.mul(A.b, k),
              R.mul(A.c, k), R.dot(A.d, k, nt0, k))
@@ -124,18 +125,21 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="Trivial"
         )
+    # Abar, from the residues just read, goes on to the basis vector or the
+    # reduction, which build no residue matrix of their own
+    Ab = Mat2(F, a, b, c, d)
     if R.is_commutative:
         # the companion quadratic is A's own t^2 - tr(A) t + det(A): settle
         # the roots from it, and build any certificate from A itself
         cf, f = None, char_quadratic(A)
     else:
-        cf = reduce_to_companion(A)
+        cf = reduce_to_companion(A, Ab)
         f = cf.f
     lam_j, lam_1j, method = w_roots(f)  # both or neither
     if lam_j is None:
         return CleanDecision("NotClean", witness=f, method=method)
     if cf is None:
-        cert = commutative_certificate(A, lam_j, lam_1j)
+        cert = commutative_certificate(A, lam_j, lam_1j, Ab)
     else:
         cert = build_certificate(cf, lam_j, lam_1j, A)
     return CleanDecision("NontrivialClean", certificate=cert, method=method)

@@ -14,12 +14,14 @@ vector is found in closed form from those lines, not by a scan of the field.
 clean_basis_vector and pi_basis_vector write x down; a matrix already in
 companion shape keeps x = (1, 0), so that Q = [x | Ax] = I.
 
-The deciders reduce over the skew rings only.  The reductions form the
-residue matrix once, test their preconditions on it, and record P = Q^-1 for
-Q = [x | Ax], so P A P^-1 is the companion matrix exactly, keeping Q as
-P_inv.  The clean reduction reads the second kernel off Abar - I, not
-I - Abar: a negated matrix has the same kernel, the same first kernel vector
-and the same invertibility, and Abar - I changes only Abar's diagonal.
+The deciders reduce over the skew rings only.  The reductions take the
+residue matrix from the decider, which has read A's residues for its own
+trivial tests (or form it once), test their preconditions on it, and
+record P = Q^-1 for Q = [x | Ax], so P A P^-1 is the companion matrix
+exactly, keeping Q as P_inv.  The clean reduction reads the second
+kernel off Abar - I, not I - Abar: a negated matrix has the same kernel,
+the same first kernel vector and the same invertibility, and Abar - I
+changes only Abar's diagonal.
 invert2's check that P Q = Q P = I is the one proof of that inverse, and it
 also gives the companion matrix's first column: P (Ax) is the second column
 of P Q, e2.  The second column is P A (Ax), and a NotClean or No witness,
@@ -122,7 +124,7 @@ def clean_basis_vector(A, Ab=None, Ab_I=None):
     ker(Abar) and w in ker(I - Abar).  w is read off Abar - I, which has the
     same kernel and the same first kernel vector (see _kernel_vector) and
     changes only the diagonal.  Ab and Ab_I are Abar and Abar - I when the
-    caller has them."""
+    caller has them; Ab_I is formed from Ab when it is not given."""
     R = A.ring
     if (
         A.a == R.zero
@@ -133,6 +135,7 @@ def clean_basis_vector(A, Ab=None, Ab_I=None):
         return R.one, R.zero
     if Ab is None:
         Ab = residue_matrix(A)
+    if Ab_I is None:
         Ab_I = minus_identity(Ab)
     lift = R.residue_view().lift
     v = _kernel_vector(Ab)
@@ -202,10 +205,12 @@ def _form(A, P, Q) -> CompanionForm:
     return CompanionForm(MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
 
 
-def reduce_to_companion(A: Mat2) -> CompanionForm:
-    """Clean-case reduction; NotApplicable when A or I - A is invertible."""
+def reduce_to_companion(A: Mat2, Ab=None) -> CompanionForm:
+    """Clean-case reduction; NotApplicable when A or I - A is invertible.  Ab
+    is Abar when the caller has it."""
     R = A.ring
-    Ab = residue_matrix(A)
+    if Ab is None:
+        Ab = residue_matrix(A)
     Ab_I = minus_identity(Ab)  # det(Abar - I) = det(I - Abar)
     if is_invertible(Ab) or is_invertible(Ab_I):
         raise NotApplicable("A or I - A is invertible; no companion reduction")
@@ -215,10 +220,12 @@ def reduce_to_companion(A: Mat2) -> CompanionForm:
     return cf
 
 
-def reduce_to_companion_pi(A: Mat2) -> CompanionForm:
-    """Pi-case reduction; NotApplicable when A is invertible or A is over J."""
+def reduce_to_companion_pi(A: Mat2, Ab=None) -> CompanionForm:
+    """Pi-case reduction; NotApplicable when A is invertible or A is over J.
+    Ab is Abar when the caller has it."""
     R = A.ring
-    Ab = residue_matrix(A)
+    if Ab is None:
+        Ab = residue_matrix(A)
     if Ab == Mat2.zero(Ab.ring):
         raise NotApplicable("all entries in the radical; no pi companion form")
     if is_invertible(Ab):

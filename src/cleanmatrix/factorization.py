@@ -27,7 +27,7 @@ from .errors import (
     NotApplicable,
     OwnerMismatch,
 )
-from .quadratics import MonicQuadratic, _compound, left_eval, w_roots
+from .quadratics import MonicQuadratic, _compound, _shorter_signed, left_eval, w_roots
 
 
 class Poly:
@@ -76,21 +76,26 @@ class Poly:
         return hash((id(self.ring), self.coeffs))
 
     def text(self, var="t"):
+        """Highest power first, each term in the shorter signed form, as
+        format_quadratic writes f: Z/8's 7 t is -t."""
         if self.is_zero():
             return "0"
-        parts = []
+        R, out = self.ring, ""
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == self.ring.zero:
+            if c == R.zero:
                 continue
-            term = self.ring.format_element(c)
-            if i:
-                power = var if i == 1 else f"{var}^{i}"
-                if _compound(term):
-                    term = f"({term})"
-                term = power if term == "1" else f"{term}*{power}"
-            parts.append(term)
-        return "+".join(parts).replace("+-", "-")
+            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+            def term(sign, body):
+                if power:
+                    if _compound(body):
+                        body = f"({body})"
+                    body = power if body == "1" else f"{body}*{power}"
+                return sign + body
+
+            out += _shorter_signed(R, c, term)
+        return out[1:] if out[0] == "+" else out
 
     def __repr__(self):
         return f"Poly({self.text()})"

@@ -4,9 +4,16 @@ So the radical J = pZ/p^kZ is the multiples of p, in index order the ring's
 "Radical" enumeration, and radical_root scans it for a root of a quadratic
 in integer arithmetic on the coefficients' payloads, building no Element per
 candidate and no enumeration tuple.
+
+newton_root lifts a simple residue root in the same integer arithmetic, by
+Newton's step lam <- lam - f(lam) f'(lam)^-1 with f'(t) = 2 t + a1.  If
+f(lam) = 0 mod p^e and f'(lam) is a unit, then f(lam - f(lam) y) =
+f(lam) (1 - f'(lam) y) mod p^2e, so y need only invert f'(lam) mod p^e and
+the step doubles the precision; f'(lam) keeps its residue, so it stays a
+unit.  From a root mod p, ceil(log2 k) steps reach a root mod p^k.
 """
 
-from .errors import NotAUnit
+from .errors import InternalContractViolation, NotAUnit
 from .rings import Element, FiniteRing, IntegerRing, galois_field, make_ring
 
 
@@ -59,6 +66,29 @@ class ModPrimePowerRing(FiniteRing):
             if (lam * (lam + b1) + b0) % m == 0:
                 return self.element_at(lam)
         return None
+
+    def newton_root(self, a1, a0, start):
+        """The root of t^2 + a1 t + a0 congruent to `start` mod p, by Newton's
+        step on payloads (see the module docstring), for a start that is a
+        simple root mod p.  InternalContractViolation when it is not, or when
+        ceil(log2 k) + 1 steps leave f(lam) nonzero."""
+        self._guard(a1, a0, start)
+        p, m = self.p, self.modulus
+        b1, b0, lam = a1.payload, a0.payload, start.payload
+        val = (lam * (lam + b1) + b0) % m
+        if val % p or (2 * lam + b1) % p == 0:
+            raise InternalContractViolation("start is not a simple root mod p")
+        bound = (self.k - 1).bit_length() + 1
+        q, steps = p, 0  # f(lam) = 0 mod q
+        while val:
+            if steps == bound:
+                raise InternalContractViolation(
+                    f"f(lam) is still nonzero after {bound} Newton steps"
+                )
+            lam = (lam - val * pow(2 * lam + b1, -1, q)) % m
+            q, steps = min(q * q, m), steps + 1
+            val = (lam * (lam + b1) + b0) % m
+        return self.element_at(lam)
 
     def radical_index(self):
         return self.k

@@ -9,18 +9,24 @@ unit left root and a nilpotent left root; the eigenrow pair, pulled back
 through the companion transform, gives a P with P A = D P for
 D = diag(t0 unit, t1 nilpotent).  verify_pi_certificate checks P invertible
 and P A = D P, never forming P^-1, and the decider runs it once on the
-certificate it builds.  Over a commutative ring r = tr A and w = -det A, so
-the decider reads the quadratic off A and settles the case and the roots
-first, and nothing reduces: a Nontrivial P is companion.eigenrows of A, the
-rows (1, ti) Q^-1 by the adjugate of Q = [x | Ax], x = pi_basis_vector(A).
+certificate it builds.  The decider reduces A's four entries once: A is
+invertible iff det Abar is not 0 and over J iff Abar = 0, and Abar goes on
+to pi_basis_vector or reduce_to_companion_pi, which build no residue matrix
+of their own.  Over a commutative ring r = tr A and w = -det A, so the
+decider reads the quadratic off A and settles the case and the roots first,
+and nothing reduces: a Nontrivial P is companion.eigenrows of A, the rows
+(1, ti) Q^-1 by the adjugate of Q = [x | Ax], x = pi_basis_vector(A, Abar).
 Only the skew rings reduce, and read r and w off the companion form, but
-first they read rbar = tr Abar off A, the residue field being commutative.
-When r itself falls in J, A^2 has all entries in J and A is nilpotent over
-the finite families; the nilpotent certificate needs only the index.
-Otherwise the roots come from quadratics.pi_roots: on the finite rings the
-residue t (t - rbar) has the simple roots rbar and 0, so both roots exist and
-are lifted by chord steps, scanning neither the ring nor its residue field;
-Z_(p) finds them, or not, by the discriminant.
+first they read rbar = tr Abar off the same residues, the residue field
+being commutative.  When r itself falls in J, A^2 has all entries in J and A
+is nilpotent over the finite families; the nilpotent certificate needs only
+the index.  Otherwise the roots come from
+quadratics.pi_roots: on the finite rings the residue t (t - rbar) has the
+simple roots rbar and 0, so both roots exist and are lifted, scanning
+neither the ring nor its residue field: on Z/p^k by Newton's step on payload
+integers, in at most ceil(log2 k) + 1 steps, with the unit root -a1 minus
+the nilpotent one, elsewhere by chord steps; Z_(p) finds them, or not, by
+the discriminant.
 
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
@@ -38,7 +44,7 @@ from .companion import (
     reduce_to_companion_pi,
 )
 from .errors import InfiniteRing, InternalContractViolation
-from .matrices import Mat2, is_invertible
+from .matrices import Mat2
 from .quadratics import pi_roots
 
 
@@ -88,31 +94,36 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
     R = A.ring
     if R.family == "Integers":
         return _decide_integer(A)
-    if is_invertible(A):
+    # one residue read: A is invertible iff det Abar is not 0, and over J
+    # iff Abar = 0; Abar goes on to the basis vector or the reduction
+    F, r, _ = R.residue_view()
+    a, b, c, d = r(A.a), r(A.b), r(A.c), r(A.d)
+    if F.is_unit(F.dot(a, d, F.neg(b), c)):
         return PiDecision("TrivialUnit", certificate=PiCertificate("unit"))
-    if all(R.in_radical(e) for e in A.entries()):
+    z = F.zero
+    if a == z and b == z and c == z and d == z:
         # nilpotent, unless (Z_(p) only) no power vanishes: never pi-regular
         return _nilpotent_or_no(A)
+    Ab = Mat2(F, a, b, c, d)
     if R.is_commutative:
         # t^2 - t r - w is A's own t^2 - tr(A) t + det(A): decide from it,
         # and build a Nontrivial certificate from A itself
         cf, f = None, char_quadratic(A)
+        if R.in_radical(f.a1):
+            # r in J: A^2 lands in M_2(J); nilpotent iff some power dies
+            return _nilpotent_or_no(A, f)
     else:
         # the residue field is commutative, so rbar = tr Abar: settle r in J
         # before reducing (a finite ring answers TrivialNilpotent there)
-        F, r, _ = R.residue_view()
-        if F.add(r(A.a), r(A.d)) == F.zero:
+        if F.add(a, d) == z:
             return _nilpotent_or_no(A)
-        cf = reduce_to_companion_pi(A)
+        cf = reduce_to_companion_pi(A, Ab)
         f = cf.f  # t^2 - t r - w
-    if R.in_radical(f.a1):
-        # r in J: A^2 lands in M_2(J); nilpotent iff some power dies
-        return _nilpotent_or_no(A, f)
     lam_u, lam_n = pi_roots(f)
     if lam_u is None or lam_n is None:
         return PiDecision("No", witness=f)
     if cf is None:
-        P = eigenrows(A, pi_basis_vector(A), lam_u, lam_n)
+        P = eigenrows(A, pi_basis_vector(A, Ab), lam_u, lam_n)
     else:
         P = cf.eigenrow_transform(lam_u, lam_n)
     return _checked_diag(A, lam_u, lam_n, P)

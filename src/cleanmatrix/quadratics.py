@@ -24,8 +24,10 @@ picks its route, and every caller goes through it:
     find_roots_enumerate, so it returns the same root.  Whatever the route,
     w_roots checks once that the two roots exist together or not at all;
   * pi_roots, a unit and a nilpotent root of t^2 - t r - w with r a unit (the
-    pi decider): _lift_pair on every finite ring, the discriminant over
-    Z_(p);
+    pi decider): on Z/p^k the nilpotent root by Newton's step on payload
+    integers (ModPrimePowerRing.newton_root) and the unit root read off the
+    sum of the roots, _lift_pair on the other finite rings, the
+    discriminant over Z_(p);
   * right_roots, the right roots in any requested subsets: find_roots_auto
     on a commutative ring (a complete scan on finite rings, the discriminant
     over Z and Z_(p)); on a skew ring, every one of which is finite,
@@ -52,14 +54,19 @@ with x in J^i but not in J^(i+1), the expansion gives
 lam x + x (lam + a1) + x^2 = 0, whose left side is x a1 or lam x modulo
 J^(i+1) by the same case split: a unit times x, so not in J^(i+1).  So
 lifting returns the same element as a complete scan of its residue class.
-_lift_pair, the one lifting route of w_roots and pi_roots, lifts the root
+_lift_pair, the chord-step route of w_roots and pi_roots, lifts the root
 lam above 0 from 0.  Over a commutative ring f(t) = (t - lam)(t - mu) with
 mu = -a1 - lam, which reduces to -a1bar, so mu is the other root, the one
 lifting from lift(-a1bar) returns; a skew ring lifts it from there.  For f
 in W that start is 1 and mu is the root in 1 + J; for the pi quadratic it
-is lift(rbar) and mu is the unit root.  On Z/p^k the J root comes from a
-scan of the multiples of p, the first hit being the unique root, and the
-1 + J root is again -a1 minus it.
+is lift(rbar) and mu is the unit root.  On Z/p^k the clean J root comes
+from a scan of the multiples of p, the first hit being the unique root, and
+the 1 + J root is again -a1 minus it.  The pi nilpotent root on Z/p^k comes
+from Newton's step lam <- lam - f(lam) f'(lam)^-1 from 0, which doubles the
+p-adic precision each step (ModPrimePowerRing.newton_root); f'(lam) =
+2 lam + a1 is a unit at both simple residue roots, so the uniqueness
+argument above carries over and Newton's root is the element the chord
+steps reach, in ceil(log2 k) steps instead of up to k - 1.
 
 Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
 find_roots_rational tests the discriminant and forms the roots in integer
@@ -116,13 +123,17 @@ def format_quadratic(f: MonicQuadratic) -> str:
     R = f.ring
     out = "t^2"
     for coeff, power in ((f.a1, "t"), (f.a0, "")):
-        if coeff == R.zero:
-            continue
-        plus = term("+", R.format_element(coeff), power)
-        minus = term("-", R.format_element(R.neg(coeff)), power)
-        # prefer the shorter rendering, so Z/8 and Z_(p) witnesses read t^2-t-2
-        out += minus if len(minus) < len(plus) else plus
+        if coeff != R.zero:
+            out += _shorter_signed(R, coeff, lambda sign, body: term(sign, body, power))
     return out
+
+
+def _shorter_signed(R, coeff, term) -> str:
+    """The shorter of term("+", coeff's text) and term("-", -coeff's text),
+    the first on a tie, so Z/8 and Z_(p) witnesses read t^2-t-2."""
+    plus = term("+", R.format_element(coeff))
+    minus = term("-", R.format_element(R.neg(coeff)))
+    return minus if len(minus) < len(plus) else plus
 
 
 class RootReport:
@@ -342,8 +353,13 @@ def w_roots(f: MonicQuadratic):
 def pi_roots(f: MonicQuadratic):
     """(unit root, nilpotent root) of f = t^2 - t r - w with r a unit and w in
     J, or None where Z_(p) has no such root; lifted on finite rings, where
-    t(t - rbar) has the simple residue roots rbar and 0."""
+    t(t - rbar) has the simple residue roots rbar and 0: by Newton's step on
+    Z/p^k, with the unit root -a1 minus the nilpotent one, and by
+    _lift_pair elsewhere."""
     R = f.ring
+    if R.family == "ModPrimePower":
+        lam_n = R.newton_root(f.a1, f.a0, R.zero)
+        return R.neg(R.add(f.a1, lam_n)), lam_n
     if R.is_finite:
         lam_n, lam_u = _lift_pair(f)
         return lam_u, lam_n

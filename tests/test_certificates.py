@@ -364,10 +364,13 @@ def test_wrong_enumerated_root_raises(monkeypatch):
 
 
 def test_wrong_lifted_root_raises(monkeypatch):
+    # a wrong root from either lifting route fails the deciders' one check:
+    # Newton's step on Z/p^k (pi), the chord steps on a truncation (both)
     R = parse_ring("Zmod(2,3)")
-    original = quadratics.lift_root
+    newton = type(R).newton_root
     monkeypatch.setattr(
-        quadratics, "lift_root", lambda f, s: R.add(original(f, s), R.el(2))
+        type(R), "newton_root",
+        lambda self, a1, a0, s: R.add(newton(self, a1, a0, s), R.el(2)),
     )
     for matrix in ("[[0,2],[1,3]]", "[[1,1],[2,0]]"):
         with pytest.raises(InternalContractViolation, match="fails verification"):
@@ -375,9 +378,12 @@ def test_wrong_lifted_root_raises(monkeypatch):
 
     T = parse_ring("Trunc(GF(2),3)")
     y2 = parse_element(T, "y^2")
+    original = quadratics.lift_root
     monkeypatch.setattr(quadratics, "lift_root", lambda f, s: T.add(original(f, s), y2))
     with pytest.raises(InternalContractViolation):
         decide_strongly_clean(parse_matrix(T, "[[0,y],[1,1]]"))
+    with pytest.raises(InternalContractViolation, match="fails verification"):
+        decide_strongly_pi_regular(parse_matrix(T, "[[0,y],[1,1]]"))
 
 
 # -------------------------------------------------------- inversion count

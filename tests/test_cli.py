@@ -203,6 +203,18 @@ def test_factor_text_parenthesizes_compound_coefficients(capsys):
         assert "g1: 1" in lines and "h1: 1" in lines
 
 
+def test_factor_text_prints_the_shorter_signed_form(capsys):
+    # a trivial split's witness lines read as its f line: Z_(2)'s -1 and
+    # Z/8's 7 as a coefficient of t are both -t
+    for ring, poly in (("Zloc(2)", "-1,1"), ("Zmod(2,3)", "7,1")):
+        code, out, _ = invoke(capsys, "factor", "--ring", ring, f"--poly={poly}")
+        assert code == OK
+        lines = out.splitlines()
+        for name in ("f", "g0", "h0"):
+            assert f"{name}: t^2-t+1" in lines
+        assert "g1: 1" in lines and "h1: 1" in lines
+
+
 def test_factor_no_factorization(capsys):
     code, doc, _ = invoke_json(
         capsys, "factor", "--ring", "Zloc(2)", "--poly=-1,-4", "--json"

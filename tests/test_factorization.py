@@ -60,6 +60,21 @@ def test_poly_eval_left_and_text():
     assert Poly(Z8, []).text() == "0"
 
 
+@pytest.mark.parametrize("spec, coeffs, text", [
+    ("Zmod(2,3)", [1, 7, 1], "t^2-t+1"),
+    ("Zmod(2,3)", [6, 0, 7], "-t^2+6"),  # 6 and -2 tie
+    ("Zmod(2,3)", [7, 1], "t+7"),
+    ("Zmod(2,3)", [7], "7"),
+    ("Zloc(2)", [1, -1, 1], "t^2-t+1"),
+    ("Zloc(2)", [-2, 0, -1], "-t^2-2"),
+])
+def test_poly_text_picks_the_shorter_signed_form(spec, coeffs, text):
+    # each term as format_quadratic writes it: the shorter of +c and -(-c),
+    # the plus form on a tie
+    R = parse_ring(spec)
+    assert Poly(R, [R.from_int(c) for c in coeffs]).text() == text
+
+
 @pytest.mark.parametrize("spec, a1, a0, text, top_text", [
     ("GF(2,2)", "1+w", "1", "t^2+(1+w)*t+1", "(1+w)*t^2+1"),
     ("Trunc(GF(2,2),2)", "1+w*y", "w", "t^2+(1+w*y)*t+w", "(1+w*y)*t^2+w"),

@@ -8,10 +8,10 @@ certificate from A itself, with no companion form, and over a commutative
 truncated ring the root search lifts one root of the quadratic and reads the
 other off the sum of the roots; on Z/p^k it scans J on payload integers, with
 no ring call per candidate.  A skew ring reduces to its companion form and
-lifts each root from its residue root.  A TrivialUnit verdict takes the two
-calls of the residue determinant, and a TrivialOneMinusUnit verdict two
-residue adds more and the three calls of A - I, which changes only the
-diagonal.  These
+lifts each root from its residue root; a pi decision on Z/p^k lifts by
+Newton's step on payloads.  A TrivialUnit verdict takes the two calls of
+the residue determinant, and a TrivialOneMinusUnit verdict two residue adds
+more and the three calls of A - I, which changes only the diagonal.  These
 tests count the public ring ops one decision makes, wrapped on the ring
 classes as the benchmark's tracer wraps them (a sub counts its add and neg
 too), and fail when a route goes back to per-term calls or to the companion
@@ -26,7 +26,7 @@ from collections import Counter
 
 import pytest
 
-from cleanmatrix import clean, piregular, quadratics, rings
+from cleanmatrix import clean, companion, piregular, quadratics, rings
 from cleanmatrix.clean import decide_strongly_clean, verify_certificate
 from cleanmatrix.literals import parse_matrix, parse_ring
 from cleanmatrix.matrices import Mat2
@@ -62,6 +62,26 @@ def refuse_reduction(monkeypatch, what):
     monkeypatch.setattr(piregular, "reduce_to_companion_pi", refuse)
 
 
+def patch_quadratics(monkeypatch, name, replacement):
+    """Replace quadratics.<name> in every cleanmatrix module that holds it."""
+    original = getattr(quadratics, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("cleanmatrix") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def count_left_evals(monkeypatch):
+    """A Counter whose "left_eval" entry counts quadratics.left_eval calls."""
+    evals, original = Counter(), quadratics.left_eval
+
+    def counted(*args):
+        evals["left_eval"] += 1
+        return original(*args)
+
+    patch_quadratics(monkeypatch, "left_eval", counted)
+    return evals
+
+
 # (ring, matrix, decider, status, most calls per op); the matrices are not
 # in companion shape, so both deciders change basis by the adjugate of
 # [x | Ax] for a lifted x
@@ -88,6 +108,10 @@ BUDGETS = [
     ("SkewTrunc(GF(2,2),1,3)", "[[1+x,w],[w*x,x]]", decide_strongly_pi_regular,
      "Nontrivial",
      {"add": 11, "mul": 20, "neg": 11, "sub": 2, "invert": 6, "dot": 27}),
+    # Z/p^k lifts the nilpotent root by Newton's step on payloads, with no
+    # ring call, and reads the unit root off the sum of the roots
+    ("Zmod(2,8)", "[[3,6],[5,14]]", decide_strongly_pi_regular, "Nontrivial",
+     {"add": 2, "mul": 13, "neg": 9, "sub": 0, "invert": 2, "dot": 14}),
 ]
 
 
@@ -187,26 +211,50 @@ def test_zmod_clean_scan_runs_on_payloads(monkeypatch):
     # the J root comes last in J, and the scan reaches it with no left_eval
     # call and no complete scan of Elements
     refuse_reduction(monkeypatch, "a commutative certificate")
-    evals = Counter()
-    original = quadratics.left_eval
-
-    def counted(*args):
-        evals["left_eval"] += 1
-        return original(*args)
+    evals = count_left_evals(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("the Z/p^k clean route reached find_roots_enumerate")
 
-    for name, replacement in (("left_eval", counted), ("find_roots_enumerate", refuse)):
-        bound = getattr(quadratics, name)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("cleanmatrix") and getattr(mod, name, None) is bound:
-                monkeypatch.setattr(mod, name, replacement)
+    patch_quadratics(monkeypatch, "find_roots_enumerate", refuse)
     R = parse_ring("Zmod(2,8)")
     dec = decide_strongly_clean(parse_matrix(R, "[[255,2],[1,0]]"))
     assert dec.status == "NontrivialClean"
     assert dec.method == "Enumeration"
     assert dec.certificate.diag[:2] == (R.el(1), R.el(254))
+    assert evals["left_eval"] == 0
+
+
+@pytest.mark.parametrize("spec, matrix", [
+    ("GF(2,4)", "[[1+w,w],[1+w,w]]"),
+    ("Zmod(2,8)", "[[3,6],[5,14]]"),
+    ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]"),
+    ("SkewTrunc(GF(2,2),1,3)", "[[1+x,w],[w*x,x]]"),
+])
+def test_deciders_hand_their_residues_on(monkeypatch, spec, matrix):
+    # each decider reduces A's entries once, for its trivial tests, and
+    # passes Abar to the basis vector or the reduction, which rebuild nothing
+    def refuse(A):
+        raise AssertionError("a decider's residue matrix was rebuilt")
+
+    monkeypatch.setattr(companion, "residue_matrix", refuse)
+    A = parse_matrix(parse_ring(spec), matrix)
+    assert decide_strongly_clean(A).status == "NontrivialClean"
+    assert decide_strongly_pi_regular(A).status == "Nontrivial"
+
+
+def test_zmod_pi_lifts_on_payloads(monkeypatch):
+    # Newton's step finds both roots: no left_eval call and no chord step
+    refuse_reduction(monkeypatch, "a commutative certificate")
+    evals = count_left_evals(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the Z/p^k pi route reached lift_root")
+
+    patch_quadratics(monkeypatch, "lift_root", refuse)
+    R = parse_ring("Zmod(2,8)")
+    dec = decide_strongly_pi_regular(parse_matrix(R, "[[3,6],[5,14]]"))
+    assert dec.status == "Nontrivial"
     assert evals["left_eval"] == 0
 
 

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from cleanmatrix import quadratics
 from cleanmatrix.bruteforce import brute_pi
 from cleanmatrix.errors import InfiniteRing, TooLarge
 from cleanmatrix.literals import parse_matrix, parse_ring
@@ -321,3 +322,22 @@ def test_pi_above_table_cap_lifts_without_enumerating(spec, matrix, refuse_scans
     assert verify_pi_certificate(A, dec.certificate)
     assert "All" not in R._enum_cache
     assert R._tables is None
+
+
+def test_pi_zmod_4096_lifts_by_newton_steps(monkeypatch, refuse_scans):
+    # Z/p^k takes both roots from Newton's step on payloads: the chord steps
+    # and their evaluations are never reached, and the nilpotent root is the
+    # unique root in J
+    def refuse(*args):
+        raise AssertionError("the Z/p^k pi route reached the chord steps")
+
+    monkeypatch.setattr(quadratics, "lift_root", refuse)
+    monkeypatch.setattr(quadratics, "left_eval", refuse)
+    R = parse_ring("Zmod(2,4096)")
+    A = parse_matrix(R, "[[3,6],[5,14]]")
+    dec = decide_strongly_pi_regular(A)
+    assert dec.status == "Nontrivial"
+    assert verify_pi_certificate(A, dec.certificate)
+    t0, t1 = dec.certificate.t0, dec.certificate.t1
+    assert R.is_unit(t0) and R.in_radical(t1)
+    assert R.add(t0, t1) == R.el(17)  # tr A, the sum of the roots

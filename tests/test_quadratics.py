@@ -452,6 +452,52 @@ def test_radical_root_refuses_above_enum_cap(refuse_scans):
         Z8.radical_root(Z8.el(1), R.el(0))
 
 
+@pytest.mark.parametrize(
+    "spec", ["Zmod(2,3)", "Zmod(2,5)", "Zmod(3,3)", "Zmod(5,2)", "Zmod(2,8)"]
+)
+def test_newton_root_is_the_scanned_root(spec):
+    # on all of W: Newton's root from 0 is the J root the payload scan finds
+    # first, and -a1 minus it is the 1 + J root, found here by a scan of the
+    # residues 1, 1 + p, 1 + 2p, ...
+    R = parse_ring(spec)
+    p, m = R.p, R.modulus
+    J = R.enumerate_elements("Radical")
+    for w0, w1 in itertools.product(J, repeat=2):
+        f = MonicQuadratic.from_radical_params(R, w0, w1)
+        lam = R.newton_root(f.a1, f.a0, R.zero)
+        assert lam is R.radical_root(f.a1, f.a0)
+        b1, b0 = f.a1.payload, f.a0.payload
+        mu = next(x for x in range(1, m, p) if (x * (x + b1) + b0) % m == 0)
+        assert R.sub(R.neg(f.a1), lam) == R.el(mu)
+
+
+@pytest.mark.parametrize("spec", ["Zmod(2,64)", "Zmod(3,40)", "Zmod(2,4096)"])
+def test_newton_root_recovers_chosen_roots_within_the_step_bound(spec):
+    # f = (t - lam)(t - mu) with lam in J and mu a unit: Newton's step from
+    # 0 and from mu's residue returns each root within ceil(log2 k) + 1
+    # steps, or raises; a chord step (a fixed a1^-1 for f'(lam)^-1) gains
+    # about two 2-adic levels a step and passes the bound on Zmod(2,64)
+    R = parse_ring(spec)
+    p, m = R.p, R.modulus
+    rng = random.Random(spec)
+    for _ in range(40):
+        lam = rng.randrange(0, m, p)
+        mu = rng.randrange(0, m // p) * p + rng.randrange(1, p)
+        a1, a0 = R.el(-(lam + mu)), R.el(lam * mu)
+        assert R.newton_root(a1, a0, R.zero) == R.el(lam)
+        assert R.newton_root(a1, a0, R.el(mu % p)) == R.el(mu)
+
+
+def test_newton_root_rejects_a_start_that_is_no_simple_root():
+    R = parse_ring("Zmod(3,2)")
+    with pytest.raises(InternalContractViolation, match="not a simple root"):
+        R.newton_root(R.el(-1), R.el(-2), R.zero)  # t^2 - t - 2: 0 is no root
+    with pytest.raises(InternalContractViolation, match="not a simple root"):
+        R.newton_root(R.el(-2), R.el(1), R.one)  # (t - 1)^2: a double root
+    with pytest.raises(OwnerMismatch):
+        R.newton_root(Z8.el(1), R.zero, R.zero)
+
+
 @pytest.mark.parametrize("spec", ["Zloc(2)", "Zloc(3)", "Z"])
 def test_find_roots_rational_matches_fraction_reference(spec):
     # integer-pair discriminant against the Fraction route, on quadratics
