@@ -17,9 +17,9 @@ _MODULES = {
         "truncated_poly", "truncated_skew",
     ),
     "matrices": (
-        "Mat2", "conjugate", "diag_mul", "diagonalizes", "has_inverse",
-        "invert2", "is_invertible", "matpow", "matvec", "outer",
-        "residue_matrix", "rowvec_mul",
+        "Mat2", "conjugate", "diag_mul", "diagonalizes", "invert2",
+        "is_invertible", "matpow", "matvec", "outer", "residue_matrix",
+        "rowvec_mul",
     ),
     "companion": (
         "CompanionForm", "check_companion_identity", "reduce_to_companion",

@@ -314,9 +314,11 @@ def _named_element(ring, name, i):
             return ring.embed(ring.base.generator())
         raise _Bad("'w' needs a Galois coefficient field", i)
     if name in ("x", "y"):
-        if ring.family in _TRUNCATED:
-            return ring.variable()
-        raise _Bad(f"{name!r} needs a truncated ring", i)
+        if ring.family not in _TRUNCATED:
+            raise _Bad(f"{name!r} needs a truncated ring", i)
+        if ring.n < 2:
+            raise _Bad(f"{name!r} needs a truncation length of at least 2", i)
+        return ring.variable()
     raise _Bad(f"unknown name {name!r}", i)
 
 

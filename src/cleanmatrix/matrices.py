@@ -7,13 +7,16 @@ coordinate: (Av)_i = A_i1 v_1 + A_i2 v_2.
 
 Every entry of a product is one ring call, R.dot(x, y, z, w) = x y + z w.
 
-Invertibility over a local ring is decided by the residue matrix: A is
+Invertibility is one test, is_invertible, on every ring.  Over a commutative
+ring A is invertible iff det A = ad - bc is a unit, which each ring answers
+with is_unit: on Z that is det = +-1, and on a local ring it says det Abar is
+not 0.  Over a skew ring, where no determinant is multiplicative, A is
 invertible iff det Abar is not 0, Abar = A mod J over the commutative residue
-field.  Determinants over the ring itself are never used for that purpose.
-The one integer exception: Z matrices invert via the adjugate when det = +-1
-(the residue route needs a local ring and raises NotLocal for Z as specified).
+field.
 
-invert2 on a local ring factors A = [[a, b], [c, d]] with a a unit as L D U:
+invert2 over a commutative ring is the adjugate times det^-1.  Over a skew
+ring (every one here is local) it factors A = [[a, b], [c, d]] with a a unit
+as L D U:
 
     A = [[1, 0], [c a^-1, 1]] [[a, 0], [0, s]] [[1, a^-1 b], [0, 1]],
     s = d - c a^-1 b,
@@ -31,7 +34,7 @@ of (SA)^-1 back.  When neither is a unit, the first column of Abar is 0 and A
 is not invertible.
 """
 
-from .errors import InternalContractViolation, NotInvertible, NotLocal, OwnerMismatch
+from .errors import InternalContractViolation, NotInvertible, OwnerMismatch
 from .rings import Element
 
 
@@ -174,52 +177,39 @@ def residue_matrix(A):
 
 
 def is_invertible(A) -> bool:
-    """Whether det Abar is not 0, read from the residue view without building
-    Abar; NotLocal for integer matrices."""
+    """Whether A is invertible over its ring: det A a unit over a commutative
+    ring, and over a skew one det Abar not 0, read from the residue view
+    without building Abar (see the module docstring)."""
     R = A.ring
-    if R.family == "Integers":
-        raise NotLocal("invertibility over Z is det = +-1; use the integer tools")
+    if R.is_commutative:
+        return R.is_unit(R.dot(A.a, A.d, R.neg(A.b), A.c))
     F, r, _ = R.residue_view()
     return F.is_unit(F.dot(r(A.a), r(A.d), F.neg(r(A.b)), r(A.c)))
-
-
-def has_inverse(A) -> bool:
-    """Invertibility over A's own ring: det = +-1 over Z, else is_invertible."""
-    if A.ring.family == "Integers":
-        return A.a.payload * A.d.payload - A.b.payload * A.c.payload in (1, -1)
-    return is_invertible(A)
-
-
-def diag_has_inverse(R, x, y) -> bool:
-    """Whether diag(x, y) is invertible, that is x and y are both units (+-1
-    over Z), with no determinant formed."""
-    if R.family == "Integers":
-        return x.payload in (1, -1) and y.payload in (1, -1)
-    return R.is_unit(x) and R.is_unit(y)
 
 
 def diagonalizes(P, A, t0, t1) -> bool:
     """P A P^-1 = diag(t0, t1), checked as P invertible and P A = diag(t0, t1) P,
     which needs no inverse."""
-    return has_inverse(P) and P * A == diag_mul(t0, t1, P)
+    return is_invertible(P) and P * A == diag_mul(t0, t1, P)
 
 
 def invert2(A) -> Mat2:
-    """Two-sided inverse: the adjugate over Z, else the L D U factorisation
-    pivoted on a, or on c after a row swap that a column swap of the result
-    undoes (see the module docstring).  NotInvertible when neither a nor c
-    is a unit, or when the Schur complement s is not.  The result is checked
-    as A B = B A = I."""
+    """Two-sided inverse: the adjugate times det^-1 over a commutative ring,
+    else the L D U factorisation pivoted on a, or on c after a row swap that
+    a column swap of the result undoes (see the module docstring).
+    NotInvertible when det A is not a unit, or over a skew ring when neither
+    a nor c is a unit or the Schur complement s is not.  The result is
+    checked as A B = B A = I."""
     R = A.ring
-    if R.family == "Integers":
-        det = A.a.payload * A.d.payload - A.b.payload * A.c.payload
-        if det not in (1, -1):
-            raise NotInvertible(f"integer matrix with det {det} is not invertible")
-        s = R.el(det)  # det = 1/det here
-        B = Mat2(R, R.mul(s, A.d), R.mul(s, R.neg(A.b)),
-                 R.mul(s, R.neg(A.c)), R.mul(s, A.a))
+    a, b, c, d = A.a, A.b, A.c, A.d
+    if R.is_commutative:
+        det = R.dot(a, d, R.neg(b), c)
+        if not R.is_unit(det):
+            raise NotInvertible("determinant is not a unit")
+        k = R.invert(det)
+        nk = R.neg(k)
+        B = Mat2(R, R.mul(k, d), R.mul(nk, b), R.mul(nk, c), R.mul(k, a))
     else:
-        a, b, c, d = A.a, A.b, A.c, A.d
         swap = not R.is_unit(a)
         if swap:
             a, b, c, d = c, d, a, b

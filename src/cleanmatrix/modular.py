@@ -52,7 +52,7 @@ class ModPrimePowerRing(FiniteRing):
 
     def _inv_ix(self, i):
         if i % self.p == 0:
-            raise NotAUnit(f"{i} is not a unit mod {self.modulus}")
+            raise NotAUnit(f"a multiple of {self.p} is not a unit in {self.spec_string()}")
         return pow(i, -1, self.modulus)
 
     def radical_root(self, a1, a0):

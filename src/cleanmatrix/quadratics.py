@@ -30,7 +30,7 @@ picks its route, and every caller goes through it:
     discriminant over Z_(p);
   * right_roots, the right roots in any requested subsets: find_roots_auto
     on a commutative ring (a complete scan on finite rings, the discriminant
-    over Z and Z_(p)); on a skew ring, every one of which is finite,
+    over Z_(p)); on a skew ring, every one of which is finite,
     find_roots_enumerate's scan with the right evaluation.
 
 Lifting.  On every finite ring here J is nilpotent: J^v = 0.  Take f with a0
@@ -68,9 +68,10 @@ p-adic precision each step (ModPrimePowerRing.newton_root); f'(lam) =
 argument above carries over and Newton's root is the element the chord
 steps reach, in ceil(log2 k) steps instead of up to k - 1.
 
-Over Z and Z_(p) every element is a ratio of integers (ring.ratio), and
+Over Z_(p) every element is a ratio of integers (ring.ratio), and
 find_roots_rational tests the discriminant and forms the roots in integer
-arithmetic.
+arithmetic.  No decider asks for roots over Z, and the discriminant route
+serves Z_(p) only.
 """
 
 from collections import namedtuple
@@ -215,17 +216,15 @@ def _rational_sqrt(n, d):
 
 
 def find_roots_rational(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
-    """Discriminant route over Z and Z_(p); commutative, so sides agree.
+    """Discriminant route over Z_(p); commutative, so sides agree.
 
     With a1 = n1/d1 and a0 = n0/d0, the discriminant a1^2 - 4 a0 is
     (n1^2 d0 - 4 n0 d1^2) / (d1^2 d0), a square of Q exactly when its reduced
     numerator and denominator are squares of Z; the roots (-a1 +- s)/2 are
-    then formed over one denominator and reduced.  Over Z only the unit and
-    nilpotent subsets are meaningful (no radical); J / 1+J stay None there by
-    definition."""
+    then formed over one denominator and reduced."""
     R = f.ring
-    if R.family not in ("Integers", "LocalizedIntegers"):
-        raise NotApplicable("rational root search needs Z or Z_(p)")
+    if R.family != "LocalizedIntegers":
+        raise NotApplicable("rational root search needs Z_(p)")
     report = RootReport(method="Discriminant", targets=tuple(targets))
     (n1, d1), (n0, d0) = R.ratio(f.a1), R.ratio(f.a0)
     num, den = n1 * n1 * d0 - 4 * n0 * d1 * d1, d1 * d1 * d0
@@ -234,20 +233,10 @@ def find_roots_rational(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
     if s is None:
         return report
     sn, sd = s
-    den = 2 * d1 * sd
+    den, p = 2 * d1 * sd, R.p
     for num in (sn * d1 - n1 * sd, -sn * d1 - n1 * sd):  # -a1 + s, then -a1 - s
         g = gcd(num, den)
         n, d = num // g, den // g
-        if R.family == "Integers":
-            if d != 1:
-                continue
-            el = R.el(n)
-            if "nilpotent" in targets and n == 0 and report.root_nilpotent is None:
-                report.root_nilpotent = el
-            if "unit" in targets and n in (1, -1) and report.root_unit is None:
-                report.root_unit = el
-            continue
-        p = R.p
         if d % p == 0:
             continue  # not an element of Z_(p)
         el = R.frac(n, d)
@@ -377,7 +366,7 @@ def right_roots(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
 
 
 def find_roots_auto(f: MonicQuadratic, targets=("J", "1+J")) -> RootReport:
-    """Family dispatch: enumeration when finite, discriminant over Z/Z_(p)."""
+    """Family dispatch: enumeration when finite, discriminant over Z_(p)."""
     R = f.ring
     if R.is_finite:
         return find_roots_enumerate(f, targets)

@@ -2,7 +2,8 @@
 
 Six families, all sharing one element interface:
 
-  Integers              Z              (not local; kept for the integer classifier)
+  Integers              Z              units +-1, no radical (not local; kept for
+                                       the integer classifier)
   LocalizedIntegers(p)  Z_(p)          reduced pairs (n, d) for n/d, d prime to p
   ModPrimePower(p, k)   Z/p^k
   GaloisField(p, m)     GF(p^m)        coefficient vectors over F_p
@@ -30,6 +31,13 @@ Rings of more than ENUM_CAP elements refuse enumeration with TooLarge before
 building anything: at the cap the "All" tuple already takes about 2 s and
 90 MB (Trunc(GF(2),16)), each doubling of the ring doubles both, and every
 sweep over it costs at least as much again.
+make_ring refuses, with TooLarge, a truncation whose index has more than
+TRUNC_BITS_CAP = 4096 bits: n digits of (q - 1).bit_length() bits each over
+GF(q), so a length of at most 4096 over GF(2) and 170 over GF(2^24).  Every
+op reads an index's n digits, each a division of the whole index, so the
+cost grows with n times the index's bits: a decide on [[0,1],[1,1]] in a
+fresh interpreter takes 0.4 s on Trunc(GF(2),4096) and 0.15 s on
+Trunc(GF(2,24),170), and took 37 s on Trunc(GF(2,24),4096) before the cap.
 Routes that must work on larger rings (the pi decider's root lifting and the
 companion reduction) enumerate neither the ring nor its residue field.
 
@@ -88,6 +96,8 @@ ENUM_CAP = 1 << 16
 # GF(65537,24) and GF(2^31-1,24); the search grows like m^3 log p per
 # candidate, so GF(2,256) took 6.7 s.
 GF_DEGREE_CAP = 24
+# Most bits of a truncation's element index; see the module docstring.
+TRUNC_BITS_CAP = 4096
 
 # ---------------------------------------------------------------- ring specs
 
@@ -201,6 +211,12 @@ def make_ring(spec: RingSpec):
         if not spec.n or spec.n < 1:
             raise InvalidSpec(f"truncation length must be >= 1, got {spec.n}")
         base = make_ring(spec.base)
+        cap = TRUNC_BITS_CAP // (base.size() - 1).bit_length()
+        if spec.n > cap:
+            raise TooLarge(
+                f"truncation length {spec.n} is above the cap {cap} "
+                f"over {base.spec_string()}"
+            )
         s = spec.s or 0
         if fam == "TruncatedSkew":
             if spec.s is None or spec.s < 0 or spec.s >= base.m:
@@ -423,10 +439,12 @@ class IntegerRing(LocalRing):
         return Element(self, a.payload * b.payload + c.payload * d.payload)
 
     def is_unit(self, a):
-        raise NotLocal("Z is not local; unit/radical tests need a local ring")
+        if not (type(a) is Element and a.ring is self):
+            self._guard(a)
+        return a.payload in (1, -1)
 
     def in_radical(self, a):
-        raise NotLocal("Z is not local; unit/radical tests need a local ring")
+        raise NotLocal("Z is not local; it has no radical")
 
     def invert(self, a):
         if not (type(a) is Element and a.ring is self):

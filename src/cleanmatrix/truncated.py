@@ -2,7 +2,7 @@
 
 from array import array
 
-from .errors import NotAUnit
+from .errors import NotApplicable, NotAUnit
 from .galois import _digit_sum, _digits, _fold, _format_poly
 from .rings import Element, FiniteRing
 
@@ -52,7 +52,7 @@ class TruncatedRing(FiniteRing):
 
     def variable(self):
         if self.n < 2:
-            raise ValueError(f"{self.spec_string()} truncates the variable to 0")
+            raise NotApplicable(f"{self.spec_string()} truncates the variable to 0")
         bz = self.base.zero.payload
         return Element(self, (bz, self.base.one.payload) + (bz,) * (self.n - 2))
 

@@ -6,7 +6,8 @@ coefficient, and touches no index table, no log table and no public ring op.
 The tests compare the index tables, the direct products above TABLE_CAP and
 the residue views with them.  invert2_rows, the 2x2 inverse by row reduction
 that the matrices module used before its L D U form, is the one reference
-here built on public ring ops; it works over any local ring.
+here built on public ring ops; it works over any local ring.  Over Z,
+which is not local, invert2_scan searches a box of candidate inverses.
 kernel_scan_is_invertible and brute_pi_sets are the oracle's invertibility
 and pi checks before it counted kernels: scans of all of R^2 on the ring's
 filled index tables.  enumerate_idempotents lists every idempotent of M_2(R)
@@ -42,6 +43,7 @@ FRACTION_OPS are the Z_(p) arithmetic on fractions.Fraction, the reference
 for the reduced-pair payload.
 """
 
+import itertools
 import operator
 from fractions import Fraction
 from math import isqrt
@@ -51,7 +53,7 @@ from cleanmatrix.clean import build_certificate
 from cleanmatrix.companion import reduce_to_companion, reduce_to_companion_pi
 from cleanmatrix.errors import NotApplicable, NotAUnit
 from cleanmatrix.factorization import Poly
-from cleanmatrix.matrices import Mat2, diagonalizes, has_inverse, matpow
+from cleanmatrix.matrices import Mat2, diagonalizes, is_invertible, matpow
 from cleanmatrix.quadratics import MonicQuadratic, pi_roots, w_roots
 from cleanmatrix.rings import Element, galois_field, make_ring
 
@@ -224,6 +226,19 @@ def invert2_rows(A):
     return Mat2(R, r1[2], r1[3], r2[2], r2[3])
 
 
+def invert2_scan(A, entries):
+    """The B with entries from `entries` and A B = B A = I, or None.  The
+    search is complete when `entries` holds every entry an inverse of A can
+    have: over Z, where an inverse is +-adj A, a box symmetric about 0 that
+    holds A's entries."""
+    I = Mat2.identity(A.ring)
+    for b in itertools.product(entries, repeat=4):
+        B = Mat2(A.ring, *b)
+        if A * B == I and B * A == I:
+            return B
+    return None
+
+
 def _oracle_view(A):
     """A's entries and the ring's filled tables, by index, with every vector
     of R^2."""
@@ -389,7 +404,7 @@ def verify_clean_equations(A, cert) -> bool:
         if E.ring is not A.ring or U.ring is not A.ring:
             return False
         if not (
-            E * E == E and E + U == A and E * U == U * E and has_inverse(U)
+            E * E == E and E + U == A and E * U == U * E and is_invertible(U)
         ):
             return False
         if cert.diag is None:

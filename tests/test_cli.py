@@ -655,6 +655,29 @@ def test_galois_degree_above_cap_exits_64_fast(capsys):
     assert (code, doc["status"]) == (OK, "NontrivialClean")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("decide", "--ring", "Trunc(GF(2,2),1)", "--matrix", "[[y,1],[1,0]]"),
+         "parse error: 'y' needs a truncation length of at least 2 (at position 2)"),
+        (("pi", "--ring", "SkewTrunc(GF(2,2),1,1)", "--matrix", "[[x,1],[1,0]]"),
+         "parse error: 'x' needs a truncation length of at least 2 (at position 2)"),
+        # the modulus has 30,103 digits, far past what the interpreter prints
+        (("decide", "--ring", "Zmod(2,100000)", "--matrix", "[[1/2,0],[0,0]]"),
+         "error: a multiple of 2 is not a unit in Zmod(2,100000)"),
+        (("decide", "--ring", "Trunc(GF(2),100000)", "--matrix", "[[0,1],[1,1]]"),
+         "error: truncation length 100000 is above the cap 4096 over GF(2,1)"),
+    ],
+    ids=["Trunc-variable", "SkewTrunc-variable", "Zmod-huge-modulus", "Trunc-length"],
+)
+def test_refused_input_exits_64_fast_on_one_line(capsys, argv, err):
+    start = time.perf_counter()
+    code, out, stderr = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (USAGE, "")
+    assert stderr == err + "\n"
+
+
 def test_large_prime_ring_answers_fast(capsys):
     # 10^18 + 3 is prime; trial division to its square root did not finish in 15 s
     start = time.perf_counter()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import ring_references as ref
 
-from cleanmatrix.errors import NotInvertible, NotLocal, OwnerMismatch
+from cleanmatrix.errors import NotInvertible, OwnerMismatch
 from cleanmatrix.literals import parse_ring
 from cleanmatrix.matrices import (
     Mat2,
@@ -170,8 +170,12 @@ def test_is_invertible_uses_residue_rank():
     assert is_invertible(m(Z8, 2, 1, 1, 1)) is True  # non-unit corner pivot
     assert is_invertible(m(Z8, 1, 1, 1, 1)) is False
     assert is_invertible(m(Z8, 1, 2, 3, 6)) is False
-    with pytest.raises(NotLocal):
-        is_invertible(m(Z, 1, 0, 0, 1))
+    # over Z the determinant must be +-1
+    assert is_invertible(m(Z, 1, 0, 0, 1)) is True
+    assert is_invertible(m(Z, 2, 1, 1, 1)) is True  # det 1, no unit corner
+    assert is_invertible(m(Z, 0, 1, 1, 0)) is True  # det -1
+    assert is_invertible(m(Z, 2, 0, 0, 1)) is False
+    assert is_invertible(m(Z, 1, 2, 3, 6)) is False
 
 
 def test_invert2_local():
@@ -203,19 +207,26 @@ def test_invert2_skew_exhaustive_sample():
 
 @pytest.mark.parametrize(
     "spec, units",
-    # |GL_2(R)| = |J|^4 (q^2 - 1)(q^2 - q) over the residue field F_q
+    # |GL_2(R)| = |J|^4 (q^2 - 1)(q^2 - q) over the residue field F_q; over
+    # Z the entries are -1, 0 and 1, and 40 of those 81 matrices have det +-1
     [("Zmod(2,2)", 2**4 * 6), ("Trunc(GF(2),2)", 2**4 * 6),
-     ("SkewTrunc(GF(2,2),1,2)", 4**4 * 15 * 12)],
+     ("SkewTrunc(GF(2,2),1,2)", 4**4 * 15 * 12), ("Z", 40)],
 )
 def test_invert2_matches_row_reduction_exhaustive(spec, units):
     R = parse_ring(spec)
+    if R.is_finite:
+        box = R.enumerate_elements("All")
+    else:
+        box = tuple(map(R.from_int, (-1, 0, 1)))
+    singular = ("determinant is not a unit" if R.is_commutative
+                else "residue matrix is singular")
     found = 0
-    for entries in itertools.product(R.enumerate_elements("All"), repeat=4):
+    for entries in itertools.product(box, repeat=4):
         A = Mat2(R, *entries)
-        expected = ref.invert2_rows(A)
+        expected = ref.invert2_rows(A) if R.is_finite else ref.invert2_scan(A, box)
         assert is_invertible(A) == (expected is not None)
         if expected is None:
-            with pytest.raises(NotInvertible, match="residue matrix is singular"):
+            with pytest.raises(NotInvertible, match=singular):
                 invert2(A)
         else:
             assert invert2(A) == expected

@@ -171,17 +171,10 @@ def test_enumerate_requires_finite():
 
 
 def test_rational_roots_integers():
-    f = quad(Z, 0, -1)  # t^2 - 1
-    rep = find_roots_rational(f, ("unit", "nilpotent"))
-    assert rep.root_unit == Z.el(1)
-    assert rep.root_nilpotent is None
-    g = quad(Z, -1, 0)  # t^2 - t: root 0 nilpotent, root 1 unit
-    rep = find_roots_rational(g, ("unit", "nilpotent"))
-    assert rep.root_unit == Z.el(1)
-    assert rep.root_nilpotent == Z.el(0)
-    # J / 1+J are never reported over Z
-    rep = find_roots_rational(g, ("J", "1+J"))
-    assert rep.root_in_j is None and rep.root_in_1_plus_j is None
+    # no decider asks for roots over Z: the discriminant route serves Z_(p)
+    for targets in (("unit", "nilpotent"), ("J", "1+J")):
+        with pytest.raises(NotApplicable, match="needs Z_\\(p\\)"):
+            find_roots_rational(quad(Z, -1, 0), targets)
 
 
 def test_rational_roots_localized():
@@ -208,7 +201,8 @@ def test_rational_roots_localized():
 def test_find_roots_auto_dispatch():
     assert find_roots_auto(quad(Z8, -1, -2)).method == "Enumeration"
     assert find_roots_auto(quad(ZL2, -1, -2)).method == "Discriminant"
-    assert find_roots_auto(quad(Z, -1, 0), ("unit",)).method == "Discriminant"
+    with pytest.raises(NotApplicable):
+        find_roots_auto(quad(Z, -1, 0), ("unit",))
 
 
 def test_lift_root_truncated_pinned():
@@ -503,11 +497,15 @@ def test_find_roots_rational_matches_fraction_reference(spec):
     # integer-pair discriminant against the Fraction route, on quadratics
     # built from chosen rational roots and on random ones
     R = parse_ring(spec)
+    targets = ("J", "1+J", "unit", "nilpotent")
+    if spec == "Z":
+        # the route serves Z_(p) only
+        with pytest.raises(NotApplicable):
+            find_roots_rational(quad(Z, -1, 0), targets)
+        return
     rng = random.Random(spec)
-    p = getattr(R, "p", None)
-    dens = [1] if p is None else [d for d in range(1, 40) if d % p]
-    targets = ("J", "1+J", "unit", "nilpotent") if p else ("unit", "nilpotent")
-    el = R.el if p else (lambda x: R.el(int(x)))  # Z takes int payloads
+    p, el = R.p, R.el
+    dens = [d for d in range(1, 40) if d % p]
 
     def rational():
         big = rng.random() < 0.2
@@ -524,16 +522,11 @@ def test_find_roots_rational_matches_fraction_reference(spec):
         rep = find_roots_rational(f, targets)
         want = dict.fromkeys(targets)
         for lam in ref.rational_roots(f):
-            if p is None:
-                if lam.denominator != 1:
-                    continue
-                kinds = {"nilpotent": lam == 0, "unit": lam in (1, -1)}
-            else:
-                if lam.denominator % p == 0:
-                    continue
-                kinds = {"J": lam.numerator % p == 0,
-                         "1+J": (lam - 1).numerator % p == 0,
-                         "unit": lam.numerator % p != 0, "nilpotent": lam == 0}
+            if lam.denominator % p == 0:
+                continue
+            kinds = {"J": lam.numerator % p == 0,
+                     "1+J": (lam - 1).numerator % p == 0,
+                     "unit": lam.numerator % p != 0, "nilpotent": lam == 0}
             for t in targets:
                 if kinds[t] and want[t] is None:
                     want[t] = el(lam)

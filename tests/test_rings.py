@@ -17,6 +17,7 @@ from cleanmatrix.errors import (
     InfiniteRing,
     InternalContractViolation,
     InvalidSpec,
+    NotApplicable,
     NotAUnit,
     NotLocal,
     OwnerMismatch,
@@ -30,6 +31,7 @@ from cleanmatrix.rings import (
     ENUM_CAP,
     GF_DEGREE_CAP,
     TABLE_CAP,
+    TRUNC_BITS_CAP,
     Element,
     FiniteRing,
     galois_field,
@@ -155,6 +157,21 @@ def test_galois_field_degree_is_capped():
     assert galois._fp_is_irreducible(galois._find_modulus(big, 4), big)
 
 
+def test_truncation_length_is_capped():
+    # an index of n digits of (q - 1).bit_length() bits over GF(q), at most
+    # TRUNC_BITS_CAP bits: the cap admits 4096 over GF(2) and 170 over GF(2^24)
+    for base, cap in ((galois_field(2, 1), TRUNC_BITS_CAP),
+                      (galois_field(2, 24), TRUNC_BITS_CAP // 24),
+                      (galois_field(3, 1), TRUNC_BITS_CAP // 2)):
+        assert make_ring(truncated_poly(base, cap)).n == cap
+        for spec in (truncated_poly(base, cap + 1), truncated_skew(base, 0, cap + 1)):
+            with pytest.raises(TooLarge, match=f"length {cap + 1} is above the cap {cap}"):
+                make_ring(spec)
+    # a length of 1 truncates the variable to 0
+    with pytest.raises(NotApplicable, match="truncates the variable to 0"):
+        make_ring(truncated_poly(galois_field(2, 2), 1)).variable()
+
+
 def test_prime_test_is_exact_below_its_bound():
     # deterministic Miller-Rabin against trial division
     for n in range(10**5):
@@ -190,8 +207,9 @@ def test_localized_integers_membership():
 
 
 def test_integers_not_local():
-    with pytest.raises(NotLocal):
-        Z.is_unit(Z.el(2))
+    # Z answers is_unit (its units are +-1) but has no radical or residue field
+    assert Z.is_unit(Z.el(1)) and Z.is_unit(Z.el(-1))
+    assert not Z.is_unit(Z.el(2)) and not Z.is_unit(Z.zero)
     with pytest.raises(NotLocal):
         Z.in_radical(Z.el(2))
     with pytest.raises(NotLocal):
