@@ -27,6 +27,11 @@ since C, and so A, satisfies (t - lam1J)(t - lamJ) = 0.  On either route
 nothing but units is inverted, and verify_certificate, the one complete check,
 runs once on the result.
 
+The case (TrivialUnit, TrivialOneMinusUnit or reduced) depends on Abar
+alone, and so does x, the lift of v + w, so a ring with a residue table
+keeps both in Abar's slot: the first decision with that Abar fills them
+with the ring calls it makes anyway, and every later one reads them.
+
 The roots come from quadratics.w_roots, which picks the route for the ring.
 Integer matrices are dispatched to the integer classifier, which builds the
 same shape of certificate from a unimodular eigenvector transform.
@@ -89,15 +94,17 @@ def build_certificate(
     return _checked(A, outer(R, u, (diag_P.c, diag_P.d)), t0, t1, diag_P)
 
 
-def commutative_certificate(A: Mat2, lam_j, lam_1j, Ab) -> CleanCertificate:
+def commutative_certificate(
+    A: Mat2, lam_j, lam_1j, Ab, slot
+) -> CleanCertificate:
     """The same certificate over a commutative ring, straight from A: the
     eigenrows by the adjugate of [x | Ax] for x = clean_basis_vector(A, Ab),
     and E = (A - t0 I) (t1 - t0)^-1, which is the projection E_C pulled back
     through P, by Cayley-Hamilton.  Ab is Abar, from the decider's residue
-    read.  Verified once."""
+    read, and slot its ResidueSlot or None.  Verified once."""
     R = A.ring
     t0, t1 = _diagonal(R, lam_j, lam_1j)
-    P = eigenrows(A, clean_basis_vector(A, Ab), t0, t1)
+    P = eigenrows(A, clean_basis_vector(A, Ab, slot=slot), t0, t1)
     k, nt0 = R.invert(R.sub(t1, t0)), R.neg(t0)
     E = Mat2(R, R.dot(A.a, k, nt0, k), R.mul(A.b, k),
              R.mul(A.c, k), R.dot(A.d, k, nt0, k))
@@ -110,17 +117,30 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         from .integer_matrices import integer_clean_decision
 
         return integer_clean_decision(A)
-    # both trivial tests from one residue read: A is invertible iff det Abar
-    # is not 0, and I - A iff det(I - Abar) = 1 - tr Abar + det Abar is not,
-    # the residue field being commutative.  A field's units are its nonzero
-    # elements, so the second test is one comparison, 1 + det Abar != tr Abar
     F, r, _ = R.residue_view()
     a, b, c, d = r(A.a), r(A.b), r(A.c), r(A.d)
-    det = F.dot(a, d, F.neg(b), c)
-    if F.is_unit(det):
+    table = R.residue_table
+    slot = None if table is None else table.slot(a, b, c, d)
+    case = None if slot is None else slot.clean
+    if case is None:
+        # both trivial tests from one residue read: A is invertible iff
+        # det Abar is not 0, and I - A iff det(I - Abar) = 1 - tr Abar +
+        # det Abar is not, the residue field being commutative.  A field's
+        # units are its nonzero elements, so the second test is one
+        # comparison, 1 + det Abar != tr Abar
+        det = F.dot(a, d, F.neg(b), c)
+        if F.is_unit(det):
+            case = "TrivialUnit"
+        elif F.add(F.one, det) != F.add(a, d):
+            case = "TrivialOneMinusUnit"
+        else:
+            case = "Reduced"
+        if slot is not None:
+            slot.clean = case
+    if case == "TrivialUnit":
         cert = CleanCertificate(Mat2.zero(R), A)
         return CleanDecision("TrivialUnit", certificate=cert, method="Trivial")
-    if F.add(F.one, det) != F.add(a, d):
+    if case == "TrivialOneMinusUnit":
         cert = CleanCertificate(Mat2.identity(R), minus_identity(A))
         return CleanDecision(
             "TrivialOneMinusUnit", certificate=cert, method="Trivial"
@@ -133,13 +153,13 @@ def decide_strongly_clean(A: Mat2) -> CleanDecision:
         # the roots from it, and build any certificate from A itself
         cf, f = None, char_quadratic(A)
     else:
-        cf = reduce_to_companion(A, Ab)
+        cf = reduce_to_companion(A, Ab, slot)
         f = cf.f
     lam_j, lam_1j, method = w_roots(f)  # both or neither
     if lam_j is None:
         return CleanDecision("NotClean", witness=f, method=method)
     if cf is None:
-        cert = commutative_certificate(A, lam_j, lam_1j, Ab)
+        cert = commutative_certificate(A, lam_j, lam_1j, Ab, slot)
     else:
         cert = build_certificate(cf, lam_j, lam_1j, A)
     return CleanDecision("NontrivialClean", certificate=cert, method=method)

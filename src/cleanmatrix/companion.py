@@ -14,6 +14,11 @@ vector is found in closed form from those lines, not by a scan of the field.
 clean_basis_vector and pi_basis_vector write x down; a matrix already in
 companion shape keeps x = (1, 0), so that Q = [x | Ax] = I.
 
+On a ring with a residue table (rings.ResidueTable) the deciders pass
+Abar's slot as well: the basis-vector helpers read x from it, or compute x
+once and keep it there, and a reduction whose slot already names Abar's
+case "Reduced" skips its precondition tests, which the decider has made.
+
 The deciders reduce over the skew rings only.  The reductions take the
 residue matrix from the decider, which has read A's residues for its own
 trivial tests (or form it once), test their preconditions on it, and
@@ -117,14 +122,16 @@ def char_quadratic(A) -> MonicQuadratic:
     return MonicQuadratic(R, R.neg(tr), R.dot(A.a, A.d, R.neg(A.b), A.c))
 
 
-def clean_basis_vector(A, Ab=None, Ab_I=None):
+def clean_basis_vector(A, Ab=None, Ab_I=None, slot=None):
     """x with {x, Ax} a basis in which A is [[0, w0], [1, 1 + w1]], for A
     with neither A nor I - A invertible: (1, 0) when A has that shape
     already, else the lift of v + w for the first residue vectors v in
     ker(Abar) and w in ker(I - Abar).  w is read off Abar - I, which has the
     same kernel and the same first kernel vector (see _kernel_vector) and
     changes only the diagonal.  Ab and Ab_I are Abar and Abar - I when the
-    caller has them; Ab_I is formed from Ab when it is not given."""
+    caller has them; Ab_I is formed from Ab when it is not given.  slot is
+    Abar's ResidueSlot, when the ring has a residue table: the lift is read
+    from its clean_x, or computed once and kept there."""
     R = A.ring
     if (
         A.a == R.zero
@@ -133,6 +140,8 @@ def clean_basis_vector(A, Ab=None, Ab_I=None):
         and R.in_radical(R.sub(A.d, R.one))
     ):
         return R.one, R.zero
+    if slot is not None and slot.clean_x is not None:
+        return slot.clean_x
     if Ab is None:
         Ab = residue_matrix(A)
     if Ab_I is None:
@@ -140,23 +149,32 @@ def clean_basis_vector(A, Ab=None, Ab_I=None):
     lift = R.residue_view().lift
     v = _kernel_vector(Ab)
     w = _kernel_vector(Ab_I)
-    return R.add(lift(v[0]), lift(w[0])), R.add(lift(v[1]), lift(w[1]))
+    x = R.add(lift(v[0]), lift(w[0])), R.add(lift(v[1]), lift(w[1]))
+    if slot is not None:
+        slot.clean_x = x
+    return x
 
 
-def pi_basis_vector(A, Ab=None):
+def pi_basis_vector(A, Ab=None, slot=None):
     """x with {x, Ax} a basis in which A is [[0, w], [1, r]], for A neither
     invertible nor over J: (1, 0) when A has that shape already, else the
     lift of the first residue vector outside ker(Abar) and im(Abar).  Ab is
-    Abar when the caller has it."""
+    Abar when the caller has it; slot, Abar's ResidueSlot, keeps the lift
+    as pi_x."""
     R = A.ring
     if A.a == R.zero and A.c == R.one and R.in_radical(A.b):
         return R.one, R.zero
+    if slot is not None and slot.pi_x is not None:
+        return slot.pi_x
     if Ab is None:
         Ab = residue_matrix(A)
     lift = R.residue_view().lift
     # A is singular and not over J, so its residue matrix has rank exactly 1
     pick = _outside_kernel_and_image(Ab)
-    return lift(pick[0]), lift(pick[1])
+    x = lift(pick[0]), lift(pick[1])
+    if slot is not None:
+        slot.pi_x = x
+    return x
 
 
 def eigenrows(A, x, t0, t1) -> Mat2:
@@ -205,32 +223,37 @@ def _form(A, P, Q) -> CompanionForm:
     return CompanionForm(MonicQuadratic(R, R.neg(corner), R.neg(top)), P, Q)
 
 
-def reduce_to_companion(A: Mat2, Ab=None) -> CompanionForm:
+def reduce_to_companion(A: Mat2, Ab=None, slot=None) -> CompanionForm:
     """Clean-case reduction; NotApplicable when A or I - A is invertible.  Ab
-    is Abar when the caller has it."""
+    is Abar when the caller has it.  A slot whose clean case is "Reduced"
+    stands for both invertibility tests, and gives x when it holds one."""
     R = A.ring
     if Ab is None:
         Ab = residue_matrix(A)
-    Ab_I = minus_identity(Ab)  # det(Abar - I) = det(I - Abar)
-    if is_invertible(Ab) or is_invertible(Ab_I):
-        raise NotApplicable("A or I - A is invertible; no companion reduction")
-    cf = _form(A, *_basis_change(A, clean_basis_vector(A, Ab, Ab_I)))
+    Ab_I = None
+    if slot is None or slot.clean != "Reduced":
+        Ab_I = minus_identity(Ab)  # det(Abar - I) = det(I - Abar)
+        if is_invertible(Ab) or is_invertible(Ab_I):
+            raise NotApplicable("A or I - A is invertible; no companion reduction")
+    cf = _form(A, *_basis_change(A, clean_basis_vector(A, Ab, Ab_I, slot)))
     if not (R.in_radical(cf.f.a0) and R.in_radical(R.add(R.one, cf.f.a1))):
         raise InternalContractViolation("companion shape violated after reduction")
     return cf
 
 
-def reduce_to_companion_pi(A: Mat2, Ab=None) -> CompanionForm:
+def reduce_to_companion_pi(A: Mat2, Ab=None, slot=None) -> CompanionForm:
     """Pi-case reduction; NotApplicable when A is invertible or A is over J.
-    Ab is Abar when the caller has it."""
+    Ab is Abar when the caller has it.  A slot whose pi case is "Reduced"
+    stands for both tests, and gives x when it holds one."""
     R = A.ring
     if Ab is None:
         Ab = residue_matrix(A)
-    if Ab == Mat2.zero(Ab.ring):
-        raise NotApplicable("all entries in the radical; no pi companion form")
-    if is_invertible(Ab):
-        raise NotApplicable("A is invertible; no pi companion form")
-    cf = _form(A, *_basis_change(A, pi_basis_vector(A, Ab)))
+    if slot is None or slot.pi != "Reduced":
+        if Ab == Mat2.zero(Ab.ring):
+            raise NotApplicable("all entries in the radical; no pi companion form")
+        if is_invertible(Ab):
+            raise NotApplicable("A is invertible; no pi companion form")
+    cf = _form(A, *_basis_change(A, pi_basis_vector(A, Ab, slot)))
     if not R.in_radical(cf.f.a0):
         raise InternalContractViolation("pi companion shape violated")
     return cf

@@ -28,6 +28,11 @@ integers, in at most ceil(log2 k) + 1 steps, with the unit root -a1 minus
 the nilpotent one, elsewhere by chord steps; Z_(p) finds them, or not, by
 the discriminant.
 
+The case (TrivialUnit, A^2 over J, or reduced) and the lifted pick x
+depend on Abar alone, and a ring with a residue table keeps them in Abar's
+slot, filled by the first decision with that Abar and read by every later
+one.
+
 Integer matrices: nontrivial strong pi-regularity forces characteristic
 polynomial t(t - 1) or t(t + 1), so A or -A is idempotent and Z^2 always splits
 as im (+) ker; hence the exact test is (tr, det) in {(1, 0), (-1, 0)}.  These
@@ -94,36 +99,51 @@ def decide_strongly_pi_regular(A: Mat2) -> PiDecision:
     R = A.ring
     if R.family == "Integers":
         return _decide_integer(A)
-    # one residue read: A is invertible iff det Abar is not 0, and over J
-    # iff Abar = 0; Abar goes on to the basis vector or the reduction
     F, r, _ = R.residue_view()
     a, b, c, d = r(A.a), r(A.b), r(A.c), r(A.d)
-    if F.is_unit(F.dot(a, d, F.neg(b), c)):
+    table = R.residue_table
+    slot = None if table is None else table.slot(a, b, c, d)
+    case = None if slot is None else slot.pi
+    f = None
+    if case is None:
+        # one residue read: A is invertible iff det Abar is not 0, and over
+        # J iff Abar = 0.  Otherwise A^2 lands in M_2(J) when r is in J:
+        # over a commutative ring r = tr A, read off t^2 - tr(A) t + det(A),
+        # which the decider keeps; over a skew ring rbar = tr Abar, the
+        # residue field being commutative
+        z = F.zero
+        if F.is_unit(F.dot(a, d, F.neg(b), c)):
+            case = "TrivialUnit"
+        elif a == z and b == z and c == z and d == z:
+            case = "Nilpotent"
+        elif R.is_commutative:
+            f = char_quadratic(A)
+            case = "Nilpotent" if R.in_radical(f.a1) else "Reduced"
+        else:
+            case = "Nilpotent" if F.add(a, d) == z else "Reduced"
+        if slot is not None:
+            slot.pi = case
+    if case == "TrivialUnit":
         return PiDecision("TrivialUnit", certificate=PiCertificate("unit"))
-    z = F.zero
-    if a == z and b == z and c == z and d == z:
-        # nilpotent, unless (Z_(p) only) no power vanishes: never pi-regular
-        return _nilpotent_or_no(A)
+    if case == "Nilpotent":
+        # nilpotent iff some power dies, and never pi-regular otherwise
+        # (Z_(p) only); a finite ring answers TrivialNilpotent
+        return _nilpotent_or_no(A, f)
     Ab = Mat2(F, a, b, c, d)
     if R.is_commutative:
         # t^2 - t r - w is A's own t^2 - tr(A) t + det(A): decide from it,
         # and build a Nontrivial certificate from A itself
-        cf, f = None, char_quadratic(A)
-        if R.in_radical(f.a1):
-            # r in J: A^2 lands in M_2(J); nilpotent iff some power dies
-            return _nilpotent_or_no(A, f)
+        cf = None
+        if f is None:
+            f = char_quadratic(A)
     else:
-        # the residue field is commutative, so rbar = tr Abar: settle r in J
-        # before reducing (a finite ring answers TrivialNilpotent there)
-        if F.add(a, d) == z:
-            return _nilpotent_or_no(A)
-        cf = reduce_to_companion_pi(A, Ab)
+        cf = reduce_to_companion_pi(A, Ab, slot)
         f = cf.f  # t^2 - t r - w
     lam_u, lam_n = pi_roots(f)
     if lam_u is None or lam_n is None:
         return PiDecision("No", witness=f)
     if cf is None:
-        P = eigenrows(A, pi_basis_vector(A, Ab), lam_u, lam_n)
+        P = eigenrows(A, pi_basis_vector(A, Ab, slot), lam_u, lam_n)
     else:
         P = cf.eigenrow_transform(lam_u, lam_n)
     return _checked_diag(A, lam_u, lam_n, P)

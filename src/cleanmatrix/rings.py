@@ -69,6 +69,14 @@ the enumerated elements.  A missing mul entry goes through _fill_mul, which
 fills that one entry, except on a truncation of characteristic 2, which
 fills its whole row at once (see truncated).  A ring above the cap
 allocates no index table.
+
+Every local ring whose residue field has q elements with q^4 <= TABLE_CAP
+(q <= 5) also has a residue_table, built on first use: one ResidueSlot per
+residue matrix Abar, numbered by its entries' residue indices, holding what
+the two deciders derive from Abar alone (its clean and pi cases and lifted
+basis vectors; see clean and piregular).  Each decider fills its half of a
+slot with the ring calls it makes without one, so the table pays off only
+over many matrices: in-process loops and selftest, not a single CLI call.
 """
 
 from array import array
@@ -281,6 +289,39 @@ class Element:
 ResidueView = namedtuple("ResidueView", "field reduce lift")
 
 
+class ResidueSlot:
+    """What the deciders derive from one residue matrix Abar alone, each half
+    None until its decider first meets that Abar: the clean case
+    ("TrivialUnit", "TrivialOneMinusUnit" or "Reduced") with clean_x, the
+    lift of v + w, and the pi case ("TrivialUnit", "Nilpotent" for A^2 over
+    J, or "Reduced") with pi_x, the lifted pick (see companion)."""
+
+    __slots__ = ("clean", "clean_x", "pi", "pi_x")
+
+    def __init__(self):
+        self.clean = self.clean_x = self.pi = self.pi_x = None
+
+
+class ResidueTable:
+    """The q^4 slots of a residue field of q elements, one per residue matrix
+    [[a, b], [c, d]], numbered by the entries' indices in the field's "All"
+    order and made on first use."""
+
+    __slots__ = ("q", "slots")
+
+    def __init__(self, q):
+        self.q = q
+        self.slots = [None] * q ** 4
+
+    def slot(self, a, b, c, d) -> ResidueSlot:
+        q, slots = self.q, self.slots
+        k = ((a.idx * q + b.idx) * q + c.idx) * q + d.idx
+        s = slots[k]
+        if s is None:
+            s = slots[k] = ResidueSlot()
+        return s
+
+
 class IndexTables:
     """Operation tables of one finite ring, by "All" enumeration index.
 
@@ -338,6 +379,14 @@ class LocalRing:
         if self._residue is None:
             self._residue = self._make_residue_view()
         return self._residue
+
+    @cached_property
+    def residue_table(self):
+        """The ResidueTable of the residue matrices, or None when the residue
+        field has q elements with q^4 > TABLE_CAP (q > 5).  Built on first
+        use, like the residue view."""
+        q = self.residue_view().field.size()
+        return ResidueTable(q) if q ** 4 <= TABLE_CAP else None
 
     def radical_index(self):
         """Smallest v with J^v = 0, or None when J is not nilpotent."""

@@ -11,7 +11,11 @@ no ring call per candidate.  A skew ring reduces to its companion form and
 lifts each root from its residue root; a pi decision on Z/p^k lifts by
 Newton's step on payloads.  A TrivialUnit verdict takes the two calls of
 the residue determinant, and a TrivialOneMinusUnit verdict two residue adds
-more and the three calls of A - I, which changes only the diagonal.  These
+more and the three calls of A - I, which changes only the diagonal.  A
+second decision on the same residue matrix, on a ring with a residue table,
+reads the case and the basis vector from its slot: no residue-field call
+for the case, no kernel vector, and no invertibility test in a reduction
+(the budgets above are cold upper bounds, which a warm slot only lowers).  These
 tests count the public ring ops one decision makes, wrapped on the ring
 classes as the benchmark's tracer wraps them (a sub counts its add and neg
 too), and fail when a route goes back to per-term calls or to the companion
@@ -35,14 +39,14 @@ from cleanmatrix.piregular import decide_strongly_pi_regular
 OPS = ("add", "mul", "neg", "sub", "invert", "dot")
 
 
-@pytest.fixture
-def ring_calls(monkeypatch):
+def count_ring_calls(monkeypatch, key):
+    """A Counter of public ring ops by key(ring, op name), from now on."""
     counts = Counter()
 
     def counted(name, original):
-        def op(*args):
-            counts[name] += 1
-            return original(*args)
+        def op(ring, *args):
+            counts[key(ring, name)] += 1
+            return original(ring, *args)
 
         return op
 
@@ -52,6 +56,11 @@ def ring_calls(monkeypatch):
                 if name in vars(cls):
                     monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
     return counts
+
+
+@pytest.fixture
+def ring_calls(monkeypatch):
+    return count_ring_calls(monkeypatch, lambda ring, name: name)
 
 
 def refuse_reduction(monkeypatch, what):
@@ -160,6 +169,62 @@ def test_trivial_decision_ring_calls(
     assert decide_strongly_clean(A).status == status
     over = {op: n for op, n in ring_calls.items() if n > budget.get(op, 0)}
     assert not over, f"ring calls above budget {budget}: {over}"
+
+
+# a second decision on the same Abar reads its case and basis vector from
+# the warm residue slot: a trivial verdict makes no residue-field call, and a
+# reduced one none but the verifier's residue determinant of P on a skew ring
+# (counts by op over both rings, then the residue field's alone)
+WARM_BUDGETS = [
+    ("Zloc(2)", "[[0,1],[1,0]]", decide_strongly_clean, "TrivialUnit", {}, {}),
+    ("Zmod(5,2)", "[[0,1],[1,0]]", decide_strongly_pi_regular, "TrivialUnit", {}, {}),
+    ("SkewTrunc(GF(2,2),1,3)", "[[0,0],[1,0]]", decide_strongly_clean,
+     "TrivialOneMinusUnit", {"add": 2, "neg": 1}, {}),
+    ("SkewTrunc(GF(2,2),1,3)", "[[0,0],[1,0]]", decide_strongly_pi_regular,
+     "TrivialNilpotent", {"dot": 4}, {}),
+    ("Zloc(2)", "[[3,2],[-3,-2]]", decide_strongly_clean, "NontrivialClean",
+     {"add": 12, "mul": 10, "neg": 14, "sub": 7, "invert": 2, "dot": 19}, {}),
+    ("Zmod(2,8)", "[[3,6],[5,14]]", decide_strongly_pi_regular, "Nontrivial",
+     {"add": 2, "mul": 11, "neg": 7, "invert": 1, "dot": 13}, {}),
+    ("Trunc(GF(2,2),4)", "[[1+w+y,w+y^2],[1+w,w+y^3]]", decide_strongly_clean,
+     "NontrivialClean",
+     {"add": 21, "mul": 15, "neg": 17, "sub": 9, "invert": 3, "dot": 19}, {}),
+    ("SkewTrunc(GF(2,2),1,3)", "[[1+x,w],[w*x,x]]", decide_strongly_clean,
+     "NontrivialClean",
+     {"add": 22, "mul": 19, "neg": 15, "sub": 9, "invert": 5, "dot": 30},
+     {"neg": 1, "dot": 1}),
+    ("SkewTrunc(GF(2,2),1,3)", "[[1+x,w],[w*x,x]]", decide_strongly_pi_regular,
+     "Nontrivial",
+     {"add": 10, "mul": 16, "neg": 7, "sub": 2, "invert": 4, "dot": 24},
+     {"neg": 1, "dot": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, matrix, decide, status, budget, residue_budget", WARM_BUDGETS,
+    ids=[f"{b[0]}-{b[2].__name__}-{b[3]}" for b in WARM_BUDGETS],
+)
+def test_warm_decision_ring_calls(
+    monkeypatch, spec, matrix, decide, status, budget, residue_budget
+):
+    R = parse_ring(spec)
+    A = parse_matrix(R, matrix)
+    assert R.residue_table is not None
+    decide(A)  # fills the slot of Abar, if an earlier test has not
+
+    def refuse(*args):
+        raise AssertionError("a warm decision redid residue work")
+
+    # the basis vectors' residue lines, and the skew reductions' tests
+    for name in ("_kernel_vector", "_outside_kernel_and_image", "is_invertible"):
+        monkeypatch.setattr(companion, name, refuse)
+    F = R.residue_view().field
+    calls = count_ring_calls(monkeypatch, lambda ring, name: (ring is F, name))
+    assert decide(A).status == status
+    for residue_field, allowed in ((False, budget), (True, residue_budget)):
+        got = {name: n for (on_f, name), n in calls.items() if on_f is residue_field}
+        over = {op: n for op, n in got.items() if n > allowed.get(op, 0)}
+        assert not over, f"ring calls above budget {allowed}: {over}"
 
 
 # the clean check of a decider's certificate: A = E + U, the diagonalization

@@ -322,6 +322,25 @@ def test_skew_opposite_is_the_inverse_twist(spec, op_spec):
             assert psi(R.mul(a, b)) == S.mul(pb, pa)
 
 
+# the ids of test_index_tables_match_arithmetic are positions in this list;
+# test_index_table_ids_name_their_rings pins the ring each id names, so an
+# edit that moves an id onto another ring fails there, not silently
+INDEX_TABLE_IDS = {
+    "R0": "Zmod(2,2)", "R1": "Zmod(2,3)", "R2": "Zmod(3,2)", "R3": "GF(2,1)",
+    "R4": "GF(2,2)", "R5": "GF(2,3)", "R6": "GF(3,2)", "R7": "Trunc(GF(2,1),2)",
+    "R8": "Trunc(GF(2,1),3)", "R9": "SkewTrunc(GF(2,2),1,2)",
+    "R10": "SkewTrunc(GF(2,2),0,2)", "R11": "SkewTrunc(GF(2,3),2,2)",
+    "R12": "GF(2,8)", "R13": "GF(3,3)", "R14": "GF(5,2)", "R15": "GF(7,2)",
+    "R16": "Trunc(GF(3,1),3)", "R17": "SkewTrunc(GF(3,2),1,2)",
+    "R18": "Trunc(GF(2,2),4)",
+}
+
+
+def test_index_table_ids_name_their_rings():
+    rings = FINITE_RINGS + [SK64_OP] + INDEX_RINGS
+    assert {f"R{i}": R.spec_string() for i, R in enumerate(rings)} == INDEX_TABLE_IDS
+
+
 @pytest.mark.parametrize("R", FINITE_RINGS + [SK64_OP] + INDEX_RINGS)
 def test_index_tables_match_arithmetic(R):
     # the index route against the element-level reference, on every entry
